@@ -46,8 +46,9 @@ from .data import (
     load_csv,
     read_matrix_csv,
     save_csv,
+    write_matrix_csv,
 )
-from .errors import ConfigError, DataError, UqError
+from .errors import ConfigError, DataError, DivergenceError, UqError
 from .metrics import classification_report, interval_metrics
 from .mlp import mlp_forward, param_count
 from .numerics import entropy, softmax
@@ -88,10 +89,6 @@ def _emit(doc: dict) -> None:
 
 def _write_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def read_probs_csv(path) -> np.ndarray:
@@ -139,19 +136,14 @@ def write_sets_csv(path: Path, sets: PredictionSets) -> None:
 
 
 def write_intervals_csv(path: Path, intervals: Intervals) -> None:
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lower", "upper"])
-        for lo, hi in zip(intervals.lower, intervals.upper):
-            writer.writerow([_fmt(lo), _fmt(hi)])
+    write_matrix_csv(
+        path, np.column_stack([intervals.lower, intervals.upper]), ["lower", "upper"]
+    )
 
 
 def write_probs_csv(path: Path, probs: np.ndarray, entropies: np.ndarray) -> None:
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"p{k}" for k in range(probs.shape[1])] + ["entropy"])
-        for row, h in zip(probs, entropies):
-            writer.writerow([_fmt(v) for v in row] + [_fmt(h)])
+    header = [f"p{k}" for k in range(probs.shape[1])] + ["entropy"]
+    write_matrix_csv(path, np.column_stack([probs, entropies]), header)
 
 
 def write_trace_csv(path: Path, rows: list[tuple[str, int, float]]) -> None:
@@ -159,7 +151,7 @@ def write_trace_csv(path: Path, rows: list[tuple[str, int, float]]) -> None:
         writer = csv.writer(fh)
         writer.writerow(["phase", "epoch", "loss"])
         for phase, epoch, loss in rows:
-            writer.writerow([phase, str(epoch), _fmt(loss)])
+            writer.writerow([phase, str(epoch), format(float(loss), ".17g")])
 
 
 def _alpha_flag(value: str) -> float:
@@ -177,6 +169,7 @@ def _alpha_flag(value: str) -> float:
 
 def cmd_conformal(args) -> int:
     out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
     report: dict = {"method": args.method, "alpha": args.alpha}
     if args.method in ("baseline", "adaptive"):
         for flag in ("val_probs", "val_targets", "test_probs"):
@@ -271,6 +264,24 @@ def cmd_calibrate(args) -> int:
 # ---------------------------------------------------------------------------
 # train
 
+def _swag_after_map(cfg: RunConfig, start, model, train_ds, opt, run_seed: int):
+    """The SWAG phase that continues a MAP fit, on its own batch stream."""
+    params = cfg.method_params
+    swag_opt = replace(
+        opt,
+        seed=child_seed(run_seed, SEED_OPTIM + 100),
+        epochs=params["swag_epochs"] or opt.epochs,
+    )
+    return swag_fit(
+        start,
+        model,
+        train_ds,
+        swag_opt,
+        rank=params["rank"],
+        snapshot_every=params["snapshot_every"],
+    )
+
+
 def _fit_by_method(cfg: RunConfig, model, train_ds, opt, run_seed: int):
     """Returns (state, trace rows, diverged)."""
     params = cfg.method_params
@@ -305,19 +316,7 @@ def _fit_by_method(cfg: RunConfig, model, train_ds, opt, run_seed: int):
             base.state, model, train_ds, prior_precision=params["prior_precision"]
         )
         return state, rows, False
-    swag_opt = replace(
-        opt,
-        seed=child_seed(run_seed, SEED_OPTIM + 100),
-        epochs=params["swag_epochs"] or opt.epochs,
-    )
-    swag = swag_fit(
-        base.state,
-        model,
-        train_ds,
-        swag_opt,
-        rank=params["rank"],
-        snapshot_every=params["snapshot_every"],
-    )
+    swag = _swag_after_map(cfg, base.state, model, train_ds, opt, run_seed)
     rows += [("swag", e, v) for e, v in enumerate(swag.trace)]
     return swag.state, rows, swag.diverged
 
@@ -432,21 +431,14 @@ def cmd_evaluate(args) -> int:
             "mean_epistemic": float(np.mean(moments.epistemic)),
         }
         if out_dir:
-            with (out_dir / "predictive.csv").open(
-                "w", newline="", encoding="utf-8"
-            ) as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["mean", "variance", "aleatoric", "epistemic", "std"])
-                for i in range(test_ds.n):
-                    writer.writerow(
-                        [
-                            _fmt(moments.mean[i]),
-                            _fmt(moments.variance[i]),
-                            _fmt(moments.aleatoric[i]),
-                            _fmt(moments.epistemic[i]),
-                            _fmt(np.sqrt(moments.variance[i])),
-                        ]
-                    )
+            write_matrix_csv(
+                out_dir / "predictive.csv",
+                np.column_stack([
+                    moments.mean, moments.variance, moments.aleatoric,
+                    moments.epistemic, np.sqrt(moments.variance),
+                ]),
+                ["mean", "variance", "aleatoric", "epistemic", "std"],
+            )
         if args.alpha is not None:
             intervals = credible_interval_regression(
                 state, model, test_ds.inputs, args.alpha, pcfg
@@ -476,26 +468,13 @@ def _benchmark_one(cfg: RunConfig, run_seed: int) -> dict:
 
     base = map_fit(model, train_ds, opt)
     if base.diverged:
-        raise UqError(f"MAP baseline diverged for seed {run_seed}")
+        raise DivergenceError(f"MAP phase diverged for seed {run_seed}")
     map_probs = softmax(mlp_forward(model, base.state.theta, test_ds.inputs), axis=1)
     map_report = classification_report(map_probs, test_ds.targets, n_bins=cfg.bins)
 
-    params = cfg.method_params
-    swag_opt = replace(
-        opt,
-        seed=child_seed(run_seed, SEED_OPTIM + 100),
-        epochs=params["swag_epochs"] or opt.epochs,
-    )
-    swag = swag_fit(
-        base.state,
-        model,
-        train_ds,
-        swag_opt,
-        rank=params["rank"],
-        snapshot_every=params["snapshot_every"],
-    )
+    swag = _swag_after_map(cfg, base.state, model, train_ds, opt, run_seed)
     if swag.diverged:
-        raise UqError(f"SWAG phase diverged for seed {run_seed}")
+        raise DivergenceError(f"SWAG phase diverged for seed {run_seed}")
     pcfg = PredictiveConfig(
         n_samples=cfg.predictive_samples, seed=child_seed(run_seed, SEED_PREDICTIVE)
     )
@@ -652,6 +631,9 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
+    except DivergenceError as exc:
+        print(f"diverged: {exc}", file=sys.stderr)
+        return 4
     except (UqError, ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -108,19 +108,6 @@ RUN_SCHEMA = {
         },
         "calibration": {"type": "boolean"},
         "temperature_method": {"enum": ["golden", "adam"]},
-        "conformal": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["method", "alpha"],
-            "properties": {
-                "method": {"enum": ["baseline", "adaptive", "cqr", "scalar"]},
-                "alpha": {
-                    "type": "number",
-                    "exclusiveMinimum": 0,
-                    "exclusiveMaximum": 1,
-                },
-            },
-        },
         "bins": {"type": "integer", "minimum": 1},
         "predictive_samples": {"type": "integer", "minimum": 1},
         "out_dir": {"type": "string"},
@@ -167,7 +154,6 @@ class RunConfig:
     temperature_method: str
     predictive_samples: int | None
     method_params: dict
-    conformal: dict | None
     seeds: tuple[int, ...] = field(default_factory=tuple)
 
     def optimizer(self) -> OptimConfig:
@@ -255,7 +241,6 @@ def parse_config(doc: dict, require_seeds: bool = False) -> RunConfig:
         temperature_method=doc.get("temperature_method", "golden"),
         predictive_samples=doc.get("predictive_samples"),
         method_params=params,
-        conformal=doc.get("conformal"),
         seeds=tuple(doc.get("seeds", ())),
     )
 

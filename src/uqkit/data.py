@@ -76,7 +76,6 @@ class Dataset:
 class BatchPlan:
     batch_size: int
     shuffle_seed: int
-    drop_last: bool = False
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -204,8 +203,6 @@ def batches(ds: Dataset, plan: BatchPlan, epoch: int):
     perm = Rng(child_seed(plan.shuffle_seed, epoch)).permutation(ds.n)
     for start in range(0, ds.n, plan.batch_size):
         idx = perm[start : start + plan.batch_size]
-        if plan.drop_last and idx.size < plan.batch_size:
-            return
         yield ds.inputs[idx], ds.targets[idx]
 
 
@@ -286,26 +283,14 @@ def read_matrix_csv(path) -> tuple[np.ndarray, list[str]]:
     return np.asarray(rows, dtype=np.float64), header
 
 
-def read_column_csv(path, column: str | None = None) -> np.ndarray:
-    """Read one column (by name, or the only column) as a float vector."""
-    matrix, header = read_matrix_csv(path)
-    if column is None:
-        if len(header) != 1:
-            raise DataError(
-                f"{path} has columns {header}; specify which one to read"
-            )
-        return matrix[:, 0]
-    if column not in header:
-        raise DataError(f"missing column {column!r} in {path}")
-    return matrix[:, header.index(column)]
-
-
 def write_matrix_csv(path, matrix: np.ndarray, header: list[str]) -> None:
+    """Write a float matrix with header, 17 significant digits per cell."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
     if matrix.shape[1] != len(header):
         raise ValueError("header length must match the number of columns")
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in matrix:
-            writer.writerow([format(v, ".17g") for v in row])
+        writer.writerows(
+            [format(v, ".17g") for v in row] for row in matrix.tolist()
+        )

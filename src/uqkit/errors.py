@@ -21,3 +21,7 @@ class ConfigError(UqError):
 
 class InvalidSplitError(UqError):
     """A requested dataset split leaves at least one partition empty."""
+
+
+class DivergenceError(UqError):
+    """Training produced a non-finite loss, gradient or iterate."""

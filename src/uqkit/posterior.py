@@ -86,11 +86,6 @@ class SwagState:
         if self.snapshots < self.rank:
             raise ValueError("snapshots must be at least the rank")
 
-    @property
-    def diag_variance(self) -> np.ndarray:
-        """Second moment minus squared mean, floored at 1e-30."""
-        return np.maximum(self.diag_second_moment - self.mean**2, 1e-30)
-
 
 @dataclass(frozen=True)
 class LaplaceState:
@@ -117,7 +112,6 @@ class FitResult:
     trace: tuple[float, ...]
     diverged: bool = False
     member_traces: tuple[tuple[float, ...], ...] = ()
-    diverged_members: tuple[int, ...] = ()
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +164,7 @@ def penalized_loss(
 
 
 # ---------------------------------------------------------------------------
-# optimizer steps
+# optimizer steps and the training loop
 
 class _Optimizer:
     """Adam or plain SGD over a flat vector; state lives on the instance."""
@@ -197,6 +191,51 @@ def _n_batches(n: int, batch_size: int) -> int:
     return (n + batch_size - 1) // batch_size
 
 
+def _train(objective, x0, train, opt, shuffle_seed, epoch_value, on_step=None):
+    """The mini-batch loop every gradient fit runs.
+
+    For each batch (order keyed by (shuffle_seed, epoch)) it takes one
+    optimizer step on ``objective(x, inputs, targets)``, then calls
+    ``on_step(step, x)`` with the 1-based step count and the new iterate.
+    After each epoch the trace gets ``epoch_value(x, batch_losses)``. A
+    non-finite loss, gradient or iterate stops the run. Returns (last
+    finite iterate, trace, diverged).
+    """
+    x = x0
+    stepper = _Optimizer(opt, x.size)
+    plan = BatchPlan(batch_size=opt.batch_size, shuffle_seed=shuffle_seed)
+    trace: list[float] = []
+    step = 0
+    for epoch in range(opt.epochs):
+        losses: list[float] = []
+        for xb, yb in batches(train, plan, epoch):
+            loss, grad = value_and_grad(lambda v: objective(v, xb, yb), x)
+            if not math.isfinite(loss) or not np.all(np.isfinite(grad)):
+                return x, tuple(trace), True
+            new_x = stepper.step(x, grad)
+            if not np.all(np.isfinite(new_x)):
+                return x, tuple(trace), True
+            x = new_x
+            losses.append(loss)
+            step += 1
+            if on_step is not None:
+                on_step(step, x)
+        trace.append(epoch_value(x, losses))
+    return x, tuple(trace), False
+
+
+def _penalized_objective(cfg: MlpConfig, train: Dataset, opt: OptimConfig):
+    """(batch objective, full-data epoch value) of the penalized loss."""
+
+    def objective(theta, inputs, targets):
+        return penalized_loss(cfg, theta, inputs, targets, train.task, opt.weight_decay)
+
+    def full_loss(theta, _losses):
+        return float(objective(theta, train.inputs, train.targets))
+
+    return objective, full_loss
+
+
 # ---------------------------------------------------------------------------
 # fits
 
@@ -208,33 +247,11 @@ def map_fit(cfg: MlpConfig, train: Dataset, opt: OptimConfig) -> FitResult:
     last finite parameters with ``diverged`` set.
     """
     _check_head(cfg, train)
-    theta = init_params(cfg)
-    stepper = _Optimizer(opt, theta.size)
-    plan = BatchPlan(batch_size=opt.batch_size, shuffle_seed=opt.seed)
-    trace: list[float] = []
-    for epoch in range(opt.epochs):
-        for xb, yb in batches(train, plan, epoch):
-            loss, grad = value_and_grad(
-                lambda th: penalized_loss(
-                    cfg, th, xb, yb, train.task, opt.weight_decay
-                ),
-                theta,
-            )
-            if not math.isfinite(loss) or not np.all(np.isfinite(grad)):
-                return FitResult(MapState(theta), tuple(trace), diverged=True)
-            new_theta = stepper.step(theta, grad)
-            if not np.all(np.isfinite(new_theta)):
-                return FitResult(MapState(theta), tuple(trace), diverged=True)
-            theta = new_theta
-        trace.append(
-            float(
-                penalized_loss(
-                    cfg, theta, train.inputs, train.targets, train.task,
-                    opt.weight_decay,
-                )
-            )
-        )
-    return FitResult(MapState(theta), tuple(trace))
+    objective, full_loss = _penalized_objective(cfg, train, opt)
+    theta, trace, diverged = _train(
+        objective, init_params(cfg), train, opt, opt.seed, full_loss
+    )
+    return FitResult(MapState(theta), trace, diverged=diverged)
 
 
 def ensemble_fit(
@@ -243,26 +260,24 @@ def ensemble_fit(
     """Independently seeded repetitions of ``map_fit``.
 
     Member m trains with init stream (init_seed, m) and batch stream
-    (seed, m), so parallel and sequential execution produce identical
-    states.
+    (seed, m), so each member equals the standalone ``map_fit`` with
+    those seeds.
     """
     if members < 2:
         raise ValueError("an ensemble needs at least 2 members")
-    thetas, traces, bad = [], [], []
-    for m in range(members):
-        member_cfg = replace(cfg, init_seed=child_seed(cfg.init_seed, m))
-        member_opt = replace(opt, seed=child_seed(opt.seed, m))
-        result = map_fit(member_cfg, train, member_opt)
-        thetas.append(result.state.theta)
-        traces.append(result.trace)
-        if result.diverged:
-            bad.append(m)
+    results = [
+        map_fit(
+            replace(cfg, init_seed=child_seed(cfg.init_seed, m)),
+            train,
+            replace(opt, seed=child_seed(opt.seed, m)),
+        )
+        for m in range(members)
+    ]
     return FitResult(
-        EnsembleState(tuple(thetas)),
+        EnsembleState(tuple(r.state.theta for r in results)),
         trace=(),
-        diverged=bool(bad),
-        member_traces=tuple(traces),
-        diverged_members=tuple(bad),
+        diverged=any(r.diverged for r in results),
+        member_traces=tuple(r.trace for r in results),
     )
 
 
@@ -329,37 +344,17 @@ def swag_fit(
             f"(one snapshot every {snapshot_every}), but this run has only "
             f"{total_steps}"
         )
-    theta = start.theta.copy()
-    stepper = _Optimizer(opt, theta.size)
-    plan = BatchPlan(batch_size=opt.batch_size, shuffle_seed=opt.seed)
-    moments = SwagMoments(theta.size, rank)
-    step = 0
-    trace: list[float] = []
-    for epoch in range(opt.epochs):
-        for xb, yb in batches(train, plan, epoch):
-            loss, grad = value_and_grad(
-                lambda th: penalized_loss(
-                    cfg, th, xb, yb, train.task, opt.weight_decay
-                ),
-                theta,
-            )
-            if not math.isfinite(loss) or not np.all(np.isfinite(grad)):
-                return FitResult(moments.state(), tuple(trace), diverged=True)
-            theta = stepper.step(theta, grad)
-            if not np.all(np.isfinite(theta)):
-                return FitResult(moments.state(), tuple(trace), diverged=True)
-            step += 1
-            if step % snapshot_every == 0:
-                moments.update(theta)
-        trace.append(
-            float(
-                penalized_loss(
-                    cfg, theta, train.inputs, train.targets, train.task,
-                    opt.weight_decay,
-                )
-            )
-        )
-    return FitResult(moments.state(), tuple(trace))
+    moments = SwagMoments(start.theta.size, rank)
+
+    def snapshot(step: int, theta: np.ndarray) -> None:
+        if step % snapshot_every == 0:
+            moments.update(theta)
+
+    objective, full_loss = _penalized_objective(cfg, train, opt)
+    _, trace, diverged = _train(
+        objective, start.theta.copy(), train, opt, opt.seed, full_loss, snapshot
+    )
+    return FitResult(moments.state(), trace, diverged=diverged)
 
 
 def swag_sample(state: SwagState, rng: Rng) -> np.ndarray:
@@ -482,35 +477,23 @@ def advi_fit(
     if prior_precision <= 0:
         raise ValueError("prior_precision must be positive")
     p = param_count(cfg)
-    phi = np.concatenate([init_params(cfg), np.full(p, -2.3)])
-    n_total = train.n
     noise = Rng(child_seed(opt.seed, 1))
-    plan = BatchPlan(batch_size=opt.batch_size, shuffle_seed=child_seed(opt.seed, 0))
-    stepper = _Optimizer(opt, phi.size)
-    trace: list[float] = []
 
-    def _state(vec: np.ndarray) -> AdviState:
-        return AdviState(mean=vec[:p].copy(), log_std=vec[p:].copy())
+    def objective(phi, inputs, targets):
+        zs = [noise.normals(p) for _ in range(mc_samples)]
+        return advi_objective(
+            cfg, phi, inputs, targets, train.task, zs, prior_precision, train.n
+        )
 
-    for epoch in range(opt.epochs):
-        epoch_elbos: list[float] = []
-        for xb, yb in batches(train, plan, epoch):
-            zs = [noise.normals(p) for _ in range(mc_samples)]
-            loss, grad = value_and_grad(
-                lambda phiv: advi_objective(
-                    cfg, phiv, xb, yb, train.task, zs, prior_precision, n_total
-                ),
-                phi,
-            )
-            if not math.isfinite(loss) or not np.all(np.isfinite(grad)):
-                return FitResult(_state(phi), tuple(trace), diverged=True)
-            new_phi = stepper.step(phi, grad)
-            if not np.all(np.isfinite(new_phi)):
-                return FitResult(_state(phi), tuple(trace), diverged=True)
-            phi = new_phi
-            epoch_elbos.append(-loss)
-        trace.append(float(np.mean(epoch_elbos)))
-    return FitResult(_state(phi), tuple(trace))
+    def mean_elbo(_phi, losses):
+        return float(np.mean([-loss for loss in losses]))
+
+    phi0 = np.concatenate([init_params(cfg), np.full(p, -2.3)])
+    phi, trace, diverged = _train(
+        objective, phi0, train, opt, child_seed(opt.seed, 0), mean_elbo
+    )
+    state = AdviState(mean=phi[:p].copy(), log_std=phi[p:].copy())
+    return FitResult(state, trace, diverged=diverged)
 
 
 # ---------------------------------------------------------------------------
@@ -607,8 +590,16 @@ def state_to_dict(state: PosteriorState, model: MlpConfig, task: str) -> dict:
 
 
 def state_from_dict(doc: dict) -> tuple[PosteriorState, MlpConfig, str]:
+    """Inverse of ``state_to_dict``; a missing key is a ``DataError``."""
     if doc.get("format") != 1:
         raise DataError(f"unsupported state format {doc.get('format')!r}")
+    try:
+        return _state_from_dict(doc)
+    except KeyError as exc:
+        raise DataError(f"state lacks required key {exc.args[0]!r}") from None
+
+
+def _state_from_dict(doc: dict) -> tuple[PosteriorState, MlpConfig, str]:
     kind = doc.get("kind")
     model = MlpConfig.from_dict(doc["model"])
     task = doc["task"]

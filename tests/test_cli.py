@@ -104,6 +104,19 @@ class TestConformalCommand:
         assert code == 0
         assert out_csv.read_bytes() == b"lower,upper\r\n0.5,0.5\r\n"
 
+    def test_out_parent_directory_is_created(self, tmp_path, clf_fixture, capsys):
+        out_csv = tmp_path / "missing_dir" / "sets.csv"
+        code, _, _ = run(
+            capsys,
+            "conformal", "--method", "baseline", "--alpha", "0.2",
+            "--val-probs", str(clf_fixture["val_probs"]),
+            "--val-targets", str(clf_fixture["val_targets"]),
+            "--test-probs", str(clf_fixture["test_probs"]),
+            "--out", str(out_csv),
+        )
+        assert code == 0
+        assert out_csv.read_text().startswith("set")
+
     def test_missing_flag_exits_2(self, tmp_path, capsys):
         code, _, err = run(
             capsys,
@@ -233,11 +246,12 @@ class TestTrainCommand:
             "out_dir": "x",
             "seed": 0,
             "unknown_key": 1,
+            "conformal": {"method": "baseline", "alpha": 0.1},
         }), encoding="utf-8")
         code, _, err = run(capsys, "train", "--config", str(path))
         assert code == 2
         for fragment in ("task", "data/synth/n", "model/hidden_widths",
-                         "optimizer/epochs", "unknown_key"):
+                         "optimizer/epochs", "unknown_key", "conformal"):
             assert fragment in err
 
     def test_class_count_override(self, tmp_path, capsys):
@@ -283,6 +297,24 @@ class TestTrainCommand:
         code, out, _ = run(capsys, "train", "--config", str(config))
         assert code == 4
         assert json.loads(out)["status"] == "diverged"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_benchmark_divergence_exits_4(self, tmp_path, capsys):
+        config = train_config(
+            tmp_path,
+            method="swag",
+            method_params={"rank": 2},
+            seeds=[0, 1, 2],
+            optimizer={
+                "algorithm": "sgd", "learning_rate": 1e308, "epochs": 3,
+                "batch_size": 16, "weight_decay": 0.0,
+            },
+        )
+        code, out, err = run(capsys, "benchmark", "--config", str(config))
+        assert code == 4
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "MAP" in err and "seed 0" in err
 
     def test_swag_and_laplace_and_advi_methods_run(self, tmp_path, capsys):
         for method, extra in [
@@ -359,6 +391,24 @@ class TestEvaluateCommand:
         assert (tmp_path / "eval" / "predictive.csv").exists()
         assert (tmp_path / "eval" / "sets.csv").exists()
         assert (tmp_path / "eval" / "report.json").exists()
+
+    def test_state_missing_key_is_data_error(self, tmp_path, capsys):
+        config = train_config(tmp_path)
+        assert main(["train", "--config", str(config)]) == 0
+        capsys.readouterr()
+        run_dir = tmp_path / "run"
+        full = json.loads((run_dir / "state.json").read_text())
+        for drop in ("task", "model", "theta"):
+            doc = json.loads(json.dumps(full))
+            (doc["arrays"] if drop == "theta" else doc).pop(drop)
+            broken = tmp_path / f"no_{drop}.json"
+            broken.write_text(json.dumps(doc), encoding="utf-8")
+            code, _, err = run(
+                capsys,
+                "evaluate", "--state", str(broken), "--data", str(run_dir / "test.csv"),
+            )
+            assert code == 3, drop
+            assert err.count("\n") == 1 and drop in err
 
     def test_exactly_one_input_mode(self, capsys):
         code, _, err = run(capsys, "evaluate")

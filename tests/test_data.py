@@ -118,11 +118,6 @@ class TestBatches:
         sizes = [x.shape[0] for x, _ in batches(self.ds(5), BatchPlan(2, 0), epoch=0)]
         assert sizes == [2, 2, 1]
 
-    def test_drop_last(self):
-        plan = BatchPlan(2, 0, drop_last=True)
-        sizes = [x.shape[0] for x, _ in batches(self.ds(5), plan, epoch=0)]
-        assert sizes == [2, 2]
-
     def test_epoch_permutations_differ_but_replay(self):
         plan = BatchPlan(4, shuffle_seed=3)
         ds = self.ds(12)

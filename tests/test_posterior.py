@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -89,16 +90,32 @@ class TestMapFit:
         with pytest.raises(ValueError, match="epochs"):
             OptimConfig(epochs=0)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_divergence_returns_last_finite_state(self):
-        ds = linear_regression_ds(seed=2, n=20)
-        cfg = linear_cfg()
-        opt = OptimConfig(
-            algorithm="sgd", learning_rate=1e12, epochs=5, batch_size=20, seed=0
-        )
-        result = map_fit(cfg, ds, opt)
-        assert result.diverged
-        assert np.all(np.isfinite(result.state.theta))
+
+# every gradient fit shares the training loop's divergence contract
+_DIVERGING_FITS = {
+    "map_fit": map_fit,
+    "swag_fit": lambda cfg, ds, opt: swag_fit(
+        MapState(init_params(cfg)), cfg, ds, opt, rank=2, snapshot_every=1
+    ),
+    "advi_fit": advi_fit,
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("fit", list(_DIVERGING_FITS))
+def test_divergence_returns_last_finite_state(fit):
+    ds = linear_regression_ds(seed=2, n=20)
+    cfg = linear_cfg()
+    opt = OptimConfig(
+        algorithm="sgd", learning_rate=1e12, epochs=5, batch_size=20, seed=0
+    )
+    result = _DIVERGING_FITS[fit](cfg, ds, opt)
+    assert result.diverged
+    for f in fields(result.state):
+        value = getattr(result.state, f.name)
+        if isinstance(value, np.ndarray):
+            assert np.all(np.isfinite(value)), f.name
+    assert len(result.trace) < opt.epochs
 
 
 class TestEnsemble:
