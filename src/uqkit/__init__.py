@@ -67,12 +67,11 @@ from .posterior import (
     swag_sample,
 )
 from .predictive import (
-    PredictiveConfig,
     RegressionMoments,
     credible_interval_regression,
-    predictive_entropy,
     predictive_mean_classification,
     predictive_moments_regression,
+    sample_weights,
 )
 from .rng import Rng, child_seed
 

@@ -62,10 +62,10 @@ from .posterior import (
     swag_fit,
 )
 from .predictive import (
-    PredictiveConfig,
     credible_interval_regression,
     predictive_mean_classification,
     predictive_moments_regression,
+    sample_weights,
 )
 from .rng import Rng, child_seed
 
@@ -162,6 +162,16 @@ def _alpha_flag(value: str) -> float:
     if not 0.0 < a < 1.0:
         raise argparse.ArgumentTypeError(f"alpha must lie in (0, 1), got {value}")
     return a
+
+
+def _positive_int_flag(value: str) -> int:
+    try:
+        n = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {value!r}")
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -264,12 +274,19 @@ def cmd_calibrate(args) -> int:
 # ---------------------------------------------------------------------------
 # train
 
-def _swag_after_map(cfg: RunConfig, start, model, train_ds, opt, run_seed: int):
+def _setup(cfg: RunConfig):
+    """((train, calib, test), model, optimizer) of a run, all seeded from
+    ``cfg.seed``."""
+    dataset = cfg.load_dataset()
+    return cfg.split_dataset(dataset), cfg.model_config(dataset), cfg.optimizer()
+
+
+def _swag_after_map(cfg: RunConfig, start, model, train_ds, opt):
     """The SWAG phase that continues a MAP fit, on its own batch stream."""
     params = cfg.method_params
     swag_opt = replace(
         opt,
-        seed=child_seed(run_seed, SEED_OPTIM + 100),
+        seed=child_seed(cfg.seed, SEED_OPTIM + 100),
         epochs=params["swag_epochs"] or opt.epochs,
     )
     return swag_fit(
@@ -282,7 +299,7 @@ def _swag_after_map(cfg: RunConfig, start, model, train_ds, opt, run_seed: int):
     )
 
 
-def _fit_by_method(cfg: RunConfig, model, train_ds, opt, run_seed: int):
+def _fit_by_method(cfg: RunConfig, model, train_ds, opt):
     """Returns (state, trace rows, diverged)."""
     params = cfg.method_params
     if cfg.method == "map":
@@ -316,7 +333,7 @@ def _fit_by_method(cfg: RunConfig, model, train_ds, opt, run_seed: int):
             base.state, model, train_ds, prior_precision=params["prior_precision"]
         )
         return state, rows, False
-    swag = _swag_after_map(cfg, base.state, model, train_ds, opt, run_seed)
+    swag = _swag_after_map(cfg, base.state, model, train_ds, opt)
     rows += [("swag", e, v) for e, v in enumerate(swag.trace)]
     return swag.state, rows, swag.diverged
 
@@ -328,15 +345,12 @@ def cmd_train(args) -> int:
     if args.seed is not None:
         cfg.seed = args.seed
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    dataset = cfg.load_dataset()
-    train_ds, calib_ds, test_ds = cfg.split_dataset(dataset)
-    model = cfg.model_config(dataset)
-    opt = cfg.optimizer()
+    (train_ds, calib_ds, test_ds), model, opt = _setup(cfg)
     log.info(
         "training %s on %d rows (%d parameters)",
         cfg.method, train_ds.n, param_count(model),
     )
-    state, rows, diverged = _fit_by_method(cfg, model, train_ds, opt, cfg.seed)
+    state, rows, diverged = _fit_by_method(cfg, model, train_ds, opt)
     save_csv(train_ds, cfg.out_dir / "train.csv")
     save_csv(calib_ds, cfg.out_dir / "calib.csv")
     save_csv(test_ds, cfg.out_dir / "test.csv")
@@ -358,100 +372,95 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 # evaluate
 
+def _report(doc: dict, out_dir: Path | None) -> int:
+    if out_dir:
+        _write_json(out_dir / "report.json", doc)
+    _emit(doc)
+    return 0
+
+
+def _evaluate_regression(thetas, rng, model, test_ds, alpha, out_dir) -> dict:
+    moments = predictive_moments_regression(thetas, model, test_ds.inputs)
+    doc = {
+        "task": "regression",
+        "n": test_ds.n,
+        "mean_aleatoric": float(np.mean(moments.aleatoric)),
+        "mean_epistemic": float(np.mean(moments.epistemic)),
+    }
+    if out_dir:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        write_matrix_csv(
+            out_dir / "predictive.csv",
+            np.column_stack([
+                moments.mean, moments.variance, moments.aleatoric,
+                moments.epistemic, np.sqrt(moments.variance),
+            ]),
+            ["mean", "variance", "aleatoric", "epistemic", "std"],
+        )
+    if alpha is not None:
+        intervals = credible_interval_regression(thetas, model, test_ds.inputs, alpha, rng)
+        doc["coverage"], doc["mean_width"] = interval_metrics(intervals, test_ds.targets)
+        if out_dir:
+            write_intervals_csv(out_dir / "intervals.csv", intervals)
+    return doc
+
+
 def cmd_evaluate(args) -> int:
     if (args.probs is None) == (args.state is None):
         raise ConfigError(["pass exactly one of --probs or --state"])
     out_dir = Path(args.out_dir) if args.out_dir else None
-    if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
-
     if args.probs:
         if args.targets is None:
             raise ConfigError(["--targets is required with --probs"])
+        if args.alpha is not None and not (args.calib_probs and args.calib_targets):
+            raise ConfigError(
+                ["--alpha with --probs needs --calib-probs and --calib-targets"]
+            )
         probs = read_probs_csv(args.probs)
         targets = read_targets_csv(args.targets, classification=True)
-        report = classification_report(probs, targets, n_bins=args.bins)
-        doc = report.to_dict()
         if args.alpha is not None:
-            if not (args.calib_probs and args.calib_targets):
-                raise ConfigError(
-                    ["--alpha with --probs needs --calib-probs and --calib-targets"]
-                )
-            sets = baseline_sets(
+            calib = (
                 read_probs_csv(args.calib_probs),
                 read_targets_csv(args.calib_targets, classification=True),
-                probs,
-                args.alpha,
             )
-            doc["coverage"] = float(np.mean(sets.contains(targets)))
-            doc["mean_width"] = float(np.mean(sets.sizes()))
-            if out_dir:
-                write_sets_csv(out_dir / "sets.csv", sets)
-        if out_dir:
-            _write_json(out_dir / "report.json", doc)
-        _emit(doc)
-        return 0
-
-    if args.data is None:
-        raise ConfigError(["--data is required with --state"])
-    state, model, task = load_state(args.state)
-    test_ds = load_csv(args.data, task, args.target_column)
-    pcfg = PredictiveConfig(n_samples=args.predictive_samples, seed=args.seed)
-    if task == CLASSIFICATION:
-        probs = predictive_mean_classification(state, model, test_ds.inputs, pcfg)
+    else:
+        if args.data is None:
+            raise ConfigError(["--data is required with --state"])
+        state, model, task = load_state(args.state)
+        if task == CLASSIFICATION and args.alpha is not None and args.calib_data is None:
+            raise ConfigError(["--alpha with --state needs --calib-data"])
+        test_ds = load_csv(args.data, task, args.target_column)
+        thetas, rng = sample_weights(state, args.predictive_samples, args.seed)
+        if task != CLASSIFICATION:
+            return _report(
+                _evaluate_regression(thetas, rng, model, test_ds, args.alpha, out_dir),
+                out_dir,
+            )
+        probs = predictive_mean_classification(thetas, model, test_ds.inputs)
         if probs.shape[1] < test_ds.n_classes:
             raise DataError(
                 f"data has labels up to {test_ds.n_classes - 1} but the model "
                 f"has {probs.shape[1]} classes"
             )
-        report = classification_report(probs, test_ds.targets, n_bins=args.bins)
-        doc = report.to_dict()
-        if out_dir:
+        targets = test_ds.targets
+        if args.alpha is not None:
+            calib_ds = load_csv(args.calib_data, task, args.target_column)
+            calib = (
+                predictive_mean_classification(thetas, model, calib_ds.inputs),
+                calib_ds.targets,
+            )
+    doc = classification_report(probs, targets, n_bins=args.bins).to_dict()
+    if args.alpha is not None:
+        sets = baseline_sets(*calib, probs, args.alpha)
+        doc["coverage"] = float(np.mean(sets.contains(targets)))
+        doc["mean_width"] = float(np.mean(sets.sizes()))
+    if out_dir:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        if args.state:
             write_probs_csv(out_dir / "predictive.csv", probs, entropy(probs, axis=-1))
         if args.alpha is not None:
-            if args.calib_data is None:
-                raise ConfigError(["--alpha with --state needs --calib-data"])
-            calib_ds = load_csv(args.calib_data, task, args.target_column)
-            calib_probs = predictive_mean_classification(
-                state, model, calib_ds.inputs, pcfg
-            )
-            sets = baseline_sets(
-                calib_probs, calib_ds.targets, probs, args.alpha
-            )
-            doc["coverage"] = float(np.mean(sets.contains(test_ds.targets)))
-            doc["mean_width"] = float(np.mean(sets.sizes()))
-            if out_dir:
-                write_sets_csv(out_dir / "sets.csv", sets)
-    else:
-        moments = predictive_moments_regression(state, model, test_ds.inputs, pcfg)
-        doc = {
-            "task": "regression",
-            "n": test_ds.n,
-            "mean_aleatoric": float(np.mean(moments.aleatoric)),
-            "mean_epistemic": float(np.mean(moments.epistemic)),
-        }
-        if out_dir:
-            write_matrix_csv(
-                out_dir / "predictive.csv",
-                np.column_stack([
-                    moments.mean, moments.variance, moments.aleatoric,
-                    moments.epistemic, np.sqrt(moments.variance),
-                ]),
-                ["mean", "variance", "aleatoric", "epistemic", "std"],
-            )
-        if args.alpha is not None:
-            intervals = credible_interval_regression(
-                state, model, test_ds.inputs, args.alpha, pcfg
-            )
-            coverage, width = interval_metrics(intervals, test_ds.targets)
-            doc["coverage"] = coverage
-            doc["mean_width"] = width
-            if out_dir:
-                write_intervals_csv(out_dir / "intervals.csv", intervals)
-    if out_dir:
-        _write_json(out_dir / "report.json", doc)
-    _emit(doc)
-    return 0
+            write_sets_csv(out_dir / "sets.csv", sets)
+    return _report(doc, out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -461,10 +470,8 @@ _LOWER_IS_BETTER = {"nll": True, "ece": True, "brier": True, "accuracy": False}
 
 
 def _benchmark_one(cfg: RunConfig, run_seed: int) -> dict:
-    dataset = cfg.load_dataset(seed=run_seed)
-    train_ds, calib_ds, test_ds = cfg.split_dataset(dataset, seed=run_seed)
-    model = cfg.model_config(dataset, seed=run_seed)
-    opt = replace(cfg.optimizer(), seed=child_seed(run_seed, SEED_OPTIM))
+    run = replace(cfg, seed=run_seed)
+    (train_ds, calib_ds, test_ds), model, opt = _setup(run)
 
     base = map_fit(model, train_ds, opt)
     if base.diverged:
@@ -472,16 +479,14 @@ def _benchmark_one(cfg: RunConfig, run_seed: int) -> dict:
     map_probs = softmax(mlp_forward(model, base.state.theta, test_ds.inputs), axis=1)
     map_report = classification_report(map_probs, test_ds.targets, n_bins=cfg.bins)
 
-    swag = _swag_after_map(cfg, base.state, model, train_ds, opt, run_seed)
+    swag = _swag_after_map(run, base.state, model, train_ds, opt)
     if swag.diverged:
         raise DivergenceError(f"SWAG phase diverged for seed {run_seed}")
-    pcfg = PredictiveConfig(
-        n_samples=cfg.predictive_samples, seed=child_seed(run_seed, SEED_PREDICTIVE)
+    thetas, _ = sample_weights(
+        swag.state, cfg.predictive_samples, child_seed(run_seed, SEED_PREDICTIVE)
     )
-    calib_probs = predictive_mean_classification(
-        swag.state, model, calib_ds.inputs, pcfg
-    )
-    test_probs = predictive_mean_classification(swag.state, model, test_ds.inputs, pcfg)
+    calib_probs = predictive_mean_classification(thetas, model, calib_ds.inputs)
+    test_probs = predictive_mean_classification(thetas, model, test_ds.inputs)
     temperature = 1.0
     if cfg.calibration:
         # log predictive probabilities act as logits: t = 1 reproduces them
@@ -598,9 +603,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--calib-probs")
     p.add_argument("--calib-targets")
     p.add_argument("--calib-data")
-    p.add_argument("--bins", type=int, default=15)
+    p.add_argument("--bins", type=_positive_int_flag, default=15)
     p.add_argument("--alpha", type=_alpha_flag)
-    p.add_argument("--predictive-samples", type=int)
+    p.add_argument("--predictive-samples", type=_positive_int_flag)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir")
     p.set_defaults(func=cmd_evaluate)

@@ -161,8 +161,7 @@ class RunConfig:
         merged.update(self.raw.get("optimizer", {}))
         return OptimConfig(seed=child_seed(self.seed, SEED_OPTIM), **merged)
 
-    def load_dataset(self, seed: int | None = None) -> Dataset:
-        seed = self.seed if seed is None else seed
+    def load_dataset(self) -> Dataset:
         data = self.raw["data"]
         if "synth" in data:
             if self.task != CLASSIFICATION:
@@ -174,14 +173,13 @@ class RunConfig:
                 spec["name"],
                 spec["n"],
                 spec.get("noise", 0.1),
-                seed=child_seed(seed, SEED_DATA),
+                seed=child_seed(self.seed, SEED_DATA),
                 n_classes=spec.get("classes", 3),
             )
         spec = data["csv"]
         return load_csv(spec["path"], self.task, spec["target_column"])
 
-    def model_config(self, dataset: Dataset, seed: int | None = None) -> MlpConfig:
-        seed = self.seed if seed is None else seed
+    def model_config(self, dataset: Dataset) -> MlpConfig:
         model = self.raw["model"]
         if self.task == CLASSIFICATION:
             # class count is inferred (max label + 1) unless overridden
@@ -203,12 +201,11 @@ class RunConfig:
             hidden_widths=tuple(model["hidden_widths"]),
             output_dim=output_dim,
             activation=model.get("activation", "tanh"),
-            init_seed=child_seed(seed, SEED_INIT),
+            init_seed=child_seed(self.seed, SEED_INIT),
         )
 
-    def split_dataset(self, dataset: Dataset, seed: int | None = None):
-        seed = self.seed if seed is None else seed
-        return split(dataset, self.split_fractions, child_seed(seed, SEED_SPLIT))
+    def split_dataset(self, dataset: Dataset):
+        return split(dataset, self.split_fractions, child_seed(self.seed, SEED_SPLIT))
 
 
 def validate_config(doc: dict, require_seeds: bool = False) -> list[str]:

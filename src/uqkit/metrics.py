@@ -29,11 +29,9 @@ class Report:
     accuracy: float
     n: int
     bins: int
-    coverage: float | None = None
-    mean_width: float | None = None
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "nll": self.nll,
             "ece": self.ece,
             "brier": self.brier,
@@ -41,11 +39,6 @@ class Report:
             "n": self.n,
             "bins": self.bins,
         }
-        if self.coverage is not None:
-            out["coverage"] = self.coverage
-        if self.mean_width is not None:
-            out["mean_width"] = self.mean_width
-        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"

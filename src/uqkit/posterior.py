@@ -590,7 +590,10 @@ def state_to_dict(state: PosteriorState, model: MlpConfig, task: str) -> dict:
 
 
 def state_from_dict(doc: dict) -> tuple[PosteriorState, MlpConfig, str]:
-    """Inverse of ``state_to_dict``; a missing key is a ``DataError``."""
+    """Inverse of ``state_to_dict``; a non-object document or a missing key
+    is a ``DataError``."""
+    if not isinstance(doc, dict):
+        raise DataError(f"state must be a JSON object, got {type(doc).__name__}")
     if doc.get("format") != 1:
         raise DataError(f"unsupported state format {doc.get('format')!r}")
     try:

@@ -1,9 +1,11 @@
 """Predictive statistics from an approximate posterior.
 
-Monte Carlo averages over posterior weight draws bridge the Bayesian
-layer to calibration, conformal methods, and metrics: class probability
-means, predictive entropies, regression moments split into aleatoric and
-epistemic parts, and sampled credible intervals.
+A command samples the posterior once with ``sample_weights`` and hands
+the draws to every reduction it needs, so calibration, conformal, and
+metric inputs all come from one set of weights: class probability means,
+regression moments split into aleatoric and epistemic parts, and sampled
+credible intervals. Predictive entropy is ``numerics.entropy`` of the
+class probability mean.
 """
 
 from __future__ import annotations
@@ -16,25 +18,11 @@ import numpy as np
 
 from .conformal import Intervals, _make_intervals
 from .mlp import MlpConfig, mlp_forward
-from .numerics import entropy, kth_smallest, softmax
+from .numerics import kth_smallest, softmax
 from .posterior import EnsembleState, MapState, PosteriorState, posterior_sample
 from .rng import Rng
 
 DEFAULT_MC_SAMPLES = 30
-
-
-@dataclass(frozen=True)
-class PredictiveConfig:
-    """Monte Carlo budget; ``n_samples=None`` picks a per-state default
-    (1 for a point estimate, the member count for an ensemble, 30
-    otherwise)."""
-
-    n_samples: int | None = None
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.n_samples is not None and self.n_samples < 1:
-            raise ValueError("n_samples must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -45,50 +33,42 @@ class RegressionMoments:
     epistemic: np.ndarray
 
 
-def resolve_samples(state: PosteriorState, pcfg: PredictiveConfig) -> int:
-    if pcfg.n_samples is not None:
-        return pcfg.n_samples
-    if isinstance(state, MapState):
-        return 1
-    if isinstance(state, EnsembleState):
-        return len(state.members)
-    return DEFAULT_MC_SAMPLES
+def sample_weights(
+    state: PosteriorState, n_samples: int | None = None, seed: int = 0
+) -> tuple[list[np.ndarray], Rng]:
+    """Weight draws from ``state`` and the stream that drew them.
+
+    ``n_samples=None`` picks a per-state default: 1 for a point estimate,
+    the member count for an ensemble, 30 otherwise. The returned stream
+    continues where the draws ended; ``credible_interval_regression``
+    takes its observation noise from it.
+    """
+    if n_samples is None:
+        if isinstance(state, MapState):
+            n_samples = 1
+        elif isinstance(state, EnsembleState):
+            n_samples = len(state.members)
+        else:
+            n_samples = DEFAULT_MC_SAMPLES
+    rng = Rng(seed)
+    return posterior_sample(state, rng, n_samples), rng
 
 
-def _draws(state, cfg: MlpConfig, inputs, pcfg: PredictiveConfig):
+def _forward(thetas, cfg: MlpConfig, inputs) -> list[np.ndarray]:
     inputs = np.asarray(inputs, dtype=np.float64)
-    rng = Rng(pcfg.seed)
-    n_samples = resolve_samples(state, pcfg)
-    thetas = posterior_sample(state, rng, n_samples)
-    outputs = [mlp_forward(cfg, theta, inputs) for theta in thetas]
-    return outputs, rng
+    return [mlp_forward(cfg, theta, inputs) for theta in thetas]
 
 
-def predictive_mean_classification(
-    state: PosteriorState, cfg: MlpConfig, inputs, pcfg: PredictiveConfig
-) -> np.ndarray:
+def predictive_mean_classification(thetas, cfg: MlpConfig, inputs) -> np.ndarray:
     """Posterior-averaged class probabilities, one row per input."""
-    outputs, _ = _draws(state, cfg, inputs, pcfg)
-    probs = np.mean([softmax(z, axis=1) for z in outputs], axis=0)
-    return probs
+    return np.mean([softmax(z, axis=1) for z in _forward(thetas, cfg, inputs)], axis=0)
 
 
-def predictive_entropy(
-    state: PosteriorState, cfg: MlpConfig, inputs, pcfg: PredictiveConfig
-) -> np.ndarray:
-    """Entropy (nats) of the posterior predictive distribution per input."""
-    return entropy(
-        predictive_mean_classification(state, cfg, inputs, pcfg), axis=-1
-    )
-
-
-def predictive_moments_regression(
-    state: PosteriorState, cfg: MlpConfig, inputs, pcfg: PredictiveConfig
-) -> RegressionMoments:
+def predictive_moments_regression(thetas, cfg: MlpConfig, inputs) -> RegressionMoments:
     """Predictive mean and variance, with the variance split into the
     average predicted noise (aleatoric) and the spread of predicted
     means over draws (epistemic, population convention)."""
-    outputs, _ = _draws(state, cfg, inputs, pcfg)
+    outputs = _forward(thetas, cfg, inputs)
     mus = np.stack([out[:, 0] for out in outputs])
     noise = np.stack([np.exp(out[:, 1]) for out in outputs])
     mean = mus.mean(axis=0)
@@ -103,22 +83,19 @@ def predictive_moments_regression(
 
 
 def credible_interval_regression(
-    state: PosteriorState,
-    cfg: MlpConfig,
-    inputs,
-    alpha: float,
-    pcfg: PredictiveConfig,
+    thetas, cfg: MlpConfig, inputs, alpha: float, rng: Rng
 ) -> Intervals:
     """Equal-tailed credible intervals from sampled observations.
 
     For each weight draw one observation per input is sampled from the
     predicted Gaussian, and the interval is the empirical alpha/2 and
     1 - alpha/2 quantile pair (k = ceil(q * S) order statistics) of the
-    pooled draws.
+    pooled draws. The noise comes from ``rng``, normally the stream
+    ``sample_weights`` returned with ``thetas``.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    outputs, rng = _draws(state, cfg, inputs, pcfg)
+    outputs = _forward(thetas, cfg, inputs)
     s = len(outputs)
     if s < 2.0 / alpha:
         warnings.warn(

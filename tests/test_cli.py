@@ -398,46 +398,35 @@ class TestEvaluateCommand:
         capsys.readouterr()
         run_dir = tmp_path / "run"
         full = json.loads((run_dir / "state.json").read_text())
+        cases = [("array", [], "object")]
         for drop in ("task", "model", "theta"):
             doc = json.loads(json.dumps(full))
             (doc["arrays"] if drop == "theta" else doc).pop(drop)
-            broken = tmp_path / f"no_{drop}.json"
+            cases.append((f"no_{drop}", doc, drop))
+        for name, doc, needle in cases:
+            broken = tmp_path / f"{name}.json"
             broken.write_text(json.dumps(doc), encoding="utf-8")
             code, _, err = run(
                 capsys,
                 "evaluate", "--state", str(broken), "--data", str(run_dir / "test.csv"),
             )
-            assert code == 3, drop
-            assert err.count("\n") == 1 and drop in err
+            assert code == 3, name
+            assert err.count("\n") == 1 and needle in err
 
     def test_exactly_one_input_mode(self, capsys):
         code, _, err = run(capsys, "evaluate")
         assert code == 2
         assert "exactly one" in err
 
+    @pytest.mark.parametrize("flag", ["--bins", "--predictive-samples"])
+    def test_count_flag_below_one_exits_2(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--probs", "p.csv", "--targets", "t.csv", flag, "0"])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
     def test_regression_state_writes_predictive_and_intervals(self, tmp_path, capsys):
-        rng = np.random.default_rng(5)
-        x = rng.normal(size=(80, 2))
-        y = x @ np.array([1.0, -0.5]) + 0.3 * rng.normal(size=80)
-        rows = ["a,b,target"] + [
-            f"{float(xi[0])!r},{float(xi[1])!r},{float(yi)!r}" for xi, yi in zip(x, y)
-        ]
-        data_csv = tmp_path / "reg.csv"
-        data_csv.write_text("\n".join(rows) + "\n", encoding="utf-8")
-        config = train_config(
-            tmp_path,
-            task="regression",
-            data={"csv": {"path": str(data_csv), "target_column": "target"}},
-            model={"hidden_widths": [8], "activation": "tanh"},
-            optimizer={
-                "algorithm": "adam", "learning_rate": 0.01, "epochs": 30,
-                "batch_size": 16, "weight_decay": 1e-4,
-            },
-            method="laplace",
-        )
-        code, out, _ = run(capsys, "train", "--config", str(config))
-        assert code == 0
-        run_dir = tmp_path / "run"
+        run_dir = train_regression(tmp_path, capsys)
         code, out, _ = run(
             capsys,
             "evaluate", "--state", str(run_dir / "state.json"),
@@ -466,6 +455,32 @@ class TestEvaluateCommand:
         )
         assert code == 0
         assert json.loads(out)["n"] == len(predictive) - 1
+
+
+def train_regression(tmp_path, capsys):
+    """Train a Laplace regression state on a small linear CSV; its run dir."""
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(80, 2))
+    y = x @ np.array([1.0, -0.5]) + 0.3 * rng.normal(size=80)
+    rows = ["a,b,target"] + [
+        f"{float(xi[0])!r},{float(xi[1])!r},{float(yi)!r}" for xi, yi in zip(x, y)
+    ]
+    data_csv = tmp_path / "reg.csv"
+    data_csv.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    config = train_config(
+        tmp_path,
+        task="regression",
+        data={"csv": {"path": str(data_csv), "target_column": "target"}},
+        model={"hidden_widths": [8], "activation": "tanh"},
+        optimizer={
+            "algorithm": "adam", "learning_rate": 0.01, "epochs": 30,
+            "batch_size": 16, "weight_decay": 1e-4,
+        },
+        method="laplace",
+    )
+    assert main(["train", "--config", str(config)]) == 0
+    capsys.readouterr()
+    return tmp_path / "run"
 
 
 class TestBenchmarkCommand:
@@ -531,3 +546,71 @@ class TestBenchmarkCommand:
         code, _, err = run(capsys, "benchmark", "--config", str(config))
         assert code == 2
         assert "seeds" in err
+
+
+class TestPosteriorSampledOnce:
+    """Every prediction of one command reduces over one set of weight draws."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import uqkit.predictive
+
+        made = []
+        real = uqkit.predictive.posterior_sample
+
+        def counting(*args, **kwargs):
+            made.append(type(args[0]).__name__)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(uqkit.predictive, "posterior_sample", counting)
+        return made
+
+    def test_classification_evaluate_with_calibration_split(self, tmp_path, capsys, calls):
+        config = train_config(
+            tmp_path,
+            method="swag",
+            method_params={"rank": 2},
+            optimizer={
+                "algorithm": "adam", "learning_rate": 0.01, "epochs": 4,
+                "batch_size": 16, "weight_decay": 1e-4,
+            },
+        )
+        assert main(["train", "--config", str(config)]) == 0
+        capsys.readouterr()
+        run_dir = tmp_path / "run"
+        code, out, _ = run(
+            capsys,
+            "evaluate", "--state", str(run_dir / "state.json"),
+            "--data", str(run_dir / "test.csv"),
+            "--calib-data", str(run_dir / "calib.csv"),
+            "--alpha", "0.2", "--predictive-samples", "5",
+        )
+        assert code == 0 and "coverage" in json.loads(out)
+        assert calls == ["SwagState"]
+
+    def test_regression_evaluate_with_intervals(self, tmp_path, capsys, calls):
+        run_dir = train_regression(tmp_path, capsys)
+        code, out, _ = run(
+            capsys,
+            "evaluate", "--state", str(run_dir / "state.json"),
+            "--data", str(run_dir / "test.csv"),
+            "--alpha", "0.2", "--predictive-samples", "10",
+        )
+        assert code == 0 and "coverage" in json.loads(out)
+        assert calls == ["LaplaceState"]
+
+    def test_benchmark_once_per_seed(self, tmp_path, capsys, calls):
+        config = train_config(
+            tmp_path,
+            method="swag",
+            method_params={"rank": 2},
+            predictive_samples=5,
+            seeds=[0, 1, 2],
+            optimizer={
+                "algorithm": "adam", "learning_rate": 0.01, "epochs": 2,
+                "batch_size": 16, "weight_decay": 1e-4,
+            },
+        )
+        code, _, _ = run(capsys, "benchmark", "--config", str(config))
+        assert code == 0
+        assert calls == ["SwagState"] * 3

@@ -6,7 +6,6 @@ import pytest
 
 from uqkit.conformal import Intervals
 from uqkit.metrics import (
-    Report,
     accuracy,
     brier,
     classification_report,
@@ -186,13 +185,6 @@ class TestReport:
         report = classification_report([[0.7, 0.3]], [0], n_bins=5)
         doc = json.loads(report.to_json())
         assert set(doc) == {"nll", "ece", "brier", "accuracy", "n", "bins"}
-        full = Report(
-            nll=0.1, ece=0.2, brier=0.3, accuracy=0.9, n=4, bins=15,
-            coverage=0.95, mean_width=1.5,
-        )
-        assert set(full.to_dict()) == {
-            "nll", "ece", "brier", "accuracy", "n", "bins", "coverage", "mean_width",
-        }
 
     def test_perfect_fixture(self):
         report = classification_report(np.eye(3), [0, 1, 2], n_bins=15)

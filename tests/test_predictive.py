@@ -7,12 +7,10 @@ from uqkit.mlp import MlpConfig, init_params, mlp_forward, param_count
 from uqkit.numerics import entropy, softmax
 from uqkit.posterior import AdviState, EnsembleState, MapState
 from uqkit.predictive import (
-    PredictiveConfig,
     credible_interval_regression,
-    predictive_entropy,
     predictive_mean_classification,
     predictive_moments_regression,
-    resolve_samples,
+    sample_weights,
 )
 
 
@@ -39,40 +37,48 @@ class TestClassification:
         cfg = clf_cfg()
         theta = init_params(cfg)
         x = np.random.default_rng(0).normal(size=(7, 2))
-        probs = predictive_mean_classification(
-            MapState(theta), cfg, x, PredictiveConfig(seed=1)
-        )
+        thetas, _ = sample_weights(MapState(theta), seed=1)
+        probs = predictive_mean_classification(thetas, cfg, x)
         np.testing.assert_array_equal(probs, softmax(mlp_forward(cfg, theta, x), axis=1))
 
     def test_symmetric_ensemble_averages_to_half(self):
         cfg = clf_cfg(k=2)
         state = ensemble_with_logit_gap(cfg, gap=40.0)
         x = np.zeros((3, 2))
-        probs = predictive_mean_classification(state, cfg, x, PredictiveConfig(seed=0))
+        thetas, _ = sample_weights(state)
+        probs = predictive_mean_classification(thetas, cfg, x)
         # one member pins class 0, the other class 1
         np.testing.assert_allclose(probs, 0.5, atol=1e-10)
-        h = predictive_entropy(state, cfg, x, PredictiveConfig(seed=0))
+        h = entropy(probs, axis=-1)
         np.testing.assert_allclose(h, math.log(2.0), atol=1e-9)
 
     def test_rows_normalized_and_entropy_bounded(self):
         cfg = clf_cfg(k=4)
         state = MapState(init_params(cfg))
         x = np.random.default_rng(1).normal(size=(20, 2))
-        probs = predictive_mean_classification(state, cfg, x, PredictiveConfig())
+        thetas, _ = sample_weights(state)
+        probs = predictive_mean_classification(thetas, cfg, x)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
-        h = predictive_entropy(state, cfg, x, PredictiveConfig())
+        h = entropy(probs, axis=-1)
         assert np.all(h >= 0) and np.all(h <= math.log(4.0) + 1e-12)
-        np.testing.assert_array_equal(h, entropy(probs, axis=-1))
 
     def test_default_sample_counts(self):
         cfg = clf_cfg(k=2)
-        assert resolve_samples(MapState(init_params(cfg)), PredictiveConfig()) == 1
-        assert (
-            resolve_samples(ensemble_with_logit_gap(cfg, 1.0), PredictiveConfig()) == 2
-        )
+        assert len(sample_weights(MapState(init_params(cfg)))[0]) == 1
+        assert len(sample_weights(ensemble_with_logit_gap(cfg, 1.0))[0]) == 2
         advi = AdviState(mean=init_params(cfg), log_std=np.zeros(param_count(cfg)))
-        assert resolve_samples(advi, PredictiveConfig()) == 30
-        assert resolve_samples(advi, PredictiveConfig(n_samples=7)) == 7
+        assert len(sample_weights(advi)[0]) == 30
+        assert len(sample_weights(advi, n_samples=7)[0]) == 7
+        with pytest.raises(ValueError, match="at least 1"):
+            sample_weights(advi, n_samples=0)
+
+    def test_same_seed_same_draws_and_stream(self):
+        cfg = clf_cfg(k=2)
+        advi = AdviState(mean=init_params(cfg), log_std=np.zeros(param_count(cfg)))
+        a, rng_a = sample_weights(advi, n_samples=3, seed=4)
+        b, rng_b = sample_weights(advi, n_samples=3, seed=4)
+        np.testing.assert_array_equal(np.stack(a), np.stack(b))
+        np.testing.assert_array_equal(rng_a.normals(5), rng_b.normals(5))
 
 
 class TestSwagPredictiveStability:
@@ -94,10 +100,10 @@ class TestSwagPredictiveStability:
         )
         x = np.array([[0.0], [1.0], [-2.0]])
         a = predictive_mean_classification(
-            state, cfg, x, PredictiveConfig(n_samples=10_000, seed=1)
+            sample_weights(state, n_samples=10_000, seed=1)[0], cfg, x
         )
         b = predictive_mean_classification(
-            state, cfg, x, PredictiveConfig(n_samples=10_000, seed=2)
+            sample_weights(state, n_samples=10_000, seed=2)[0], cfg, x
         )
         assert np.max(np.abs(a - b)) < 0.01
 
@@ -107,7 +113,7 @@ class TestRegressionMoments:
         cfg = reg_cfg()
         state = MapState(init_params(cfg))
         x = np.random.default_rng(2).normal(size=(9, 2))
-        moments = predictive_moments_regression(state, cfg, x, PredictiveConfig())
+        moments = predictive_moments_regression(sample_weights(state)[0], cfg, x)
         np.testing.assert_array_equal(moments.epistemic, np.zeros(9))
         out = mlp_forward(cfg, state.theta, x)
         np.testing.assert_array_equal(moments.mean, out[:, 0])
@@ -126,7 +132,7 @@ class TestRegressionMoments:
         b[p - 2], b[p - 1] = -1.0, -200.0
         state = EnsembleState((a, b))
         x = np.zeros((4, 2))
-        moments = predictive_moments_regression(state, cfg, x, PredictiveConfig())
+        moments = predictive_moments_regression(sample_weights(state)[0], cfg, x)
         np.testing.assert_allclose(moments.mean, 0.0, atol=1e-12)
         np.testing.assert_allclose(moments.epistemic, 1.0, atol=1e-12)
         np.testing.assert_allclose(moments.aleatoric, 0.0, atol=1e-12)
@@ -138,7 +144,7 @@ class TestRegressionMoments:
         )
         x = np.random.default_rng(3).normal(size=(6, 2))
         moments = predictive_moments_regression(
-            state, cfg, x, PredictiveConfig(n_samples=12, seed=5)
+            sample_weights(state, n_samples=12, seed=5)[0], cfg, x
         )
         np.testing.assert_array_equal(
             moments.variance, moments.aleatoric + moments.epistemic
@@ -154,9 +160,8 @@ class TestCredibleIntervals:
     def test_gaussian_quantile_oracle(self):
         state, cfg = self.make_unit_noise_map()
         x = np.zeros((1, 1))
-        out = credible_interval_regression(
-            state, cfg, x, alpha=0.3173, pcfg=PredictiveConfig(n_samples=100_000, seed=2)
-        )
+        thetas, rng = sample_weights(state, n_samples=100_000, seed=2)
+        out = credible_interval_regression(thetas, cfg, x, 0.3173, rng)
         np.testing.assert_allclose(out.lower, [-1.0], atol=0.02)
         np.testing.assert_allclose(out.upper, [1.0], atol=0.02)
 
@@ -168,23 +173,25 @@ class TestCredibleIntervals:
         theta = state.theta.copy()
         theta[-(2 + 4 * 2):] = 0.0
         theta[-1] = -800.0  # exp underflows to exactly 0
-        out = credible_interval_regression(
-            MapState(theta), cfg, x, 0.2, PredictiveConfig(n_samples=50, seed=0)
-        )
+        thetas, rng = sample_weights(MapState(theta), n_samples=50)
+        out = credible_interval_regression(thetas, cfg, x, 0.2, rng)
         np.testing.assert_array_equal(out.lower, out.upper)
 
     def test_nesting_across_alpha(self):
         state, cfg = self.make_unit_noise_map()
         x = np.zeros((2, 1))
-        pcfg = PredictiveConfig(n_samples=400, seed=7)
-        wide = credible_interval_regression(state, cfg, x, 0.05, pcfg)
-        narrow = credible_interval_regression(state, cfg, x, 0.2, pcfg)
+
+        def interval(alpha):
+            # a fresh stream per call: both alphas see the same observations
+            thetas, rng = sample_weights(state, n_samples=400, seed=7)
+            return credible_interval_regression(thetas, cfg, x, alpha, rng)
+
+        wide, narrow = interval(0.05), interval(0.2)
         assert np.all(wide.lower <= narrow.lower)
         assert np.all(wide.upper >= narrow.upper)
 
     def test_low_sample_warning(self):
         state, cfg = self.make_unit_noise_map()
+        thetas, rng = sample_weights(state, n_samples=10)
         with pytest.warns(UserWarning, match="draws"):
-            credible_interval_regression(
-                state, cfg, np.zeros((1, 1)), 0.01, PredictiveConfig(n_samples=10)
-            )
+            credible_interval_regression(thetas, cfg, np.zeros((1, 1)), 0.01, rng)
