@@ -15,7 +15,6 @@ stderr at the level named by the UQKIT_LOG environment variable.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import os
@@ -43,6 +42,7 @@ from .config import (
 )
 from .data import (
     CLASSIFICATION,
+    class_labels,
     load_csv,
     read_matrix_csv,
     save_csv,
@@ -120,19 +120,12 @@ def read_vector_csv(path, kind: str) -> np.ndarray:
 
 def read_targets_csv(path, classification: bool) -> np.ndarray:
     values = read_vector_csv(path, "targets")
-    if not classification:
-        return values
-    if np.any(values != np.round(values)):
-        raise DataError(f"{path}: class targets must be integers")
-    return values.astype(np.int64)
+    return class_labels(values, path) if classification else values
 
 
 def write_sets_csv(path: Path, sets: PredictionSets) -> None:
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["set"])
-        for i in range(len(sets)):
-            writer.writerow([";".join(str(c) for c in sets.labels(i))])
+    labels = [[";".join(str(c) for c in sets.labels(i))] for i in range(len(sets))]
+    write_matrix_csv(path, np.array(labels, dtype=str).reshape(-1, 1), ["set"])
 
 
 def write_intervals_csv(path: Path, intervals: Intervals) -> None:
@@ -147,11 +140,12 @@ def write_probs_csv(path: Path, probs: np.ndarray, entropies: np.ndarray) -> Non
 
 
 def write_trace_csv(path: Path, rows: list[tuple[str, int, float]]) -> None:
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["phase", "epoch", "loss"])
-        for phase, epoch, loss in rows:
-            writer.writerow([phase, str(epoch), format(float(loss), ".17g")])
+    cells = [
+        [phase, str(epoch), format(float(loss), ".17g")] for phase, epoch, loss in rows
+    ]
+    write_matrix_csv(
+        path, np.array(cells, dtype=str).reshape(-1, 3), ["phase", "epoch", "loss"]
+    )
 
 
 def _alpha_flag(value: str) -> float:
@@ -398,7 +392,7 @@ def _evaluate_regression(thetas, rng, model, test_ds, alpha, out_dir) -> dict:
             ["mean", "variance", "aleatoric", "epistemic", "std"],
         )
     if alpha is not None:
-        intervals = credible_interval_regression(thetas, model, test_ds.inputs, alpha, rng)
+        intervals = credible_interval_regression(moments, alpha, rng)
         doc["coverage"], doc["mean_width"] = interval_metrics(intervals, test_ds.targets)
         if out_dir:
             write_intervals_csv(out_dir / "intervals.csv", intervals)

@@ -23,7 +23,13 @@ import numpy as np
 
 from .data import Dataset
 from .errors import UqError
-from .numerics import check_finite, check_labels, check_prob_rows, kth_smallest
+from .numerics import (
+    check_finite,
+    check_labels,
+    check_prob_rows,
+    kth_smallest,
+    kth_smallest_columns,
+)
 from .rng import Rng, child_seed
 
 Trainer = Callable[[np.ndarray, np.ndarray, int], Callable[[np.ndarray], np.ndarray]]
@@ -104,13 +110,8 @@ def conformal_quantile(scores, alpha: float) -> float:
     return kth_smallest(s, k)
 
 
-def baseline_sets(val_probs, val_targets, test_probs, alpha: float) -> PredictionSets:
-    """Split conformal prediction sets from the true-class probability score.
-
-    Calibration scores are 1 - p_i[y_i]; the set for a test row keeps
-    every class whose score 1 - p[c] is at or below the conformal
-    quantile.
-    """
+def _check_set_inputs(val_probs, val_targets, test_probs, alpha):
+    """(alpha, val probs, val labels, test probs), validated for a set method."""
     alpha = _check_alpha(alpha)
     vp = check_prob_rows(val_probs, "val_probs")
     tp = check_prob_rows(test_probs, "test_probs")
@@ -119,6 +120,17 @@ def baseline_sets(val_probs, val_targets, test_probs, alpha: float) -> Predictio
     y = check_labels(val_targets, vp.shape[1], "val_targets")
     if y.shape[0] != vp.shape[0]:
         raise ValueError("val_probs and val_targets disagree on length")
+    return alpha, vp, y, tp
+
+
+def baseline_sets(val_probs, val_targets, test_probs, alpha: float) -> PredictionSets:
+    """Split conformal prediction sets from the true-class probability score.
+
+    Calibration scores are 1 - p_i[y_i]; the set for a test row keeps
+    every class whose score 1 - p[c] is at or below the conformal
+    quantile.
+    """
+    alpha, vp, y, tp = _check_set_inputs(val_probs, val_targets, test_probs, alpha)
     scores = 1.0 - vp[np.arange(vp.shape[0]), y]
     q = conformal_quantile(scores, alpha)
     return PredictionSets(member=(1.0 - tp) <= q)
@@ -154,18 +166,11 @@ def adaptive_sets(
     boundary class (which can empty a set, as the randomized method
     allows).
     """
-    alpha = _check_alpha(alpha)
     if mode not in ("deterministic", "randomized"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "randomized" and rng is None:
         raise ValueError("randomized mode needs an rng")
-    vp = check_prob_rows(val_probs, "val_probs")
-    tp = check_prob_rows(test_probs, "test_probs")
-    if vp.shape[1] != tp.shape[1]:
-        raise ValueError("validation and test matrices disagree on class count")
-    y = check_labels(val_targets, vp.shape[1], "val_targets")
-    if y.shape[0] != vp.shape[0]:
-        raise ValueError("val_probs and val_targets disagree on length")
+    alpha, vp, y, tp = _check_set_inputs(val_probs, val_targets, test_probs, alpha)
 
     n = vp.shape[0]
     if mode == "deterministic":
@@ -250,33 +255,48 @@ def scalar_score_interval(
     return _make_intervals(tm - q * ts, tm + q * ts)
 
 
-def _loo_predictions(
-    trainer: Trainer, train: Dataset, test_inputs: np.ndarray, seed: int
+def _fold_predictions(
+    trainer: Trainer,
+    train: Dataset,
+    fold_of: np.ndarray,
+    test_inputs,
+    seed: int,
+    unit: str,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Leave-one-out residuals and test predictions.
+    """Held-out residuals and test predictions of per-fold refits.
 
+    Fold f trains on every row outside it with child seed (seed, f).
     Returns (residuals (n,), mu (n, m)) where mu[i] are the test
-    predictions of the model trained without row i.
+    predictions of the model whose fold held row i out. A trainer failure
+    names the fold as ``<unit> f``.
     """
-    n = train.n
-    if n < 2:
-        raise ValueError("leave-one-out methods need at least 2 training rows")
-    residuals = np.empty(n)
-    mu = np.empty((n, test_inputs.shape[0]))
-    for i in range(n):
-        keep = np.arange(n) != i
+    test_inputs = check_finite(test_inputs, "test_inputs")
+    residuals = np.empty(train.n)
+    mu = np.empty((train.n, test_inputs.shape[0]))
+    for f in range(int(fold_of.max()) + 1):
+        held = fold_of == f
         try:
             predict = trainer(
-                train.inputs[keep], train.targets[keep], child_seed(seed, i)
+                train.inputs[~held], train.targets[~held], child_seed(seed, f)
             )
-            residuals[i] = abs(
-                float(train.targets[i])
-                - float(np.asarray(predict(train.inputs[i : i + 1])).ravel()[0])
-            )
-            mu[i] = np.asarray(predict(test_inputs), dtype=np.float64).ravel()
+            held_pred = np.asarray(
+                predict(train.inputs[held]), dtype=np.float64
+            ).ravel()
+            test_pred = np.asarray(predict(test_inputs), dtype=np.float64).ravel()
         except Exception as exc:
-            raise UqError(f"trainer failed on leave-out index {i}: {exc}") from exc
+            raise UqError(f"trainer failed on {unit} {f}: {exc}") from exc
+        residuals[held] = np.abs(train.targets[held] - held_pred)
+        mu[held] = test_pred[None, :]
     return residuals, mu
+
+
+def _leave_one_out(trainer: Trainer, train: Dataset, test_inputs, seed: int):
+    """``_fold_predictions`` with every row as its own fold (jackknife)."""
+    if train.n < 2:
+        raise ValueError("leave-one-out methods need at least 2 training rows")
+    return _fold_predictions(
+        trainer, train, np.arange(train.n), test_inputs, seed, "leave-out index"
+    )
 
 
 def _plus_endpoints(
@@ -291,10 +311,8 @@ def _plus_endpoints(
     n = residuals.shape[0]
     k_lo = min(max(math.floor(alpha * (n + 1)), 1), n)
     k_up = min(max(math.ceil((1.0 - alpha) * (n + 1)), 1), n)
-    lo_vals = mu - residuals[:, None]
-    up_vals = mu + residuals[:, None]
-    lower = np.partition(lo_vals, k_lo - 1, axis=0)[k_lo - 1]
-    upper = np.partition(up_vals, k_up - 1, axis=0)[k_up - 1]
+    lower = kth_smallest_columns(mu - residuals[:, None], k_lo)
+    upper = kth_smallest_columns(mu + residuals[:, None], k_up)
     return lower, upper
 
 
@@ -303,8 +321,7 @@ def jackknife_plus(
 ) -> Intervals:
     """Jackknife+ predictive intervals (marginal coverage >= 1 - 2 alpha)."""
     alpha = _check_alpha(alpha)
-    test_inputs = check_finite(test_inputs, "test_inputs")
-    residuals, mu = _loo_predictions(trainer, train, test_inputs, seed)
+    residuals, mu = _leave_one_out(trainer, train, test_inputs, seed)
     lower, upper = _plus_endpoints(mu, residuals, alpha)
     return _make_intervals(lower, upper)
 
@@ -314,8 +331,7 @@ def jackknife_minmax(
 ) -> Intervals:
     """Jackknife-minmax intervals: wider than jackknife+, coverage >= 1 - alpha."""
     alpha = _check_alpha(alpha)
-    test_inputs = check_finite(test_inputs, "test_inputs")
-    residuals, mu = _loo_predictions(trainer, train, test_inputs, seed)
+    residuals, mu = _leave_one_out(trainer, train, test_inputs, seed)
     n = residuals.shape[0]
     k = min(math.ceil((1.0 - alpha) * (n + 1)), n)
     q = kth_smallest(residuals, k)
@@ -355,24 +371,9 @@ def cv_plus(
     reproduces jackknife+ regardless of the seed.
     """
     alpha = _check_alpha(alpha)
-    test_inputs = check_finite(test_inputs, "test_inputs")
-    n = train.n
-    fold_of = cv_folds(n, n_folds, seed)
-    residuals = np.empty(n)
-    mu = np.empty((n, test_inputs.shape[0]))
-    for f in range(n_folds):
-        held = fold_of == f
-        try:
-            predict = trainer(
-                train.inputs[~held], train.targets[~held], child_seed(seed, f)
-            )
-            held_pred = np.asarray(
-                predict(train.inputs[held]), dtype=np.float64
-            ).ravel()
-            test_pred = np.asarray(predict(test_inputs), dtype=np.float64).ravel()
-        except Exception as exc:
-            raise UqError(f"trainer failed on fold {f}: {exc}") from exc
-        residuals[held] = np.abs(train.targets[held] - held_pred)
-        mu[held] = test_pred[None, :]
+    fold_of = cv_folds(train.n, n_folds, seed)
+    residuals, mu = _fold_predictions(
+        trainer, train, fold_of, test_inputs, seed, "fold"
+    )
     lower, upper = _plus_endpoints(mu, residuals, alpha)
     return _make_intervals(lower, upper)

@@ -91,81 +91,46 @@ def _parse_float(cell: str, line: int, column: str) -> float:
         ) from None
 
 
-def load_csv(path, task: str, target_column: str) -> Dataset:
-    """Load a dataset from CSV; all non-target columns become features.
+def class_labels(values: np.ndarray, path) -> np.ndarray:
+    """The one class-label rule: each value integral (``2`` or ``2.0``),
+    finite and nonnegative. Returns int64 labels; a breach is a
+    ``DataError`` naming the file and the data row (1 = first after the
+    header)."""
+    bad = ~(np.isfinite(values) & (values == np.round(values)) & (values >= 0))
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise DataError(
+            f"{path}: class label {format(values[i], '.17g')} in data row {i + 1} "
+            "is not a nonnegative integer"
+        )
+    return values.astype(np.int64)
 
-    Rows in error messages are 1-based file lines (the header is line 1).
-    """
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"empty file: {path}") from None
-        header = [h.strip() for h in header]
-        if target_column not in header:
-            raise DataError(
-                f"missing target column {target_column!r} in {path} "
-                f"(have: {', '.join(header)})"
-            )
-        target_idx = header.index(target_column)
-        feature_names = tuple(h for i, h in enumerate(header) if i != target_idx)
-        rows, targets = [], []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataError(
-                    f"row {line_no} has {len(row)} cells, expected {len(header)}"
-                )
-            feats = [
-                _parse_float(cell, line_no, header[i])
-                for i, cell in enumerate(row)
-                if i != target_idx
-            ]
-            raw = row[target_idx]
-            if task == CLASSIFICATION:
-                try:
-                    label = int(raw)
-                except ValueError:
-                    raise DataError(
-                        f"unparsable cell {raw!r} at row {line_no}, "
-                        f"column {target_column}"
-                    ) from None
-                if label < 0:
-                    raise DataError(
-                        f"negative class label at row {line_no}, column {target_column}"
-                    )
-                targets.append(label)
-            else:
-                targets.append(_parse_float(raw, line_no, target_column))
-            rows.append(feats)
-    if not rows:
-        raise DataError(f"no data rows in {path}")
-    inputs = np.asarray(rows, dtype=np.float64)
-    if task == CLASSIFICATION:
-        t = np.asarray(targets, dtype=np.int64)
-    else:
-        t = np.asarray(targets, dtype=np.float64)
-    return Dataset(inputs=inputs, targets=t, task=task, feature_names=feature_names)
+
+def load_csv(path, task: str, target_column: str) -> Dataset:
+    """Load a dataset from CSV; all non-target columns become features."""
+    matrix, header = read_matrix_csv(path)
+    if target_column not in header:
+        raise DataError(
+            f"missing target column {target_column!r} in {path} "
+            f"(have: {', '.join(header)})"
+        )
+    t = header.index(target_column)
+    values = matrix[:, t]
+    return Dataset(
+        inputs=np.delete(matrix, t, axis=1),
+        targets=class_labels(values, path) if task == CLASSIFICATION else values.copy(),
+        task=task,
+        feature_names=tuple(h for i, h in enumerate(header) if i != t),
+    )
 
 
 def save_csv(ds: Dataset, path, target_column: str = "target") -> None:
     """Write a dataset in the same dialect :func:`load_csv` reads."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(ds.feature_names) + [target_column])
-        for i in range(ds.n):
-            row = [format(v, ".17g") for v in ds.inputs[i]]
-            if ds.task == CLASSIFICATION:
-                row.append(str(int(ds.targets[i])))
-            else:
-                row.append(format(ds.targets[i], ".17g"))
-            writer.writerow(row)
+    write_matrix_csv(
+        path,
+        np.column_stack([ds.inputs, ds.targets]),
+        list(ds.feature_names) + [target_column],
+    )
 
 
 def split(ds: Dataset, fractions, seed: int) -> tuple[Dataset, Dataset, Dataset]:
@@ -254,7 +219,7 @@ def synth_classification(
     )
 
 
-# --- generic CSV helpers used by the CLI ------------------------------------
+# --- the one CSV reader and the one CSV writer --------------------------------
 
 def read_matrix_csv(path) -> tuple[np.ndarray, list[str]]:
     """Read an all-float CSV with header into (matrix, column names)."""
@@ -283,14 +248,18 @@ def read_matrix_csv(path) -> tuple[np.ndarray, list[str]]:
     return np.asarray(rows, dtype=np.float64), header
 
 
-def write_matrix_csv(path, matrix: np.ndarray, header: list[str]) -> None:
-    """Write a float matrix with header, 17 significant digits per cell."""
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
+def write_matrix_csv(path, matrix, header: list[str]) -> None:
+    """Write a matrix with header. Numeric cells get 17 significant digits,
+    so a read round-trips bit-exactly; a string matrix is written as is."""
+    matrix = np.asarray(matrix)
+    if matrix.dtype.kind == "U":
+        rows = matrix.tolist()
+    else:
+        matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
+        rows = ([format(v, ".17g") for v in row] for row in matrix.tolist())
     if matrix.shape[1] != len(header):
         raise ValueError("header length must match the number of columns")
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(
-            [format(v, ".17g") for v in row] for row in matrix.tolist()
-        )
+        writer.writerows(rows)

@@ -57,6 +57,11 @@ def kth_smallest(scores, k: int) -> float:
     return float(np.partition(s, k - 1)[k - 1])
 
 
+def kth_smallest_columns(values: np.ndarray, k: int) -> np.ndarray:
+    """k-th order statistic (1-based) of each column of a 2-D array."""
+    return np.partition(values, k - 1, axis=0)[k - 1]
+
+
 def entropy(probs, axis: int = -1) -> np.ndarray:
     """Shannon entropy in nats along ``axis``; 0 * log 0 counts as 0."""
     p = np.asarray(probs, dtype=np.float64)

@@ -18,7 +18,7 @@ import base64
 import json
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -533,13 +533,19 @@ def posterior_sample(state: PosteriorState, rng: Rng, n_samples: int) -> list[np
 
 # ---------------------------------------------------------------------------
 # serialization (versioned JSON with base64 little-endian float payloads)
+#
+# One loop over each state dataclass's fields does both directions: an
+# ``np.ndarray`` field goes to ``arrays``, an ``int`` field to a top-level
+# key, and the ensemble's member tuple to ``member_<i>`` arrays plus a
+# top-level count. Every vector holds ``param_count(model)`` entries;
+# SWAG's ``deviations`` is (P, rank).
 
 _STATE_KINDS = {
-    MapState: "map",
-    EnsembleState: "ensemble",
-    SwagState: "swag",
-    LaplaceState: "laplace",
-    AdviState: "advi",
+    "map": MapState,
+    "ensemble": EnsembleState,
+    "swag": SwagState,
+    "laplace": LaplaceState,
+    "advi": AdviState,
 }
 
 
@@ -551,49 +557,30 @@ def _encode(arr: np.ndarray) -> dict:
     }
 
 
-def _decode(entry: dict) -> np.ndarray:
-    raw = base64.b64decode(entry["data"])
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(entry["shape"])
-
-
 def state_to_dict(state: PosteriorState, model: MlpConfig, task: str) -> dict:
-    kind = _STATE_KINDS.get(type(state))
+    kind = next((k for k, cls in _STATE_KINDS.items() if type(state) is cls), None)
     if kind is None:
         raise TypeError(f"unknown posterior state {type(state).__name__}")
+    arrays: dict = {}
     doc = {"format": 1, "kind": kind, "task": task, "model": model.to_dict()}
-    if isinstance(state, MapState):
-        doc["arrays"] = {"theta": _encode(state.theta)}
-    elif isinstance(state, EnsembleState):
-        doc["arrays"] = {
-            f"member_{i}": _encode(m) for i, m in enumerate(state.members)
-        }
-        doc["members"] = len(state.members)
-    elif isinstance(state, SwagState):
-        doc["arrays"] = {
-            "mean": _encode(state.mean),
-            "diag_second_moment": _encode(state.diag_second_moment),
-            "deviations": _encode(state.deviations),
-        }
-        doc["rank"] = state.rank
-        doc["snapshots"] = state.snapshots
-    elif isinstance(state, LaplaceState):
-        doc["arrays"] = {
-            "mode": _encode(state.mode),
-            "diag_precision": _encode(state.diag_precision),
-        }
-    else:
-        doc["arrays"] = {
-            "mean": _encode(state.mean),
-            "log_std": _encode(state.log_std),
-        }
+    for f in fields(state):
+        value = getattr(state, f.name)
+        if f.type == "int":
+            doc[f.name] = value
+        elif f.type == "np.ndarray":
+            arrays[f.name] = _encode(value)
+        else:
+            arrays.update((f"member_{i}", _encode(m)) for i, m in enumerate(value))
+            doc[f.name] = len(value)
+    doc["arrays"] = arrays
     return doc
 
 
 def state_from_dict(doc: dict) -> tuple[PosteriorState, MlpConfig, str]:
-    """Inverse of ``state_to_dict``; a non-object document or a missing key
-    is a ``DataError``."""
-    if not isinstance(doc, dict):
-        raise DataError(f"state must be a JSON object, got {type(doc).__name__}")
+    """Inverse of ``state_to_dict``. Anything that does not decode to a
+    valid state (wrong JSON types, a missing key, bad base64, a wrong
+    shape, an unknown kind or task) is a one-line ``DataError``."""
+    _check_object(doc, "state")
     if doc.get("format") != 1:
         raise DataError(f"unsupported state format {doc.get('format')!r}")
     try:
@@ -602,34 +589,69 @@ def state_from_dict(doc: dict) -> tuple[PosteriorState, MlpConfig, str]:
         raise DataError(f"state lacks required key {exc.args[0]!r}") from None
 
 
+def _check_object(value, what: str) -> None:
+    if not isinstance(value, dict):
+        raise DataError(f"{what} must be a JSON object, got {type(value).__name__}")
+
+
+def _count(doc: dict, key: str) -> int:
+    value = doc[key]
+    if type(value) is not int:
+        raise DataError(f"state field {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _decode(arrays: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    entry = arrays[name]
+    _check_object(entry, f"state array {name!r}")
+    dims = entry["shape"]
+    if dims != list(shape):
+        raise DataError(
+            f"state array {name!r} has shape {dims!r}, expected {list(shape)}"
+        )
+    try:
+        raw = base64.b64decode(entry["data"], validate=True)
+    except (TypeError, ValueError):
+        raise DataError(f"state array {name!r} data is not valid base64") from None
+    if len(raw) != 8 * math.prod(shape):
+        raise DataError(
+            f"state array {name!r} holds {len(raw)} bytes, "
+            f"expected {8 * math.prod(shape)} for shape {dims}"
+        )
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+
+
 def _state_from_dict(doc: dict) -> tuple[PosteriorState, MlpConfig, str]:
-    kind = doc.get("kind")
-    model = MlpConfig.from_dict(doc["model"])
-    task = doc["task"]
-    arrays = {k: _decode(v) for k, v in doc.get("arrays", {}).items()}
-    if kind == "map":
-        state: PosteriorState = MapState(arrays["theta"])
-    elif kind == "ensemble":
-        state = EnsembleState(
-            tuple(arrays[f"member_{i}"] for i in range(int(doc["members"])))
-        )
-    elif kind == "swag":
-        state = SwagState(
-            mean=arrays["mean"],
-            diag_second_moment=arrays["diag_second_moment"],
-            deviations=arrays["deviations"],
-            rank=int(doc["rank"]),
-            snapshots=int(doc["snapshots"]),
-        )
-    elif kind == "laplace":
-        state = LaplaceState(
-            mode=arrays["mode"], diag_precision=arrays["diag_precision"]
-        )
-    elif kind == "advi":
-        state = AdviState(mean=arrays["mean"], log_std=arrays["log_std"])
-    else:
+    kind = doc["kind"]
+    cls = _STATE_KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
         raise DataError(f"unknown posterior kind {kind!r}")
-    return state, model, task
+    task = doc["task"]
+    if task not in (CLASSIFICATION, REGRESSION):
+        raise DataError(f"unknown task {task!r} in state")
+    _check_object(doc["model"], "state field 'model'")
+    arrays = doc["arrays"]
+    _check_object(arrays, "state field 'arrays'")
+    try:
+        model = MlpConfig.from_dict(doc["model"])
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"state model is invalid: {exc}") from None
+    p = param_count(model)
+    values: dict = {}
+    for f in fields(cls):
+        if f.type == "int":
+            values[f.name] = _count(doc, f.name)
+        elif f.type == "np.ndarray":
+            shape = (p, _count(doc, "rank")) if f.name == "deviations" else (p,)
+            values[f.name] = _decode(arrays, f.name, shape)
+        else:
+            values[f.name] = tuple(
+                _decode(arrays, f"member_{i}", (p,)) for i in range(_count(doc, f.name))
+            )
+    try:
+        return cls(**values), model, task
+    except ValueError as exc:
+        raise DataError(f"invalid {kind} state: {exc}") from None
 
 
 def save_state(path, state: PosteriorState, model: MlpConfig, task: str) -> None:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .conformal import Intervals, _make_intervals
 from .mlp import MlpConfig, mlp_forward
-from .numerics import kth_smallest, softmax
+from .numerics import kth_smallest_columns, softmax
 from .posterior import EnsembleState, MapState, PosteriorState, posterior_sample
 from .rng import Rng
 
@@ -31,6 +31,8 @@ class RegressionMoments:
     variance: np.ndarray  # aleatoric + epistemic, exactly
     aleatoric: np.ndarray
     epistemic: np.ndarray
+    draw_means: np.ndarray  # (draws, inputs): each weight draw's predicted mean
+    draw_variances: np.ndarray  # (draws, inputs): each draw's predicted noise
 
 
 def sample_weights(
@@ -67,7 +69,8 @@ def predictive_mean_classification(thetas, cfg: MlpConfig, inputs) -> np.ndarray
 def predictive_moments_regression(thetas, cfg: MlpConfig, inputs) -> RegressionMoments:
     """Predictive mean and variance, with the variance split into the
     average predicted noise (aleatoric) and the spread of predicted
-    means over draws (epistemic, population convention)."""
+    means over draws (epistemic, population convention). The per-draw
+    Gaussians are kept for ``credible_interval_regression``."""
     outputs = _forward(thetas, cfg, inputs)
     mus = np.stack([out[:, 0] for out in outputs])
     noise = np.stack([np.exp(out[:, 1]) for out in outputs])
@@ -79,40 +82,37 @@ def predictive_moments_regression(thetas, cfg: MlpConfig, inputs) -> RegressionM
         variance=aleatoric + epistemic,
         aleatoric=aleatoric,
         epistemic=epistemic,
+        draw_means=mus,
+        draw_variances=noise,
     )
 
 
 def credible_interval_regression(
-    thetas, cfg: MlpConfig, inputs, alpha: float, rng: Rng
+    moments: RegressionMoments, alpha: float, rng: Rng
 ) -> Intervals:
     """Equal-tailed credible intervals from sampled observations.
 
-    For each weight draw one observation per input is sampled from the
-    predicted Gaussian, and the interval is the empirical alpha/2 and
-    1 - alpha/2 quantile pair (k = ceil(q * S) order statistics) of the
-    pooled draws. The noise comes from ``rng``, normally the stream
-    ``sample_weights`` returned with ``thetas``.
+    For each weight draw of ``moments`` one observation per input is
+    sampled from that draw's predicted Gaussian, and the interval is the
+    empirical alpha/2 and 1 - alpha/2 quantile pair (k = ceil(q * S)
+    order statistics) of the pooled draws. The noise comes from ``rng``,
+    normally the stream ``sample_weights`` returned with the weights.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    outputs = _forward(thetas, cfg, inputs)
-    s = len(outputs)
+    s, n = moments.draw_means.shape
     if s < 2.0 / alpha:
         warnings.warn(
             f"only {s} posterior draws for alpha={alpha}; tail quantiles "
             "are unreliable (need at least 2/alpha)",
             stacklevel=2,
         )
-    n = np.asarray(inputs).shape[0]
     draws = np.empty((s, n))
-    for j, out in enumerate(outputs):
+    for j in range(s):
         eps = rng.normals(n)
-        draws[j] = out[:, 0] + np.sqrt(np.exp(out[:, 1])) * eps
+        draws[j] = moments.draw_means[j] + np.sqrt(moments.draw_variances[j]) * eps
     k_lo = max(math.ceil(0.5 * alpha * s), 1)
     k_hi = max(math.ceil((1.0 - 0.5 * alpha) * s), 1)
-    lower = np.empty(n)
-    upper = np.empty(n)
-    for i in range(n):
-        lower[i] = kth_smallest(draws[:, i], k_lo)
-        upper[i] = kth_smallest(draws[:, i], k_hi)
-    return _make_intervals(lower, upper)
+    return _make_intervals(
+        kth_smallest_columns(draws, k_lo), kth_smallest_columns(draws, k_hi)
+    )

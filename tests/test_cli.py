@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from uqkit.cli import main
-from uqkit.data import load_csv, write_matrix_csv
+from uqkit.data import load_csv, save_csv, synth_classification, write_matrix_csv
 from uqkit.metrics import classification_report
+from uqkit.mlp import MlpConfig, param_count
 from uqkit.numerics import softmax
-from uqkit.posterior import load_state
+from uqkit.posterior import MapState, SwagState, load_state, state_to_dict
 
 
 def run(capsys, *argv):
@@ -353,6 +354,19 @@ class TestEvaluateCommand:
         assert report["ece"] == 0.0 and report["brier"] == 0.0
         assert report["nll"] == 0.0 and report["accuracy"] == 1.0
 
+    @pytest.mark.parametrize("label, code", [("2.0", 0), ("1.5", 3), ("-1", 3)])
+    def test_targets_follow_the_class_label_rule(self, tmp_path, capsys, label, code):
+        write_probs(tmp_path / "p.csv", np.eye(3))
+        targets = tmp_path / "t.csv"
+        targets.write_text(f"target\n0\n1\n{label}\n", encoding="utf-8")
+        got, _, err = run(
+            capsys,
+            "evaluate", "--probs", str(tmp_path / "p.csv"), "--targets", str(targets),
+        )
+        assert got == code
+        if code:
+            assert str(targets) in err and "data row 3" in err
+
     def test_matches_metrics_module(self, tmp_path, clf_fixture, capsys):
         code, out, _ = run(
             capsys,
@@ -455,6 +469,53 @@ class TestEvaluateCommand:
         )
         assert code == 0
         assert json.loads(out)["n"] == len(predictive) - 1
+
+
+def _fault_cases():
+    """(name, state document, stderr needle): each document breaks one rule
+    of the ``state.json`` format."""
+    cfg = MlpConfig(2, (4,), 2, "relu")
+    p = param_count(cfg)
+    theta = np.linspace(-1.0, 1.0, p)
+    good = state_to_dict(MapState(theta), cfg, "classification")
+    swag = SwagState(
+        mean=theta, diag_second_moment=theta**2 + 1.0,
+        deviations=np.ones((p, 3)), rank=3, snapshots=3,
+    )
+
+    def broken(name, needle, change, base=good):
+        doc = json.loads(json.dumps(base))
+        change(doc)
+        return pytest.param(doc, needle, id=name)
+
+    short = state_to_dict(MapState(theta[:-1]), cfg, "classification")["arrays"]
+    return [
+        broken("arrays_list", "arrays", lambda d: d.update(arrays=[])),
+        broken("model_list", "model", lambda d: d.update(model=[])),
+        broken("string_entry", "theta", lambda d: d["arrays"].update(theta="AAAA")),
+        broken("bad_base64", "base64",
+               lambda d: d["arrays"]["theta"].update(data="@@ not base64 @@")),
+        broken("wrong_vector_length", "shape", lambda d: d.update(arrays=short)),
+        broken("data_shorter_than_shape", "bytes",
+               lambda d: d["arrays"]["theta"].update(data=short["theta"]["data"])),
+        broken("deviations_wrong_rank", "deviations", lambda d: d.update(rank=2),
+               base=state_to_dict(swag, cfg, "classification")),
+        broken("unknown_kind", "kind", lambda d: d.update(kind="mcmc")),
+        broken("missing_key", "kind", lambda d: d.pop("kind")),
+        broken("unknown_task", "task", lambda d: d.update(task="ranking")),
+    ]
+
+
+@pytest.mark.parametrize("doc, needle", _fault_cases())
+def test_broken_state_exits_3_with_one_line(tmp_path, capsys, doc, needle):
+    data = tmp_path / "data.csv"
+    save_csv(synth_classification("two_moons", 10, 0.1, seed=0), data)
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, err = run(capsys, "evaluate", "--state", str(state), "--data", str(data))
+    assert code == 3
+    assert err.count("\n") == 1 and err.startswith("data error: ")
+    assert needle in err
 
 
 def train_regression(tmp_path, capsys):
@@ -587,6 +648,28 @@ class TestPosteriorSampledOnce:
         )
         assert code == 0 and "coverage" in json.loads(out)
         assert calls == ["SwagState"]
+
+    def test_regression_forward_pass_once_per_draw(self, tmp_path, capsys, monkeypatch):
+        import uqkit.predictive
+
+        run_dir = train_regression(tmp_path, capsys)
+        forwards = []
+        real = uqkit.predictive.mlp_forward
+
+        def counting(*args, **kwargs):
+            forwards.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(uqkit.predictive, "mlp_forward", counting)
+        code, out, _ = run(
+            capsys,
+            "evaluate", "--state", str(run_dir / "state.json"),
+            "--data", str(run_dir / "test.csv"),
+            "--alpha", "0.2", "--predictive-samples", "10",
+            "--out-dir", str(tmp_path / "regeval"),
+        )
+        assert code == 0 and "coverage" in json.loads(out)
+        assert len(forwards) == 10
 
     def test_regression_evaluate_with_intervals(self, tmp_path, capsys, calls):
         run_dir = train_regression(tmp_path, capsys)

@@ -48,6 +48,21 @@ class TestLoadCsv:
         np.testing.assert_array_equal(ds.inputs[:, 0], [1.5e-3, -2e2])
         np.testing.assert_array_equal(ds.targets, [22.5, 1.0])
 
+    def test_integral_float_label_accepted(self, tmp_path):
+        path = write(tmp_path, "x0,target\n1.0,2.0\n2.0,0\n")
+        ds = load_csv(path, "classification", "target")
+        assert ds.targets.dtype == np.int64
+        np.testing.assert_array_equal(ds.targets, [2, 0])
+
+    @pytest.mark.parametrize("label", ["1.5", "-1", "inf", "nan"])
+    def test_bad_label_names_file_and_row(self, tmp_path, label):
+        path = write(tmp_path, f"x0,target\n1.0,0\n2.0,{label}\n")
+        with pytest.raises(DataError) as exc:
+            load_csv(path, "classification", "target")
+        message = str(exc.value)
+        assert str(path) in message and "data row 2" in message
+        assert "nonnegative integer" in message
+
     def test_round_trip_is_bit_exact(self, tmp_path):
         rng = np.random.default_rng(5)
         ds = Dataset(

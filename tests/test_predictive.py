@@ -161,7 +161,8 @@ class TestCredibleIntervals:
         state, cfg = self.make_unit_noise_map()
         x = np.zeros((1, 1))
         thetas, rng = sample_weights(state, n_samples=100_000, seed=2)
-        out = credible_interval_regression(thetas, cfg, x, 0.3173, rng)
+        moments = predictive_moments_regression(thetas, cfg, x)
+        out = credible_interval_regression(moments, 0.3173, rng)
         np.testing.assert_allclose(out.lower, [-1.0], atol=0.02)
         np.testing.assert_allclose(out.upper, [1.0], atol=0.02)
 
@@ -174,7 +175,9 @@ class TestCredibleIntervals:
         theta[-(2 + 4 * 2):] = 0.0
         theta[-1] = -800.0  # exp underflows to exactly 0
         thetas, rng = sample_weights(MapState(theta), n_samples=50)
-        out = credible_interval_regression(thetas, cfg, x, 0.2, rng)
+        out = credible_interval_regression(
+            predictive_moments_regression(thetas, cfg, x), 0.2, rng
+        )
         np.testing.assert_array_equal(out.lower, out.upper)
 
     def test_nesting_across_alpha(self):
@@ -184,7 +187,8 @@ class TestCredibleIntervals:
         def interval(alpha):
             # a fresh stream per call: both alphas see the same observations
             thetas, rng = sample_weights(state, n_samples=400, seed=7)
-            return credible_interval_regression(thetas, cfg, x, alpha, rng)
+            moments = predictive_moments_regression(thetas, cfg, x)
+            return credible_interval_regression(moments, alpha, rng)
 
         wide, narrow = interval(0.05), interval(0.2)
         assert np.all(wide.lower <= narrow.lower)
@@ -193,5 +197,6 @@ class TestCredibleIntervals:
     def test_low_sample_warning(self):
         state, cfg = self.make_unit_noise_map()
         thetas, rng = sample_weights(state, n_samples=10)
+        moments = predictive_moments_regression(thetas, cfg, np.zeros((1, 1)))
         with pytest.warns(UserWarning, match="draws"):
-            credible_interval_regression(thetas, cfg, np.zeros((1, 1)), 0.01, rng)
+            credible_interval_regression(moments, 0.01, rng)
