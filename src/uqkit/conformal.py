@@ -184,18 +184,20 @@ def adaptive_sets(
     order = np.argsort(-tp, axis=1, kind="stable")
     sorted_p = np.take_along_axis(tp, order, axis=1)
     cum = np.cumsum(sorted_p, axis=1)
+    # the boundary is the first sorted class whose cumulative mass reaches
+    # q, or the last class when the total stays below q. cum rises while
+    # the sorted probabilities are positive and falls after, so when the
+    # total reaches q the classes below q form a prefix and counting them
+    # is the binary search of the per-row loop this replaced
+    boundary = np.where(cum[:, -1] < q, k_classes - 1, (cum < q).sum(axis=1))
+    keep = boundary + 1
+    if mode == "randomized" and not math.isinf(q):
+        rows = np.arange(m)
+        p_boundary = sorted_p[rows, boundary]
+        below = cum[rows, boundary] - p_boundary
+        keep -= below + rng.uniforms(m) * p_boundary > q
     member = np.zeros((m, k_classes), dtype=bool)
-    for i in range(m):
-        if math.isinf(q) or cum[i, -1] < q:
-            boundary = k_classes - 1
-        else:
-            boundary = int(np.searchsorted(cum[i], q, side="left"))
-        keep = boundary + 1
-        if mode == "randomized" and not math.isinf(q):
-            below = cum[i, boundary] - sorted_p[i, boundary]
-            if below + rng.uniform() * sorted_p[i, boundary] > q:
-                keep -= 1
-        member[i, order[i, :keep]] = True
+    np.put_along_axis(member, order, np.arange(k_classes) < keep[:, None], axis=1)
     return PredictionSets(member=member)
 
 

@@ -82,12 +82,12 @@ class BatchPlan:
             raise ValueError("batch_size must be at least 1")
 
 
-def _parse_float(cell: str, line: int, column: str) -> float:
+def _parse_float(cell: str, path, line: int, column: str) -> float:
     try:
         return float(cell)
     except ValueError:
         raise DataError(
-            f"unparsable cell {cell!r} at row {line}, column {column}"
+            f"{path}: unparsable cell {cell!r} at row {line}, column {column}"
         ) from None
 
 
@@ -238,10 +238,11 @@ def read_matrix_csv(path) -> tuple[np.ndarray, list[str]]:
                 continue
             if len(row) != len(header):
                 raise DataError(
-                    f"row {line_no} has {len(row)} cells, expected {len(header)}"
+                    f"{path}: row {line_no} has {len(row)} cells, "
+                    f"expected {len(header)}"
                 )
             rows.append(
-                [_parse_float(c, line_no, header[i]) for i, c in enumerate(row)]
+                [_parse_float(c, path, line_no, header[i]) for i, c in enumerate(row)]
             )
     if not rows:
         raise DataError(f"no data rows in {path}")

@@ -86,26 +86,27 @@ def init_params(cfg: MlpConfig) -> np.ndarray:
 
 
 def unpack_params(cfg: MlpConfig, theta):
-    """Split a flat parameter vector (ndarray or Var) into (W, b) pairs."""
-    dims = cfg.dims
-    if np.shape(theta.value if isinstance(theta, ad.Var) else theta) != (
-        param_count(cfg),
-    ):
+    """Split a flat parameter vector (ndarray or Var) into (W, b) pairs;
+    an ndarray gives views into it, without the tape's dispatch."""
+    taped = isinstance(theta, ad.Var)
+    value = theta.value if taped else np.asarray(theta, dtype=np.float64)
+    if np.shape(value) != (param_count(cfg),):
         raise ValueError(
             f"parameter vector has wrong length; expected {param_count(cfg)}"
         )
+    dims = cfg.dims
     layers = []
     offset = 0
-    for layer in range(len(dims) - 1):
-        fan_in, fan_out = dims[layer], dims[layer + 1]
-        w = ad.reshape(
-            ad.take_slice(theta, offset, offset + fan_in * fan_out),
-            (fan_in, fan_out),
-        )
-        offset += fan_in * fan_out
-        b = ad.take_slice(theta, offset, offset + fan_out)
-        offset += fan_out
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        stop = offset + fan_in * fan_out
+        if taped:
+            w = ad.reshape(ad.take_slice(theta, offset, stop), (fan_in, fan_out))
+            b = ad.take_slice(theta, stop, stop + fan_out)
+        else:
+            w = value[offset:stop].reshape(fan_in, fan_out)
+            b = value[stop : stop + fan_out]
         layers.append((w, b))
+        offset = stop + fan_out
     return layers
 
 
@@ -115,6 +116,13 @@ def mlp_forward(cfg: MlpConfig, theta, inputs: np.ndarray):
     For classification the outputs are logits; for regression rows hold a
     (mean, log-variance) pair, so output_dim is 2.
     """
+    for h in mlp_activations(cfg, theta, inputs):
+        pass  # keep only the current layer alive, not every layer's output
+    return h
+
+
+def mlp_activations(cfg: MlpConfig, theta, inputs: np.ndarray):
+    """Yield every layer's output, inputs first: x, h_1, ..., h_L, raw output."""
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[1] != cfg.input_dim:
         raise ValueError(
@@ -122,9 +130,26 @@ def mlp_forward(cfg: MlpConfig, theta, inputs: np.ndarray):
         )
     act = ad.tanh if cfg.activation == "tanh" else ad.relu
     h = inputs
+    yield h
     layers = unpack_params(cfg, theta)
     for i, (w, b) in enumerate(layers):
         h = h @ w + b
         if i < len(layers) - 1:
             h = act(h)
-    return h
+        yield h
+
+
+def mlp_backward(cfg: MlpConfig, theta: np.ndarray, hs: list, grad_out: np.ndarray):
+    """Flat parameter gradient from the list of ``mlp_activations`` and the
+    output's gradient: the tape's vector-Jacobian products on the same
+    operands, so it equals ``value_and_grad`` bit for bit. The final
+    ``+ 0.0`` is the tape's scatter into a zero vector (-0.0 -> +0.0)."""
+    layers = unpack_params(cfg, theta)
+    parts = []
+    g = grad_out
+    for i in range(len(layers) - 1, -1, -1):
+        parts += [g.sum(axis=0), (hs[i].T @ g).ravel()]
+        if i:
+            g, h = g @ layers[i][0].T, hs[i]
+            g = g * (1.0 - h * h) if cfg.activation == "tanh" else g * (h > 0.0)
+    return np.concatenate(parts[::-1]) + 0.0

@@ -24,10 +24,10 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import value_and_grad
 from .data import CLASSIFICATION, REGRESSION, BatchPlan, Dataset, batches
 from .errors import DataError
-from .mlp import MlpConfig, init_params, mlp_forward, param_count
+from .mlp import MlpConfig, init_params, mlp_activations, mlp_backward, mlp_forward
+from .mlp import param_count
 from .numerics import softmax
 from .rng import Rng, child_seed
 
@@ -153,6 +153,47 @@ def mean_nll(cfg: MlpConfig, theta, inputs: np.ndarray, targets: np.ndarray, tas
     return 0.5 * ad.vsum(log_var + resid * resid * ad.exp(-log_var) + _LOG_2PI) / n
 
 
+def nll_value_and_grad(
+    cfg: MlpConfig, theta: np.ndarray, inputs, targets, task: str, scale: float = 1.0
+) -> tuple[float, np.ndarray]:
+    """``mean_nll`` and ``scale`` times its gradient, by one explicit
+    forward and backward pass.
+
+    The training path. Every floating-point operation is the tape's, in
+    the tape's order (the gradient of ``scale * mean_nll`` under
+    ``value_and_grad``), so both agree bit for bit; the tape stays the
+    reference this is tested against.
+    """
+    hs = list(mlp_activations(cfg, theta, inputs))
+    out = hs[-1]
+    n = out.shape[0]
+    if task == CLASSIFICATION:
+        rows = np.arange(n)
+        labels = np.asarray(targets, dtype=np.int64)
+        onehot = np.zeros((n, cfg.output_dim))
+        onehot[rows, labels] = 1.0
+        m = out.max(axis=1)
+        e = np.exp(out - m[:, None])
+        s = e.sum(axis=1)
+        loss = (m + np.log(s) - (out * onehot).sum(axis=1)).sum() / n
+        g = scale / n
+        grad_out = (g / s)[:, None] * e
+        g_max = g - grad_out.sum(axis=1)
+        grad_out[rows, labels] -= g
+        grad_out[rows, out.argmax(axis=1)] += g_max
+    else:
+        mu, log_var = out[:, 0], out[:, 1]
+        resid = np.asarray(targets, dtype=np.float64) - mu
+        rr = resid * resid
+        e = np.exp(-log_var)
+        loss = 0.5 * (log_var + rr * e + _LOG_2PI).sum() / n
+        g = scale / n * 0.5
+        g_rr = g * e
+        g_mu = -(g_rr * resid + g_rr * resid)
+        grad_out = np.column_stack([g_mu, g - (g * rr) * e]) + 0.0
+    return float(loss), mlp_backward(cfg, theta, hs, grad_out)
+
+
 def penalized_loss(
     cfg: MlpConfig, theta, inputs, targets, task: str, weight_decay: float
 ):
@@ -195,12 +236,15 @@ def _train(objective, x0, train, opt, shuffle_seed, epoch_value, on_step=None):
     """The mini-batch loop every gradient fit runs.
 
     For each batch (order keyed by (shuffle_seed, epoch)) it takes one
-    optimizer step on ``objective(x, inputs, targets)``, then calls
+    optimizer step on ``objective(x, inputs, targets)``, which returns
+    the batch loss and its gradient in ``x``, then calls
     ``on_step(step, x)`` with the 1-based step count and the new iterate.
     After each epoch the trace gets ``epoch_value(x, batch_losses)``. A
     non-finite loss, gradient or iterate stops the run. Returns (last
     finite iterate, trace, diverged).
     """
+    if not np.all(np.isfinite(x0)):
+        raise ValueError("parameter vector contains non-finite entries")
     x = x0
     stepper = _Optimizer(opt, x.size)
     plan = BatchPlan(batch_size=opt.batch_size, shuffle_seed=shuffle_seed)
@@ -209,7 +253,7 @@ def _train(objective, x0, train, opt, shuffle_seed, epoch_value, on_step=None):
     for epoch in range(opt.epochs):
         losses: list[float] = []
         for xb, yb in batches(train, plan, epoch):
-            loss, grad = value_and_grad(lambda v: objective(v, xb, yb), x)
+            loss, grad = objective(x, xb, yb)
             if not math.isfinite(loss) or not np.all(np.isfinite(grad)):
                 return x, tuple(trace), True
             new_x = stepper.step(x, grad)
@@ -225,13 +269,21 @@ def _train(objective, x0, train, opt, shuffle_seed, epoch_value, on_step=None):
 
 
 def _penalized_objective(cfg: MlpConfig, train: Dataset, opt: OptimConfig):
-    """(batch objective, full-data epoch value) of the penalized loss."""
+    """(batch loss and gradient, full-data epoch value) of the penalized
+    loss; the ridge term's gradient enters as the tape adds it."""
+    wd = opt.weight_decay
 
     def objective(theta, inputs, targets):
-        return penalized_loss(cfg, theta, inputs, targets, train.task, opt.weight_decay)
+        loss, grad = nll_value_and_grad(cfg, theta, inputs, targets, train.task)
+        if wd > 0:
+            g = wd / 2.0
+            loss = loss + g * np.sum(theta * theta)
+            grad = (g * theta + g * theta) + grad
+        return loss, grad
 
     def full_loss(theta, _losses):
-        return float(objective(theta, train.inputs, train.targets))
+        loss = penalized_loss(cfg, theta, train.inputs, train.targets, train.task, wd)
+        return float(loss)
 
     return objective, full_loss
 
@@ -446,13 +498,50 @@ def advi_objective(
     for z in zs:
         nll = mean_nll(cfg, mu + std * z, inputs, targets, task)
         data_term = nll if data_term is None else data_term + nll
-    kl = 0.5 * ad.vsum(
+    kl = _gaussian_kl(mu, std, log_std, prior_precision)
+    return (n_total / len(zs)) * data_term + kl
+
+
+def _gaussian_kl(mu, std, log_std, prior_precision: float):
+    """KL(N(mu, std^2) || N(0, I / prior_precision)), tape variable or array."""
+    return 0.5 * ad.vsum(
         prior_precision * (mu * mu + std * std)
         - 1.0
         - math.log(prior_precision)
         - 2.0 * log_std
     )
-    return (n_total / len(zs)) * data_term + kl
+
+
+def advi_value_and_grad(
+    cfg: MlpConfig, phi: np.ndarray, inputs, targets, task: str,
+    zs: list[np.ndarray], prior_precision: float, n_total: int,
+) -> tuple[float, np.ndarray]:
+    """``advi_objective`` and its gradient in ``phi`` without a tape.
+
+    Chain rule through ``nll_value_and_grad``: each draw's theta gradient
+    g adds to the mean's and g * z to the std's, the std's total is
+    multiplied by std for the log-std, and the closed-form KL terms come
+    first with the draws after them from last to first, as the tape sums
+    them; the result equals the tape's gradient bit for bit.
+    """
+    p = len(zs[0])
+    mu, log_std = phi[:p], phi[p:]
+    std = np.exp(log_std)
+    scale = n_total / len(zs)
+    draws = [
+        nll_value_and_grad(cfg, mu + std * z, inputs, targets, task, scale) for z in zs
+    ]
+    data_term = draws[0][0]
+    for nll, _ in draws[1:]:
+        data_term = data_term + nll
+    gk = 0.5 * prior_precision
+    g_mu = gk * mu + gk * mu
+    g_std = gk * std + gk * std
+    for z, (_, g) in zip(reversed(zs), reversed(draws)):
+        g_mu = g_mu + g
+        g_std = g_std + g * z
+    loss = scale * data_term + _gaussian_kl(mu, std, log_std, prior_precision)
+    return float(loss), np.concatenate([g_mu, -1.0 + g_std * std]) + 0.0
 
 
 def advi_fit(
@@ -481,7 +570,7 @@ def advi_fit(
 
     def objective(phi, inputs, targets):
         zs = [noise.normals(p) for _ in range(mc_samples)]
-        return advi_objective(
+        return advi_value_and_grad(
             cfg, phi, inputs, targets, train.task, zs, prior_precision, train.n
         )
 

@@ -518,6 +518,70 @@ def test_broken_state_exits_3_with_one_line(tmp_path, capsys, doc, needle):
     assert needle in err
 
 
+# (command prefix, {flag: (column header, rows)}): every CSV input slot of
+# the commands that read several CSVs in one call
+_CSV_SLOTS = {
+    "evaluate": (
+        ["evaluate", "--alpha", "0.2"],
+        {
+            "--probs": (["p0", "p1"], [[0.7, 0.3], [0.2, 0.8], [0.6, 0.4]]),
+            "--targets": (["target"], [[0], [1], [0]]),
+            "--calib-probs": (["p0", "p1"], [[0.9, 0.1], [0.4, 0.6], [0.3, 0.7]]),
+            "--calib-targets": (["target"], [[0], [1], [1]]),
+        },
+    ),
+    "conformal_cqr": (
+        ["conformal", "--method", "cqr", "--alpha", "0.2"],
+        {
+            "--val-lower": (["lower"], [[0.0], [1.0], [2.0]]),
+            "--val-upper": (["upper"], [[1.0], [2.0], [3.0]]),
+            "--val-targets": (["target"], [[0.5], [1.5], [3.5]]),
+            "--test-lower": (["lower"], [[0.0], [1.0]]),
+            "--test-upper": (["upper"], [[1.0], [2.0]]),
+        },
+    ),
+    "conformal_scalar": (
+        ["conformal", "--method", "scalar", "--alpha", "0.2"],
+        {
+            "--val-means": (["mean"], [[0.0], [1.0], [2.0]]),
+            "--val-stds": (["std"], [[1.0], [1.0], [2.0]]),
+            "--val-targets": (["target"], [[0.5], [1.5], [3.5]]),
+            "--test-means": (["mean"], [[0.0], [1.0]]),
+            "--test-stds": (["std"], [[1.0], [2.0]]),
+        },
+    ),
+}
+_CSV_FAULTS = {
+    "header_only": lambda header, rows: [header],
+    "unparsable_cell": lambda header, rows: [header, rows[0], ["1.0x"] * len(header)],
+    "ragged_row": lambda header, rows: [header, rows[0], rows[1] + [0.5]],
+}
+
+
+def _csv_fault_cases():
+    for command, (_, slots) in _CSV_SLOTS.items():
+        for flag in slots:
+            for fault in _CSV_FAULTS:
+                yield pytest.param(command, flag, fault, id=f"{command}{flag}-{fault}")
+
+
+@pytest.mark.parametrize("command, broken_flag, fault", _csv_fault_cases())
+def test_broken_csv_exits_3_naming_the_file(tmp_path, capsys, command, broken_flag, fault):
+    prefix, slots = _CSV_SLOTS[command]
+    argv = list(prefix)
+    for flag, (header, rows) in slots.items():
+        path = tmp_path / f"{flag.strip('-')}.csv"
+        lines = _CSV_FAULTS[fault](header, rows) if flag == broken_flag else [header, *rows]
+        path.write_text("".join(",".join(map(str, r)) + "\n" for r in lines), encoding="utf-8")
+        argv += [flag, str(path)]
+    if command.startswith("conformal"):
+        argv += ["--out", str(tmp_path / "out.csv")]
+    code, _, err = run(capsys, *argv)
+    assert code == 3, err
+    assert err.count("\n") == 1 and err.startswith("data error: ")
+    assert str(tmp_path / f"{broken_flag.strip('-')}.csv") in err
+
+
 def train_regression(tmp_path, capsys):
     """Train a Laplace regression state on a small linear CSV; its run dir."""
     rng = np.random.default_rng(5)

@@ -121,6 +121,65 @@ class TestAdaptiveSets:
         assert np.all(det.member | ~a.member)
 
 
+def adaptive_sets_row_loop(val_probs, val_targets, test_probs, alpha, mode="deterministic", rng=None):
+    """The per-row construction ``adaptive_sets`` vectorizes, kept as its oracle."""
+    from uqkit.conformal import _aps_val_scores, conformal_quantile
+
+    vp, tp = np.asarray(val_probs, dtype=float), np.asarray(test_probs, dtype=float)
+    y = np.asarray(val_targets)
+    u_val = np.ones(len(vp)) if mode == "deterministic" else rng.uniforms(len(vp))
+    q = conformal_quantile(_aps_val_scores(vp, y, u_val), alpha)
+    m, k = tp.shape
+    order = np.argsort(-tp, axis=1, kind="stable")
+    sorted_p = np.take_along_axis(tp, order, axis=1)
+    cum = np.cumsum(sorted_p, axis=1)
+    member = np.zeros((m, k), dtype=bool)
+    for i in range(m):
+        if math.isinf(q) or cum[i, -1] < q:
+            boundary = k - 1
+        else:
+            boundary = int(np.searchsorted(cum[i], q, side="left"))
+        keep = boundary + 1
+        if mode == "randomized" and not math.isinf(q):
+            below = cum[i, boundary] - sorted_p[i, boundary]
+            if below + rng.uniform() * sorted_p[i, boundary] > q:
+                keep -= 1
+        member[i, order[i, :keep]] = True
+    return member
+
+
+def _random_prob_rows(rng, n, k):
+    z = rng.normal(size=(n, k)) * rng.choice([0.5, 3.0])
+    p = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
+    p[rng.random(n) < 0.1] = 1.0 / k  # exact ties
+    # rows with negative entries pass validation and make the cumulative
+    # mass fall after its peak
+    sign = rng.random(n) < 0.1
+    p[sign, -1] -= 0.4
+    p[sign, 0] += 0.4
+    return p
+
+
+@pytest.mark.parametrize("mode", ["deterministic", "randomized"])
+def test_adaptive_sets_equal_the_row_loop(mode):
+    rng = np.random.default_rng(7)
+    seen_empty = seen_full_inf = False
+    for case in range(60):
+        k = int(rng.integers(2, 7))
+        n = int(rng.integers(1, 30))
+        vp, tp = _random_prob_rows(rng, n, k), _random_prob_rows(rng, 40, k)
+        y = rng.integers(0, k, size=n)
+        alpha = float(rng.choice([0.02, 0.1, 0.3, 0.7]))
+        seed = int(rng.integers(1000))
+        got = adaptive_sets(vp, y, tp, alpha, mode, Rng(seed) if mode == "randomized" else None)
+        want = adaptive_sets_row_loop(vp, y, tp, alpha, mode, Rng(seed))
+        np.testing.assert_array_equal(got.member, want, err_msg=f"case {case}")
+        seen_empty |= bool(np.any(~want.any(axis=1)))
+        seen_full_inf |= conformal_quantile(np.ones(n), alpha) == math.inf
+    assert seen_full_inf
+    assert seen_empty or mode == "deterministic"
+
+
 class TestCqr:
     def test_shrinking_hand_example(self):
         # all intervals [0,1], targets 0.5 -> scores -0.5; alpha 0.5, k=2

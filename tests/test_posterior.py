@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 from dataclasses import fields
 
@@ -13,17 +15,22 @@ from uqkit.posterior import (
     OptimConfig,
     SwagMoments,
     SwagState,
+    _penalized_objective,
     advi_fit,
     advi_objective,
+    advi_value_and_grad,
     ensemble_fit,
     laplace_fit,
     load_state,
     map_fit,
+    nll_value_and_grad,
+    penalized_loss,
     posterior_sample,
     save_state,
     swag_fit,
     swag_sample,
 )
+import uqkit.autodiff
 from uqkit.autodiff import value_and_grad
 from uqkit.rng import Rng, child_seed
 
@@ -452,3 +459,226 @@ class TestSerialization:
         path.write_text('{"format": 2, "kind": "map"}', encoding="utf-8")
         with pytest.raises(DataError, match="format"):
             load_state(path)
+
+
+# ---------------------------------------------------------------------------
+# the explicit gradient path: the tape is its oracle
+
+
+def golden_ds(task):
+    if task == CLASSIFICATION:
+        return synth_classification("gaussian_blobs", 26, 0.6, seed=4)
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(26, 2))
+    y = np.sin(x[:, 0]) + 0.3 * x[:, 1] + 0.2 * rng.normal(size=26)
+    return Dataset(inputs=x, targets=y, task=REGRESSION, feature_names=("a", "b"))
+
+
+def fit_digest(result) -> str:
+    """sha256 over every state field, the trace and the divergence flag."""
+    h = hashlib.sha256()
+    for name in sorted(vars(result.state)):
+        h.update(name.encode())
+        h.update(np.asarray(getattr(result.state, name), dtype=np.float64).tobytes())
+    h.update(np.asarray(result.trace, dtype=np.float64).tobytes())
+    h.update(b"diverged" if result.diverged else b"finite")
+    return h.hexdigest()
+
+
+def run_golden_case(fit, task, act, algo, extra):
+    """``extra`` is the weight decay for map/swag and mc_samples for advi."""
+    ds = golden_ds(task)
+    cfg = MlpConfig(2, (5, 4), 3 if task == CLASSIFICATION else 2, act, init_seed=1)
+    sgd_rate = 0.05 if fit != "advi" else 0.001
+    opt = OptimConfig(
+        algorithm=algo, learning_rate=sgd_rate if algo == "sgd" else 0.02,
+        epochs=3, batch_size=8, weight_decay=extra if fit != "advi" else 0.0, seed=2,
+    )
+    if fit == "map":
+        return map_fit(cfg, ds, opt)
+    if fit == "swag":
+        start = map_fit(cfg, ds, opt).state
+        return swag_fit(start, cfg, ds, opt, rank=2, snapshot_every=2)
+    return advi_fit(cfg, ds, opt, mc_samples=extra)
+
+
+# Digests of the tape-trained fits, recorded before the explicit backward
+# pass replaced the tape in training: any change to the training
+# arithmetic fails here instead of drifting.
+GOLDEN_FITS = {
+    "map-cla-tanh-adam-0.0": "c8a046aa022347948dac5d1be71ac1c5b8f2cdb98d58b4fc892498b36dcd49ae",
+    "map-cla-tanh-adam-0.1": "da8d3e9c3e0e1bf886e187a0f31771ca45505fdc0d60deb255cd7c3c6e779195",
+    "map-cla-tanh-sgd-0.0": "986e52f5a490c73bb018b3f333cfbc25b934d61d055f0e6ac3a91fc23abc90a0",
+    "map-cla-tanh-sgd-0.1": "5228b10331698153f87a22c829417ec360dda4b98409fde642a5d5efbe7d2673",
+    "map-cla-relu-adam-0.0": "8f2e8b8da89377d07d105015925f5892dd08f0e1a24ad009842dd9ebec6839ea",
+    "map-cla-relu-adam-0.1": "3c30d4e615648a25e7499cbc3d47b1ec8735f97b388cf530765a8c3c8e4e32ca",
+    "map-cla-relu-sgd-0.0": "fd3d93a1b16c2fe842c8468f2a6fab1bb57c355e1b71a6d79b7cc64ce5b7dcd0",
+    "map-cla-relu-sgd-0.1": "7e8cd57ecb34b459befed7ee3509978a49c9f9ea79b84b7c7de7c8def8f2a1a2",
+    "map-reg-tanh-adam-0.0": "5bdf3ed3614d4f0815b9a5747d1ff4e35315f73358d4e347062c8eca62e809e0",
+    "map-reg-tanh-adam-0.1": "7042d5ebedc481f2ab285ac353610bbd09c17008f91179451846c1a0e34f49e2",
+    "map-reg-tanh-sgd-0.0": "747f025a4de2f0b2d92f88e5526b5344e1077aa3f8c12a6cf27f4e8aba8fdb96",
+    "map-reg-tanh-sgd-0.1": "84cacd91419ba541dbbc82597e76464be7bc32b6d154fbe68587d5d24f9b4ea3",
+    "map-reg-relu-adam-0.0": "2f055ea50e45eedbd748298f061b7848257cbe3b97fe1314296ce54bf00822ac",
+    "map-reg-relu-adam-0.1": "7009f9ee5a3930dc708affd4cebd7a24c8138555958f9b78f0b16d9a5510ef32",
+    "map-reg-relu-sgd-0.0": "4a5876bc5b6c6aadbe57162efaf1e92534e3215fd56a380b5f2d4f18b4ebb67d",
+    "map-reg-relu-sgd-0.1": "cf8733159c0e77158804b8f994c2bbdd9b1a3960e66db1999dca52c79aedf585",
+    "swag-cla-tanh-adam-0.0": "f88c8404e330f28ac9f12a2d18166efb9d4fa2db563299ce8e4f6b38dbabbebe",
+    "swag-cla-tanh-adam-0.1": "59641414980b7bd9a055d183de70fbbe9588702dc177f323975e1684076335a9",
+    "swag-cla-tanh-sgd-0.0": "75a5474fe084878aa9529984a343077885c8bd8c7816d55c237fd78e07f3b8aa",
+    "swag-cla-tanh-sgd-0.1": "e017035e646f9a7313597eece809a96b68c199526068193ee6b2d10c3c1d1cb9",
+    "swag-cla-relu-adam-0.0": "61e2459fa3d3bd0fedd8763fb43502472a091daca838a9249b1bdf8a48ec9248",
+    "swag-cla-relu-adam-0.1": "c4e7cf54d8a13f1a3c27e86d2b4a03df6d002c17b2ec718f56dbf7a8fee3958d",
+    "swag-cla-relu-sgd-0.0": "fdd5f58723a3c4b906e04d39dc9bc196f9b41927e4d9bb5fc03ce411bea0f390",
+    "swag-cla-relu-sgd-0.1": "21bf6f554b00308a902a200c5ea078d80ca8efb6dd909946430593ce604ce808",
+    "swag-reg-tanh-adam-0.0": "4fc60f7108d1d103476690f672c104090c2f374f1f483653a3f63d200683213a",
+    "swag-reg-tanh-adam-0.1": "b63e1113e6618a733beddcc31909abd605f1616df8eefcb3edfb10c61276fd21",
+    "swag-reg-tanh-sgd-0.0": "8d27c91c1173bda09d70f8e56af12b2f1455a142faadf50ed02fbc118d51792b",
+    "swag-reg-tanh-sgd-0.1": "8de95770534cc0c42dd905c1aedd96a36e6b6c5a47d9f80b6aa01de5ddf8f454",
+    "swag-reg-relu-adam-0.0": "578d189963ef0a605826e5d2ec7b270bfa0d3b5276624a1cf4e8888b798f502b",
+    "swag-reg-relu-adam-0.1": "cb8d6053f766766bb3829cc823c2fa3e650a4b053003b6458fc6c4f9a5f8c5ac",
+    "swag-reg-relu-sgd-0.0": "ca81ce56b3e4bfd42dc74b1955e1d594d1a27720a3f911db5d83117dcb1ddc79",
+    "swag-reg-relu-sgd-0.1": "cc48ae4b97f47d4a886502b68cd563f5068c091480c1ad595049c91b8f37bb31",
+    "advi-cla-tanh-adam-1": "e6aaf666e1e3cf900ffd048ac8cf2dd59ea2009af564ba6a194cb64e74313e8e",
+    "advi-cla-tanh-adam-2": "fad1b263c1518833174e6de4b55756db94deb786663275451f41f51a2349572f",
+    "advi-cla-tanh-sgd-1": "a6334161086f153f19a78be875a887d82dd4ad4a11228f2823dc73988b4fc43d",
+    "advi-cla-tanh-sgd-2": "8b9a0a0d24076306bbad24a0b4dd50ef1052569e9465119815f1d7be54d44c2c",
+    "advi-cla-relu-adam-1": "0da6c1ccd937f4fc1fda6c93c028d2471832452721e430d17271694aa908e006",
+    "advi-cla-relu-adam-2": "2e6e0eeaf18c868b475b711f6d32a2a70987d9654c9e2815788b27853b6e4497",
+    "advi-cla-relu-sgd-1": "acf6cd27c9a3a9412b97182cf023105c73ad861f2b8082c6ffcff4e04dbbe522",
+    "advi-cla-relu-sgd-2": "0f92832a5b171adefa0f84e35c7c39fa6d863007d47f25faebdc7801e9f1bdb8",
+    "advi-reg-tanh-adam-1": "f3cf21cc58bc44564975dce6b3b99181ae48bead292aafcb4d44f802e68f3c32",
+    "advi-reg-tanh-adam-2": "2a6498238f2a7c3bb07dc03a6e9093b1806318cc325b2856758dd0b219393b49",
+    "advi-reg-tanh-sgd-1": "0839b04f3dcc487eafe3ac787e2fca01657a222be158e12f5d9f1e0fef9c1fe8",
+    "advi-reg-tanh-sgd-2": "b549cd2ca28b61191a3c4ee3537145daf92253171ffe10c29908808e78630598",
+    "advi-reg-relu-adam-1": "b95f551c08af864ba0ecfe10b213d2ea1c506c76a331855ea2718aeab6a19e40",
+    "advi-reg-relu-adam-2": "f2220e119be4de5d1847e65ad20bbbe8f6909c4cb7a4068970c64cba8aef20a7",
+    "advi-reg-relu-sgd-1": "f129d579280782d2bd643b87f5b3703651d99ae33eb94417880d2c850ccfc660",
+    "advi-reg-relu-sgd-2": "1a7c28402db429e11939e84efc5e75ee943e5fd3788a765f5c486396c8756a78",
+}
+
+
+def _golden_cases():
+    for fit, task, act, algo in itertools.product(
+        ("map", "swag", "advi"), (CLASSIFICATION, REGRESSION), ("tanh", "relu"), ("adam", "sgd")
+    ):
+        for extra in (0.0, 0.1) if fit != "advi" else (1, 2):
+            key = f"{fit}-{task[:3]}-{act}-{algo}-{extra}"
+            yield pytest.param(key, (fit, task, act, algo, extra), id=key)
+
+
+@pytest.mark.parametrize("key, case", list(_golden_cases()))
+def test_fit_replays_golden_digest(key, case):
+    assert fit_digest(run_golden_case(*case)) == GOLDEN_FITS[key]
+
+
+class TestFitsBuildNoTape:
+    """Training steps run the explicit backward pass; only Laplace's
+    Jacobians still build tapes."""
+
+    @pytest.fixture
+    def tapes(self, monkeypatch):
+        made = []
+        real = uqkit.autodiff.Tape.__init__
+
+        def counting(self):
+            made.append(1)
+            real(self)
+
+        monkeypatch.setattr(uqkit.autodiff.Tape, "__init__", counting)
+        return made
+
+    @pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
+    def test_gradient_fits_build_no_tape(self, tapes, task):
+        ds = golden_ds(task)
+        cfg = MlpConfig(2, (4,), 3 if task == CLASSIFICATION else 2, "tanh", init_seed=0)
+        opt = OptimConfig(epochs=2, batch_size=8, weight_decay=1e-3, seed=1)
+        start = map_fit(cfg, ds, opt).state
+        swag_fit(start, cfg, ds, opt, rank=2, snapshot_every=1)
+        ensemble_fit(cfg, ds, opt, members=2)
+        advi_fit(cfg, ds, opt, mc_samples=2)
+        assert len(tapes) == 0
+        laplace_fit(start, cfg, ds)
+        assert len(tapes) > 0
+
+
+def _random_problem(rng, task):
+    d = int(rng.integers(1, 4))
+    widths = tuple(int(w) for w in rng.integers(1, 7, size=int(rng.integers(0, 3))))
+    k = int(rng.integers(1, 5)) if task == CLASSIFICATION else 2
+    act = ("tanh", "relu")[int(rng.integers(2))]
+    cfg = MlpConfig(d, widths, k, act, init_seed=int(rng.integers(100)))
+    n = int(rng.integers(1, 12))
+    # zero inputs and zero weights give exact ties, dead ReLUs and -0.0
+    x = rng.normal(size=(n, d)) * rng.choice([0.0, 1.0, 3.0])
+    y = rng.integers(0, k, size=n) if task == CLASSIFICATION else rng.normal(size=n)
+    theta = init_params(cfg) * rng.choice([0.0, 1.0, -2.0])
+    return cfg, x, y, theta
+
+
+def _same_bits(a, b) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+@pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
+def test_training_gradient_equals_tape_bit_for_bit(task):
+    rng = np.random.default_rng(0 if task == CLASSIFICATION else 1)
+    for case in range(500):
+        cfg, x, y, theta = _random_problem(rng, task)
+        wd = (0.0, 1e-4, 0.3)[case % 3]
+        ds = Dataset(inputs=x, targets=y, task=task, feature_names=("f",) * x.shape[1])
+        objective, _ = _penalized_objective(cfg, ds, OptimConfig(weight_decay=wd))
+        loss, grad = objective(theta, x, y)
+        ref_loss, ref_grad = value_and_grad(
+            lambda v: penalized_loss(cfg, v, x, y, task, wd), theta
+        )
+        assert _same_bits(loss, ref_loss), (case, cfg, wd)
+        assert grad.tobytes() == ref_grad.tobytes(), (case, cfg, wd)
+
+
+@pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
+def test_advi_gradient_equals_tape_bit_for_bit(task):
+    rng = np.random.default_rng(2 if task == CLASSIFICATION else 3)
+    for case in range(200):
+        cfg, x, y, theta = _random_problem(rng, task)
+        p = param_count(cfg)
+        zs = [rng.normal(size=p) for _ in range((1, 3)[case % 2])]
+        phi = np.concatenate([theta, rng.normal(size=p) - 2.0])
+        prior, n_total = float(rng.choice([0.5, 1.0, 7.0])), int(rng.integers(x.shape[0], 50))
+        loss, grad = advi_value_and_grad(cfg, phi, x, y, task, zs, prior, n_total)
+        ref_loss, ref_grad = value_and_grad(
+            lambda v: advi_objective(cfg, v, x, y, task, zs, prior, n_total), phi
+        )
+        assert _same_bits(loss, ref_loss), (case, cfg)
+        assert grad.tobytes() == ref_grad.tobytes(), (case, cfg)
+
+
+def _central_differences(f, x, h=1e-5):
+    fd = np.empty_like(x)
+    for i in range(x.size):
+        up, down = x.copy(), x.copy()
+        up[i] += h
+        down[i] -= h
+        fd[i] = (f(up) - f(down)) / (2 * h)
+    return fd
+
+
+@pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
+def test_training_gradient_matches_central_differences(task):
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(9, 2))
+    y = rng.integers(0, 3, size=9) if task == CLASSIFICATION else rng.normal(size=9)
+    cfg = MlpConfig(2, (5, 3), 3 if task == CLASSIFICATION else 2, "tanh", init_seed=6)
+    theta = init_params(cfg)
+    _, grad = nll_value_and_grad(cfg, theta, x, y, task, scale=3.0)
+    fd = _central_differences(lambda v: 3.0 * nll_value_and_grad(cfg, v, x, y, task)[0], theta)
+    assert np.all(np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-8) < 1e-5)
+
+    p = theta.size
+    zs = [rng.normal(size=p) for _ in range(2)]
+    phi = np.concatenate([theta, np.full(p, -1.5)])
+
+    def elbo(v):
+        return advi_value_and_grad(cfg, v, x, y, task, zs, 2.0, 30)
+
+    fd = _central_differences(lambda v: elbo(v)[0], phi)
+    assert np.all(np.abs(elbo(phi)[1] - fd) / np.maximum(np.abs(fd), 1e-8) < 1e-5)

@@ -1,6 +1,8 @@
-"""Bounded property tests: every artefact format round-trips bit for bit."""
+"""Bounded property tests: every artefact format round-trips bit for bit,
+and the conformal quantile and set constructions keep their guarantees."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from uqkit.conformal import adaptive_sets, baseline_sets, conformal_quantile
 from uqkit.data import Dataset, load_csv, read_matrix_csv, save_csv, write_matrix_csv
 from uqkit.mlp import MlpConfig, param_count
 from uqkit.posterior import (
@@ -140,3 +143,65 @@ def test_state_round_trip_all_kinds(scratch, data, kind, task):
             np.testing.assert_array_equal(bits(a), bits(b))
         else:
             assert a == b
+
+
+# ---------------------------------------------------------------------------
+# conformal quantile and prediction sets
+
+ALPHAS = st.floats(min_value=0.001, max_value=0.999)
+SCORES = st.floats(min_value=-1e6, max_value=1e6)
+
+
+@BOUNDED
+@given(scores=st.lists(st.one_of(st.sampled_from([0.0, 1.0]), SCORES), min_size=1, max_size=40),
+       alpha=ALPHAS)
+def test_conformal_quantile_equals_sort_oracle(scores, alpha):
+    n = len(scores)
+    k = math.ceil((n + 1) * (1.0 - alpha))
+    expected = math.inf if k > n else sorted(scores)[k - 1]
+    assert conformal_quantile(np.array(scores), alpha) == expected
+
+
+@st.composite
+def calibration_problems(draw):
+    """(val probs, val labels, test probs) with ties drawn often."""
+    k = draw(st.integers(2, 5), label="classes")
+    n = draw(st.integers(1, 25), label="calibration rows")
+    logits = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(-6.0, 6.0))
+
+    def probs(rows, label):
+        z = draw(hnp.arrays(np.float64, (rows, k), elements=logits), label=label)
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True)
+
+    labels = draw(hnp.arrays(np.int64, n, elements=st.integers(0, k - 1)), label="labels")
+    return probs(n, "val logits"), labels, probs(draw(st.integers(1, 10)), "test logits")
+
+
+def _deterministic_adaptive(vp, y, tp, alpha):
+    return adaptive_sets(vp, y, tp, alpha)
+
+
+SET_METHODS = st.sampled_from([baseline_sets, _deterministic_adaptive])
+
+
+@BOUNDED
+@given(problem=calibration_problems(), alphas=st.tuples(ALPHAS, ALPHAS), method=SET_METHODS)
+def test_prediction_sets_grow_as_alpha_shrinks(problem, alphas, method):
+    vp, y, tp = problem
+    small, large = sorted(alphas)
+    inner = method(vp, y, tp, large).member
+    outer = method(vp, y, tp, small).member
+    assert np.all(outer | ~inner)
+
+
+@BOUNDED
+@given(problem=calibration_problems(), alpha=ALPHAS, method=SET_METHODS, data=st.data())
+def test_quantile_and_sets_ignore_calibration_order(problem, alpha, method, data):
+    vp, y, tp = problem
+    perm = data.draw(st.permutations(range(len(y))), label="order")
+    scores = 1.0 - vp[np.arange(len(y)), y]
+    assert conformal_quantile(scores[perm], alpha) == conformal_quantile(scores, alpha)
+    np.testing.assert_array_equal(
+        method(vp[perm], y[perm], tp, alpha).member, method(vp, y, tp, alpha).member
+    )
