@@ -1,4 +1,9 @@
+import hashlib
+
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uqkit.rng import Rng, child_seed
 
@@ -77,3 +82,102 @@ def test_permutation_is_a_permutation():
     for seed in (0, 1, 17):
         perm = Rng(seed).permutation(40)
         assert sorted(perm.tolist()) == list(range(40))
+
+
+# ---------------------------------------------------------------------------
+# guards on the stream's bytes
+
+# sha256 of (first 1e5 uniforms, first 1e5 normals, permutation(10_000)),
+# each drawn from a fresh Rng(seed), as produced by the one-draw-at-a-time
+# generator
+_GOLDEN_STREAM = {
+    0: (
+        "9dadded310086aa75a6104d1eaa1a4e5bcbcb6444833c79dd3678c91e920a2cd",
+        "9abcf7e9e86bf090f68979a1cf600df4c22ba187ef0e8c6e7354f620faab703c",
+        "fc9dd48f38877ff603da9968cbe9d02730882d87f68be87c56c7c8f6100d6d98",
+    ),
+    7: (
+        "029928564fa3363a6f16e47180882c46dcbaaa4a2b35bdadd26b22ec678475ed",
+        "97fea2a3d6d64573153f1e27082345327efebf05094010d4794bb56a7e79adb4",
+        "2b661edd45050ed02bc7685a76a3b0bd6380e802c2b3098bd81e0b8e1ca64c17",
+    ),
+    2**64 - 1: (
+        "8c673b2716dfef83f4ef8d0b0bc09c7991e54524dcf5808ac178d364d59d8dae",
+        "63b82eb5fee2c0a1d9864b1cee94e7d57feac63a35fe48b9b12029353bb11383",
+        "73974151021a235933d7a6259623bfbb11db0189ab7cd2f3f2585d91d3e16140",
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_GOLDEN_STREAM))
+def test_stream_golden_digests(seed):
+    arrays = (
+        Rng(seed).uniforms(100_000),
+        Rng(seed).normals(100_000),
+        Rng(seed).permutation(10_000),
+    )
+    got = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays)
+    assert got == _GOLDEN_STREAM[seed]
+
+
+class ScalarRng(Rng):
+    """The one-draw-at-a-time array methods: the oracle for the batched ones."""
+
+    __slots__ = ()
+
+    def uniforms(self, n):
+        return np.array([self.uniform() for _ in range(n)], dtype=np.float64)
+
+    def normals(self, n):
+        return np.array([self.standard_normal() for _ in range(n)], dtype=np.float64)
+
+    def permutation(self, n):
+        perm = np.arange(n, dtype=np.int64)
+        for i in range(n - 1, 0, -1):
+            j = self.integer(i + 1)
+            perm[i], perm[j] = perm[j], perm[i]
+        return perm
+
+
+_SIZES = st.one_of(
+    st.sampled_from([0, 1, 2, 3, 4, 5, 63, 64, 65, 127, 128, 129, 149, 150, 151, 152, 255, 256, 257]),
+    st.integers(0, 700),
+)
+_BOUNDS = st.one_of(
+    st.integers(1, 50),
+    st.sampled_from([2**k for k in range(64)] + [3 * 2**61, 2**63 + 1, 2**64 - 1]),
+    st.integers(1, 2**64 - 1),
+)
+_CALLS = st.lists(
+    st.one_of(
+        st.tuples(st.just("uniform")),
+        st.tuples(st.just("standard_normal")),
+        st.tuples(st.just("uniforms"), _SIZES),
+        st.tuples(st.just("normals"), _SIZES),
+        st.tuples(st.just("integer"), _BOUNDS),
+        st.tuples(st.just("permutation"), _SIZES),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), calls=_CALLS)
+def test_mixed_calls_equal_the_scalar_stream(seed, calls):
+    fast, slow = Rng(seed), ScalarRng(seed)
+    for name, *args in calls:
+        got, want = getattr(fast, name)(*args), getattr(slow, name)(*args)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (name, args)
+        else:
+            assert type(got) is type(want) and got == want, (name, args)
+    assert fast._state == slow._state
+    assert fast._cached_normal == slow._cached_normal
+
+
+def test_normals_do_not_depend_on_how_the_calls_split():
+    whole = Rng(11).normals(1001)
+    r = Rng(11)
+    parts = [r.normals(k) for k in (151, 1, 300, 0, 2, 547)]
+    assert np.concatenate(parts).tobytes() == whole.tobytes()
