@@ -96,13 +96,21 @@ def read_probs_csv(path) -> np.ndarray:
     otherwise every column in file order."""
     matrix, header = read_matrix_csv(path)
     indexed = [(int(m.group(1)), i) for i, h in enumerate(header) if (m := _PROB_COLUMN.match(h))]
-    if not indexed:
-        return matrix
-    indexed.sort()
-    ranks = [r for r, _ in indexed]
-    if ranks != list(range(len(ranks))):
-        raise DataError(f"{path}: probability columns must be contiguous p0..pK-1")
-    return matrix[:, [i for _, i in indexed]]
+    if indexed:
+        indexed.sort()
+        ranks = [r for r, _ in indexed]
+        if ranks != list(range(len(ranks))):
+            raise DataError(f"{path}: probability columns must be contiguous p0..pK-1")
+        columns = [i for _, i in indexed]
+        matrix, header = matrix[:, columns], [header[i] for i in columns]
+    bad = ~np.isfinite(matrix)
+    if np.any(bad):
+        row, col = np.argwhere(bad)[0]
+        raise DataError(
+            f"{path}: non-finite cell {format(matrix[row, col], '.17g')} "
+            f"in data row {row + 1}, column {header[col]}"
+        )
+    return matrix
 
 
 def read_vector_csv(path, kind: str) -> np.ndarray:

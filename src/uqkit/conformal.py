@@ -185,10 +185,10 @@ def adaptive_sets(
     sorted_p = np.take_along_axis(tp, order, axis=1)
     cum = np.cumsum(sorted_p, axis=1)
     # the boundary is the first sorted class whose cumulative mass reaches
-    # q, or the last class when the total stays below q. cum rises while
-    # the sorted probabilities are positive and falls after, so when the
-    # total reaches q the classes below q form a prefix and counting them
-    # is the binary search of the per-row loop this replaced
+    # q, or the last class when the total stays below q. Entries are
+    # nonnegative, so cum never falls: the classes below q form a prefix
+    # and counting them is the binary search of the per-row loop this
+    # replaced
     boundary = np.where(cum[:, -1] < q, k_classes - 1, (cum < q).sum(axis=1))
     keep = boundary + 1
     if mode == "randomized" and not math.isinf(q):

@@ -567,9 +567,19 @@ def advi_fit(
         raise ValueError("prior_precision must be positive")
     p = param_count(cfg)
     noise = Rng(child_seed(opt.seed, 1))
+    steps_per_epoch = -(-train.n // opt.batch_size)
+
+    def step_noise():
+        # The stream has no other reader and its normals do not depend on
+        # how they are split into calls, so one call per epoch gives each
+        # step the values it would draw itself.
+        while True:
+            yield from noise.normals(steps_per_epoch * mc_samples * p).reshape(-1, mc_samples, p)
+
+    draws = step_noise()
 
     def objective(phi, inputs, targets):
-        zs = [noise.normals(p) for _ in range(mc_samples)]
+        zs = list(next(draws))
         return advi_value_and_grad(
             cfg, phi, inputs, targets, train.task, zs, prior_precision, train.n
         )

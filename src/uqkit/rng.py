@@ -5,6 +5,21 @@ xorshift64* generator. Both are fixed-point arithmetic on 64-bit unsigned
 integers, so a given seed replays the identical stream on any platform.
 Normal variates use the Box-Muller transform with the (cos, sin) pair
 consumed in order, which pins posterior-sampling golden values.
+
+The array methods (``uniforms``, ``normals``, ``permutation``) return
+exactly the bytes of the one-draw-at-a-time methods, but from 150 values
+up (``_BATCH_MIN``; below it the per-draw loop is faster) they make the
+states in numpy. The xorshift step is linear over GF(2), so M^(2^j), the
+step applied 2^j times, is a 64x64 bit matrix; applying it to the k
+states made so far gives the next k (Haramoto et al. 2008, "Efficient
+jump ahead for F2-linear random number generators"). Each M^(2^j) is kept
+as 8 byte-indexed 256-entry tables, built at first use by squaring and
+shared by every stream. The output multiply, the uniform scaling and
+``np.sqrt`` are exact or correctly rounded in numpy. The Box-Muller log
+stays ``math.log`` per value, since ``np.log`` can differ from it in the
+last bit; ``np.cos``/``np.sin`` are used only after a first-use probe
+finds them equal to ``math`` on a fixed set of angles, and ``math`` is
+used otherwise.
 """
 
 from __future__ import annotations
@@ -16,6 +31,25 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _TWO_PI = 2.0 * math.pi
+_MULTIPLIER = 0x2545F4914F6CDD1D
+_TO_UNIT = 1.0 / 9007199254740992.0  # 2**-53
+
+# Array draws of at least this many values run batched; fewer run one
+# draw at a time, which is faster at that size.
+_BATCH_MIN = 150
+
+# States are little-endian so that byte b of a state is column b of its
+# uint8 view on any host.
+_U64 = np.dtype("<u8")
+_BYTE_OFFSETS = np.arange(0, 8 * 256, 256)
+
+# _JUMPS[j] is M^(2^j) as 8 tables of 256 entries: entry [b, v] is the
+# image of the state whose byte b is v and whose other bytes are 0. Filled
+# at first use by _jump; nothing is built at import.
+_JUMPS: list[np.ndarray] = []
+
+# whether np.cos/np.sin equal math.cos/math.sin; probed at first use
+_NUMPY_TRIG_EXACT: bool | None = None
 
 
 def _mix64(x: int) -> int:
@@ -24,6 +58,86 @@ def _mix64(x: int) -> int:
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
     return x ^ (x >> 31)
+
+
+def _step(x: int) -> int:
+    """One xorshift64* state transition, M applied to ``x``."""
+    x ^= x >> 12
+    x = (x ^ (x << 25)) & _MASK64
+    return x ^ (x >> 27)
+
+
+def _byte_tables(images: np.ndarray) -> np.ndarray:
+    """Byte tables, shape (8, 256), of the linear map whose image of bit i
+    is ``images[i]``: the XOR of the images of the bits set in each byte."""
+    cols = images.reshape(8, 8)
+    tables = np.zeros((8, 256), dtype=_U64)
+    for bit in range(8):
+        w = 1 << bit
+        tables[:, w : 2 * w] = tables[:, :w] ^ cols[:, bit : bit + 1]
+    return tables
+
+
+def _apply(tables: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """The linear map held in ``tables`` applied to each state."""
+    by_byte = states.view(np.uint8).reshape(-1, 8)
+    if len(states) < 512:
+        # few states: one gather over all 8 tables costs the fewest calls
+        return np.bitwise_xor.reduce(tables.take(by_byte + _BYTE_OFFSETS), axis=1)
+    # many states: a gather per byte is several times faster than one
+    # (n, 8) gather and reduce
+    out = tables[0].take(by_byte[:, 0])
+    for b in range(1, 8):
+        out ^= tables[b].take(by_byte[:, b])
+    return out
+
+
+def _jump(j: int) -> np.ndarray:
+    """Byte tables of M^(2^j), squaring the last one built until j exists."""
+    while len(_JUMPS) <= j:
+        if not _JUMPS:
+            images = np.array([_step(1 << i) for i in range(64)], dtype=_U64)
+        else:
+            last = _JUMPS[-1]
+            # the images of the 64 basis vectors under M^(2^j), mapped once more
+            images = _apply(last, last[:, [1, 2, 4, 8, 16, 32, 64, 128]].ravel())
+        _JUMPS.append(_byte_tables(images))
+    return _JUMPS[j]
+
+
+def _rejected(draws: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Which draws ``Rng.integer`` would reject for their bound: those at
+    or above 2**64 - (2**64 % bound). When 2**64 % bound is 0 the threshold
+    is 2**64, past every draw."""
+    zero = np.uint64(0)
+    excess = (zero - bounds) % bounds  # 2**64 % bound
+    return (excess != 0) & (draws >= zero - excess)
+
+
+def _numpy_trig_exact() -> bool:
+    """Whether np.cos and np.sin equal math.cos and math.sin on a fixed set
+    of angles spread over [0, 2 pi)."""
+    angles = _TWO_PI * ((np.arange(4096) * 0.6180339887498949) % 1.0)
+    angles = np.concatenate([angles, [0.0, math.pi / 2, math.pi, 1.5 * math.pi,
+                                      math.nextafter(_TWO_PI, 0.0)]])
+    values = angles.tolist()
+    return (
+        np.cos(angles).tolist() == list(map(math.cos, values))
+        and np.sin(angles).tolist() == list(map(math.sin, values))
+    )
+
+
+def _cos_sin(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    global _NUMPY_TRIG_EXACT
+    if _NUMPY_TRIG_EXACT is None:
+        _NUMPY_TRIG_EXACT = _numpy_trig_exact()
+    if _NUMPY_TRIG_EXACT:
+        return np.cos(angles), np.sin(angles)
+    values = angles.tolist()
+    return (
+        np.fromiter(map(math.cos, values), dtype=np.float64, count=len(values)),
+        np.fromiter(map(math.sin, values), dtype=np.float64, count=len(values)),
+    )
 
 
 def child_seed(seed: int, index: int) -> int:
@@ -62,16 +176,12 @@ class Rng:
         return Rng(child_seed(self._seed, index))
 
     def next_uint64(self) -> int:
-        x = self._state
-        x ^= x >> 12
-        x = (x ^ (x << 25)) & _MASK64
-        x ^= x >> 27
-        self._state = x
-        return (x * 0x2545F4914F6CDD1D) & _MASK64
+        x = self._state = _step(self._state)
+        return (x * _MULTIPLIER) & _MASK64
 
     def uniform(self) -> float:
         """Uniform draw in [0, 1) with 53 bits of precision."""
-        return (self.next_uint64() >> 11) * (1.0 / 9007199254740992.0)
+        return (self.next_uint64() >> 11) * _TO_UNIT
 
     def standard_normal(self) -> float:
         """N(0, 1) draw; Box-Muller, cos draw returned before the sin draw."""
@@ -95,16 +205,78 @@ class Rng:
             if draw < threshold:
                 return draw % bound
 
+    def _states(self, n: int) -> np.ndarray:
+        """The stream's next n states (n >= 1), made by doubling jumps;
+        the stream moves past them."""
+        states = np.empty(n, dtype=_U64)
+        states[0] = _step(self._state)
+        k, j = 1, 0
+        while k < n:
+            m = min(k, n - k)
+            states[k : k + m] = _apply(_jump(j), states[:m])
+            k, j = k + m, j + 1
+        self._state = int(states[-1])
+        return states
+
+    def _unit_draws(self, n: int) -> np.ndarray:
+        """The next n uniforms, batched whatever n is."""
+        if n == 0:
+            return np.empty(0, dtype=np.float64)
+        draws = self._states(n) * np.uint64(_MULTIPLIER)
+        return (draws >> np.uint64(11)).astype(np.float64) * _TO_UNIT
+
     def uniforms(self, n: int) -> np.ndarray:
-        return np.array([self.uniform() for _ in range(n)], dtype=np.float64)
+        if n < _BATCH_MIN:
+            return np.array([self.uniform() for _ in range(n)], dtype=np.float64)
+        return self._unit_draws(n)
 
     def normals(self, n: int) -> np.ndarray:
-        return np.array([self.standard_normal() for _ in range(n)], dtype=np.float64)
+        """n draws of ``standard_normal``: a cached sin half comes first,
+        and an odd count leaves one for the next call."""
+        if n < _BATCH_MIN:
+            return np.array([self.standard_normal() for _ in range(n)], dtype=np.float64)
+        out = np.empty(n, dtype=np.float64)
+        start = 0
+        if self._cached_normal is not None:
+            out[0] = self._cached_normal
+            self._cached_normal = None
+            start = 1
+        pairs = (n - start + 1) // 2
+        u = self._unit_draws(2 * pairs)
+        # the log stays math.log, value by value, as standard_normal takes it
+        logs = np.fromiter(map(math.log, (1.0 - u[0::2]).tolist()), dtype=np.float64, count=pairs)
+        radius = np.sqrt(-2.0 * logs)
+        cos, sin = _cos_sin(_TWO_PI * u[1::2])
+        z = np.empty(2 * pairs, dtype=np.float64)
+        z[0::2] = radius * cos
+        z[1::2] = radius * sin
+        out[start:] = z[: n - start]
+        if (n - start) % 2:
+            self._cached_normal = float(z[-1])
+        return out
+
+    def _bounded_draws(self, bounds: np.ndarray) -> list[int]:
+        """``integer(b)`` for each b in ``bounds`` in turn. The draws are
+        batched; from the first one ``integer`` would reject, the stream
+        rewinds to before it and the rest run one at a time."""
+        before = self._state
+        states = self._states(len(bounds))
+        draws = states * np.uint64(_MULTIPLIER)
+        rejected = _rejected(draws, bounds)
+        if not rejected.any():
+            return (draws % bounds).tolist()
+        r = int(np.argmax(rejected))
+        self._state = int(states[r - 1]) if r else before
+        head = (draws[:r] % bounds[:r]).tolist()
+        return head + [self.integer(b) for b in bounds[r:].tolist()]
 
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates permutation of range(n)."""
-        perm = np.arange(n, dtype=np.int64)
-        for i in range(n - 1, 0, -1):
-            j = self.integer(i + 1)
+        if n - 1 < _BATCH_MIN:
+            js = [self.integer(i + 1) for i in range(n - 1, 0, -1)]
+        else:
+            js = self._bounded_draws(np.arange(n, 1, -1, dtype=_U64))
+        perm = list(range(n))
+        for i, j in zip(range(n - 1, 0, -1), js):
             perm[i], perm[j] = perm[j], perm[i]
-        return perm
+        return np.array(perm, dtype=np.int64)

@@ -148,6 +148,22 @@ class TestConformalCommand:
         assert "row 2" in err
 
 
+    def test_negative_probability_exits_3_naming_the_row(self, tmp_path, capsys):
+        probs = tmp_path / "p.csv"
+        probs.write_text("p0,p1\n0.5,0.5\n1.4,-0.4\n", encoding="utf-8")
+        write_targets(tmp_path / "t.csv", [0, 1])
+        code, _, err = run(
+            capsys,
+            "conformal", "--method", "baseline", "--alpha", "0.1",
+            "--val-probs", str(tmp_path / "p.csv"),
+            "--val-targets", str(tmp_path / "t.csv"),
+            "--test-probs", str(tmp_path / "p.csv"),
+            "--out", str(tmp_path / "o.csv"),
+        )
+        assert code == 3
+        assert err == "error: val_probs row 1 has a negative entry -0.4\n"
+
+
 class TestCalibrateCommand:
     def test_fit_report_fields_and_guarantee(self, tmp_path, capsys):
         rng = np.random.default_rng(1)
@@ -366,6 +382,18 @@ class TestEvaluateCommand:
         assert got == code
         if code:
             assert str(targets) in err and "data row 3" in err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_probability_names_file_row_and_column(self, tmp_path, capsys, cell):
+        probs = tmp_path / "p.csv"
+        probs.write_text(f"p0,p1\n0.5,0.5\n0.5,{cell}\n", encoding="utf-8")
+        write_targets(tmp_path / "t.csv", [0, 1])
+        code, _, err = run(
+            capsys,
+            "evaluate", "--probs", str(probs), "--targets", str(tmp_path / "t.csv"),
+        )
+        assert code == 3
+        assert err == f"data error: {probs}: non-finite cell {cell} in data row 2, column p1\n"
 
     def test_matches_metrics_module(self, tmp_path, clf_fixture, capsys):
         code, out, _ = run(

@@ -149,34 +149,42 @@ def adaptive_sets_row_loop(val_probs, val_targets, test_probs, alpha, mode="dete
 
 
 def _random_prob_rows(rng, n, k):
+    """(valid rows, the same rows with 0.4 moved from the last class to the
+    first in about a tenth of them). Moved rows that turned negative are
+    kept unmoved in the valid rows."""
     z = rng.normal(size=(n, k)) * rng.choice([0.5, 3.0])
     p = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
     p[rng.random(n) < 0.1] = 1.0 / k  # exact ties
-    # rows with negative entries pass validation and make the cumulative
-    # mass fall after its peak
+    moved = p.copy()
     sign = rng.random(n) < 0.1
-    p[sign, -1] -= 0.4
-    p[sign, 0] += 0.4
-    return p
+    moved[sign, -1] -= 0.4
+    moved[sign, 0] += 0.4
+    negative = np.any(moved < 0.0, axis=1)
+    return np.where(negative[:, None], p, moved), moved
 
 
 @pytest.mark.parametrize("mode", ["deterministic", "randomized"])
 def test_adaptive_sets_equal_the_row_loop(mode):
     rng = np.random.default_rng(7)
-    seen_empty = seen_full_inf = False
+    seen_empty = seen_full_inf = seen_negative = False
     for case in range(60):
         k = int(rng.integers(2, 7))
         n = int(rng.integers(1, 30))
-        vp, tp = _random_prob_rows(rng, n, k), _random_prob_rows(rng, 40, k)
+        (vp, vp_moved), (tp, tp_moved) = _random_prob_rows(rng, n, k), _random_prob_rows(rng, 40, k)
         y = rng.integers(0, k, size=n)
         alpha = float(rng.choice([0.02, 0.1, 0.3, 0.7]))
         seed = int(rng.integers(1000))
+        if np.any(vp_moved < 0.0) or np.any(tp_moved < 0.0):
+            # rows summing to 1 with a negative entry are not probabilities
+            with pytest.raises(ValueError, match="negative entry"):
+                adaptive_sets(vp_moved, y, tp_moved, alpha, mode, Rng(seed))
+            seen_negative = True
         got = adaptive_sets(vp, y, tp, alpha, mode, Rng(seed) if mode == "randomized" else None)
         want = adaptive_sets_row_loop(vp, y, tp, alpha, mode, Rng(seed))
         np.testing.assert_array_equal(got.member, want, err_msg=f"case {case}")
         seen_empty |= bool(np.any(~want.any(axis=1)))
         seen_full_inf |= conformal_quantile(np.ones(n), alpha) == math.inf
-    assert seen_full_inf
+    assert seen_full_inf and seen_negative
     assert seen_empty or mode == "deterministic"
 
 

@@ -1,10 +1,15 @@
 import hashlib
+import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import uqkit.rng as rng_module
 from uqkit.rng import Rng, child_seed
 
 
@@ -57,8 +62,6 @@ def test_normal_moments():
 
 
 def test_box_muller_pair_is_cos_then_sin():
-    import math
-
     r = Rng(3)
     z0 = r.standard_normal()
     z1 = r.standard_normal()
@@ -181,3 +184,62 @@ def test_normals_do_not_depend_on_how_the_calls_split():
     r = Rng(11)
     parts = [r.normals(k) for k in (151, 1, 300, 0, 2, 547)]
     assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+
+def test_rejection_mask_matches_the_integer_rule():
+    bounds, draws = [], []
+    for b in [1, 2, 3, 5, 7, 10, 300, 2**32, 2**32 + 1, 2**63, 2**63 + 1, 3 * 2**61, 2**64 - 1]:
+        threshold = 2**64 - 2**64 % b
+        for d in {threshold - 1, threshold % 2**64, 2**64 - 1, 0, b - 1}:
+            bounds.append(b)
+            draws.append(d)
+    got = rng_module._rejected(np.array(draws, dtype=np.uint64), np.array(bounds, dtype=np.uint64))
+    want = [d >= 2**64 - 2**64 % b for d, b in zip(draws, bounds)]
+    assert got.tolist() == want
+    assert any(want) and not all(want)
+
+
+@pytest.mark.parametrize("split", [0, 1, 150, 298])
+def test_permutation_rewinds_to_the_first_rejection(monkeypatch, split):
+    real = rng_module._rejected
+
+    def reject_at_split(draws, bounds):
+        mask = real(draws, bounds)
+        mask[split] = True
+        return mask
+
+    monkeypatch.setattr(rng_module, "_rejected", reject_at_split)
+    fast, slow = Rng(9), ScalarRng(9)
+    assert fast.permutation(300).tobytes() == slow.permutation(300).tobytes()
+    assert fast._state == slow._state
+    assert fast.uniforms(200).tobytes() == slow.uniforms(200).tobytes()
+
+
+def test_scalar_trig_fallback_gives_the_same_normals(monkeypatch):
+    monkeypatch.setattr(rng_module, "_NUMPY_TRIG_EXACT", False)
+    assert Rng(4).normals(999).tobytes() == ScalarRng(4).normals(999).tobytes()
+
+
+def test_numpy_trig_equals_math_on_stream_angles():
+    angles = 2.0 * np.pi * Rng(21).uniforms(200_000)
+    values = angles.tolist()
+    assert np.cos(angles).tolist() == [math.cos(a) for a in values]
+    assert np.sin(angles).tolist() == [math.sin(a) for a in values]
+    assert rng_module._numpy_trig_exact()
+
+
+def test_importing_the_package_builds_no_jump_table():
+    code = "import uqkit, uqkit.cli, uqkit.rng as r; print(len(r._JUMPS), r._NUMPY_TRIG_EXACT)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.split() == ["0", "None"]
+
+
+def test_jump_tables_equal_repeated_steps():
+    x = 0x0123456789ABCDEF
+    for j in range(6):
+        want = x
+        for _ in range(2**j):
+            want = rng_module._step(want)
+        got = rng_module._apply(rng_module._jump(j), np.array([x], dtype=np.uint64))
+        assert int(got[0]) == want
