@@ -93,7 +93,9 @@ def _write_json(path: Path, doc: dict) -> None:
 
 def read_probs_csv(path) -> np.ndarray:
     """Probability (or logit) matrix: the p0..pK-1 columns when present,
-    otherwise every column in file order."""
+    otherwise every column in file order. A non-finite cell among them is
+    a ``DataError`` naming the file, the data row (1 = first after the
+    header) and the column."""
     matrix, header = read_matrix_csv(path)
     indexed = [(int(m.group(1)), i) for i, h in enumerate(header) if (m := _PROB_COLUMN.match(h))]
     if indexed:

@@ -25,6 +25,7 @@ used otherwise.
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
@@ -45,8 +46,10 @@ _BYTE_OFFSETS = np.arange(0, 8 * 256, 256)
 
 # _JUMPS[j] is M^(2^j) as 8 tables of 256 entries: entry [b, v] is the
 # image of the state whose byte b is v and whose other bytes are 0. Filled
-# at first use by _jump; nothing is built at import.
+# at first use by _jump, under _JUMPS_LOCK so that streams in different
+# threads never append a level twice; nothing is built at import.
 _JUMPS: list[np.ndarray] = []
+_JUMPS_LOCK = threading.Lock()
 
 # whether np.cos/np.sin equal math.cos/math.sin; probed at first use
 _NUMPY_TRIG_EXACT: bool | None = None
@@ -94,14 +97,17 @@ def _apply(tables: np.ndarray, states: np.ndarray) -> np.ndarray:
 
 def _jump(j: int) -> np.ndarray:
     """Byte tables of M^(2^j), squaring the last one built until j exists."""
-    while len(_JUMPS) <= j:
-        if not _JUMPS:
-            images = np.array([_step(1 << i) for i in range(64)], dtype=_U64)
-        else:
-            last = _JUMPS[-1]
-            # the images of the 64 basis vectors under M^(2^j), mapped once more
-            images = _apply(last, last[:, [1, 2, 4, 8, 16, 32, 64, 128]].ravel())
-        _JUMPS.append(_byte_tables(images))
+    if j < len(_JUMPS):
+        return _JUMPS[j]
+    with _JUMPS_LOCK:
+        while len(_JUMPS) <= j:
+            if not _JUMPS:
+                images = np.array([_step(1 << i) for i in range(64)], dtype=_U64)
+            else:
+                last = _JUMPS[-1]
+                # the images of the 64 basis vectors under M^(2^j), mapped once more
+                images = _apply(last, last[:, [1, 2, 4, 8, 16, 32, 64, 128]].ravel())
+            _JUMPS.append(_byte_tables(images))
     return _JUMPS[j]
 
 
@@ -219,9 +225,7 @@ class Rng:
         return states
 
     def _unit_draws(self, n: int) -> np.ndarray:
-        """The next n uniforms, batched whatever n is."""
-        if n == 0:
-            return np.empty(0, dtype=np.float64)
+        """The next n uniforms (n >= 1), batched whatever n is."""
         draws = self._states(n) * np.uint64(_MULTIPLIER)
         return (draws >> np.uint64(11)).astype(np.float64) * _TO_UNIT
 

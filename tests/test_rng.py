@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -220,12 +221,14 @@ def test_scalar_trig_fallback_gives_the_same_normals(monkeypatch):
     assert Rng(4).normals(999).tobytes() == ScalarRng(4).normals(999).tobytes()
 
 
-def test_numpy_trig_equals_math_on_stream_angles():
+def test_trig_probe_agrees_with_stream_angles():
     angles = 2.0 * np.pi * Rng(21).uniforms(200_000)
     values = angles.tolist()
-    assert np.cos(angles).tolist() == [math.cos(a) for a in values]
-    assert np.sin(angles).tolist() == [math.sin(a) for a in values]
-    assert rng_module._numpy_trig_exact()
+    exact = (
+        np.cos(angles).tolist() == [math.cos(a) for a in values]
+        and np.sin(angles).tolist() == [math.sin(a) for a in values]
+    )
+    assert rng_module._numpy_trig_exact() == exact
 
 
 def test_importing_the_package_builds_no_jump_table():
@@ -243,3 +246,26 @@ def test_jump_tables_equal_repeated_steps():
             want = rng_module._step(want)
         got = rng_module._apply(rng_module._jump(j), np.array([x], dtype=np.uint64))
         assert int(got[0]) == want
+
+
+def test_threads_building_the_tables_at_once_get_the_scalar_stream(monkeypatch):
+    monkeypatch.setattr(rng_module, "_JUMPS", [])
+    seeds = range(6)  # more threads than the cores of a small host
+    want = {s: ScalarRng(s).normals(3000).tobytes() for s in seeds}
+    got = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=lambda s=s: got.__setitem__(s, Rng(s).normals(3000).tobytes()))
+            for s in seeds
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == want
+    assert len(rng_module._JUMPS) == 12
