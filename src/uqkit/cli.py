@@ -105,6 +105,31 @@ def read_probs_csv(path) -> np.ndarray:
             raise DataError(f"{path}: probability columns must be contiguous p0..pK-1")
         columns = [i for _, i in indexed]
         matrix, header = matrix[:, columns], [header[i] for i in columns]
+    _check_finite_cells(path, matrix, header)
+    return matrix
+
+
+def read_vector_csv(path, kind: str) -> np.ndarray:
+    """One float column: the canonical column for ``kind``, or the only
+    one. A non-finite cell in it is a ``DataError`` as in
+    ``read_probs_csv``."""
+    matrix, header = read_matrix_csv(path)
+    want = _COLUMN_OF[kind]
+    if want in header:
+        col = header.index(want)
+    elif len(header) == 1:
+        col = 0
+    else:
+        raise DataError(
+            f"{path} has columns {header}; expected a single column or one named {want!r}"
+        )
+    _check_finite_cells(path, matrix[:, [col]], [header[col]])
+    return matrix[:, col]
+
+
+def _check_finite_cells(path, matrix: np.ndarray, header: list[str]) -> None:
+    """A ``DataError`` naming the file, the data row (1 = first after the
+    header) and the column of the first non-finite cell, if any."""
     bad = ~np.isfinite(matrix)
     if np.any(bad):
         row, col = np.argwhere(bad)[0]
@@ -112,20 +137,6 @@ def read_probs_csv(path) -> np.ndarray:
             f"{path}: non-finite cell {format(matrix[row, col], '.17g')} "
             f"in data row {row + 1}, column {header[col]}"
         )
-    return matrix
-
-
-def read_vector_csv(path, kind: str) -> np.ndarray:
-    """One float column: the canonical column for ``kind``, or the only one."""
-    matrix, header = read_matrix_csv(path)
-    want = _COLUMN_OF[kind]
-    if want in header:
-        return matrix[:, header.index(want)]
-    if len(header) == 1:
-        return matrix[:, 0]
-    raise DataError(
-        f"{path} has columns {header}; expected a single column or one named {want!r}"
-    )
 
 
 def read_targets_csv(path, classification: bool) -> np.ndarray:

@@ -131,13 +131,17 @@ _OPTIM_DEFAULTS = {
     "weight_decay": 1e-4,
 }
 
+# the method_params keys each method reads, with their defaults
 _METHOD_DEFAULTS = {
-    "members": 5,
-    "rank": 20,
-    "snapshot_every": None,  # once per epoch
-    "swag_epochs": None,  # same as optimizer epochs
-    "mc_samples": 1,
-    "prior_precision": 1.0,
+    "map": {},
+    "ensemble": {"members": 5},
+    "swag": {
+        "rank": 20,
+        "snapshot_every": None,  # once per epoch
+        "swag_epochs": None,  # same as optimizer epochs
+    },
+    "laplace": {"prior_precision": 1.0},
+    "advi": {"mc_samples": 1, "prior_precision": 1.0},
 }
 
 
@@ -208,6 +212,12 @@ class RunConfig:
         return split(dataset, self.split_fractions, child_seed(self.seed, SEED_SPLIT))
 
 
+def _fitted_method(doc: dict, require_seeds: bool) -> str:
+    """The method whose parameters a run reads: the benchmark runs MAP then
+    SWAG, whatever ``method`` names."""
+    return "swag" if require_seeds else doc["method"]
+
+
 def validate_config(doc: dict, require_seeds: bool = False) -> list[str]:
     """All schema violations at once, as "at <path>: <message>" strings."""
     validator = jsonschema.Draft202012Validator(RUN_SCHEMA)
@@ -215,6 +225,13 @@ def validate_config(doc: dict, require_seeds: bool = False) -> list[str]:
     for err in sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path)):
         where = "/".join(str(p) for p in err.absolute_path) or "<root>"
         messages.append(f"at {where}: {err.message}")
+    if not messages:
+        reader = "the benchmark's SWAG phase" if require_seeds else f"method {doc['method']!r}"
+        messages += [
+            f"at method_params/{key}: {reader} does not read {key!r}"
+            for key in doc.get("method_params", {})
+            if key not in _METHOD_DEFAULTS[_fitted_method(doc, require_seeds)]
+        ]
     if require_seeds and isinstance(doc, dict) and "seeds" not in doc:
         messages.append("at <root>: benchmark configs need a 'seeds' list (>= 3)")
     return messages
@@ -224,7 +241,7 @@ def parse_config(doc: dict, require_seeds: bool = False) -> RunConfig:
     messages = validate_config(doc, require_seeds=require_seeds)
     if messages:
         raise ConfigError(messages)
-    params = dict(_METHOD_DEFAULTS)
+    params = dict(_METHOD_DEFAULTS[_fitted_method(doc, require_seeds)])
     params.update(doc.get("method_params", {}))
     return RunConfig(
         raw=doc,

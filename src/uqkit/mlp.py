@@ -2,9 +2,12 @@
 
 Parameters live in one flat 64-bit vector with a fixed layer-major
 layout: for each layer, the weight matrix (fan_in x fan_out, row-major)
-followed by the bias vector. The forward pass accepts either a plain
-ndarray or a tape variable; both run the identical numpy arithmetic, so
-values agree bitwise and the taped path is differentiable.
+followed by the bias vector. ``mlp_activations`` and ``mlp_backward``
+are the one forward/backward pair: training steps run them on an
+``(n, d)`` batch, and ``laplace_fit`` runs them over leading batch axes
+to get per-sample output Jacobians. The reverse-mode tape in
+``autodiff`` is not used here; the tests hold a taped copy of this
+forward pass as the oracle the backward pass must equal bit for bit.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .rng import Rng
 
 ACTIVATIONS = ("tanh", "relu")
@@ -85,12 +87,10 @@ def init_params(cfg: MlpConfig) -> np.ndarray:
     return theta
 
 
-def unpack_params(cfg: MlpConfig, theta):
-    """Split a flat parameter vector (ndarray or Var) into (W, b) pairs;
-    an ndarray gives views into it, without the tape's dispatch."""
-    taped = isinstance(theta, ad.Var)
-    value = theta.value if taped else np.asarray(theta, dtype=np.float64)
-    if np.shape(value) != (param_count(cfg),):
+def unpack_params(cfg: MlpConfig, theta) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Split a flat parameter vector into (W, b) pairs, as views into it."""
+    theta = np.asarray(theta, dtype=np.float64)
+    if theta.shape != (param_count(cfg),):
         raise ValueError(
             f"parameter vector has wrong length; expected {param_count(cfg)}"
         )
@@ -99,13 +99,7 @@ def unpack_params(cfg: MlpConfig, theta):
     offset = 0
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         stop = offset + fan_in * fan_out
-        if taped:
-            w = ad.reshape(ad.take_slice(theta, offset, stop), (fan_in, fan_out))
-            b = ad.take_slice(theta, stop, stop + fan_out)
-        else:
-            w = value[offset:stop].reshape(fan_in, fan_out)
-            b = value[stop : stop + fan_out]
-        layers.append((w, b))
+        layers.append((theta[offset:stop].reshape(fan_in, fan_out), theta[stop : stop + fan_out]))
         offset = stop + fan_out
     return layers
 
@@ -122,34 +116,42 @@ def mlp_forward(cfg: MlpConfig, theta, inputs: np.ndarray):
 
 
 def mlp_activations(cfg: MlpConfig, theta, inputs: np.ndarray):
-    """Yield every layer's output, inputs first: x, h_1, ..., h_L, raw output."""
+    """Yield every layer's output, inputs first: x, h_1, ..., h_L, raw output.
+
+    ``inputs`` is ``(..., n, input_dim)``; leading axes are batch axes.
+    """
     inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim != 2 or inputs.shape[1] != cfg.input_dim:
+    if inputs.ndim < 2 or inputs.shape[-1] != cfg.input_dim:
         raise ValueError(
             f"inputs must have shape (n, {cfg.input_dim}), got {inputs.shape}"
         )
-    act = ad.tanh if cfg.activation == "tanh" else ad.relu
     h = inputs
     yield h
     layers = unpack_params(cfg, theta)
     for i, (w, b) in enumerate(layers):
         h = h @ w + b
         if i < len(layers) - 1:
-            h = act(h)
+            h = np.tanh(h) if cfg.activation == "tanh" else np.maximum(h, 0.0)
         yield h
 
 
 def mlp_backward(cfg: MlpConfig, theta: np.ndarray, hs: list, grad_out: np.ndarray):
     """Flat parameter gradient from the list of ``mlp_activations`` and the
     output's gradient: the tape's vector-Jacobian products on the same
-    operands, so it equals ``value_and_grad`` bit for bit. The final
-    ``+ 0.0`` is the tape's scatter into a zero vector (-0.0 -> +0.0)."""
+    operands, so it equals the taped gradient bit for bit. The final
+    ``+ 0.0`` is the tape's scatter into a zero vector (-0.0 -> +0.0).
+
+    ``grad_out`` is ``(..., n, output_dim)``; its leading axes are batch
+    axes, to which those of the activations must broadcast. The result
+    is ``(..., P)``, one gradient per batch index.
+    """
     layers = unpack_params(cfg, theta)
     parts = []
     g = grad_out
     for i in range(len(layers) - 1, -1, -1):
-        parts += [g.sum(axis=0), (hs[i].T @ g).ravel()]
+        w_grad = np.swapaxes(hs[i], -1, -2) @ g
+        parts += [g.sum(axis=-2), w_grad.reshape(*w_grad.shape[:-2], -1)]
         if i:
             g, h = g @ layers[i][0].T, hs[i]
             g = g * (1.0 - h * h) if cfg.activation == "tanh" else g * (h > 0.0)
-    return np.concatenate(parts[::-1]) + 0.0
+    return np.concatenate(parts[::-1], axis=-1) + 0.0

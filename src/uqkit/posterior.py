@@ -23,7 +23,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
 from .data import CLASSIFICATION, REGRESSION, BatchPlan, Dataset, batches
 from .errors import DataError
 from .mlp import MlpConfig, init_params, mlp_activations, mlp_backward, mlp_forward
@@ -115,7 +114,8 @@ class FitResult:
 
 
 # ---------------------------------------------------------------------------
-# losses (work on both tape variables and plain arrays)
+# losses: one explicit forward/backward pass (a taped copy in the tests is
+# the oracle these equal bit for bit)
 
 def _check_head(cfg: MlpConfig, ds: Dataset) -> None:
     if ds.d != cfg.input_dim:
@@ -135,73 +135,53 @@ def _check_head(cfg: MlpConfig, ds: Dataset) -> None:
         )
 
 
-def mean_nll(cfg: MlpConfig, theta, inputs: np.ndarray, targets: np.ndarray, task: str):
-    """Mean data NLL over a batch, as a tape variable when theta is one."""
-    out = mlp_forward(cfg, theta, inputs)
-    n = inputs.shape[0]
-    if task == CLASSIFICATION:
-        onehot = np.zeros((n, cfg.output_dim))
-        onehot[np.arange(n), np.asarray(targets, dtype=np.int64)] = 1.0
-        m = ad.vmax(out, axis=1)
-        shifted = out - ad.reshape(m, (n, 1))
-        lse = m + ad.log(ad.vsum(ad.exp(shifted), axis=1))
-        picked = ad.vsum(out * onehot, axis=1)
-        return ad.vsum(lse - picked) / n
-    mu = ad.take_column(out, 0)
-    log_var = ad.take_column(out, 1)
-    resid = np.asarray(targets, dtype=np.float64) - mu
-    return 0.5 * ad.vsum(log_var + resid * resid * ad.exp(-log_var) + _LOG_2PI) / n
+def _nll_head(out: np.ndarray, targets, task: str, scale: float | None = None):
+    """Mean NLL of the raw outputs ``out`` and, when ``scale`` is given,
+    ``scale`` times its gradient in ``out`` (else None).
 
-
-def nll_value_and_grad(
-    cfg: MlpConfig, theta: np.ndarray, inputs, targets, task: str, scale: float = 1.0
-) -> tuple[float, np.ndarray]:
-    """``mean_nll`` and ``scale`` times its gradient, by one explicit
-    forward and backward pass.
-
-    The training path. Every floating-point operation is the tape's, in
-    the tape's order (the gradient of ``scale * mean_nll`` under
-    ``value_and_grad``), so both agree bit for bit; the tape stays the
-    reference this is tested against.
+    The one loss head: every floating-point operation is the tape's, in
+    the tape's order, so the value and gradient equal the taped loss in
+    the tests bit for bit.
     """
-    hs = list(mlp_activations(cfg, theta, inputs))
-    out = hs[-1]
     n = out.shape[0]
     if task == CLASSIFICATION:
         rows = np.arange(n)
         labels = np.asarray(targets, dtype=np.int64)
-        onehot = np.zeros((n, cfg.output_dim))
+        onehot = np.zeros(out.shape)
         onehot[rows, labels] = 1.0
         m = out.max(axis=1)
         e = np.exp(out - m[:, None])
         s = e.sum(axis=1)
-        loss = (m + np.log(s) - (out * onehot).sum(axis=1)).sum() / n
+        loss = float((m + np.log(s) - (out * onehot).sum(axis=1)).sum() / n)
+        if scale is None:
+            return loss, None
         g = scale / n
         grad_out = (g / s)[:, None] * e
         g_max = g - grad_out.sum(axis=1)
         grad_out[rows, labels] -= g
         grad_out[rows, out.argmax(axis=1)] += g_max
-    else:
-        mu, log_var = out[:, 0], out[:, 1]
-        resid = np.asarray(targets, dtype=np.float64) - mu
-        rr = resid * resid
-        e = np.exp(-log_var)
-        loss = 0.5 * (log_var + rr * e + _LOG_2PI).sum() / n
-        g = scale / n * 0.5
-        g_rr = g * e
-        g_mu = -(g_rr * resid + g_rr * resid)
-        grad_out = np.column_stack([g_mu, g - (g * rr) * e]) + 0.0
-    return float(loss), mlp_backward(cfg, theta, hs, grad_out)
+        return loss, grad_out
+    mu, log_var = out[:, 0], out[:, 1]
+    resid = np.asarray(targets, dtype=np.float64) - mu
+    rr = resid * resid
+    e = np.exp(-log_var)
+    loss = float(0.5 * (log_var + rr * e + _LOG_2PI).sum() / n)
+    if scale is None:
+        return loss, None
+    g = scale / n * 0.5
+    g_rr = g * e
+    g_mu = -(g_rr * resid + g_rr * resid)
+    return loss, np.column_stack([g_mu, g - (g * rr) * e]) + 0.0
 
 
-def penalized_loss(
-    cfg: MlpConfig, theta, inputs, targets, task: str, weight_decay: float
-):
-    """Mean NLL plus the (weight_decay / 2) * ||theta||^2 ridge penalty."""
-    loss = mean_nll(cfg, theta, inputs, targets, task)
-    if weight_decay > 0:
-        loss = loss + (weight_decay / 2.0) * ad.vsum(theta * theta)
-    return loss
+def nll_value_and_grad(
+    cfg: MlpConfig, theta: np.ndarray, inputs, targets, task: str, scale: float = 1.0
+) -> tuple[float, np.ndarray]:
+    """Mean data NLL over a batch and ``scale`` times its gradient, by one
+    explicit forward and backward pass (the training path)."""
+    hs = list(mlp_activations(cfg, theta, inputs))
+    loss, grad_out = _nll_head(hs[-1], targets, task, scale)
+    return loss, mlp_backward(cfg, theta, hs, grad_out)
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +262,9 @@ def _penalized_objective(cfg: MlpConfig, train: Dataset, opt: OptimConfig):
         return loss, grad
 
     def full_loss(theta, _losses):
-        loss = penalized_loss(cfg, theta, train.inputs, train.targets, train.task, wd)
-        return float(loss)
+        out = mlp_forward(cfg, theta, train.inputs)
+        loss = _nll_head(out, train.targets, train.task)[0]
+        return float(loss + wd / 2.0 * np.sum(theta * theta)) if wd > 0 else loss
 
     return objective, full_loss
 
@@ -429,6 +410,9 @@ def swag_sample(state: SwagState, rng: Rng) -> np.ndarray:
     return theta
 
 
+_LAPLACE_ROWS = 64  # training rows per batched Jacobian pass in laplace_fit
+
+
 def laplace_fit(
     start: MapState, cfg: MlpConfig, train: Dataset, prior_precision: float = 1.0
 ) -> LaplaceState:
@@ -444,25 +428,26 @@ def laplace_fit(
     if prior_precision <= 0:
         raise ValueError("prior_precision must be positive")
     theta = start.theta
-    p = theta.size
-    ggn = np.zeros(p)
-    for i in range(train.n):
-        x = train.inputs[i : i + 1]
-        tape = ad.Tape()
-        tv = tape.input(theta)
-        out = mlp_forward(cfg, tv, x)
-        if train.task == CLASSIFICATION:
-            k = cfg.output_dim
-            jac = np.empty((k, p))
-            for c in range(k):
-                jac[c] = tape.gradient(ad.vsum(ad.take_column(out, c)), tv)
-            probs = softmax(out.value[0])
-            weighted = probs @ jac
-            ggn += probs @ (jac * jac) - weighted**2
-        else:
-            g = tape.gradient(ad.vsum(ad.take_column(out, 0)), tv)
-            var = math.exp(float(out.value[0, 1]))
-            ggn += g * g / var
+    ggn = np.zeros(theta.size)
+    classification = train.task == CLASSIFICATION
+    k = cfg.output_dim if classification else 1
+    # One backward pass per chunk gives every row's output Jacobian: each
+    # row runs as its own stacked 1-row product (bit-equal to a 1-row
+    # matmul), seeded with the output's identity rows (regression: the
+    # mean's row alone). The sum runs row by row, in row order.
+    seed = np.eye(cfg.output_dim)[:k].reshape(1, k, 1, cfg.output_dim)
+    for lo in range(0, train.n, _LAPLACE_ROWS):
+        x = train.inputs[lo : lo + _LAPLACE_ROWS]
+        hs = list(mlp_activations(cfg, theta, x[:, None, None, :]))
+        grad_out = np.broadcast_to(seed, (len(x), *seed.shape[1:]))
+        jacs = mlp_backward(cfg, theta, hs, grad_out)  # (rows, k, P)
+        for out, jac in zip(hs[-1][:, 0, 0], jacs):
+            if classification:
+                probs = softmax(out)
+                weighted = probs @ jac
+                ggn += probs @ (jac * jac) - weighted**2
+            else:
+                ggn += jac[0] * jac[0] / math.exp(float(out[1]))
     precision = prior_precision + ggn
     bad = precision <= 0
     if np.any(bad):
@@ -474,37 +459,9 @@ def laplace_fit(
     return LaplaceState(mode=theta.copy(), diag_precision=precision)
 
 
-def advi_objective(
-    cfg: MlpConfig,
-    phi,
-    inputs: np.ndarray,
-    targets: np.ndarray,
-    task: str,
-    zs: list[np.ndarray],
-    prior_precision: float,
-    n_total: int,
-):
-    """Negative ELBO estimate for one step at fixed noise draws ``zs``.
-
-    ``phi`` stacks (mean, log_std); each draw reparameterizes theta =
-    mean + exp(log_std) * z, and the KL against N(0, I/prior_precision)
-    is closed form. Differentiable when ``phi`` is a tape variable.
-    """
-    p = len(zs[0])
-    mu = ad.take_slice(phi, 0, p)
-    log_std = ad.take_slice(phi, p, 2 * p)
-    std = ad.exp(log_std)
-    data_term = None
-    for z in zs:
-        nll = mean_nll(cfg, mu + std * z, inputs, targets, task)
-        data_term = nll if data_term is None else data_term + nll
-    kl = _gaussian_kl(mu, std, log_std, prior_precision)
-    return (n_total / len(zs)) * data_term + kl
-
-
 def _gaussian_kl(mu, std, log_std, prior_precision: float):
-    """KL(N(mu, std^2) || N(0, I / prior_precision)), tape variable or array."""
-    return 0.5 * ad.vsum(
+    """KL(N(mu, std^2) || N(0, I / prior_precision))."""
+    return 0.5 * np.sum(
         prior_precision * (mu * mu + std * std)
         - 1.0
         - math.log(prior_precision)
@@ -516,13 +473,17 @@ def advi_value_and_grad(
     cfg: MlpConfig, phi: np.ndarray, inputs, targets, task: str,
     zs: list[np.ndarray], prior_precision: float, n_total: int,
 ) -> tuple[float, np.ndarray]:
-    """``advi_objective`` and its gradient in ``phi`` without a tape.
+    """Negative ELBO estimate for one step at fixed noise draws ``zs``,
+    and its gradient in ``phi``.
 
-    Chain rule through ``nll_value_and_grad``: each draw's theta gradient
-    g adds to the mean's and g * z to the std's, the std's total is
-    multiplied by std for the log-std, and the closed-form KL terms come
-    first with the draws after them from last to first, as the tape sums
-    them; the result equals the tape's gradient bit for bit.
+    ``phi`` stacks (mean, log_std); each draw reparameterizes theta =
+    mean + exp(log_std) * z, and the KL against N(0, I/prior_precision)
+    is closed form. The gradient is the chain rule through
+    ``nll_value_and_grad``: each draw's theta gradient g adds to the
+    mean's and g * z to the std's, the std's total is multiplied by std
+    for the log-std, and the closed-form KL terms come first with the
+    draws after them from last to first, as the tape sums them; the
+    result equals the taped gradient bit for bit.
     """
     p = len(zs[0])
     mu, log_std = phi[:p], phi[p:]

@@ -1,8 +1,11 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import uqkit
 from uqkit import autodiff as ad
 from uqkit.autodiff import Tape, value_and_grad
 from uqkit.numerics import softmax
@@ -153,3 +156,31 @@ def test_lse_gradient_is_softmax():
 def test_rejects_non_finite_parameters():
     with pytest.raises(ValueError):
         value_and_grad(lambda x: ad.vsum(x), np.array([np.nan]))
+
+
+def _imports_autodiff(source: str) -> bool:
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [part for a in node.names for part in a.name.split(".")]
+        elif isinstance(node, ast.ImportFrom):
+            names = (node.module or "").split(".") + [a.name for a in node.names]
+        else:
+            continue
+        if "autodiff" in names:
+            return True
+    return False
+
+
+def test_only_autodiff_module_uses_the_tape():
+    # the tape is the test oracle; the library's runtime path must not reach it
+    for spelling in ("from . import autodiff as ad", "from .autodiff import Tape",
+                     "import uqkit.autodiff", "from uqkit import autodiff"):
+        assert _imports_autodiff(spelling), spelling
+    assert not _imports_autodiff("from .mlp import mlp_backward")
+    sources = sorted(Path(uqkit.__file__).parent.glob("*.py"))
+    assert len(sources) > 5
+    offenders = [
+        p.name for p in sources
+        if p.name != "autodiff.py" and _imports_autodiff(p.read_text(encoding="utf-8"))
+    ]
+    assert offenders == []

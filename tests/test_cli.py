@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from uqkit.cli import main
+from uqkit.config import load_config
 from uqkit.data import load_csv, save_csv, synth_classification, write_matrix_csv
 from uqkit.metrics import classification_report
 from uqkit.mlp import MlpConfig, param_count
@@ -224,6 +225,48 @@ def train_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     return path
+
+
+# the method_params keys each method reads
+_READS = {
+    "map": (),
+    "ensemble": ("members",),
+    "swag": ("rank", "snapshot_every", "swag_epochs"),
+    "laplace": ("prior_precision",),
+    "advi": ("mc_samples", "prior_precision"),
+}
+_PARAM_VALUES = {
+    "members": 2, "rank": 2, "snapshot_every": 1, "swag_epochs": 1,
+    "mc_samples": 1, "prior_precision": 1.0,
+}
+
+
+@pytest.mark.parametrize("method, key", [
+    (m, k) for m in _READS for k in _PARAM_VALUES if k not in _READS[m]
+])
+def test_method_param_the_method_never_reads_exits_2(tmp_path, capsys, method, key):
+    config = train_config(tmp_path, method=method, method_params={key: _PARAM_VALUES[key]})
+    code, out, err = run(capsys, "train", "--config", str(config))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("config error: ")
+    assert repr(key) in err and repr(method) in err
+
+
+@pytest.mark.parametrize("method", list(_READS))
+def test_method_params_the_method_reads_are_accepted(tmp_path, method):
+    params = {k: _PARAM_VALUES[k] for k in _READS[method]}
+    config = load_config(train_config(tmp_path, method=method, method_params=params))
+    assert config.method_params.items() >= params.items()
+
+
+def test_benchmark_config_takes_the_swag_params(tmp_path, capsys):
+    # the benchmark runs MAP then SWAG, so it reads the SWAG keys only
+    seeds = {"seeds": [0, 1, 2]}
+    ok = train_config(tmp_path, method="map", method_params={"rank": 2}, **seeds)
+    assert load_config(ok, require_seeds=True).method_params["rank"] == 2
+    bad = train_config(tmp_path, method="swag", method_params={"members": 2}, **seeds)
+    code, _, err = run(capsys, "benchmark", "--config", str(bad))
+    assert code == 2 and "'members'" in err and err.count("\n") == 1
 
 
 class TestTrainCommand:
@@ -608,6 +651,31 @@ def test_broken_csv_exits_3_naming_the_file(tmp_path, capsys, command, broken_fl
     assert code == 3, err
     assert err.count("\n") == 1 and err.startswith("data error: ")
     assert str(tmp_path / f"{broken_flag.strip('-')}.csv") in err
+
+
+def _non_finite_vector_cases():
+    for command in ("conformal_cqr", "conformal_scalar"):
+        for flag in [*_CSV_SLOTS[command][1], "--test-targets"]:
+            yield pytest.param(command, flag, id=f"{command}{flag}")
+
+
+@pytest.mark.parametrize("command, broken_flag", _non_finite_vector_cases())
+def test_non_finite_vector_cell_names_file_row_and_column(tmp_path, capsys, command, broken_flag):
+    prefix, slots = _CSV_SLOTS[command]
+    slots = {**slots, "--test-targets": (["target"], [[0.5], [1.5]])}
+    argv = [*prefix, "--out", str(tmp_path / "out.csv")]
+    for flag, (header, rows) in slots.items():
+        path = tmp_path / f"{flag.strip('-')}.csv"
+        if flag == broken_flag:
+            rows = [rows[0], ["nan"], *rows[2:]]
+        lines = [header, *rows]
+        path.write_text("".join(",".join(map(str, r)) + "\n" for r in lines), encoding="utf-8")
+        argv += [flag, str(path)]
+    code, _, err = run(capsys, *argv)
+    broken = tmp_path / f"{broken_flag.strip('-')}.csv"
+    column = slots[broken_flag][0][0]
+    assert code == 3
+    assert err == f"data error: {broken}: non-finite cell nan in data row 2, column {column}\n"
 
 
 def train_regression(tmp_path, capsys):

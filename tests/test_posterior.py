@@ -15,22 +15,22 @@ from uqkit.posterior import (
     OptimConfig,
     SwagMoments,
     SwagState,
+    _LAPLACE_ROWS,
     _penalized_objective,
     advi_fit,
-    advi_objective,
     advi_value_and_grad,
     ensemble_fit,
     laplace_fit,
     load_state,
     map_fit,
     nll_value_and_grad,
-    penalized_loss,
     posterior_sample,
     save_state,
     swag_fit,
     swag_sample,
 )
 import uqkit.autodiff
+from tape_oracle import advi_objective, laplace_ggn, penalized_loss
 from uqkit.autodiff import value_and_grad
 from uqkit.rng import Rng, child_seed
 
@@ -572,8 +572,7 @@ def test_fit_replays_golden_digest(key, case):
 
 
 class TestFitsBuildNoTape:
-    """Training steps run the explicit backward pass; only Laplace's
-    Jacobians still build tapes."""
+    """Every fit runs the explicit backward pass; none builds a tape."""
 
     @pytest.fixture
     def tapes(self, monkeypatch):
@@ -596,18 +595,17 @@ class TestFitsBuildNoTape:
         swag_fit(start, cfg, ds, opt, rank=2, snapshot_every=1)
         ensemble_fit(cfg, ds, opt, members=2)
         advi_fit(cfg, ds, opt, mc_samples=2)
-        assert len(tapes) == 0
         laplace_fit(start, cfg, ds)
-        assert len(tapes) > 0
+        assert len(tapes) == 0
 
 
-def _random_problem(rng, task):
+def _random_problem(rng, task, n=None):
     d = int(rng.integers(1, 4))
     widths = tuple(int(w) for w in rng.integers(1, 7, size=int(rng.integers(0, 3))))
     k = int(rng.integers(1, 5)) if task == CLASSIFICATION else 2
     act = ("tanh", "relu")[int(rng.integers(2))]
     cfg = MlpConfig(d, widths, k, act, init_seed=int(rng.integers(100)))
-    n = int(rng.integers(1, 12))
+    n = int(rng.integers(1, 12)) if n is None else n
     # zero inputs and zero weights give exact ties, dead ReLUs and -0.0
     x = rng.normal(size=(n, d)) * rng.choice([0.0, 1.0, 3.0])
     y = rng.integers(0, k, size=n) if task == CLASSIFICATION else rng.normal(size=n)
@@ -650,6 +648,24 @@ def test_advi_gradient_equals_tape_bit_for_bit(task):
         )
         assert _same_bits(loss, ref_loss), (case, cfg)
         assert grad.tobytes() == ref_grad.tobytes(), (case, cfg)
+
+
+@pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
+def test_laplace_equals_tape_bit_for_bit(task):
+    # row counts on both sides of the Jacobian chunk boundary
+    counts = (1, 2, _LAPLACE_ROWS - 1, _LAPLACE_ROWS, _LAPLACE_ROWS + 1, 2 * _LAPLACE_ROWS + 3)
+    rng = np.random.default_rng(5 if task == CLASSIFICATION else 6)
+    seen = set()
+    for case in range(36):
+        cfg, x, y, theta = _random_problem(rng, task, n=counts[case % len(counts)])
+        ds = Dataset(inputs=x, targets=y, task=task, feature_names=("f",) * x.shape[1])
+        prior = float(rng.choice([0.5, 1.0]))
+        state = laplace_fit(MapState(theta), cfg, ds, prior_precision=prior)
+        ref = prior + laplace_ggn(cfg, theta, x, task)
+        assert state.diag_precision.tobytes() == ref.tobytes(), (case, cfg, x.shape)
+        seen |= {cfg.activation, f"k={cfg.output_dim}", f"layers={len(cfg.hidden_widths)}"}
+    wanted = {"tanh", "relu", "layers=0", "layers=2"}
+    assert wanted | ({"k=1"} if task == CLASSIFICATION else set()) <= seen
 
 
 def _central_differences(f, x, h=1e-5):
