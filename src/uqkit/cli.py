@@ -21,6 +21,7 @@ import os
 import re
 import sys
 from dataclasses import replace
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +43,7 @@ from .config import (
 )
 from .data import (
     CLASSIFICATION,
+    check_finite_cells,
     class_labels,
     load_csv,
     read_matrix_csv,
@@ -105,7 +107,7 @@ def read_probs_csv(path) -> np.ndarray:
             raise DataError(f"{path}: probability columns must be contiguous p0..pK-1")
         columns = [i for _, i in indexed]
         matrix, header = matrix[:, columns], [header[i] for i in columns]
-    _check_finite_cells(path, matrix, header)
+    check_finite_cells(path, matrix, header)
     return matrix
 
 
@@ -123,20 +125,8 @@ def read_vector_csv(path, kind: str) -> np.ndarray:
         raise DataError(
             f"{path} has columns {header}; expected a single column or one named {want!r}"
         )
-    _check_finite_cells(path, matrix[:, [col]], [header[col]])
+    check_finite_cells(path, matrix[:, [col]], [header[col]])
     return matrix[:, col]
-
-
-def _check_finite_cells(path, matrix: np.ndarray, header: list[str]) -> None:
-    """A ``DataError`` naming the file, the data row (1 = first after the
-    header) and the column of the first non-finite cell, if any."""
-    bad = ~np.isfinite(matrix)
-    if np.any(bad):
-        row, col = np.argwhere(bad)[0]
-        raise DataError(
-            f"{path}: non-finite cell {format(matrix[row, col], '.17g')} "
-            f"in data row {row + 1}, column {header[col]}"
-        )
 
 
 def read_targets_csv(path, classification: bool) -> np.ndarray:
@@ -145,8 +135,9 @@ def read_targets_csv(path, classification: bool) -> np.ndarray:
 
 
 def write_sets_csv(path: Path, sets: PredictionSets) -> None:
-    labels = [[";".join(str(c) for c in sets.labels(i))] for i in range(len(sets))]
-    write_matrix_csv(path, np.array(labels, dtype=str).reshape(-1, 1), ["set"])
+    names = [str(c) for c in range(sets.member.shape[1])]
+    cells = [";".join(compress(names, row)) for row in sets.member.tolist()]
+    write_matrix_csv(path, np.array(cells, dtype=str).reshape(-1, 1), ["set"])
 
 
 def write_intervals_csv(path: Path, intervals: Intervals) -> None:

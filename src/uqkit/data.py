@@ -107,7 +107,10 @@ def class_labels(values: np.ndarray, path) -> np.ndarray:
 
 
 def load_csv(path, task: str, target_column: str) -> Dataset:
-    """Load a dataset from CSV; all non-target columns become features."""
+    """Load a dataset from CSV; all non-target columns become features.
+
+    A non-finite feature or regression-target cell is a ``DataError``
+    naming the file, the data row and the column."""
     matrix, header = read_matrix_csv(path)
     if target_column not in header:
         raise DataError(
@@ -116,12 +119,15 @@ def load_csv(path, task: str, target_column: str) -> Dataset:
         )
     t = header.index(target_column)
     values = matrix[:, t]
-    return Dataset(
-        inputs=np.delete(matrix, t, axis=1),
-        targets=class_labels(values, path) if task == CLASSIFICATION else values.copy(),
-        task=task,
-        feature_names=tuple(h for i, h in enumerate(header) if i != t),
-    )
+    inputs = np.delete(matrix, t, axis=1)
+    feature_names = tuple(h for i, h in enumerate(header) if i != t)
+    if task == CLASSIFICATION:
+        check_finite_cells(path, inputs, feature_names)
+        targets = class_labels(values, path)
+    else:
+        check_finite_cells(path, matrix, header)
+        targets = values.copy()
+    return Dataset(inputs=inputs, targets=targets, task=task, feature_names=feature_names)
 
 
 def save_csv(ds: Dataset, path, target_column: str = "target") -> None:
@@ -221,46 +227,116 @@ def synth_classification(
 
 # --- the one CSV reader and the one CSV writer --------------------------------
 
+# A "plain" body (everything after the header line) holds only these bytes;
+# numpy's C parser then reads it exactly as ``float`` reads each cell.
+_PLAIN_BYTES = b"0123456789.eE+-,\r\n"
+_SCAN_BYTES = 1 << 16
+# rows per ``%`` operation when formatting a numeric body
+_WRITE_BLOCK_ROWS = 1024
+
+
 def read_matrix_csv(path) -> tuple[np.ndarray, list[str]]:
-    """Read an all-float CSV with header into (matrix, column names)."""
+    """Read an all-float CSV with header into (matrix, column names).
+
+    A plain body is parsed by ``np.loadtxt``; any other file, and any file
+    ``loadtxt`` rejects, goes through the Python reader, which gives the
+    same matrix and is the source of every error message."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    return _read_csv_plain(path) or _read_csv_python(path)
+
+
+def _read_csv_plain(path: Path) -> tuple[np.ndarray, list[str]] | None:
+    """The C-speed read, or None when the file is not plain or ``loadtxt``
+    fails on it. The header line must end in a newline and hold no quote
+    and no bare carriage return; the body is checked in chunks, so memory
+    stays at the matrix's size."""
+    with path.open("rb") as fh:
+        head = fh.readline()
+        if not head.endswith(b"\n") or b'"' in head or b"\r" in head[:-2]:
+            return None
+        non_blank = False
+        while chunk := fh.read(_SCAN_BYTES):
+            if chunk.translate(None, _PLAIN_BYTES):
+                return None
+            non_blank = non_blank or bool(chunk.translate(None, b"\r\n"))
+        if not non_blank:
+            return None
         try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise DataError(f"empty file: {path}") from None
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataError(
-                    f"{path}: row {line_no} has {len(row)} cells, "
-                    f"expected {len(header)}"
+            header = [h.strip() for h in next(csv.reader([head.decode("utf-8")]))]
+        except UnicodeDecodeError:
+            return None
+        fh.seek(len(head))
+        try:
+            matrix = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            return None
+    if matrix.shape[1] != len(header):
+        return None
+    return matrix, header
+
+
+def _read_csv_python(path: Path) -> tuple[np.ndarray, list[str]]:
+    """The exact reader: any text ``float`` accepts, one ``DataError`` per
+    fault."""
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = [h.strip() for h in next(reader)]
+            except StopIteration:
+                raise DataError(f"empty file: {path}") from None
+            rows = []
+            for line_no, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise DataError(
+                        f"{path}: row {line_no} has {len(row)} cells, "
+                        f"expected {len(header)}"
+                    )
+                rows.append(
+                    [_parse_float(c, path, line_no, header[i]) for i, c in enumerate(row)]
                 )
-            rows.append(
-                [_parse_float(c, path, line_no, header[i]) for i, c in enumerate(row)]
-            )
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from None
     if not rows:
         raise DataError(f"no data rows in {path}")
     return np.asarray(rows, dtype=np.float64), header
 
 
+def check_finite_cells(path, matrix: np.ndarray, header) -> None:
+    """A ``DataError`` naming the file, the data row (1 = first after the
+    header) and the column of the first non-finite cell, if any."""
+    bad = ~np.isfinite(matrix)
+    if np.any(bad):
+        row, col = np.argwhere(bad)[0]
+        raise DataError(
+            f"{path}: non-finite cell {format(matrix[row, col], '.17g')} "
+            f"in data row {row + 1}, column {header[col]}"
+        )
+
+
 def write_matrix_csv(path, matrix, header: list[str]) -> None:
     """Write a matrix with header. Numeric cells get 17 significant digits,
-    so a read round-trips bit-exactly; a string matrix is written as is."""
+    so a read round-trips bit-exactly; a string matrix is written as is.
+
+    A numeric body is formatted one block of rows per ``%`` operation, the
+    bytes ``csv.writer`` writes for the same cells."""
     matrix = np.asarray(matrix)
-    if matrix.dtype.kind == "U":
-        rows = matrix.tolist()
-    else:
+    strings = matrix.dtype.kind == "U"
+    if not strings:
         matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
-        rows = ([format(v, ".17g") for v in row] for row in matrix.tolist())
     if matrix.shape[1] != len(header):
         raise ValueError("header length must match the number of columns")
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(rows)
+        if strings:
+            writer.writerows(matrix.tolist())
+            return
+        row = ",".join(["%.17g"] * matrix.shape[1]) + "\r\n"
+        for start in range(0, matrix.shape[0], _WRITE_BLOCK_ROWS):
+            block = matrix[start : start + _WRITE_BLOCK_ROWS]
+            fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))

@@ -72,20 +72,20 @@ def entropy(probs, axis: int = -1) -> np.ndarray:
 
 def check_prob_rows(probs: np.ndarray, name: str = "probs", tol: float = 1e-6) -> np.ndarray:
     """Validate a probability matrix: finite, nonnegative rows summing to 1
-    within tol."""
+    within tol. Messages count rows from 1, as CSV data rows do."""
     p = check_finite(probs, name)
     if p.ndim != 2:
         raise ValueError(f"{name} must be a 2-D matrix, got shape {p.shape}")
     negative = np.any(p < 0.0, axis=1)
     if np.any(negative):
         row = int(np.argmax(negative))
-        raise ValueError(f"{name} row {row} has a negative entry {p[row].min():.9g}")
+        raise ValueError(f"{name} row {row + 1} has a negative entry {p[row].min():.9g}")
     sums = p.sum(axis=1)
     bad = np.abs(sums - 1.0) > tol
     if np.any(bad):
         row = int(np.argmax(bad))
         raise ValueError(
-            f"{name} row {row} sums to {sums[row]:.9g}, expected 1 within {tol}"
+            f"{name} row {row + 1} sums to {sums[row]:.9g}, expected 1 within {tol}"
         )
     return p
 

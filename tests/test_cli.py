@@ -162,7 +162,7 @@ class TestConformalCommand:
             "--out", str(tmp_path / "o.csv"),
         )
         assert code == 3
-        assert err == "error: val_probs row 1 has a negative entry -0.4\n"
+        assert err == "error: val_probs row 2 has a negative entry -0.4\n"
 
 
 class TestCalibrateCommand:
@@ -626,6 +626,8 @@ _CSV_FAULTS = {
     "header_only": lambda header, rows: [header],
     "unparsable_cell": lambda header, rows: [header, rows[0], ["1.0x"] * len(header)],
     "ragged_row": lambda header, rows: [header, rows[0], rows[1] + [0.5]],
+    # written as the byte 0xff, which is not UTF-8
+    "non_utf8": lambda header, rows: [header, rows[0], ["\udcff"] * len(header)],
 }
 
 
@@ -643,7 +645,10 @@ def test_broken_csv_exits_3_naming_the_file(tmp_path, capsys, command, broken_fl
     for flag, (header, rows) in slots.items():
         path = tmp_path / f"{flag.strip('-')}.csv"
         lines = _CSV_FAULTS[fault](header, rows) if flag == broken_flag else [header, *rows]
-        path.write_text("".join(",".join(map(str, r)) + "\n" for r in lines), encoding="utf-8")
+        path.write_text(
+            "".join(",".join(map(str, r)) + "\n" for r in lines),
+            encoding="utf-8", errors="surrogateescape",
+        )
         argv += [flag, str(path)]
     if command.startswith("conformal"):
         argv += ["--out", str(tmp_path / "out.csv")]
@@ -676,6 +681,25 @@ def test_non_finite_vector_cell_names_file_row_and_column(tmp_path, capsys, comm
     column = slots[broken_flag][0][0]
     assert code == 3
     assert err == f"data error: {broken}: non-finite cell nan in data row 2, column {column}\n"
+
+
+@pytest.mark.parametrize("row, column", [("0.5,nan,0.1", "b"), ("0.5,0.4,inf", "target")])
+def test_non_finite_dataset_cell_names_file_row_and_column(tmp_path, capsys, row, column):
+    broken = tmp_path / "broken.csv"
+    broken.write_text(f"a,b,target\n0.1,0.2,0.3\n{row}\n0.2,0.1,0.4\n", encoding="utf-8")
+    cell = row.split(",")[["a", "b", "target"].index(column)]
+    expected = f"data error: {broken}: non-finite cell {cell} in data row 2, column {column}\n"
+    config = train_config(
+        tmp_path, task="regression",
+        data={"csv": {"path": str(broken), "target_column": "target"}},
+    )
+    assert run(capsys, "train", "--config", str(config)) == (3, "", expected)
+    fit = tmp_path / "fit"
+    fit.mkdir()
+    state = train_regression(fit, capsys) / "state.json"
+    assert run(capsys, "evaluate", "--state", str(state), "--data", str(broken)) == (
+        3, "", expected,
+    )
 
 
 def train_regression(tmp_path, capsys):

@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import uqkit
 from uqkit.data import (
     BatchPlan,
     Dataset,
@@ -177,3 +181,32 @@ class TestSynth:
     def test_unknown_generator(self):
         with pytest.raises(ValueError, match="unknown"):
             synth_classification("spirals", 10, 0.1, seed=0)
+
+
+# the CSV parsers and the CSV writer, as (module alias, name)
+_CSV_CODECS = {("csv", "reader"), ("csv", "writer"), ("np", "loadtxt"), ("numpy", "loadtxt")}
+
+
+def _csv_codecs_used(source: str) -> set[str]:
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            pairs = {(node.value.id, node.attr)}
+        elif isinstance(node, ast.ImportFrom):
+            pairs = {(node.module, a.name) for a in node.names}
+        else:
+            continue
+        found |= {".".join(pair) for pair in pairs & _CSV_CODECS}
+    return found
+
+
+def test_only_the_data_module_reads_and_writes_csv():
+    for spelling in ("csv.reader(fh)", "w = csv.writer", "np.loadtxt(fh)",
+                     "from csv import writer", "from numpy import loadtxt"):
+        assert _csv_codecs_used(spelling), spelling
+    assert not _csv_codecs_used("np.savetxt(fh, x)\ncsv.QUOTE_ALL\nreader(fh)")
+    sources = sorted(Path(uqkit.__file__).parent.glob("*.py"))
+    assert len(sources) > 5
+    used = {p.name: _csv_codecs_used(p.read_text(encoding="utf-8")) for p in sources}
+    assert used.pop("data.py") == {"csv.reader", "csv.writer", "np.loadtxt"}
+    assert {name: u for name, u in used.items() if u} == {}

@@ -1,6 +1,9 @@
 """Bounded property tests: every artefact format round-trips bit for bit,
-and the conformal quantile and set constructions keep their guarantees."""
+the fast CSV reader and writer agree with the exact ones, and the conformal
+quantile and set constructions keep their guarantees."""
 
+import csv
+import io
 import json
 import math
 
@@ -11,7 +14,17 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from uqkit.conformal import adaptive_sets, baseline_sets, conformal_quantile
-from uqkit.data import Dataset, load_csv, read_matrix_csv, save_csv, write_matrix_csv
+import uqkit.data
+from uqkit.data import (
+    Dataset,
+    _read_csv_plain,
+    _read_csv_python,
+    load_csv,
+    read_matrix_csv,
+    save_csv,
+    write_matrix_csv,
+)
+from uqkit.errors import DataError
 from uqkit.mlp import MlpConfig, param_count
 from uqkit.posterior import (
     AdviState,
@@ -83,6 +96,149 @@ def test_dataset_csv_round_trip(scratch, data, task):
         np.testing.assert_array_equal(back.targets, ds.targets)
     else:
         np.testing.assert_array_equal(bits(back.targets), bits(ds.targets))
+
+
+# --- the C-speed CSV reader and writer against the exact ones ----------------
+
+# cells made only of plain bytes (0-9 . e E + - ,) that stress the parser:
+# signs, bare exponents, overflow and underflow, ties at the last bit
+PLAIN_CELLS = [
+    "+1", "-0", "-0.0", "1.e5", "1.", ".5", "00001", "1E-3", "1e+3", "1e", ".", "-",
+    "+", "e5", "1e5.5", "1..2", "--1", "", "1e400", "-1e400", "1e-400", "-1e-400",
+    "9007199254740993",  # 2**53 + 1: a tie, rounds to even
+    "9007199254740993.000000000000000000001",  # just above the tie
+    "0.1000000000000000055511151231257827021181583404541015625",
+    "4.9406564584124654e-324",  # smallest subnormal
+    "2.4703282292062327e-324",  # just under half of it: 0
+    "2.4703282292062328e-324",  # just over half of it: the smallest subnormal
+    "2.2250738585072011e-308",  # at the subnormal/normal boundary
+    "1.7976931348623157e308", "1.7976931348623158e308", "1.797693134862315807e308",
+]
+# cells the C path must leave to the Python reader
+OTHER_CELLS = [
+    "nan", "-inf", "inf", "Infinity", "1_0", "0x1", " 1", "1 ", " 1 ", "\t2",
+    '"1"', '"1,5"', '"2\r\n3"', "é", "1\u00a0", "\u0661",
+]
+NEWLINES = ["\r\n", "\n", "\r"]
+
+
+def plain_numbers():
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    return st.one_of(
+        st.sampled_from(PLAIN_CELLS),
+        finite.map(repr),
+        finite.map(lambda v: format(v, ".17g")),
+        finite.map(lambda v: "%.30e" % v),
+    )
+
+
+@st.composite
+def csv_files(draw):
+    """CSV text: half with plain bodies, half with any cell and bare CR
+    line endings too; blank and whitespace-only lines, trailing commas and
+    ragged rows in both."""
+    plain = draw(st.booleans())
+    cells = plain_numbers() if plain else st.one_of(
+        plain_numbers(), st.sampled_from(OTHER_CELLS)
+    )
+    k = draw(st.integers(1, 3))
+    header = draw(st.sampled_from(
+        [["a", "b", "c"], [" a ", "b ", " c"], ["é", "ß", "x"], ['"a"', "b", "c"]]
+    ))[:k]
+    endings = st.sampled_from(NEWLINES) if not plain else st.sampled_from(NEWLINES[:2])
+    lines = [",".join(header) + draw(endings)]
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["blank", "spaces", "ragged", "trailing"]))
+        if kind == "blank":
+            text = ""
+        elif kind == "spaces":
+            text = draw(st.sampled_from([" ", "\t", " , "]))
+        else:
+            width = k + (draw(st.sampled_from([-1, 1])) if kind == "ragged" else 0)
+            text = ",".join(draw(cells) for _ in range(max(width, 1)))
+            text += "," if kind == "trailing" else ""
+        lines.append(text + draw(endings))
+    if draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\r\n")
+    return "".join(lines)
+
+
+def read_outcome(read, path):
+    try:
+        matrix, header = read(path)
+    except DataError as exc:
+        return "error", str(exc)
+    return matrix.dtype.str, matrix.shape, matrix.tobytes(), header
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(text=csv_files())
+def test_matrix_csv_reader_equals_python_reader(scratch, text):
+    path = scratch / "differential.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert read_outcome(read_matrix_csv, path) == read_outcome(_read_csv_python, path)
+
+
+def _is_float(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\n"])
+@pytest.mark.parametrize("cell", [c for c in PLAIN_CELLS if _is_float(c)])
+def test_plain_cells_take_the_c_path_with_python_results(scratch, newline, cell):
+    path = scratch / "plain.csv"
+    path.write_bytes(f"a,b{newline}{newline}{cell},1{newline}-0,{cell}{newline}".encode())
+    assert _read_csv_plain(path) is not None
+    assert read_outcome(_read_csv_plain, path) == read_outcome(_read_csv_python, path)
+    assert bits(_read_csv_plain(path)[0][0, 0]) == bits(float(cell))
+
+
+def test_workload_shaped_file_takes_the_c_path(scratch, monkeypatch):
+    # a 17-digit CRLF body, as bench/ and write_matrix_csv write it
+    matrix = np.random.default_rng(0).normal(size=(2000, 10))
+    path = scratch / "logits.csv"
+    write_matrix_csv(path, matrix, [f"p{j}" for j in range(10)])
+    calls = []
+    real = uqkit.data._read_csv_python
+    monkeypatch.setattr(uqkit.data, "_read_csv_python", lambda p: calls.append(p) or real(p))
+    back, header = read_matrix_csv(path)
+    assert calls == []
+    np.testing.assert_array_equal(bits(back), bits(matrix))
+    path.write_bytes(path.read_bytes().replace(b"\r\n", b" \r\n"))
+    np.testing.assert_array_equal(bits(read_matrix_csv(path)[0]), bits(matrix))
+    assert calls == [path]
+
+
+# every float64 the writer may meet, non-finite included
+WRITER_CELLS = st.one_of(
+    st.sampled_from(EDGES + [1.7976931348623157e308, math.nan, math.inf, -math.inf]),
+    st.floats(),
+)
+BLOCK = uqkit.data._WRITE_BLOCK_ROWS
+
+
+@BOUNDED
+@given(
+    pool=hnp.arrays(np.float64, st.integers(1, 12), elements=WRITER_CELLS),
+    rows=st.one_of(st.sampled_from([0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1]),
+                   st.integers(0, 3 * BLOCK)),
+    k=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_matrix_csv_writer_equals_csv_module(scratch, pool, rows, k, seed):
+    matrix = pool[np.random.default_rng(seed).integers(pool.size, size=(rows, k))]
+    header = [f"c{j}" for j in range(k)]
+    path = scratch / "written.csv"
+    write_matrix_csv(path, matrix, header)
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(header)
+    writer.writerows([format(v, ".17g") for v in row] for row in matrix.tolist())
+    assert path.read_bytes() == expected.getvalue().encode("utf-8")
 
 
 def _state(data, kind: str, p: int):
