@@ -28,7 +28,6 @@ from .conformal import (
     scalar_score_interval,
 )
 from .data import (
-    BatchPlan,
     Dataset,
     batches,
     load_csv,

@@ -20,6 +20,8 @@ T_MAX = 100.0
 
 _GOLDEN_TOL = 1e-6
 _GOLDEN_MAX_ITER = 200
+_ADAM_LEARNING_RATE = 0.1
+_ADAM_STEPS = 300
 _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -76,39 +78,33 @@ def _golden_section(f, lo: float, hi: float) -> tuple[float, int]:
     return 0.5 * (a + b), iterations
 
 
-def _adam_beta(logits, targets, learning_rate: float, epochs: int) -> tuple[float, int]:
+def _adam_beta(logits, targets) -> tuple[float, int]:
     """Fit the inverse temperature by full-batch Adam on the NLL."""
     n = logits.shape[0]
     rows = np.arange(n)
     beta = 1.0
     m = v = 0.0
-    for step in range(1, epochs + 1):
+    for step in range(1, _ADAM_STEPS + 1):
         p = softmax(beta * logits, axis=1)
         grad = float(np.mean(np.sum(p * logits, axis=1) - logits[rows, targets]))
         m = 0.9 * m + 0.1 * grad
         v = 0.999 * v + 0.001 * grad * grad
         m_hat = m / (1.0 - 0.9**step)
         v_hat = v / (1.0 - 0.999**step)
-        beta -= learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+        beta -= _ADAM_LEARNING_RATE * m_hat / (np.sqrt(v_hat) + 1e-8)
         beta = min(max(beta, 1.0 / T_MAX), 1.0 / T_MIN)
-    return beta, epochs
+    return beta, _ADAM_STEPS
 
 
-def fit_temperature(
-    logits,
-    targets,
-    method: str = "golden",
-    learning_rate: float = 0.1,
-    epochs: int = 300,
-) -> TemperatureFit:
+def fit_temperature(logits, targets, method: str = "golden") -> TemperatureFit:
     """Fit the temperature minimizing calibration NLL over [0.01, 100].
 
     The search runs over the inverse temperature beta = 1/t, where the
     NLL is smooth and well-behaved. ``method="golden"`` (default) is a
     deterministic golden-section search to absolute tolerance 1e-6;
-    ``method="adam"`` runs full-batch Adam, by default 300 steps at
-    learning rate 0.1. Either way the fitted NLL never exceeds the
-    uncalibrated NLL: t = 1 is kept when the search cannot beat it.
+    ``method="adam"`` runs 300 steps of full-batch Adam at learning rate
+    0.1. Either way the fitted NLL never exceeds the uncalibrated NLL:
+    t = 1 is kept when the search cannot beat it.
 
     Degenerate inputs whose rows are all constant carry no calibration
     signal; those return t = 1 with a warning.
@@ -137,7 +133,7 @@ def fit_temperature(
             lambda b: _scaled_nll(z, y, b), 1.0 / T_MAX, 1.0 / T_MIN
         )
     else:
-        beta, iterations = _adam_beta(z, y, learning_rate, epochs)
+        beta, iterations = _adam_beta(z, y)
 
     nll_fit = _scaled_nll(z, y, beta)
     if nll_fit <= nll_before:

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibration import apply_temperature, calibrated_entropy, fit_temperature
+from .calibration import apply_temperature, fit_temperature
 from .conformal import (
     Intervals,
     PredictionSets,
@@ -51,7 +51,7 @@ from .data import (
     write_matrix_csv,
 )
 from .errors import ConfigError, DataError, DivergenceError, UqError
-from .metrics import classification_report, interval_metrics
+from .metrics import DEFAULT_BINS, classification_report, interval_metrics
 from .mlp import mlp_forward, param_count
 from .numerics import entropy, softmax
 from .posterior import (
@@ -202,7 +202,6 @@ def cmd_conformal(args) -> int:
                 val_targets,
                 test_probs,
                 args.alpha,
-                mode=args.mode,
                 rng=Rng(args.seed) if args.mode == "randomized" else None,
             )
         write_sets_csv(out, sets)
@@ -262,8 +261,7 @@ def cmd_calibrate(args) -> int:
     fit = fit_temperature(logits, targets, method=args.method)
     target_logits = read_probs_csv(args.test_logits) if args.test_logits else logits
     probs = apply_temperature(target_logits, fit.temperature)
-    entropies = calibrated_entropy(target_logits, fit.temperature)
-    write_probs_csv(out_dir / "calibrated.csv", probs, entropies)
+    write_probs_csv(out_dir / "calibrated.csv", probs, entropy(probs, axis=-1))
     report = {
         "t": fit.temperature,
         "nll_before": fit.nll_before,
@@ -289,20 +287,13 @@ def _setup(cfg: RunConfig):
 
 def _swag_after_map(cfg: RunConfig, start, model, train_ds, opt):
     """The SWAG phase that continues a MAP fit, on its own batch stream."""
-    params = cfg.method_params
+    params = dict(cfg.method_params)
     swag_opt = replace(
         opt,
         seed=child_seed(cfg.seed, SEED_OPTIM + 100),
-        epochs=params["swag_epochs"] or opt.epochs,
+        epochs=params.pop("swag_epochs", opt.epochs),
     )
-    return swag_fit(
-        start,
-        model,
-        train_ds,
-        swag_opt,
-        rank=params["rank"],
-        snapshot_every=params["snapshot_every"],
-    )
+    return swag_fit(start, model, train_ds, swag_opt, **params)
 
 
 def _fit_by_method(cfg: RunConfig, model, train_ds, opt):
@@ -313,7 +304,7 @@ def _fit_by_method(cfg: RunConfig, model, train_ds, opt):
         rows = [("map", e, v) for e, v in enumerate(result.trace)]
         return result.state, rows, result.diverged
     if cfg.method == "ensemble":
-        result = ensemble_fit(model, train_ds, opt, members=params["members"])
+        result = ensemble_fit(model, train_ds, opt, **params)
         rows = [
             (f"member_{m}", e, v)
             for m, tr in enumerate(result.member_traces)
@@ -321,13 +312,7 @@ def _fit_by_method(cfg: RunConfig, model, train_ds, opt):
         ]
         return result.state, rows, result.diverged
     if cfg.method == "advi":
-        result = advi_fit(
-            model,
-            train_ds,
-            opt,
-            mc_samples=params["mc_samples"],
-            prior_precision=params["prior_precision"],
-        )
+        result = advi_fit(model, train_ds, opt, **params)
         rows = [("advi_elbo", e, v) for e, v in enumerate(result.trace)]
         return result.state, rows, result.diverged
     base = map_fit(model, train_ds, opt)
@@ -335,9 +320,7 @@ def _fit_by_method(cfg: RunConfig, model, train_ds, opt):
     if base.diverged:
         return base.state, rows, True
     if cfg.method == "laplace":
-        state = laplace_fit(
-            base.state, model, train_ds, prior_precision=params["prior_precision"]
-        )
+        state = laplace_fit(base.state, model, train_ds, **params)
         return state, rows, False
     swag = _swag_after_map(cfg, base.state, model, train_ds, opt)
     rows += [("swag", e, v) for e, v in enumerate(swag.trace)]
@@ -609,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--calib-probs")
     p.add_argument("--calib-targets")
     p.add_argument("--calib-data")
-    p.add_argument("--bins", type=_positive_int_flag, default=15)
+    p.add_argument("--bins", type=_positive_int_flag, default=DEFAULT_BINS)
     p.add_argument("--alpha", type=_alpha_flag)
     p.add_argument("--predictive-samples", type=_positive_int_flag)
     p.add_argument("--seed", type=int, default=0)

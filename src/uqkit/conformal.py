@@ -155,28 +155,20 @@ def adaptive_sets(
     val_targets,
     test_probs,
     alpha: float,
-    mode: str = "deterministic",
     rng: Rng | None = None,
 ) -> PredictionSets:
     """Adaptive prediction sets built from cumulative sorted probabilities.
 
-    Deterministic mode fixes the randomization variable at u = 1, so the
-    boundary class is always included and replays byte-identically.
-    Randomized mode draws u per input from ``rng`` and may drop the
-    boundary class (which can empty a set, as the randomized method
-    allows).
+    Without ``rng`` the sets are deterministic: the randomization variable
+    is fixed at u = 1, so the boundary class is always included and the
+    sets replay byte-identically. With ``rng`` they are randomized: u is
+    drawn per input from it, and the boundary class may be dropped (which
+    can empty a set, as the randomized method allows).
     """
-    if mode not in ("deterministic", "randomized"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "randomized" and rng is None:
-        raise ValueError("randomized mode needs an rng")
     alpha, vp, y, tp = _check_set_inputs(val_probs, val_targets, test_probs, alpha)
 
     n = vp.shape[0]
-    if mode == "deterministic":
-        u_val = np.ones(n)
-    else:
-        u_val = rng.uniforms(n)
+    u_val = np.ones(n) if rng is None else rng.uniforms(n)
     scores = _aps_val_scores(vp, y, u_val)
     q = conformal_quantile(scores, alpha)
 
@@ -191,7 +183,7 @@ def adaptive_sets(
     # replaced
     boundary = np.where(cum[:, -1] < q, k_classes - 1, (cum < q).sum(axis=1))
     keep = boundary + 1
-    if mode == "randomized" and not math.isinf(q):
+    if rng is not None and not math.isinf(q):
         rows = np.arange(m)
         p_boundary = sorted_p[rows, boundary]
         below = cum[rows, boundary] - p_boundary

@@ -1,8 +1,9 @@
 """File-backed datasets, seeded splits, and mini-batch iteration.
 
 CSV dialect is a strict RFC-4180 subset: comma separator, one header row,
-UTF-8, decimal points only (scientific notation accepted). Floats are
-written with 17 significant digits so write/load round-trips bit-exactly.
+UTF-8 (a leading byte-order mark is skipped), decimal points only
+(scientific notation accepted). Floats are written with 17 significant
+digits so write/load round-trips bit-exactly.
 """
 
 from __future__ import annotations
@@ -72,16 +73,6 @@ class Dataset:
         )
 
 
-@dataclass(frozen=True)
-class BatchPlan:
-    batch_size: int
-    shuffle_seed: int
-
-    def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
-
-
 def _parse_float(cell: str, path, line: int, column: str) -> float:
     try:
         return float(cell)
@@ -130,12 +121,13 @@ def load_csv(path, task: str, target_column: str) -> Dataset:
     return Dataset(inputs=inputs, targets=targets, task=task, feature_names=feature_names)
 
 
-def save_csv(ds: Dataset, path, target_column: str = "target") -> None:
-    """Write a dataset in the same dialect :func:`load_csv` reads."""
+def save_csv(ds: Dataset, path) -> None:
+    """Write a dataset in the same dialect :func:`load_csv` reads, the
+    targets last in a column named ``target``."""
     write_matrix_csv(
         path,
         np.column_stack([ds.inputs, ds.targets]),
-        list(ds.feature_names) + [target_column],
+        list(ds.feature_names) + ["target"],
     )
 
 
@@ -164,16 +156,18 @@ def split(ds: Dataset, fractions, seed: int) -> tuple[Dataset, Dataset, Dataset]
     return ds.take(perm[:a]), ds.take(perm[a:b]), ds.take(perm[b:])
 
 
-def batches(ds: Dataset, plan: BatchPlan, epoch: int):
+def batches(ds: Dataset, batch_size: int, shuffle_seed: int, epoch: int):
     """Yield (inputs, targets) mini-batches for one epoch.
 
     The row permutation is keyed by (shuffle_seed, epoch), so any epoch
     replays exactly and concatenating the batches reproduces the permuted
     dataset.
     """
-    perm = Rng(child_seed(plan.shuffle_seed, epoch)).permutation(ds.n)
-    for start in range(0, ds.n, plan.batch_size):
-        idx = perm[start : start + plan.batch_size]
+    if batch_size < 1:
+        raise ValueError("batch_size must be at least 1")
+    perm = Rng(child_seed(shuffle_seed, epoch)).permutation(ds.n)
+    for start in range(0, ds.n, batch_size):
+        idx = perm[start : start + batch_size]
         yield ds.inputs[idx], ds.targets[idx]
 
 
@@ -264,7 +258,7 @@ def _read_csv_plain(path: Path) -> tuple[np.ndarray, list[str]] | None:
         if not non_blank:
             return None
         try:
-            header = [h.strip() for h in next(csv.reader([head.decode("utf-8")]))]
+            header = [h.strip() for h in next(csv.reader([head.decode("utf-8-sig")]))]
         except UnicodeDecodeError:
             return None
         fh.seek(len(head))
@@ -281,7 +275,7 @@ def _read_csv_python(path: Path) -> tuple[np.ndarray, list[str]]:
     """The exact reader: any text ``float`` accepts, one ``DataError`` per
     fault."""
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
                 header = [h.strip() for h in next(reader)]

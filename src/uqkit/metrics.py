@@ -44,14 +44,23 @@ class Report:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def nll_classification(probs, targets) -> float:
-    """Mean negative log likelihood; probabilities floored at 1e-300."""
+def _checked(probs, targets) -> tuple[np.ndarray, np.ndarray]:
+    """(probability matrix, int64 labels) with one in-range label per row."""
     p = check_prob_rows(probs, "probs")
     y = check_labels(targets, p.shape[1], "targets")
     if y.shape[0] != p.shape[0]:
         raise ValueError("probs and targets disagree on length")
+    return p, y
+
+
+def _nll(p: np.ndarray, y: np.ndarray) -> float:
     picked = np.maximum(p[np.arange(p.shape[0]), y], 1e-300)
     return float(-np.mean(np.log(picked)))
+
+
+def nll_classification(probs, targets) -> float:
+    """Mean negative log likelihood; probabilities floored at 1e-300."""
+    return _nll(*_checked(probs, targets))
 
 
 def _bin_index(confidence: np.ndarray, n_bins: int) -> np.ndarray:
@@ -60,12 +69,9 @@ def _bin_index(confidence: np.ndarray, n_bins: int) -> np.ndarray:
     return np.clip(idx, 0, n_bins - 1)
 
 
-def ece(probs, targets, n_bins: int = DEFAULT_BINS) -> float:
-    """Expected calibration error of top-label confidence."""
+def _ece(p: np.ndarray, y: np.ndarray, n_bins: int) -> float:
     if n_bins < 1:
         raise ValueError("n_bins must be at least 1")
-    p = check_prob_rows(probs, "probs")
-    y = check_labels(targets, p.shape[1], "targets")
     n = p.shape[0]
     confidence = p.max(axis=1)
     correct = (p.argmax(axis=1) == y).astype(np.float64)
@@ -81,21 +87,30 @@ def ece(probs, targets, n_bins: int = DEFAULT_BINS) -> float:
     return float(total)
 
 
-def brier(probs, targets) -> float:
-    """Multiclass Brier score: mean squared distance to the one-hot target."""
-    p = check_prob_rows(probs, "probs")
-    y = check_labels(targets, p.shape[1], "targets")
+def ece(probs, targets, n_bins: int = DEFAULT_BINS) -> float:
+    """Expected calibration error of top-label confidence."""
+    return _ece(*_checked(probs, targets), n_bins)
+
+
+def _brier(p: np.ndarray, y: np.ndarray) -> float:
     onehot = np.zeros_like(p)
     onehot[np.arange(p.shape[0]), y] = 1.0
     return float(np.mean(np.sum((p - onehot) ** 2, axis=1)))
 
 
+def brier(probs, targets) -> float:
+    """Multiclass Brier score: mean squared distance to the one-hot target."""
+    return _brier(*_checked(probs, targets))
+
+
+def _accuracy(p: np.ndarray, y: np.ndarray) -> float:
+    return float(np.mean(p.argmax(axis=1) == y))
+
+
 def accuracy(probs, targets) -> float:
     """Fraction of rows whose argmax matches the target; ties take the
     lowest class index."""
-    p = check_prob_rows(probs, "probs")
-    y = check_labels(targets, p.shape[1], "targets")
-    return float(np.mean(p.argmax(axis=1) == y))
+    return _accuracy(*_checked(probs, targets))
 
 
 def interval_metrics(intervals: Intervals, targets) -> tuple[float, float]:
@@ -109,12 +124,12 @@ def interval_metrics(intervals: Intervals, targets) -> tuple[float, float]:
 
 def classification_report(probs, targets, n_bins: int = DEFAULT_BINS) -> Report:
     """Bundle all classification metrics over one prediction matrix."""
-    p = check_prob_rows(probs, "probs")
+    p, y = _checked(probs, targets)
     return Report(
-        nll=nll_classification(p, targets),
-        ece=ece(p, targets, n_bins),
-        brier=brier(p, targets),
-        accuracy=accuracy(p, targets),
+        nll=_nll(p, y),
+        ece=_ece(p, y, n_bins),
+        brier=_brier(p, y),
+        accuracy=_accuracy(p, y),
         n=p.shape[0],
         bins=n_bins,
     )

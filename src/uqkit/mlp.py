@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import Rng
+from .rng import Rng, child_seed
 
 ACTIVATIONS = ("tanh", "relu")
 
@@ -78,7 +78,7 @@ def init_params(cfg: MlpConfig) -> np.ndarray:
     for layer in range(len(dims) - 1):
         fan_in, fan_out = dims[layer], dims[layer + 1]
         a = np.sqrt(6.0 / fan_in)
-        stream = Rng(cfg.init_seed).child(layer)
+        stream = Rng(child_seed(cfg.init_seed, layer))
         w = a * (2.0 * stream.uniforms(fan_in * fan_out) - 1.0)
         theta[offset : offset + fan_in * fan_out] = w
         offset += fan_in * fan_out

@@ -70,9 +70,13 @@ def entropy(probs, axis: int = -1) -> np.ndarray:
     return -np.sum(terms, axis=axis)
 
 
-def check_prob_rows(probs: np.ndarray, name: str = "probs", tol: float = 1e-6) -> np.ndarray:
+# how far a probability row's sum may stray from 1
+_PROB_SUM_TOL = 1e-6
+
+
+def check_prob_rows(probs: np.ndarray, name: str = "probs") -> np.ndarray:
     """Validate a probability matrix: finite, nonnegative rows summing to 1
-    within tol. Messages count rows from 1, as CSV data rows do."""
+    within 1e-6. Messages count rows from 1, as CSV data rows do."""
     p = check_finite(probs, name)
     if p.ndim != 2:
         raise ValueError(f"{name} must be a 2-D matrix, got shape {p.shape}")
@@ -81,11 +85,11 @@ def check_prob_rows(probs: np.ndarray, name: str = "probs", tol: float = 1e-6) -
         row = int(np.argmax(negative))
         raise ValueError(f"{name} row {row + 1} has a negative entry {p[row].min():.9g}")
     sums = p.sum(axis=1)
-    bad = np.abs(sums - 1.0) > tol
+    bad = np.abs(sums - 1.0) > _PROB_SUM_TOL
     if np.any(bad):
         row = int(np.argmax(bad))
         raise ValueError(
-            f"{name} row {row + 1} sums to {sums[row]:.9g}, expected 1 within {tol}"
+            f"{name} row {row + 1} sums to {sums[row]:.9g}, expected 1 within {_PROB_SUM_TOL}"
         )
     return p
 

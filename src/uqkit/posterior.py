@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import CLASSIFICATION, REGRESSION, BatchPlan, Dataset, batches
+from .data import CLASSIFICATION, REGRESSION, Dataset, batches
 from .errors import DataError
 from .mlp import MlpConfig, init_params, mlp_activations, mlp_backward, mlp_forward
 from .mlp import param_count
@@ -32,6 +32,10 @@ from .rng import Rng, child_seed
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _LOG_STD_FLOOR = -100.0  # sampling floor for mean-field log stds
+# Adam's moment decays and denominator floor
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -41,9 +45,6 @@ class OptimConfig:
     epochs: int = 300
     batch_size: int = 32
     weight_decay: float = 0.0  # Gaussian prior precision divided by n
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -201,11 +202,11 @@ class _Optimizer:
         if o.algorithm == "sgd":
             return theta - o.learning_rate * grad
         self.t += 1
-        self.m = o.beta1 * self.m + (1.0 - o.beta1) * grad
-        self.v = o.beta2 * self.v + (1.0 - o.beta2) * grad * grad
-        m_hat = self.m / (1.0 - o.beta1**self.t)
-        v_hat = self.v / (1.0 - o.beta2**self.t)
-        return theta - o.learning_rate * m_hat / (np.sqrt(v_hat) + o.eps)
+        self.m = _ADAM_BETA1 * self.m + (1.0 - _ADAM_BETA1) * grad
+        self.v = _ADAM_BETA2 * self.v + (1.0 - _ADAM_BETA2) * grad * grad
+        m_hat = self.m / (1.0 - _ADAM_BETA1**self.t)
+        v_hat = self.v / (1.0 - _ADAM_BETA2**self.t)
+        return theta - o.learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
 
 
 def _n_batches(n: int, batch_size: int) -> int:
@@ -227,12 +228,11 @@ def _train(objective, x0, train, opt, shuffle_seed, epoch_value, on_step=None):
         raise ValueError("parameter vector contains non-finite entries")
     x = x0
     stepper = _Optimizer(opt, x.size)
-    plan = BatchPlan(batch_size=opt.batch_size, shuffle_seed=shuffle_seed)
     trace: list[float] = []
     step = 0
     for epoch in range(opt.epochs):
         losses: list[float] = []
-        for xb, yb in batches(train, plan, epoch):
+        for xb, yb in batches(train, opt.batch_size, shuffle_seed, epoch):
             loss, grad = objective(x, xb, yb)
             if not math.isfinite(loss) or not np.all(np.isfinite(grad)):
                 return x, tuple(trace), True
@@ -528,7 +528,7 @@ def advi_fit(
         raise ValueError("prior_precision must be positive")
     p = param_count(cfg)
     noise = Rng(child_seed(opt.seed, 1))
-    steps_per_epoch = -(-train.n // opt.batch_size)
+    steps_per_epoch = _n_batches(train.n, opt.batch_size)
 
     def step_noise():
         # The stream has no other reader and its normals do not depend on

@@ -161,7 +161,7 @@ class Rng:
     """Seeded xorshift64* stream with splitmix64-derived state.
 
     Instances are single-owner mutable: callers that need parallelism
-    derive independent child streams up front via :meth:`child`.
+    derive independent child streams up front via :func:`child_seed`.
     """
 
     __slots__ = ("_seed", "_state", "_cached_normal")
@@ -176,10 +176,6 @@ class Rng:
     @property
     def seed(self) -> int:
         return self._seed
-
-    def child(self, index: int) -> "Rng":
-        """Independent stream derived from (seed, index)."""
-        return Rng(child_seed(self._seed, index))
 
     def next_uint64(self) -> int:
         x = self._state = _step(self._state)

@@ -1,8 +1,12 @@
+import dataclasses
+import inspect
 import json
 
 import numpy as np
 import pytest
 
+from uqkit import config as config_module
+from uqkit import posterior
 from uqkit.cli import main
 from uqkit.config import load_config
 from uqkit.data import load_csv, save_csv, synth_classification, write_matrix_csv
@@ -267,6 +271,28 @@ def test_benchmark_config_takes_the_swag_params(tmp_path, capsys):
     bad = train_config(tmp_path, method="swag", method_params={"members": 2}, **seeds)
     code, _, err = run(capsys, "benchmark", "--config", str(bad))
     assert code == 2 and "'members'" in err and err.count("\n") == 1
+
+
+def test_each_setting_has_one_home():
+    # config knows which method_params keys each method reads; their
+    # defaults live only in the signatures of the fits they feed
+    schema = config_module.RUN_SCHEMA["properties"]["method_params"]["properties"]
+    assert set(schema) == set().union(*config_module._METHOD_PARAMS.values())
+    fits = {
+        "ensemble": posterior.ensemble_fit,
+        "swag": posterior.swag_fit,
+        "laplace": posterior.laplace_fit,
+        "advi": posterior.advi_fit,
+    }
+    for method, keys in config_module._METHOD_PARAMS.items():
+        for key in keys - {"swag_epochs"}:  # swag_epochs sets the optimizer's epochs
+            param = inspect.signature(fits[method]).parameters[key]
+            assert param.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+            assert param.default is not inspect.Parameter.empty
+    # the config's optimizer defaults only override what OptimConfig says
+    optim = {f.name: f.default for f in dataclasses.fields(posterior.OptimConfig)}
+    for key, value in config_module._OPTIM_DEFAULTS.items():
+        assert value != optim[key], key
 
 
 class TestTrainCommand:

@@ -111,10 +111,8 @@ class TestAdaptiveSets:
         y = rng_probs.integers(0, 3, size=50)
         zt = rng_probs.normal(size=(20, 3))
         test_probs = np.exp(zt) / np.exp(zt).sum(axis=1, keepdims=True)
-        with pytest.raises(ValueError, match="rng"):
-            adaptive_sets(val_probs, y, test_probs, 0.2, mode="randomized")
-        a = adaptive_sets(val_probs, y, test_probs, 0.2, "randomized", Rng(5))
-        b = adaptive_sets(val_probs, y, test_probs, 0.2, "randomized", Rng(5))
+        a = adaptive_sets(val_probs, y, test_probs, 0.2, Rng(5))
+        b = adaptive_sets(val_probs, y, test_probs, 0.2, Rng(5))
         np.testing.assert_array_equal(a.member, b.member)
         # randomized sets are nested inside deterministic ones
         det = adaptive_sets(val_probs, y, test_probs, 0.2)
@@ -174,12 +172,13 @@ def test_adaptive_sets_equal_the_row_loop(mode):
         y = rng.integers(0, k, size=n)
         alpha = float(rng.choice([0.02, 0.1, 0.3, 0.7]))
         seed = int(rng.integers(1000))
+        sets_rng = Rng(seed) if mode == "randomized" else None
         if np.any(vp_moved < 0.0) or np.any(tp_moved < 0.0):
             # rows summing to 1 with a negative entry are not probabilities
             with pytest.raises(ValueError, match="negative entry"):
-                adaptive_sets(vp_moved, y, tp_moved, alpha, mode, Rng(seed))
+                adaptive_sets(vp_moved, y, tp_moved, alpha, sets_rng)
             seen_negative = True
-        got = adaptive_sets(vp, y, tp, alpha, mode, Rng(seed) if mode == "randomized" else None)
+        got = adaptive_sets(vp, y, tp, alpha, sets_rng)
         want = adaptive_sets_row_loop(vp, y, tp, alpha, mode, Rng(seed))
         np.testing.assert_array_equal(got.member, want, err_msg=f"case {case}")
         seen_empty |= bool(np.any(~want.any(axis=1)))

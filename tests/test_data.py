@@ -6,7 +6,6 @@ import pytest
 
 import uqkit
 from uqkit.data import (
-    BatchPlan,
     Dataset,
     batches,
     load_csv,
@@ -134,15 +133,16 @@ class TestBatches:
         )
 
     def test_batch_sizes(self):
-        sizes = [x.shape[0] for x, _ in batches(self.ds(5), BatchPlan(2, 0), epoch=0)]
+        sizes = [x.shape[0] for x, _ in batches(self.ds(5), 2, 0, epoch=0)]
         assert sizes == [2, 2, 1]
+        with pytest.raises(ValueError, match="batch_size"):
+            next(batches(self.ds(5), 0, 0, epoch=0))
 
     def test_epoch_permutations_differ_but_replay(self):
-        plan = BatchPlan(4, shuffle_seed=3)
         ds = self.ds(12)
 
         def epoch_order(epoch):
-            return np.concatenate([y for _, y in batches(ds, plan, epoch)])
+            return np.concatenate([y for _, y in batches(ds, 4, 3, epoch)])
 
         e0, e1 = epoch_order(0), epoch_order(1)
         assert not np.array_equal(e0, e1)
@@ -151,7 +151,7 @@ class TestBatches:
 
     def test_every_row_seen_once_per_epoch(self):
         ds = self.ds(17)
-        seen = np.concatenate([y for _, y in batches(ds, BatchPlan(5, 1), epoch=2)])
+        seen = np.concatenate([y for _, y in batches(ds, 5, 1, epoch=2)])
         assert sorted(seen.tolist()) == list(range(17))
 
 

@@ -192,3 +192,8 @@ class TestReport:
         assert report.ece == 0.0
         assert report.brier == 0.0
         assert report.accuracy == 1.0
+        # fewer or more targets than rows must not broadcast
+        for targets in ([0], [0, 1], [0, 1, 2, 0]):
+            for fn in (nll_classification, ece, brier, accuracy, classification_report):
+                with pytest.raises(ValueError, match="disagree on length"):
+                    fn(np.eye(3), targets)

@@ -34,8 +34,7 @@ def test_distinct_seeds_differ():
 
 
 def test_child_streams_differ_pairwise():
-    r = Rng(42)
-    streams = [r.child(i).normals(4).tolist() for i in range(10)]
+    streams = [Rng(child_seed(42, i)).normals(4).tolist() for i in range(10)]
     for i in range(10):
         for j in range(i + 1, 10):
             assert streams[i] != streams[j]
