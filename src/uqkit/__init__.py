@@ -11,7 +11,6 @@ from .calibration import (
     TemperatureFit,
     VarianceScaleFit,
     apply_temperature,
-    calibrated_entropy,
     fit_temperature,
     fit_variance_scale,
 )

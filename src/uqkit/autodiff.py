@@ -20,9 +20,8 @@ take_slice       contiguous 1-D slice, gradient scattered back
 take_column      single matrix column, gradient scattered back
 =============  ====================================================
 
-The same functions accept plain ndarrays and then fall through to the
-identical numpy arithmetic, so a model evaluated with and without a tape
-produces bit-identical values.
+Each primitive takes a tape variable and records one node; only the
+binary operators accept a plain ndarray or scalar, as a constant operand.
 """
 
 from __future__ import annotations
@@ -199,39 +198,29 @@ def _vjp_matmul(av, bv, out):
 
 
 # ---------------------------------------------------------------------------
-# dispatching primitives: Var -> taped op, ndarray -> plain numpy
+# unary primitives: each records one node on its input's tape
 
-def exp(x):
-    if isinstance(x, Var):
-        return _unary(x, np.exp, lambda a, out: lambda g: (g * out,))
-    return np.exp(_const(x))
+def exp(x: Var) -> Var:
+    return _unary(x, np.exp, lambda a, out: lambda g: (g * out,))
 
 
-def log(x):
-    if isinstance(x, Var):
-        return _unary(x, np.log, lambda a, out: lambda g: (g / a,))
-    return np.log(_const(x))
+def log(x: Var) -> Var:
+    return _unary(x, np.log, lambda a, out: lambda g: (g / a,))
 
 
-def tanh(x):
-    if isinstance(x, Var):
-        return _unary(x, np.tanh, lambda a, out: lambda g: (g * (1.0 - out * out),))
-    return np.tanh(_const(x))
+def tanh(x: Var) -> Var:
+    return _unary(x, np.tanh, lambda a, out: lambda g: (g * (1.0 - out * out),))
 
 
-def relu(x):
-    if isinstance(x, Var):
-        return _unary(
-            x,
-            lambda a: np.maximum(a, 0.0),
-            lambda a, out: lambda g: (g * (a > 0.0),),
-        )
-    return np.maximum(_const(x), 0.0)
+def relu(x: Var) -> Var:
+    return _unary(
+        x,
+        lambda a: np.maximum(a, 0.0),
+        lambda a, out: lambda g: (g * (a > 0.0),),
+    )
 
 
-def vsum(x, axis: int | None = None):
-    if not isinstance(x, Var):
-        return np.sum(_const(x), axis=axis)
+def vsum(x: Var, axis: int | None = None) -> Var:
     out = np.sum(x.value, axis=axis)
     shape = np.shape(x.value)
 
@@ -244,9 +233,7 @@ def vsum(x, axis: int | None = None):
     return x.tape._append(out, (x.index,), vjp)
 
 
-def vmax(x, axis: int | None = None):
-    if not isinstance(x, Var):
-        return np.max(_const(x), axis=axis)
+def vmax(x: Var, axis: int | None = None) -> Var:
     out = np.max(x.value, axis=axis)
     shape = np.shape(x.value)
     if axis is None:
@@ -270,18 +257,14 @@ def vmax(x, axis: int | None = None):
     return x.tape._append(out, (x.index,), vjp)
 
 
-def reshape(x, shape):
-    if not isinstance(x, Var):
-        return np.reshape(_const(x), shape)
+def reshape(x: Var, shape) -> Var:
     old = np.shape(x.value)
     out = np.reshape(x.value, shape)
     return x.tape._append(out, (x.index,), lambda g: (np.reshape(g, old),))
 
 
-def take_slice(x, start: int, stop: int):
+def take_slice(x: Var, start: int, stop: int) -> Var:
     """Contiguous slice of a 1-D vector."""
-    if not isinstance(x, Var):
-        return _const(x)[start:stop]
     if np.ndim(x.value) != 1:
         raise ValueError("take_slice expects a 1-D vector")
     out = x.value[start:stop]
@@ -295,10 +278,8 @@ def take_slice(x, start: int, stop: int):
     return x.tape._append(out, (x.index,), vjp)
 
 
-def take_column(x, col: int):
+def take_column(x: Var, col: int) -> Var:
     """Single column of a 2-D matrix, as a vector."""
-    if not isinstance(x, Var):
-        return _const(x)[:, col]
     if np.ndim(x.value) != 2:
         raise ValueError("take_column expects a 2-D matrix")
     out = x.value[:, col]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import check_finite, check_labels, entropy, log_sum_exp, softmax
+from .numerics import check_finite, check_labels, log_sum_exp, softmax
 
 T_MIN = 0.01
 T_MAX = 100.0
@@ -172,8 +172,3 @@ def fit_variance_scale(means, variances, targets) -> VarianceScaleFit:
             scale=1e-12, warning="all residuals are zero; scale clamped to 1e-12"
         )
     return VarianceScaleFit(scale=s)
-
-
-def calibrated_entropy(logits, t: float) -> np.ndarray:
-    """Shannon entropy (nats) of each temperature-scaled output row."""
-    return entropy(apply_temperature(logits, t), axis=-1)

@@ -501,10 +501,6 @@ def cmd_benchmark(args) -> int:
     cfg = load_config(args.config, require_seeds=True)
     if args.out_dir:
         cfg.out_dir = Path(args.out_dir)
-    if "synth" not in cfg.raw["data"]:
-        raise ConfigError(["benchmark configs need a synthetic dataset spec"])
-    if cfg.task != CLASSIFICATION:
-        raise ConfigError(["benchmark compares classification calibration only"])
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     runs = []
     for run_seed in cfg.seeds:

@@ -224,8 +224,13 @@ def validate_config(doc: dict, require_seeds: bool = False) -> list[str]:
             for key in doc.get("method_params", {})
             if key not in _METHOD_PARAMS[_fitted_method(doc, require_seeds)]
         ]
-    if require_seeds and isinstance(doc, dict) and "seeds" not in doc:
-        messages.append("at <root>: benchmark configs need a 'seeds' list (>= 3)")
+    if require_seeds and isinstance(doc, dict):
+        if "seeds" not in doc:
+            messages.append("at <root>: benchmark configs need a 'seeds' list (>= 3)")
+        if isinstance(doc.get("data"), dict) and "synth" not in doc["data"]:
+            messages.append("at data: benchmark configs need a synthetic dataset spec")
+        if doc.get("task", CLASSIFICATION) != CLASSIFICATION:
+            messages.append("at task: benchmark compares classification calibration only")
     return messages
 
 

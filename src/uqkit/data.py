@@ -157,7 +157,8 @@ def split(ds: Dataset, fractions, seed: int) -> tuple[Dataset, Dataset, Dataset]
 
 
 def batches(ds: Dataset, batch_size: int, shuffle_seed: int, epoch: int):
-    """Yield (inputs, targets) mini-batches for one epoch.
+    """A generator of (inputs, targets) mini-batches for one epoch;
+    ``batch_size`` is checked when called.
 
     The row permutation is keyed by (shuffle_seed, epoch), so any epoch
     replays exactly and concatenating the batches reproduces the permuted
@@ -166,9 +167,8 @@ def batches(ds: Dataset, batch_size: int, shuffle_seed: int, epoch: int):
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
     perm = Rng(child_seed(shuffle_seed, epoch)).permutation(ds.n)
-    for start in range(0, ds.n, batch_size):
-        idx = perm[start : start + batch_size]
-        yield ds.inputs[idx], ds.targets[idx]
+    chunks = (perm[start : start + batch_size] for start in range(0, ds.n, batch_size))
+    return ((ds.inputs[idx], ds.targets[idx]) for idx in chunks)
 
 
 # fixed blob centers: equally spaced on a circle of radius 3

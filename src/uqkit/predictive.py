@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import Intervals, _make_intervals
+from .conformal import Intervals, _check_alpha, _make_intervals
 from .mlp import MlpConfig, mlp_forward
 from .numerics import kth_smallest_columns, softmax
 from .posterior import EnsembleState, MapState, PosteriorState, posterior_sample
@@ -98,8 +98,7 @@ def credible_interval_regression(
     order statistics) of the pooled draws. The noise comes from ``rng``,
     normally the stream ``sample_weights`` returned with the weights.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    alpha = _check_alpha(alpha)
     s, n = moments.draw_means.shape
     if s < 2.0 / alpha:
         warnings.warn(

@@ -7,19 +7,20 @@ Normal variates use the Box-Muller transform with the (cos, sin) pair
 consumed in order, which pins posterior-sampling golden values.
 
 The array methods (``uniforms``, ``normals``, ``permutation``) return
-exactly the bytes of the one-draw-at-a-time methods, but from 150 values
-up (``_BATCH_MIN``; below it the per-draw loop is faster) they make the
-states in numpy. The xorshift step is linear over GF(2), so M^(2^j), the
-step applied 2^j times, is a 64x64 bit matrix; applying it to the k
-states made so far gives the next k (Haramoto et al. 2008, "Efficient
-jump ahead for F2-linear random number generators"). Each M^(2^j) is kept
-as 8 byte-indexed 256-entry tables, built at first use by squaring and
-shared by every stream. The output multiply, the uniform scaling and
-``np.sqrt`` are exact or correctly rounded in numpy. The Box-Muller log
-stays ``math.log`` per value, since ``np.log`` can differ from it in the
-last bit; ``np.cos``/``np.sin`` are used only after a first-use probe
-finds them equal to ``math`` on a fixed set of angles, and ``math`` is
-used otherwise.
+exactly the bytes of the one-draw-at-a-time methods, and leave the same
+state and cached normal behind, but make the states in numpy. The
+xorshift step is linear over GF(2), so M^(2^j), the step applied 2^j
+times, is a 64x64 bit matrix; applying it to the k states made so far
+gives the next k (Haramoto et al. 2008, "Efficient jump ahead for
+F2-linear random number generators"). Each M^(2^j) is kept as 8
+byte-indexed 256-entry tables, built at first use by squaring and shared
+by every stream. The output multiply, the uniform scaling and ``np.sqrt``
+are exact or correctly rounded in numpy. The Box-Muller log stays
+``math.log`` per value, since ``np.log`` can differ from it in the last
+bit; ``np.cos``/``np.sin`` are used only after a first-use probe finds
+them equal to ``math`` on a fixed set of angles, and ``math`` is used
+otherwise. The one-draw methods define the stream; ``permutation``
+finishes with ``integer`` from the first draw it would reject.
 """
 
 from __future__ import annotations
@@ -34,10 +35,6 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _TWO_PI = 2.0 * math.pi
 _MULTIPLIER = 0x2545F4914F6CDD1D
 _TO_UNIT = 1.0 / 9007199254740992.0  # 2**-53
-
-# Array draws of at least this many values run batched; fewer run one
-# draw at a time, which is faster at that size.
-_BATCH_MIN = 150
 
 # States are little-endian so that byte b of a state is column b of its
 # uint8 view on any host.
@@ -164,18 +161,13 @@ class Rng:
     derive independent child streams up front via :func:`child_seed`.
     """
 
-    __slots__ = ("_seed", "_state", "_cached_normal")
+    __slots__ = ("_state", "_cached_normal")
 
     def __init__(self, seed: int):
-        self._seed = int(seed) & _MASK64
-        state = _mix64((self._seed + _GOLDEN) & _MASK64)
+        state = _mix64((int(seed) + _GOLDEN) & _MASK64)
         # xorshift state must never be zero
         self._state = state if state != 0 else _GOLDEN
         self._cached_normal: float | None = None
-
-    @property
-    def seed(self) -> int:
-        return self._seed
 
     def next_uint64(self) -> int:
         x = self._state = _step(self._state)
@@ -208,9 +200,11 @@ class Rng:
                 return draw % bound
 
     def _states(self, n: int) -> np.ndarray:
-        """The stream's next n states (n >= 1), made by doubling jumps;
-        the stream moves past them."""
+        """The stream's next n states, made by doubling jumps; the stream
+        moves past them."""
         states = np.empty(n, dtype=_U64)
+        if n == 0:
+            return states
         states[0] = _step(self._state)
         k, j = 1, 0
         while k < n:
@@ -220,29 +214,22 @@ class Rng:
         self._state = int(states[-1])
         return states
 
-    def _unit_draws(self, n: int) -> np.ndarray:
-        """The next n uniforms (n >= 1), batched whatever n is."""
+    def uniforms(self, n: int) -> np.ndarray:
+        """n draws of ``uniform``."""
         draws = self._states(n) * np.uint64(_MULTIPLIER)
         return (draws >> np.uint64(11)).astype(np.float64) * _TO_UNIT
-
-    def uniforms(self, n: int) -> np.ndarray:
-        if n < _BATCH_MIN:
-            return np.array([self.uniform() for _ in range(n)], dtype=np.float64)
-        return self._unit_draws(n)
 
     def normals(self, n: int) -> np.ndarray:
         """n draws of ``standard_normal``: a cached sin half comes first,
         and an odd count leaves one for the next call."""
-        if n < _BATCH_MIN:
-            return np.array([self.standard_normal() for _ in range(n)], dtype=np.float64)
         out = np.empty(n, dtype=np.float64)
         start = 0
-        if self._cached_normal is not None:
+        if n and self._cached_normal is not None:
             out[0] = self._cached_normal
             self._cached_normal = None
             start = 1
         pairs = (n - start + 1) // 2
-        u = self._unit_draws(2 * pairs)
+        u = self.uniforms(2 * pairs)
         # the log stays math.log, value by value, as standard_normal takes it
         logs = np.fromiter(map(math.log, (1.0 - u[0::2]).tolist()), dtype=np.float64, count=pairs)
         radius = np.sqrt(-2.0 * logs)
@@ -272,10 +259,7 @@ class Rng:
 
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates permutation of range(n)."""
-        if n - 1 < _BATCH_MIN:
-            js = [self.integer(i + 1) for i in range(n - 1, 0, -1)]
-        else:
-            js = self._bounded_draws(np.arange(n, 1, -1, dtype=_U64))
+        js = self._bounded_draws(np.arange(n, 1, -1, dtype=_U64))
         perm = list(range(n))
         for i, j in zip(range(n - 1, 0, -1), js):
             perm[i], perm[j] = perm[j], perm[i]

@@ -7,12 +7,11 @@ from uqkit.calibration import (
     T_MAX,
     T_MIN,
     apply_temperature,
-    calibrated_entropy,
     fit_temperature,
     fit_variance_scale,
 )
 from uqkit.metrics import nll_classification
-from uqkit.numerics import softmax
+from uqkit.numerics import entropy, softmax
 
 
 def sample_logits(rng, n, k, scale=2.0):
@@ -140,16 +139,18 @@ class TestVarianceScale:
 
 
 class TestCalibratedEntropy:
+    """Entropies of temperature-scaled rows, as ``uqkit calibrate`` takes them."""
+
     def test_uniform_row(self):
-        h = calibrated_entropy(np.array([[1.0, 1.0, 1.0, 1.0]]), 1.0)
+        h = entropy(apply_temperature(np.array([[1.0, 1.0, 1.0, 1.0]]), 1.0), axis=-1)
         np.testing.assert_allclose(h, [math.log(4.0)], atol=1e-12)
 
     def test_one_hot_limit(self):
-        h = calibrated_entropy(np.array([[500.0, -500.0]]), 1.0)
+        h = entropy(apply_temperature(np.array([[500.0, -500.0]]), 1.0), axis=-1)
         np.testing.assert_allclose(h, [0.0], atol=1e-12)
 
     def test_direct_evaluation(self):
-        h = calibrated_entropy(np.array([[2.0, 0.0]]), 2.0)
+        h = entropy(apply_temperature(np.array([[2.0, 0.0]]), 2.0), axis=-1)
         p = 0.73105857863000487
         expected = -(p * math.log(p) + (1 - p) * math.log(1 - p))
         np.testing.assert_allclose(h, [expected], atol=1e-12)
@@ -158,6 +159,6 @@ class TestCalibratedEntropy:
         rng = np.random.default_rng(5)
         z = rng.normal(scale=3.0, size=(20, 4))
         grid = [0.05, 0.2, 0.5, 1.0, 2.0, 10.0, 50.0]
-        values = np.stack([calibrated_entropy(z, t) for t in grid])
+        values = np.stack([entropy(apply_temperature(z, t), axis=-1) for t in grid])
         assert np.all(np.diff(values, axis=0) >= -1e-10)
         assert np.all(values >= -1e-15) and np.all(values <= math.log(4.0) + 1e-12)

@@ -273,6 +273,21 @@ def test_benchmark_config_takes_the_swag_params(tmp_path, capsys):
     assert code == 2 and "'members'" in err and err.count("\n") == 1
 
 
+def test_benchmark_config_faults_are_listed_in_one_run(tmp_path, capsys):
+    # csv data, a regression task and no seeds: three faults, one exit-2 run
+    bad = train_config(
+        tmp_path, task="regression", data={"csv": {"path": "x.csv", "target_column": "y"}}
+    )
+    code, out, err = run(capsys, "benchmark", "--config", str(bad))
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 3 and all(line.startswith("config error: ") for line in lines)
+    assert "'seeds'" in lines[0]
+    assert "synthetic dataset spec" in lines[1]
+    assert "classification" in lines[2]
+    assert not (tmp_path / "run").exists()
+
+
 def test_each_setting_has_one_home():
     # config knows which method_params keys each method reads; their
     # defaults live only in the signatures of the fits they feed

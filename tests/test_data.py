@@ -136,7 +136,7 @@ class TestBatches:
         sizes = [x.shape[0] for x, _ in batches(self.ds(5), 2, 0, epoch=0)]
         assert sizes == [2, 2, 1]
         with pytest.raises(ValueError, match="batch_size"):
-            next(batches(self.ds(5), 0, 0, epoch=0))
+            batches(self.ds(5), 0, 0, epoch=0)
 
     def test_epoch_permutations_differ_but_replay(self):
         ds = self.ds(12)
