@@ -30,6 +30,7 @@ from .calibration import apply_temperature, fit_temperature
 from .conformal import (
     Intervals,
     PredictionSets,
+    _check_alpha,
     adaptive_sets,
     baseline_sets,
     cqr_interval,
@@ -162,12 +163,9 @@ def write_trace_csv(path: Path, rows: list[tuple[str, int, float]]) -> None:
 
 def _alpha_flag(value: str) -> float:
     try:
-        a = float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"alpha must be a number, got {value!r}")
-    if not 0.0 < a < 1.0:
-        raise argparse.ArgumentTypeError(f"alpha must lie in (0, 1), got {value}")
-    return a
+        return _check_alpha(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _positive_int_flag(value: str) -> int:
@@ -333,8 +331,8 @@ def cmd_train(args) -> int:
         cfg.out_dir = Path(args.out_dir)
     if args.seed is not None:
         cfg.seed = args.seed
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     (train_ds, calib_ds, test_ds), model, opt = _setup(cfg)
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     log.info(
         "training %s on %d rows (%d parameters)",
         cfg.method, train_ds.n, param_count(model),

@@ -1,10 +1,10 @@
 """Run configuration: a strict JSON document shared by train and benchmark.
 
-Validation is schema-based and strict: unknown keys are rejected and all
-violations are reported at once, each with its JSON path. One top-level
-``seed`` drives everything; purpose-specific streams (data generation,
-weight init, batch order, splits, predictive draws) are derived child
-seeds, so a config replays bit-identically.
+Validation is strict: one pass over ``RUN_SCHEMA`` (JSON Schema, checked
+here) and the rules no schema states reports every fault, each with its
+JSON path. One top-level ``seed`` drives everything; purpose-specific
+streams (data generation, weight init, batch order, splits, predictive
+draws) are derived child seeds, so a config replays bit-identically.
 """
 
 from __future__ import annotations
@@ -13,9 +13,15 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import jsonschema
-
-from .data import CLASSIFICATION, Dataset, load_csv, split, synth_classification
+from .data import (
+    CLASSIFICATION,
+    REGRESSION,
+    Dataset,
+    check_split_fractions,
+    load_csv,
+    split,
+    synth_classification,
+)
 from .errors import ConfigError
 from .metrics import DEFAULT_BINS
 from .mlp import MlpConfig
@@ -160,10 +166,6 @@ class RunConfig:
     def load_dataset(self) -> Dataset:
         data = self.raw["data"]
         if "synth" in data:
-            if self.task != CLASSIFICATION:
-                raise ConfigError(
-                    ["synthetic generators produce classification data only"]
-                )
             spec = data["synth"]
             return synth_classification(
                 spec["name"],
@@ -204,34 +206,77 @@ class RunConfig:
         return split(dataset, self.split_fractions, child_seed(self.seed, SEED_SPLIT))
 
 
-def _fitted_method(doc: dict, require_seeds: bool) -> str:
-    """The method whose parameters a run reads: the benchmark runs MAP then
-    SWAG, whatever ``method`` names."""
-    return "swag" if require_seeds else doc["method"]
+# each JSON Schema type as the exact Python types json.loads gives it, so an
+# integer is neither 2.0 nor a bool
+_TYPES = {
+    "object": (dict,), "array": (list,), "string": (str,), "boolean": (bool,),
+    "integer": (int,), "number": (int, float),
+}
+
+
+def _schema_faults(schema: dict, value, path: tuple = ()):
+    """(path, message) per way ``value`` breaks ``schema``, for the keywords
+    RUN_SCHEMA uses; a schema with an object, array or number keyword names its type."""
+    kind = schema.get("type")
+    if kind is not None and type(value) not in _TYPES[kind]:
+        yield path, f"expected {kind}, got {value!r}"
+        return
+    if "enum" in schema and value not in schema["enum"]:
+        yield path, f"{value!r} is not one of {schema['enum']!r}"
+    if "minimum" in schema and value < schema["minimum"]:
+        yield path, f"{value!r} is below the minimum {schema['minimum']}"
+    if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+        yield path, f"{value!r} must be above {schema['exclusiveMinimum']}"
+    if kind in ("object", "array"):
+        low = schema.get("minProperties", schema.get("minItems", 0))
+        high = schema.get("maxProperties", schema.get("maxItems", len(value)))
+        if len(value) < low:
+            yield path, f"needs at least {low} entries, got {len(value)}"
+        if len(value) > high:
+            yield path, f"allows at most {high} entries, got {len(value)}"
+    if kind == "object":
+        for key in value:
+            if key not in schema["properties"] and schema.get("additionalProperties") is False:
+                yield path, f"unknown key {key!r}"
+        for key in schema.get("required", ()):
+            if key not in value:
+                yield path, f"missing required key {key!r}"
+        for key, sub in schema["properties"].items():
+            if key in value:
+                yield from _schema_faults(sub, value[key], path + (key,))
+    if kind == "array":
+        for i, item in enumerate(value):
+            yield from _schema_faults(schema["items"], item, path + (i,))
 
 
 def validate_config(doc: dict, require_seeds: bool = False) -> list[str]:
-    """All schema violations at once, as "at <path>: <message>" strings."""
-    validator = jsonschema.Draft202012Validator(RUN_SCHEMA)
-    messages = []
-    for err in sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path)):
-        where = "/".join(str(p) for p in err.absolute_path) or "<root>"
-        messages.append(f"at {where}: {err.message}")
-    if not messages:
-        reader = "the benchmark's SWAG phase" if require_seeds else f"method {doc['method']!r}"
-        messages += [
-            f"at method_params/{key}: {reader} does not read {key!r}"
-            for key in doc.get("method_params", {})
-            if key not in _METHOD_PARAMS[_fitted_method(doc, require_seeds)]
-        ]
-    if require_seeds and isinstance(doc, dict):
-        if "seeds" not in doc:
-            messages.append("at <root>: benchmark configs need a 'seeds' list (>= 3)")
-        if isinstance(doc.get("data"), dict) and "synth" not in doc["data"]:
-            messages.append("at data: benchmark configs need a synthetic dataset spec")
-        if doc.get("task", CLASSIFICATION) != CLASSIFICATION:
-            messages.append("at task: benchmark compares classification calibration only")
-    return messages
+    """Every fault at once, as "at <path>: <message>" strings in path order."""
+    faults = list(_schema_faults(RUN_SCHEMA, doc))
+    if isinstance(doc, dict):
+        data = doc.get("data")
+        if isinstance(data, dict) and "synth" in data and doc.get("task") == REGRESSION:
+            faults.append((("data", "synth"), "synth generators make classification data only"))
+        if "split" in doc and all(path[:1] != ("split",) for path, _ in faults):
+            try:
+                check_split_fractions(doc["split"])
+            except ValueError as exc:
+                faults.append((("split",), str(exc)))
+        # the benchmark runs MAP then SWAG, whatever ``method`` names
+        method = "swag" if require_seeds else doc.get("method")
+        params = doc.get("method_params")
+        if isinstance(method, str) and method in _METHOD_PARAMS and isinstance(params, dict):
+            reader = "the benchmark's SWAG phase" if require_seeds else f"method {method!r}"
+            for key in RUN_SCHEMA["properties"]["method_params"]["properties"]:
+                if key in params and key not in _METHOD_PARAMS[method]:
+                    faults.append((("method_params", key), f"{reader} does not read {key!r}"))
+        if require_seeds and "seeds" not in doc:
+            faults.append(((), "benchmark configs need a 'seeds' list (>= 3)"))
+        if require_seeds and isinstance(data, dict) and "synth" not in data:
+            faults.append((("data",), "benchmark configs need a synthetic dataset spec"))
+        if require_seeds and doc.get("task", CLASSIFICATION) != CLASSIFICATION:
+            faults.append((("task",), "benchmark compares classification calibration only"))
+    faults.sort(key=lambda fault: fault[0])
+    return [f"at {'/'.join(map(str, path)) or '<root>'}: {message}" for path, message in faults]
 
 
 def parse_config(doc: dict, require_seeds: bool = False) -> RunConfig:

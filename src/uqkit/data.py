@@ -131,12 +131,8 @@ def save_csv(ds: Dataset, path) -> None:
     )
 
 
-def split(ds: Dataset, fractions, seed: int) -> tuple[Dataset, Dataset, Dataset]:
-    """Seeded (train, calibration, test) split.
-
-    Sizes are floor allocations of the fractions; remainder rows go to the
-    training partition.
-    """
+def check_split_fractions(fractions) -> list[float]:
+    """[train, calib, test] fractions as floats: three, positive, summing to 1."""
     fractions = [float(f) for f in fractions]
     if len(fractions) != 3:
         raise ValueError("fractions must be [train, calib, test]")
@@ -144,6 +140,16 @@ def split(ds: Dataset, fractions, seed: int) -> tuple[Dataset, Dataset, Dataset]
         raise ValueError("fractions must all be positive")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError(f"fractions must sum to 1, got {sum(fractions)!r}")
+    return fractions
+
+
+def split(ds: Dataset, fractions, seed: int) -> tuple[Dataset, Dataset, Dataset]:
+    """Seeded (train, calibration, test) split.
+
+    Sizes are floor allocations of the fractions; remainder rows go to the
+    training partition.
+    """
+    fractions = check_split_fractions(fractions)
     n = ds.n
     sizes = [int(np.floor(f * n)) for f in fractions]
     sizes[0] += n - sum(sizes)

@@ -1,6 +1,10 @@
 import dataclasses
 import inspect
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,6 +141,12 @@ class TestConformalCommand:
             main(["conformal", "--method", "baseline", "--alpha", "1.5", "--out", "x"])
         assert exc.value.code == 2
         assert "alpha" in capsys.readouterr().err
+
+    def test_alpha_flag_reports_the_parsed_value(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["conformal", "--method", "baseline", "--alpha", "1e0", "--out", "x"])
+        assert exc.value.code == 2
+        assert "alpha must lie in (0, 1), got 1.0" in capsys.readouterr().err
 
     def test_malformed_data_exits_3(self, tmp_path, clf_fixture, capsys):
         bad = tmp_path / "bad.csv"
@@ -288,6 +298,63 @@ def test_benchmark_config_faults_are_listed_in_one_run(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("overrides, where", [
+    ({"optimizer": {"epochs": 2.0}}, "optimizer/epochs"),
+    ({"optimizer": {"batch_size": 8.0}}, "optimizer/batch_size"),
+    ({"data": {"synth": {"name": "two_moons", "n": 60.0}}}, "data/synth/n"),
+    ({"data": {"synth": {"name": "gaussian_blobs", "n": 60, "classes": 3.0}}},
+     "data/synth/classes"),
+    ({"model": {"hidden_widths": [4.0]}}, "model/hidden_widths/0"),
+    ({"method": "ensemble", "method_params": {"members": 2.0}}, "method_params/members"),
+])
+def test_integral_float_for_an_integer_exits_2(tmp_path, capsys, overrides, where):
+    # JSON Schema's integer admits 2.0, which the fits and generators do not
+    code, out, err = run(capsys, "train", "--config", str(train_config(tmp_path, **overrides)))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith(f"config error: at {where}: expected integer")
+    assert not (tmp_path / "run").exists()
+
+
+def test_split_fractions_must_sum_to_1(tmp_path, capsys):
+    code, out, err = run(capsys, "train", "--config", str(train_config(tmp_path, split=[0.5] * 3)))
+    assert code == 2 and out == ""
+    assert err == "config error: at split: fractions must sum to 1, got 1.5\n"
+    assert not (tmp_path / "run").exists()
+    # the criterion-9 split sums to 1 within the tolerance
+    fractions = [3 / 19, 8 / 19, 8 / 19]
+    assert load_config(train_config(tmp_path, split=fractions)).split_fractions == tuple(fractions)
+
+
+def test_train_config_faults_are_listed_in_one_run(tmp_path, capsys):
+    # a rule on two keys, a method_params key the method never reads and a
+    # schema bound: three faults, one exit-2 run
+    bad = train_config(
+        tmp_path, task="regression", method_params={"rank": 2}, optimizer={"epochs": 0}
+    )
+    code, out, err = run(capsys, "train", "--config", str(bad))
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 3
+    assert lines[0].startswith("config error: at data/synth: synth generators make classification")
+    assert lines[1] == "config error: at method_params/rank: method 'map' does not read 'rank'"
+    assert lines[2].startswith("config error: at optimizer/epochs: 0 is below")
+    assert not (tmp_path / "run").exists()
+
+
+def test_cli_import_leaves_jsonschema_unloaded():
+    # jsonschema is a test-only dependency: the validator is uqkit's own
+    probe = (
+        "import sys, uqkit.cli; "
+        "print(sorted({'jsonschema', 'referencing', 'attr'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(config_module.__file__).resolve().parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
 def test_each_setting_has_one_home():
     # config knows which method_params keys each method reads; their
     # defaults live only in the signatures of the fits they feed
@@ -376,6 +443,7 @@ class TestTrainCommand:
             tmp_path,
             data={"csv": {"path": str(data_csv), "target_column": "target",
                           "classes": 2}},
+            out_dir=str(tmp_path / "refused"),
         )
         doc = json.loads(config.read_text())
         doc["data"]["csv"]["classes"] = 2
@@ -385,6 +453,7 @@ class TestTrainCommand:
         code, _, err = run(capsys, "train", "--config", str(config))
         assert code == 2
         assert "classes" in err
+        assert not (tmp_path / "refused").exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exits_4(self, tmp_path, capsys):

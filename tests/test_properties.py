@@ -1,7 +1,9 @@
 """Bounded property tests: every artefact format round-trips bit for bit,
-the fast CSV reader and writer agree with the exact ones, and the conformal
-quantile and set constructions keep their guarantees."""
+the fast CSV reader and writer agree with the exact ones, the config
+validator finds the faults jsonschema finds, and the conformal quantile and
+set constructions keep their guarantees."""
 
+import copy
 import csv
 import io
 import json
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from uqkit.conformal import adaptive_sets, baseline_sets, conformal_quantile
+from uqkit.config import RUN_SCHEMA, _schema_faults
 import uqkit.data
 from uqkit.data import (
     Dataset,
@@ -364,3 +367,114 @@ def test_quantile_and_sets_ignore_calibration_order(problem, alpha, method, data
     np.testing.assert_array_equal(
         method(vp[perm], y[perm], tp, alpha).member, method(vp, y, tp, alpha).member
     )
+
+
+# ---------------------------------------------------------------------------
+# the config validator against jsonschema
+
+# one config with every key RUN_SCHEMA knows, for each kind of data spec and
+# for both at once
+_FULL_CONFIG = {
+    "task": "classification",
+    "data": {"synth": {"name": "gaussian_blobs", "n": 60, "noise": 0.1, "classes": 3}},
+    "split": [0.6, 0.2, 0.2],
+    "model": {"hidden_widths": [8, 4], "activation": "tanh"},
+    "method": "swag",
+    "optimizer": {
+        "algorithm": "adam", "learning_rate": 0.01, "epochs": 3,
+        "batch_size": 16, "weight_decay": 0.0,
+    },
+    "method_params": {
+        "members": 2, "rank": 2, "snapshot_every": 1, "swag_epochs": 1,
+        "mc_samples": 1, "prior_precision": 1.0,
+    },
+    "calibration": True,
+    "temperature_method": "golden",
+    "bins": 15,
+    "predictive_samples": 5,
+    "out_dir": "run",
+    "seed": 0,
+    "seeds": [0, 1, 2],
+}
+_CSV_DATA = {"csv": {"path": "d.csv", "target_column": "y", "classes": 2}}
+_CONFIGS = [
+    _FULL_CONFIG,
+    {**_FULL_CONFIG, "data": _CSV_DATA},
+    {**_FULL_CONFIG, "data": {**_FULL_CONFIG["data"], **_CSV_DATA}},
+]
+# values a mutation puts in place of any node: one of each JSON type, and
+# values that sit on each side of the schema's bounds and enums
+_JSON_VALUES = [
+    None, True, False, 0, 1, -1, 2, 3, 2.0, 0.5, -0.5, 1e-12, "", "map", "two_moons",
+    "regression", [], [1], [0.5, 0.25, 0.25], [1, 2, 3, 4], {}, {"x": 1},
+    {"synth": {"name": "two_moons", "n": 5}}, {"name": "two_moons", "n": 5},
+]
+_KEYS = ["x", "n", "rank", "seed", "synth", "csv", "name"]
+
+
+def _nodes(doc, path=()):
+    yield path
+    if isinstance(doc, (dict, list)):
+        for key, child in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from _nodes(child, path + (key,))
+
+
+def _mutated(doc, path, action, value, key="x"):
+    """``doc`` with the node at ``path`` dropped or replaced by ``value``,
+    or with ``value`` added to that node under ``key`` (an object) or at
+    its end (an array)."""
+    if not path:
+        return value if action == "replace" else doc
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    node = parent[path[-1]]
+    if action == "drop":
+        del parent[path[-1]]
+    elif action == "add" and isinstance(node, dict):
+        node[key] = value
+    elif action == "add" and isinstance(node, list):
+        node.append(value)
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+@pytest.fixture(scope="module")
+def schema_oracle():
+    """jsonschema's validator for RUN_SCHEMA, with the one intended
+    difference: an integer must be a JSON integer, so 2.0 is not one."""
+    jsonschema = pytest.importorskip("jsonschema")
+    draft = jsonschema.Draft202012Validator
+    integers = draft.TYPE_CHECKER.redefine("integer", lambda _, v: type(v) is int)
+    return jsonschema.validators.extend(draft, type_checker=integers)(RUN_SCHEMA)
+
+
+def assert_same_fault_paths(oracle, doc):
+    expected = {tuple(err.absolute_path) for err in oracle.iter_errors(doc)}
+    assert {path for path, _ in _schema_faults(RUN_SCHEMA, doc)} == expected, doc
+
+
+def test_schema_faults_match_jsonschema_on_every_replacement(schema_oracle):
+    # each value at each node of each base: the bounds and types a random
+    # draw can miss
+    for base in _CONFIGS:
+        for path in _nodes(base):
+            for value in _JSON_VALUES:
+                doc = _mutated(copy.deepcopy(base), path, "replace", copy.deepcopy(value))
+                assert_same_fault_paths(schema_oracle, doc)
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(data=st.data(), base=st.sampled_from(_CONFIGS), n_mutations=st.integers(0, 4))
+def test_schema_faults_match_jsonschema(schema_oracle, data, base, n_mutations):
+    doc = copy.deepcopy(base)
+    for _ in range(n_mutations):
+        doc = _mutated(
+            doc,
+            data.draw(st.sampled_from(list(_nodes(doc)))),
+            data.draw(st.sampled_from(["drop", "replace", "add"])),
+            copy.deepcopy(data.draw(st.sampled_from(_JSON_VALUES))),
+            data.draw(st.sampled_from(_KEYS)),
+        )
+    assert_same_fault_paths(schema_oracle, doc)
