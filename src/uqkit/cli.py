@@ -181,69 +181,53 @@ def _positive_int_flag(value: str) -> int:
 # ---------------------------------------------------------------------------
 # conformal
 
+# each method: the name of its function, looked up in this module at call
+# time (so a rebound module attribute is the one called), and its input
+# flags in the order that function takes them
+_CONFORMAL = {
+    "baseline": ("baseline_sets", ("val_probs", "val_targets", "test_probs")),
+    "adaptive": ("adaptive_sets", ("val_probs", "val_targets", "test_probs")),
+    "cqr": ("cqr_interval", ("val_lower", "val_upper", "val_targets", "test_lower", "test_upper")),
+    "scalar": (
+        "scalar_score_interval",
+        ("val_means", "val_stds", "val_targets", "test_means", "test_stds"),
+    ),
+}
+
+
+def _read_input(path, flag: str, labels: bool) -> np.ndarray:
+    """A conformal input, read by the last word of its flag."""
+    kind = flag.rsplit("_", 1)[1]
+    if kind == "probs":
+        return read_probs_csv(path)
+    if kind == "targets":
+        return read_targets_csv(path, classification=labels)
+    return read_vector_csv(path, kind)
+
+
 def cmd_conformal(args) -> int:
+    name, flags = _CONFORMAL[args.method]
+    for flag in flags:
+        if getattr(args, flag) is None:
+            raise ConfigError([f"--{flag.replace('_', '-')} is required for {args.method}"])
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    report: dict = {"method": args.method, "alpha": args.alpha}
-    if args.method in ("baseline", "adaptive"):
-        for flag in ("val_probs", "val_targets", "test_probs"):
-            if getattr(args, flag) is None:
-                raise ConfigError([f"--{flag.replace('_', '-')} is required for {args.method}"])
-        val_probs = read_probs_csv(args.val_probs)
-        val_targets = read_targets_csv(args.val_targets, classification=True)
-        test_probs = read_probs_csv(args.test_probs)
-        if args.method == "baseline":
-            sets = baseline_sets(val_probs, val_targets, test_probs, args.alpha)
-        else:
-            sets = adaptive_sets(
-                val_probs,
-                val_targets,
-                test_probs,
-                args.alpha,
-                rng=Rng(args.seed) if args.mode == "randomized" else None,
-            )
-        write_sets_csv(out, sets)
-        report["n"] = len(sets)
-        report["mean_set_size"] = float(np.mean(sets.sizes()))
-        if args.test_targets:
-            y = read_targets_csv(args.test_targets, classification=True)
-            report["coverage"] = float(np.mean(sets.contains(y)))
+    labels = "test_probs" in flags  # the set methods
+    inputs = [_read_input(getattr(args, flag), flag, labels) for flag in flags]
+    randomized = args.method == "adaptive" and args.mode == "randomized"
+    kwargs = {"rng": Rng(args.seed)} if randomized else {}
+    result = globals()[name](*inputs, args.alpha, **kwargs)
+    report = {"method": args.method, "alpha": args.alpha, "n": len(result), "out": str(out)}
+    if labels:
+        write_sets_csv(out, result)
+        report["mean_set_size"] = float(np.mean(result.sizes()))
     else:
-        if args.method == "cqr":
-            needed = ("val_lower", "val_upper", "val_targets", "test_lower", "test_upper")
-        else:
-            needed = ("val_means", "val_stds", "val_targets", "test_means", "test_stds")
-        for flag in needed:
-            if getattr(args, flag) is None:
-                raise ConfigError([f"--{flag.replace('_', '-')} is required for {args.method}"])
-        val_targets = read_vector_csv(args.val_targets, "targets")
-        if args.method == "cqr":
-            intervals = cqr_interval(
-                read_vector_csv(args.val_lower, "lower"),
-                read_vector_csv(args.val_upper, "upper"),
-                val_targets,
-                read_vector_csv(args.test_lower, "lower"),
-                read_vector_csv(args.test_upper, "upper"),
-                args.alpha,
-            )
-        else:
-            intervals = scalar_score_interval(
-                read_vector_csv(args.val_means, "means"),
-                read_vector_csv(args.val_stds, "stds"),
-                val_targets,
-                read_vector_csv(args.test_means, "means"),
-                read_vector_csv(args.test_stds, "stds"),
-                args.alpha,
-            )
-        write_intervals_csv(out, intervals)
-        report["n"] = len(intervals)
-        report["mean_width"] = float(np.mean(intervals.width()))
-        report["collapsed"] = int(intervals.collapsed.sum())
-        if args.test_targets:
-            y = read_vector_csv(args.test_targets, "targets")
-            coverage, _ = interval_metrics(intervals, y)
-            report["coverage"] = coverage
-    report["out"] = str(out)
+        write_intervals_csv(out, result)
+        report["mean_width"] = float(np.mean(result.width()))
+        report["collapsed"] = int(result.collapsed.sum())
+    if args.test_targets:
+        y = _read_input(args.test_targets, "test_targets", labels)
+        report["coverage"] = float(np.mean(result.contains(y)))
     _emit(report)
     return 0
 
@@ -480,7 +464,7 @@ def _benchmark_one(cfg: RunConfig, run_seed: int) -> dict:
         fit = fit_temperature(
             np.log(np.maximum(calib_probs, 1e-300)),
             calib_ds.targets,
-            method=cfg.temperature_method,
+            **cfg.temperature_params,
         )
         temperature = fit.temperature
         test_probs = apply_temperature(
@@ -544,20 +528,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("conformal", help="prediction sets/intervals from estimates")
-    p.add_argument("--method", required=True, choices=["baseline", "adaptive", "cqr", "scalar"])
+    p.add_argument("--method", required=True, choices=list(_CONFORMAL))
     p.add_argument("--alpha", required=True, type=_alpha_flag)
-    p.add_argument("--val-probs")
-    p.add_argument("--val-targets")
-    p.add_argument("--test-probs")
+    for flag in dict.fromkeys(f for _, flags in _CONFORMAL.values() for f in flags):
+        p.add_argument(f"--{flag.replace('_', '-')}")
     p.add_argument("--test-targets")
-    p.add_argument("--val-lower")
-    p.add_argument("--val-upper")
-    p.add_argument("--test-lower")
-    p.add_argument("--test-upper")
-    p.add_argument("--val-means")
-    p.add_argument("--val-stds")
-    p.add_argument("--test-means")
-    p.add_argument("--test-stds")
     p.add_argument("--mode", choices=["deterministic", "randomized"], default="deterministic")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -616,7 +591,8 @@ def main(argv=None) -> int:
         for message in exc.messages:
             print(f"config error: {message}", file=sys.stderr)
         return 2
-    except DataError as exc:
+    except (DataError, OSError) as exc:
+        # an OSError names its path: say, a directory given where a file goes
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except DivergenceError as exc:

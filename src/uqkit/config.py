@@ -10,6 +10,7 @@ draws) are derived child seeds, so a config replays bit-identically.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -153,9 +154,9 @@ class RunConfig:
     split_fractions: tuple[float, float, float]
     bins: int
     calibration: bool
-    temperature_method: str
     predictive_samples: int | None
     method_params: dict  # only the keys the config gives
+    temperature_params: dict  # fit_temperature's ``method``, when the config gives it
     seeds: tuple[int, ...] = field(default_factory=tuple)
 
     def optimizer(self) -> OptimConfig:
@@ -172,7 +173,7 @@ class RunConfig:
                 spec["n"],
                 spec.get("noise", 0.1),
                 seed=child_seed(self.seed, SEED_DATA),
-                n_classes=spec.get("classes", 3),
+                **_given(spec, n_classes="classes"),
             )
         spec = data["csv"]
         return load_csv(spec["path"], self.task, spec["target_column"])
@@ -198,12 +199,17 @@ class RunConfig:
             input_dim=dataset.d,
             hidden_widths=tuple(model["hidden_widths"]),
             output_dim=output_dim,
-            activation=model.get("activation", "tanh"),
             init_seed=child_seed(self.seed, SEED_INIT),
+            **_given(model, activation="activation"),
         )
 
     def split_dataset(self, dataset: Dataset):
         return split(dataset, self.split_fractions, child_seed(self.seed, SEED_SPLIT))
+
+
+def _given(spec: dict, **keys) -> dict:
+    """{param: spec[key]} for each param=key in ``spec``; an absent key keeps the callee's default."""
+    return {param: spec[key] for param, key in keys.items() if key in spec}
 
 
 # each JSON Schema type as the exact Python types json.loads gives it, so an
@@ -220,6 +226,9 @@ def _schema_faults(schema: dict, value, path: tuple = ()):
     kind = schema.get("type")
     if kind is not None and type(value) not in _TYPES[kind]:
         yield path, f"expected {kind}, got {value!r}"
+        return
+    if kind == "number" and not math.isfinite(value):
+        yield path, f"expected a finite number, got {value!r}"
         return
     if "enum" in schema and value not in schema["enum"]:
         yield path, f"{value!r} is not one of {schema['enum']!r}"
@@ -292,9 +301,9 @@ def parse_config(doc: dict, require_seeds: bool = False) -> RunConfig:
         split_fractions=tuple(doc.get("split", [0.7, 0.15, 0.15])),
         bins=int(doc.get("bins", DEFAULT_BINS)),
         calibration=bool(doc.get("calibration", True)),
-        temperature_method=doc.get("temperature_method", "golden"),
         predictive_samples=doc.get("predictive_samples"),
         method_params=dict(doc.get("method_params", {})),
+        temperature_params=_given(doc, method="temperature_method"),
         seeds=tuple(doc.get("seeds", ())),
     )
 

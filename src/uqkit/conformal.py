@@ -41,14 +41,14 @@ class PredictionSets:
 
     member: np.ndarray  # (n_inputs, n_classes) bool
 
-    def labels(self, i: int) -> list[int]:
-        return [int(c) for c in np.flatnonzero(self.member[i])]
-
     def sizes(self) -> np.ndarray:
         return self.member.sum(axis=1)
 
     def contains(self, targets) -> np.ndarray:
-        y = np.asarray(targets, dtype=np.int64)
+        """Whether each row's set holds that row's class label."""
+        y = check_labels(targets, self.member.shape[1], "targets")
+        if y.shape[0] != len(self):
+            raise ValueError("prediction sets and targets disagree on length")
         return self.member[np.arange(len(y)), y]
 
     def __len__(self) -> int:
@@ -75,7 +75,10 @@ class Intervals:
         return self.upper - self.lower
 
     def contains(self, targets) -> np.ndarray:
-        y = np.asarray(targets, dtype=np.float64)
+        """Whether each closed interval holds its row's finite target."""
+        y = check_finite(targets, "targets")
+        if y.shape[0] != len(self):
+            raise ValueError("intervals and targets disagree on length")
         return (self.lower <= y) & (y <= self.upper)
 
 

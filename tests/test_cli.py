@@ -1,6 +1,8 @@
+import argparse
 import dataclasses
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,9 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from uqkit import cli as cli_module
 from uqkit import config as config_module
 from uqkit import posterior
-from uqkit.cli import main
+from uqkit.cli import _CONFORMAL, build_parser, main
 from uqkit.config import load_config
 from uqkit.data import load_csv, save_csv, synth_classification, write_matrix_csv
 from uqkit.metrics import classification_report
@@ -179,6 +182,102 @@ class TestConformalCommand:
         assert err == "error: val_probs row 2 has a negative entry -0.4\n"
 
 
+# a valid file per conformal input, by the last word of its flag: four rows,
+# two classes
+_INPUT_ROWS = {
+    "probs": (["p0", "p1"], [[0.9, 0.1], [0.2, 0.8], [0.6, 0.4], [0.3, 0.7]]),
+    "targets": (["target"], [[0], [1], [0], [1]]),
+    "lower": (["lower"], [[0.0], [0.5], [-0.5], [0.2]]),
+    "upper": (["upper"], [[1.0], [1.5], [0.5], [1.2]]),
+    "means": (["mean"], [[0.5], [1.0], [0.0], [0.7]]),
+    "stds": (["std"], [[1.0], [0.5], [2.0], [1.0]]),
+}
+
+
+def conformal_argv(tmp_path, method, leave_out=None):
+    """A ``conformal`` call with a valid file for each of the method's input
+    flags but ``leave_out``, writing under a directory that does not exist."""
+    argv = [
+        "conformal", "--method", method, "--alpha", "0.2",
+        "--out", str(tmp_path / "new" / "out.csv"),
+    ]
+    for flag in _CONFORMAL[method][1]:
+        if flag != leave_out:
+            header, rows = _INPUT_ROWS[flag.rsplit("_", 1)[1]]
+            write_matrix_csv(tmp_path / f"{flag}.csv", np.array(rows, float), header)
+            argv += [f"--{flag.replace('_', '-')}", str(tmp_path / f"{flag}.csv")]
+    return argv
+
+
+@pytest.mark.parametrize("method, flag", [
+    (method, flag) for method, (_, flags) in _CONFORMAL.items() for flag in flags
+])
+def test_each_conformal_input_is_required_before_any_directory(tmp_path, capsys, method, flag):
+    code, out, err = run(capsys, *conformal_argv(tmp_path, method, leave_out=flag))
+    assert code == 2 and out == ""
+    assert err == f"config error: --{flag.replace('_', '-')} is required for {method}\n"
+    assert not (tmp_path / "new").exists()
+    code, _, err = run(capsys, *conformal_argv(tmp_path, method))
+    assert code == 0, err
+    assert (tmp_path / "new" / "out.csv").exists()
+
+
+def test_conformal_parser_takes_the_table_flags():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = [a for a in sub.choices["conformal"]._actions if a.dest != "help"]
+    table = {flag for _, flags in _CONFORMAL.values() for flag in flags}
+    assert {a.dest for a in actions} == table | {
+        "test_targets", "alpha", "mode", "seed", "out", "method"
+    }
+    assert {s for a in actions for s in a.option_strings} == {
+        "--method", "--alpha", "--val-probs", "--val-targets", "--test-probs",
+        "--test-targets", "--val-lower", "--val-upper", "--test-lower", "--test-upper",
+        "--val-means", "--val-stds", "--test-means", "--test-stds", "--mode", "--seed",
+        "--out",
+    }
+
+
+@pytest.mark.parametrize("method, targets, message", [
+    ("baseline", [0], "prediction sets and targets disagree on length"),
+    ("baseline", [0, 1, 0, 1, 0], "prediction sets and targets disagree on length"),
+    ("baseline", [7, 0, 1, 0], "targets out of range: labels must lie in [0, 2)"),
+    ("cqr", [0.5], "intervals and targets disagree on length"),
+    ("cqr", [0.5] * 5, "intervals and targets disagree on length"),
+])
+def test_coverage_needs_one_valid_target_per_test_row(tmp_path, capsys, method, targets, message):
+    write_targets(tmp_path / "y.csv", targets)
+    argv = conformal_argv(tmp_path, method) + ["--test-targets", str(tmp_path / "y.csv")]
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "fault", ["conformal_input_dir", "conformal_out_dir", "calibrate_out_file"]
+)
+def test_path_fault_exits_3_naming_the_path(tmp_path, capsys, fault):
+    argv = conformal_argv(tmp_path, "baseline")
+    if fault == "conformal_input_dir":
+        bad = tmp_path / "dir.csv"
+        argv[argv.index("--val-probs") + 1] = str(bad)
+        bad.mkdir()
+    elif fault == "conformal_out_dir":
+        bad = tmp_path / "new" / "out.csv"
+        bad.mkdir(parents=True)
+    else:
+        bad = tmp_path / "file"
+        bad.write_text("", encoding="utf-8")
+        argv = [
+            "calibrate", "--logits", str(tmp_path / "val_probs.csv"),
+            "--targets", str(tmp_path / "val_targets.csv"), "--out-dir", str(bad),
+        ]
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and err.startswith("data error: ")
+    assert str(bad) in err
+
+
 class TestCalibrateCommand:
     def test_fit_report_fields_and_guarantee(self, tmp_path, capsys):
         rng = np.random.default_rng(1)
@@ -315,6 +414,22 @@ def test_integral_float_for_an_integer_exits_2(tmp_path, capsys, overrides, wher
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("overrides, where, value", [
+    ({"method": "laplace", "method_params": {"prior_precision": math.nan}},
+     "method_params/prior_precision", math.nan),
+    ({"data": {"synth": {"name": "two_moons", "n": 60, "noise": math.inf}}},
+     "data/synth/noise", math.inf),
+    ({"optimizer": {"learning_rate": -math.inf}}, "optimizer/learning_rate", -math.inf),
+])
+def test_non_finite_config_number_exits_2(tmp_path, capsys, overrides, where, value):
+    # json.dumps writes NaN, Infinity and -Infinity, which json.loads reads back
+    config = train_config(tmp_path, **overrides)
+    code, out, err = run(capsys, "train", "--config", str(config))
+    assert code == 2 and out == ""
+    assert err == f"config error: at {where}: expected a finite number, got {value!r}\n"
+    assert not (tmp_path / "run").exists()
+
+
 def test_split_fractions_must_sum_to_1(tmp_path, capsys):
     code, out, err = run(capsys, "train", "--config", str(train_config(tmp_path, split=[0.5] * 3)))
     assert code == 2 and out == ""
@@ -355,7 +470,7 @@ def test_cli_import_leaves_jsonschema_unloaded():
     assert result.stdout == "[]\n"
 
 
-def test_each_setting_has_one_home():
+def test_each_setting_has_one_home(tmp_path, monkeypatch):
     # config knows which method_params keys each method reads; their
     # defaults live only in the signatures of the fits they feed
     schema = config_module.RUN_SCHEMA["properties"]["method_params"]["properties"]
@@ -375,6 +490,32 @@ def test_each_setting_has_one_home():
     optim = {f.name: f.default for f in dataclasses.fields(posterior.OptimConfig)}
     for key, value in config_module._OPTIM_DEFAULTS.items():
         assert value != optim[key], key
+    # a config that leaves out temperature_method, model/activation and
+    # data/synth/classes passes nothing for them, so the defaults in the
+    # signatures of fit_temperature, MlpConfig and synth_classification hold
+    passed = {}
+
+    def record(module, name):
+        fn = getattr(module, name)
+
+        def call(*args, **kwargs):
+            passed[name] = kwargs
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, call)
+
+    record(config_module, "synth_classification")
+    record(config_module, "MlpConfig")
+    record(cli_module, "fit_temperature")
+    config = train_config(
+        tmp_path, data={"synth": {"name": "gaussian_blobs", "n": 40}},
+        model={"hidden_widths": [4]}, optimizer={"epochs": 1}, method_params={"rank": 1},
+        seeds=[0, 1, 2],
+    )
+    cli_module._benchmark_one(load_config(config, require_seeds=True), 0)
+    assert "n_classes" not in passed["synth_classification"]
+    assert "activation" not in passed["MlpConfig"]
+    assert "method" not in passed["fit_temperature"]
 
 
 class TestTrainCommand:

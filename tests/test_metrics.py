@@ -183,7 +183,7 @@ class TestAgainstOracles:
 class TestReport:
     def test_field_names_exact(self):
         report = classification_report([[0.7, 0.3]], [0], n_bins=5)
-        doc = json.loads(report.to_json())
+        doc = json.loads(json.dumps(report.to_dict()))
         assert set(doc) == {"nll", "ece", "brier", "accuracy", "n", "bins"}
 
     def test_perfect_fixture(self):

@@ -405,7 +405,8 @@ _CONFIGS = [
 # values a mutation puts in place of any node: one of each JSON type, and
 # values that sit on each side of the schema's bounds and enums
 _JSON_VALUES = [
-    None, True, False, 0, 1, -1, 2, 3, 2.0, 0.5, -0.5, 1e-12, "", "map", "two_moons",
+    None, True, False, 0, 1, -1, 2, 3, 2.0, 0.5, -0.5, 1e-12, math.nan, math.inf, -math.inf,
+    "", "map", "two_moons",
     "regression", [], [1], [0.5, 0.25, 0.25], [1, 2, 3, 4], {}, {"x": 1},
     {"synth": {"name": "two_moons", "n": 5}}, {"name": "two_moons", "n": 5},
 ]
@@ -442,12 +443,16 @@ def _mutated(doc, path, action, value, key="x"):
 
 @pytest.fixture(scope="module")
 def schema_oracle():
-    """jsonschema's validator for RUN_SCHEMA, with the one intended
-    difference: an integer must be a JSON integer, so 2.0 is not one."""
+    """jsonschema's validator for RUN_SCHEMA, with the two intended
+    differences: an integer must be a JSON integer, so 2.0 is not one, and a
+    number must be finite, so NaN and Infinity are not."""
     jsonschema = pytest.importorskip("jsonschema")
     draft = jsonschema.Draft202012Validator
-    integers = draft.TYPE_CHECKER.redefine("integer", lambda _, v: type(v) is int)
-    return jsonschema.validators.extend(draft, type_checker=integers)(RUN_SCHEMA)
+    checker = draft.TYPE_CHECKER.redefine_many({
+        "integer": lambda _, v: type(v) is int,
+        "number": lambda c, v: draft.TYPE_CHECKER.is_type(v, "number") and math.isfinite(v),
+    })
+    return jsonschema.validators.extend(draft, type_checker=checker)(RUN_SCHEMA)
 
 
 def assert_same_fault_paths(oracle, doc):
