@@ -36,12 +36,7 @@ from .conformal import (
     cqr_interval,
     scalar_score_interval,
 )
-from .config import (
-    SEED_OPTIM,
-    SEED_PREDICTIVE,
-    RunConfig,
-    load_config,
-)
+from .config import SEED_PREDICTIVE, SEED_SWAG, RunConfig, load_config
 from .data import (
     CLASSIFICATION,
     check_finite_cells,
@@ -56,6 +51,7 @@ from .metrics import DEFAULT_BINS, classification_report, interval_metrics
 from .mlp import mlp_forward, param_count
 from .numerics import entropy, softmax
 from .posterior import (
+    FitResult,
     advi_fit,
     ensemble_fit,
     laplace_fit,
@@ -210,11 +206,13 @@ def cmd_conformal(args) -> int:
     for flag in flags:
         if getattr(args, flag) is None:
             raise ConfigError([f"--{flag.replace('_', '-')} is required for {args.method}"])
+    randomized = args.mode == "randomized"
+    if randomized and args.method != "adaptive":
+        raise ConfigError([f"--mode randomized applies to adaptive only, not {args.method}"])
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     labels = "test_probs" in flags  # the set methods
     inputs = [_read_input(getattr(args, flag), flag, labels) for flag in flags]
-    randomized = args.method == "adaptive" and args.mode == "randomized"
     kwargs = {"rng": Rng(args.seed)} if randomized else {}
     result = globals()[name](*inputs, args.alpha, **kwargs)
     report = {"method": args.method, "alpha": args.alpha, "n": len(result), "out": str(out)}
@@ -260,53 +258,32 @@ def cmd_calibrate(args) -> int:
 # ---------------------------------------------------------------------------
 # train
 
-def _setup(cfg: RunConfig):
-    """((train, calib, test), model, optimizer) of a run, all seeded from
-    ``cfg.seed``."""
-    dataset = cfg.load_dataset()
-    return cfg.split_dataset(dataset), cfg.model_config(dataset), cfg.optimizer()
-
-
-def _swag_after_map(cfg: RunConfig, start, model, train_ds, opt):
-    """The SWAG phase that continues a MAP fit, on its own batch stream."""
+def _fits(cfg: RunConfig, model, train_ds, opt) -> list[tuple[str, FitResult]]:
+    """One (phase, result) per fit of ``cfg.method``, in order. SWAG and
+    Laplace continue the MAP fit unless it diverged; SWAG runs on its own
+    batch stream. Each fit is called through this module's globals, so a
+    rebound module attribute is the one called."""
     params = dict(cfg.method_params)
-    swag_opt = replace(
-        opt,
-        seed=child_seed(cfg.seed, SEED_OPTIM + 100),
-        epochs=params.pop("swag_epochs", opt.epochs),
-    )
-    return swag_fit(start, model, train_ds, swag_opt, **params)
-
-
-def _fit_by_method(cfg: RunConfig, model, train_ds, opt):
-    """Returns (state, trace rows, diverged)."""
-    params = cfg.method_params
-    if cfg.method == "map":
-        result = map_fit(model, train_ds, opt)
-        rows = [("map", e, v) for e, v in enumerate(result.trace)]
-        return result.state, rows, result.diverged
     if cfg.method == "ensemble":
-        result = ensemble_fit(model, train_ds, opt, **params)
-        rows = [
-            (f"member_{m}", e, v)
-            for m, tr in enumerate(result.member_traces)
-            for e, v in enumerate(tr)
-        ]
-        return result.state, rows, result.diverged
+        return [("ensemble", ensemble_fit(model, train_ds, opt, **params))]
     if cfg.method == "advi":
-        result = advi_fit(model, train_ds, opt, **params)
-        rows = [("advi_elbo", e, v) for e, v in enumerate(result.trace)]
-        return result.state, rows, result.diverged
+        return [("ADVI", advi_fit(model, train_ds, opt, **params))]
     base = map_fit(model, train_ds, opt)
-    rows = [("map", e, v) for e, v in enumerate(base.trace)]
-    if base.diverged:
-        return base.state, rows, True
+    if cfg.method == "map" or base.diverged:
+        return [("MAP", base)]
     if cfg.method == "laplace":
         state = laplace_fit(base.state, model, train_ds, **params)
-        return state, rows, False
-    swag = _swag_after_map(cfg, base.state, model, train_ds, opt)
-    rows += [("swag", e, v) for e, v in enumerate(swag.trace)]
-    return swag.state, rows, swag.diverged
+        return [("MAP", base), ("Laplace", FitResult(state, ()))]
+    swag_opt = replace(
+        opt,
+        seed=child_seed(cfg.seed, SEED_SWAG),
+        epochs=params.pop("swag_epochs", opt.epochs),
+    )
+    return [("MAP", base), ("SWAG", swag_fit(base.state, model, train_ds, swag_opt, **params))]
+
+
+# trace.csv's label for each phase that keeps a per-epoch trace
+_TRACE_LABEL = {"MAP": "map", "SWAG": "swag", "ADVI": "advi_elbo"}
 
 
 def cmd_train(args) -> int:
@@ -315,20 +292,26 @@ def cmd_train(args) -> int:
         cfg.out_dir = Path(args.out_dir)
     if args.seed is not None:
         cfg.seed = args.seed
-    (train_ds, calib_ds, test_ds), model, opt = _setup(cfg)
+    (train_ds, calib_ds, test_ds), model, opt = cfg.setup()
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     log.info(
         "training %s on %d rows (%d parameters)",
         cfg.method, train_ds.n, param_count(model),
     )
-    state, rows, diverged = _fit_by_method(cfg, model, train_ds, opt)
+    fits = _fits(cfg, model, train_ds, opt)
+    rows = []
+    for phase, fit in fits:
+        rows += [(_TRACE_LABEL[phase], e, v) for e, v in enumerate(fit.trace)]
+        for m, trace in enumerate(fit.member_traces):
+            rows += [(f"member_{m}", e, v) for e, v in enumerate(trace)]
+    phase, last = fits[-1]
     save_csv(train_ds, cfg.out_dir / "train.csv")
     save_csv(calib_ds, cfg.out_dir / "calib.csv")
     save_csv(test_ds, cfg.out_dir / "test.csv")
-    save_state(cfg.out_dir / "state.json", state, model, cfg.task)
+    save_state(cfg.out_dir / "state.json", last.state, model, cfg.task)
     write_trace_csv(cfg.out_dir / "trace.csv", rows)
     report = {
-        "status": "diverged" if diverged else "ok",
+        "status": "diverged" if last.diverged else "ok",
         "method": cfg.method,
         "out_dir": str(cfg.out_dir),
         "state": "state.json",
@@ -337,7 +320,10 @@ def cmd_train(args) -> int:
     if rows:
         report["final_loss"] = rows[-1][2]
     _emit(report)
-    return 4 if diverged else 0
+    if last.diverged:
+        print(f"diverged: {phase} phase diverged", file=sys.stderr)
+        return 4
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -441,18 +427,15 @@ _LOWER_IS_BETTER = {"nll": True, "ece": True, "brier": True, "accuracy": False}
 
 
 def _benchmark_one(cfg: RunConfig, run_seed: int) -> dict:
-    run = replace(cfg, seed=run_seed)
-    (train_ds, calib_ds, test_ds), model, opt = _setup(run)
-
-    base = map_fit(model, train_ds, opt)
-    if base.diverged:
-        raise DivergenceError(f"MAP phase diverged for seed {run_seed}")
+    run = replace(cfg, seed=run_seed, method="swag")
+    (train_ds, calib_ds, test_ds), model, opt = run.setup()
+    fits = _fits(run, model, train_ds, opt)
+    for phase, fit in fits:
+        if fit.diverged:
+            raise DivergenceError(f"{phase} phase diverged for seed {run_seed}")
+    (_, base), (_, swag) = fits
     map_probs = softmax(mlp_forward(model, base.state.theta, test_ds.inputs), axis=1)
     map_report = classification_report(map_probs, test_ds.targets, n_bins=cfg.bins)
-
-    swag = _swag_after_map(run, base.state, model, train_ds, opt)
-    if swag.diverged:
-        raise DivergenceError(f"SWAG phase diverged for seed {run_seed}")
     thetas, _ = sample_weights(
         swag.state, cfg.predictive_samples, child_seed(run_seed, SEED_PREDICTIVE)
     )
@@ -519,8 +502,16 @@ def cmd_benchmark(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+class _Parser(argparse.ArgumentParser):
+    """A flag fault raises ``ConfigError``, so it ends as one ``config
+    error:`` line like every other exit-2 fault; subparsers inherit it."""
+
+    def error(self, message):
+        raise ConfigError([message])
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="uqkit",
         description="Uncertainty quantification: conformal sets and intervals, "
         "temperature scaling, and desk-scale Bayesian posteriors.",
@@ -583,9 +574,8 @@ def main(argv=None) -> int:
         level=getattr(logging, level, logging.WARNING),
         format="%(levelname)s %(name)s: %(message)s",
     )
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         for message in exc.messages:
@@ -598,7 +588,8 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"diverged: {exc}", file=sys.stderr)
         return 4
-    except (UqError, ValueError, IndexError) as exc:
+    except (UqError, ValueError, IndexError, MemoryError) as exc:
+        # a MemoryError is an array too large to allocate: say, an oversized model
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -35,6 +35,7 @@ SEED_INIT = 1
 SEED_OPTIM = 2
 SEED_SPLIT = 3
 SEED_PREDICTIVE = 4
+SEED_SWAG = SEED_OPTIM + 100  # the SWAG phase's batch stream
 
 RUN_SCHEMA = {
     "type": "object",
@@ -159,52 +160,42 @@ class RunConfig:
     temperature_params: dict  # fit_temperature's ``method``, when the config gives it
     seeds: tuple[int, ...] = field(default_factory=tuple)
 
-    def optimizer(self) -> OptimConfig:
-        merged = dict(_OPTIM_DEFAULTS)
-        merged.update(self.raw.get("optimizer", {}))
-        return OptimConfig(seed=child_seed(self.seed, SEED_OPTIM), **merged)
-
-    def load_dataset(self) -> Dataset:
-        data = self.raw["data"]
+    def setup(self) -> tuple[tuple[Dataset, Dataset, Dataset], MlpConfig, OptimConfig]:
+        """((train, calib, test), model, optimizer), each seeded from
+        ``seed``. Built in the order load, split, model, optimizer, so a
+        split fault is reported before a data/csv/classes one."""
+        data, model = self.raw["data"], self.raw["model"]
         if "synth" in data:
             spec = data["synth"]
-            return synth_classification(
+            dataset = synth_classification(
                 spec["name"],
                 spec["n"],
                 spec.get("noise", 0.1),
                 seed=child_seed(self.seed, SEED_DATA),
                 **_given(spec, n_classes="classes"),
             )
-        spec = data["csv"]
-        return load_csv(spec["path"], self.task, spec["target_column"])
-
-    def model_config(self, dataset: Dataset) -> MlpConfig:
-        model = self.raw["model"]
+        else:
+            dataset = load_csv(data["csv"]["path"], self.task, data["csv"]["target_column"])
+        splits = split(dataset, self.split_fractions, child_seed(self.seed, SEED_SPLIT))
         if self.task == CLASSIFICATION:
             # class count is inferred (max label + 1) unless overridden
-            output_dim = dataset.n_classes
-            override = self.raw["data"].get("csv", {}).get("classes")
-            if override is not None:
-                if override < dataset.n_classes:
-                    raise ConfigError(
-                        [
-                            f"data/csv/classes = {override} is below the "
-                            f"largest label + 1 = {dataset.n_classes}"
-                        ]
-                    )
-                output_dim = override
+            output_dim = data.get("csv", {}).get("classes", dataset.n_classes)
+            if output_dim < dataset.n_classes:
+                raise ConfigError([
+                    f"data/csv/classes = {output_dim} is below the "
+                    f"largest label + 1 = {dataset.n_classes}"
+                ])
         else:
             output_dim = 2  # mean and log-variance head
-        return MlpConfig(
+        mlp = MlpConfig(
             input_dim=dataset.d,
             hidden_widths=tuple(model["hidden_widths"]),
             output_dim=output_dim,
             init_seed=child_seed(self.seed, SEED_INIT),
             **_given(model, activation="activation"),
         )
-
-    def split_dataset(self, dataset: Dataset):
-        return split(dataset, self.split_fractions, child_seed(self.seed, SEED_SPLIT))
+        optim = {**_OPTIM_DEFAULTS, **self.raw.get("optimizer", {})}
+        return splits, mlp, OptimConfig(seed=child_seed(self.seed, SEED_OPTIM), **optim)
 
 
 def _given(spec: dict, **keys) -> dict:
@@ -288,7 +279,16 @@ def validate_config(doc: dict, require_seeds: bool = False) -> list[str]:
     return [f"at {'/'.join(map(str, path)) or '<root>'}: {message}" for path, message in faults]
 
 
-def parse_config(doc: dict, require_seeds: bool = False) -> RunConfig:
+def load_config(path, require_seeds: bool = False) -> RunConfig:
+    path = Path(path)
+    if not path.exists():
+        raise ConfigError([f"no such config file: {path}"])
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ConfigError([f"config is not valid JSON: {exc}"]) from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(["config must be a JSON object"])
     messages = validate_config(doc, require_seeds=require_seeds)
     if messages:
         raise ConfigError(messages)
@@ -306,16 +306,3 @@ def parse_config(doc: dict, require_seeds: bool = False) -> RunConfig:
         temperature_params=_given(doc, method="temperature_method"),
         seeds=tuple(doc.get("seeds", ())),
     )
-
-
-def load_config(path, require_seeds: bool = False) -> RunConfig:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError([f"no such config file: {path}"])
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError([f"config is not valid JSON: {exc}"]) from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(["config must be a JSON object"])
-    return parse_config(doc, require_seeds=require_seeds)

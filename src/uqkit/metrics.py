@@ -8,7 +8,7 @@ multiclass sum over classes; interval coverage uses closed endpoints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -30,14 +30,7 @@ class Report:
     bins: int
 
     def to_dict(self) -> dict:
-        return {
-            "nll": self.nll,
-            "ece": self.ece,
-            "brier": self.brier,
-            "accuracy": self.accuracy,
-            "n": self.n,
-            "bins": self.bins,
-        }
+        return asdict(self)
 
 
 def _checked(probs, targets) -> tuple[np.ndarray, np.ndarray]:

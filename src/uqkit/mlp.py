@@ -12,7 +12,7 @@ forward pass as the oracle the backward pass must equal bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -42,13 +42,7 @@ class MlpConfig:
         return (self.input_dim, *self.hidden_widths, self.output_dim)
 
     def to_dict(self) -> dict:
-        return {
-            "input_dim": self.input_dim,
-            "hidden_widths": list(self.hidden_widths),
-            "output_dim": self.output_dim,
-            "activation": self.activation,
-            "init_seed": self.init_seed,
-        }
+        return dict(asdict(self), hidden_widths=list(self.hidden_widths))
 
     @staticmethod
     def from_dict(d: dict) -> "MlpConfig":

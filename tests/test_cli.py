@@ -140,16 +140,19 @@ class TestConformalCommand:
         assert "--val-lower" in err
 
     def test_alpha_out_of_range_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["conformal", "--method", "baseline", "--alpha", "1.5", "--out", "x"])
-        assert exc.value.code == 2
-        assert "alpha" in capsys.readouterr().err
+        code, _, err = run(
+            capsys, "conformal", "--method", "baseline", "--alpha", "1.5", "--out", "x"
+        )
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("config error: argument --alpha:")
 
     def test_alpha_flag_reports_the_parsed_value(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["conformal", "--method", "baseline", "--alpha", "1e0", "--out", "x"])
-        assert exc.value.code == 2
-        assert "alpha must lie in (0, 1), got 1.0" in capsys.readouterr().err
+        code, _, err = run(
+            capsys, "conformal", "--method", "baseline", "--alpha", "1e0", "--out", "x"
+        )
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("config error: argument --alpha:")
+        assert "alpha must lie in (0, 1), got 1.0" in err
 
     def test_malformed_data_exits_3(self, tmp_path, clf_fixture, capsys):
         bad = tmp_path / "bad.csv"
@@ -192,6 +195,39 @@ _INPUT_ROWS = {
     "means": (["mean"], [[0.5], [1.0], [0.0], [0.7]]),
     "stds": (["std"], [[1.0], [0.5], [2.0], [1.0]]),
 }
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["conformal", "--method", "baseline", "--alpha", "0.1", "--bogus", "1", "--out", "nd/x.csv"],
+     "unrecognized arguments: --bogus 1"),
+    (["conformal", "--method", "baseline", "--alpha", "0.1"],
+     "the following arguments are required: --out"),
+    ([], "the following arguments are required: command"),
+])
+def test_flag_fault_exits_2_with_one_line(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"config error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: uqkit")
+
+
+@pytest.mark.parametrize("method", ["baseline", "cqr", "scalar"])
+def test_randomized_mode_on_a_method_other_than_adaptive_exits_2(tmp_path, capsys, method):
+    argv = conformal_argv(tmp_path, method)
+    code, out, err = run(capsys, *argv, "--mode", "randomized", "--seed", "5")
+    assert code == 2
+    assert out == ""
+    assert err == f"config error: --mode randomized applies to adaptive only, not {method}\n"
+    assert not (tmp_path / "new").exists()
 
 
 def conformal_argv(tmp_path, method, leave_out=None):
@@ -605,9 +641,37 @@ class TestTrainCommand:
                 "batch_size": 16, "weight_decay": 0.0,
             },
         )
-        code, out, _ = run(capsys, "train", "--config", str(config))
+        code, out, err = run(capsys, "train", "--config", str(config))
         assert code == 4
         assert json.loads(out)["status"] == "diverged"
+        assert err == "diverged: MAP phase diverged\n"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("method, phase", [
+        ("laplace", "MAP"), ("advi", "ADVI"), ("ensemble", "ensemble"),
+    ])
+    def test_divergence_names_the_phase(self, tmp_path, capsys, method, phase):
+        config = train_config(
+            tmp_path,
+            method=method,
+            optimizer={
+                "algorithm": "sgd", "learning_rate": 1e200, "epochs": 3,
+                "batch_size": 16, "weight_decay": 0.0,
+            },
+        )
+        code, out, err = run(capsys, "train", "--config", str(config))
+        assert code == 4
+        assert json.loads(out)["status"] == "diverged"
+        assert err == f"diverged: {phase} phase diverged\n"
+
+    def test_oversized_model_exits_3_with_one_line(self, tmp_path, capsys):
+        # 2**56 hidden units need 2.5 EiB of parameters: past any 64-bit
+        # address space, so the allocation fails at once on any host
+        config = train_config(tmp_path, model={"hidden_widths": [2**56]})
+        code, out, err = run(capsys, "train", "--config", str(config))
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_benchmark_divergence_exits_4(self, tmp_path, capsys):
@@ -756,10 +820,9 @@ class TestEvaluateCommand:
 
     @pytest.mark.parametrize("flag", ["--bins", "--predictive-samples"])
     def test_count_flag_below_one_exits_2(self, flag, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["evaluate", "--probs", "p.csv", "--targets", "t.csv", flag, "0"])
-        assert exc.value.code == 2
-        assert flag in capsys.readouterr().err
+        code, _, err = run(capsys, "evaluate", "--probs", "p.csv", "--targets", "t.csv", flag, "0")
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith(f"config error: argument {flag}:")
 
     def test_regression_state_writes_predictive_and_intervals(self, tmp_path, capsys):
         run_dir = train_regression(tmp_path, capsys)

@@ -8,6 +8,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+from test_cli import run, train_config
+from uqkit import cli
+
 ROOT = Path(__file__).resolve().parents[1]
 # names bench/tracer.py still wraps though the program no longer has them
 KNOWN_STALE = {"uqkit.posterior.value_and_grad", "uqkit.predictive.kth_smallest"}
@@ -23,3 +26,44 @@ def test_tracer_finds_every_hook_but_the_known_stale_ones():
     )
     missing = set(json.loads(done.stdout))
     assert missing <= KNOWN_STALE
+
+
+def test_every_fit_is_called_through_the_cli_module(tmp_path, capsys, monkeypatch):
+    # the tracer times a fit by rebinding its name in uqkit.cli, so train and
+    # benchmark must look each fit up there at call time
+    called = []
+
+    def record(name):
+        fn = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            called.append(name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, wrapper)
+
+    for name in ("map_fit", "swag_fit", "laplace_fit", "advi_fit"):
+        record(name)
+    expected = {
+        "map": ["map_fit"],
+        "swag": ["map_fit", "swag_fit"],
+        "laplace": ["map_fit", "laplace_fit"],
+        "advi": ["advi_fit"],
+    }
+    for method, names in expected.items():
+        called.clear()
+        config = train_config(
+            tmp_path, method=method, optimizer={"epochs": 1}, out_dir=str(tmp_path / method),
+            **({"method_params": {"rank": 1}} if method == "swag" else {}),
+        )
+        code, _, err = run(capsys, "train", "--config", str(config))
+        assert code == 0, err
+        assert called == names, method
+    called.clear()
+    config = train_config(
+        tmp_path, method="swag", optimizer={"epochs": 1}, method_params={"rank": 1},
+        seeds=[0, 1, 2],
+        out_dir=str(tmp_path / "benchmark"),
+    )
+    assert run(capsys, "benchmark", "--config", str(config))[0] == 0
+    assert called == ["map_fit", "swag_fit"] * 3
