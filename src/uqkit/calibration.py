@@ -42,12 +42,19 @@ class VarianceScaleFit:
 
 
 def apply_temperature(logits, t: float) -> np.ndarray:
-    """Row-wise softmax of logits / t. Any t > 0 preserves each row's argmax."""
+    """Row-wise softmax of logits / t. A larger logit never gets a smaller
+    probability, but logits closer than rounding resolves (0 and -1e-46)
+    come out tied, so a row keeps its argmax only if its top two differ."""
     z = check_finite(logits, "logits")
     t = float(t)
     if not T_MIN <= t <= T_MAX:
         raise ValueError(f"temperature must lie in [{T_MIN}, {T_MAX}], got {t}")
-    return softmax(z / t, axis=-1)
+    with np.errstate(over="ignore"):
+        scaled = z / t
+        if not np.all(np.isfinite(scaled)):
+            # past the float range: shift rows by their max, so only zero shares overflow
+            scaled = np.maximum((z - z.max(axis=-1, keepdims=True)) / t, -np.finfo(float).max)
+    return softmax(scaled, axis=-1)
 
 
 def _scaled_nll(logits: np.ndarray, targets: np.ndarray, beta: float) -> float:
@@ -79,14 +86,19 @@ def _golden_section(f, lo: float, hi: float) -> tuple[float, int]:
 
 
 def _adam_beta(logits, targets) -> tuple[float, int]:
-    """Fit the inverse temperature by full-batch Adam on the NLL."""
+    """Fit beta by full-batch Adam on the NLL; a step that overflows ends it."""
     n = logits.shape[0]
     rows = np.arange(n)
     beta = 1.0
     m = v = 0.0
     for step in range(1, _ADAM_STEPS + 1):
-        p = softmax(beta * logits, axis=1)
+        try:
+            p = softmax(beta * logits, axis=1)
+        except ValueError:  # beta * logits overflowed
+            return beta, step - 1
         grad = float(np.mean(np.sum(p * logits, axis=1) - logits[rows, targets]))
+        if not np.isfinite(grad):
+            return beta, step - 1
         m = 0.9 * m + 0.1 * grad
         v = 0.999 * v + 0.001 * grad * grad
         m_hat = m / (1.0 - 0.9**step)
@@ -157,7 +169,8 @@ def fit_variance_scale(means, variances, targets) -> VarianceScaleFit:
 
     This is the exact minimizer of the Gaussian NLL over a multiplicative
     scale on the predicted variances; calibrated variances are s * sigma^2.
-    All-zero residuals clamp s to 1e-12 with a warning.
+    An s below 1e-12 (all-zero residuals, say) is clamped to 1e-12 with a
+    warning; an s past the float range is a ``ValueError``.
     """
     mu = check_finite(means, "means")
     var = check_finite(variances, "variances")
@@ -167,6 +180,8 @@ def fit_variance_scale(means, variances, targets) -> VarianceScaleFit:
     if np.any(var <= 0):
         raise ValueError("variances must be strictly positive")
     s = float(np.mean((y - mu) ** 2 / var))
+    if not np.isfinite(s):
+        raise ValueError("variance scale overflows: residuals too large for the variances")
     if s < 1e-12:
         return VarianceScaleFit(
             scale=1e-12, warning="all residuals are zero; scale clamped to 1e-12"

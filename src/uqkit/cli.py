@@ -15,7 +15,6 @@ stderr at the level named by the UQKIT_LOG environment variable.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import re
@@ -41,9 +40,11 @@ from .data import (
     CLASSIFICATION,
     check_finite_cells,
     class_labels,
+    json_text,
     load_csv,
     read_matrix_csv,
     save_csv,
+    write_json,
     write_matrix_csv,
 )
 from .errors import ConfigError, DataError, DivergenceError, UqError
@@ -80,14 +81,6 @@ _COLUMN_OF = {
     "means": "mean",
     "stds": "std",
 }
-
-
-def _emit(doc: dict) -> None:
-    sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-
-
-def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
 def read_probs_csv(path) -> np.ndarray:
@@ -209,24 +202,24 @@ def cmd_conformal(args) -> int:
     randomized = args.mode == "randomized"
     if randomized and args.method != "adaptive":
         raise ConfigError([f"--mode randomized applies to adaptive only, not {args.method}"])
+    if args.seed is not None and not randomized:
+        raise ConfigError(["--seed is read only with --method adaptive --mode randomized"])
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     labels = "test_probs" in flags  # the set methods
     inputs = [_read_input(getattr(args, flag), flag, labels) for flag in flags]
-    kwargs = {"rng": Rng(args.seed)} if randomized else {}
+    kwargs = {"rng": Rng(0 if args.seed is None else args.seed)} if randomized else {}
     result = globals()[name](*inputs, args.alpha, **kwargs)
     report = {"method": args.method, "alpha": args.alpha, "n": len(result), "out": str(out)}
     if labels:
-        write_sets_csv(out, result)
         report["mean_set_size"] = float(np.mean(result.sizes()))
     else:
-        write_intervals_csv(out, result)
         report["mean_width"] = float(np.mean(result.width()))
         report["collapsed"] = int(result.collapsed.sum())
     if args.test_targets:
         y = _read_input(args.test_targets, "test_targets", labels)
         report["coverage"] = float(np.mean(result.contains(y)))
-    _emit(report)
+    (write_sets_csv if labels else write_intervals_csv)(out, result)
+    sys.stdout.write(json_text(report))
     return 0
 
 
@@ -235,7 +228,6 @@ def cmd_conformal(args) -> int:
 
 def cmd_calibrate(args) -> int:
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     logits = read_probs_csv(args.logits)
     targets = read_targets_csv(args.targets, classification=True)
     fit = fit_temperature(logits, targets, method=args.method)
@@ -250,8 +242,8 @@ def cmd_calibrate(args) -> int:
     }
     if fit.warning:
         report["warning"] = fit.warning
-    _write_json(out_dir / "fit.json", report)
-    _emit(report)
+    write_json(out_dir / "fit.json", report)
+    sys.stdout.write(json_text(report))
     return 0
 
 
@@ -293,7 +285,6 @@ def cmd_train(args) -> int:
     if args.seed is not None:
         cfg.seed = args.seed
     (train_ds, calib_ds, test_ds), model, opt = cfg.setup()
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     log.info(
         "training %s on %d rows (%d parameters)",
         cfg.method, train_ds.n, param_count(model),
@@ -319,7 +310,7 @@ def cmd_train(args) -> int:
     }
     if rows:
         report["final_loss"] = rows[-1][2]
-    _emit(report)
+    sys.stdout.write(json_text(report))
     if last.diverged:
         print(f"diverged: {phase} phase diverged", file=sys.stderr)
         return 4
@@ -329,13 +320,6 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 # evaluate
 
-def _report(doc: dict, out_dir: Path | None) -> int:
-    if out_dir:
-        _write_json(out_dir / "report.json", doc)
-    _emit(doc)
-    return 0
-
-
 def _evaluate_regression(thetas, rng, model, test_ds, alpha, out_dir) -> dict:
     moments = predictive_moments_regression(thetas, model, test_ds.inputs)
     doc = {
@@ -344,8 +328,10 @@ def _evaluate_regression(thetas, rng, model, test_ds, alpha, out_dir) -> dict:
         "mean_aleatoric": float(np.mean(moments.aleatoric)),
         "mean_epistemic": float(np.mean(moments.epistemic)),
     }
+    if alpha is not None:
+        intervals = credible_interval_regression(moments, alpha, rng)
+        doc["coverage"], doc["mean_width"] = interval_metrics(intervals, test_ds.targets)
     if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
         write_matrix_csv(
             out_dir / "predictive.csv",
             np.column_stack([
@@ -354,18 +340,15 @@ def _evaluate_regression(thetas, rng, model, test_ds, alpha, out_dir) -> dict:
             ]),
             ["mean", "variance", "aleatoric", "epistemic", "std"],
         )
-    if alpha is not None:
-        intervals = credible_interval_regression(moments, alpha, rng)
-        doc["coverage"], doc["mean_width"] = interval_metrics(intervals, test_ds.targets)
-        if out_dir:
+        if alpha is not None:
             write_intervals_csv(out_dir / "intervals.csv", intervals)
     return doc
 
 
-def cmd_evaluate(args) -> int:
+def _evaluate(args, out_dir: Path | None) -> dict:
+    """An ``evaluate`` run's report, once its CSV outputs are under ``out_dir``."""
     if (args.probs is None) == (args.state is None):
         raise ConfigError(["pass exactly one of --probs or --state"])
-    out_dir = Path(args.out_dir) if args.out_dir else None
     if args.probs:
         if args.targets is None:
             raise ConfigError(["--targets is required with --probs"])
@@ -389,10 +372,7 @@ def cmd_evaluate(args) -> int:
         test_ds = load_csv(args.data, task, args.target_column)
         thetas, rng = sample_weights(state, args.predictive_samples, args.seed)
         if task != CLASSIFICATION:
-            return _report(
-                _evaluate_regression(thetas, rng, model, test_ds, args.alpha, out_dir),
-                out_dir,
-            )
+            return _evaluate_regression(thetas, rng, model, test_ds, args.alpha, out_dir)
         probs = predictive_mean_classification(thetas, model, test_ds.inputs)
         if probs.shape[1] < test_ds.n_classes:
             raise DataError(
@@ -412,12 +392,20 @@ def cmd_evaluate(args) -> int:
         doc["coverage"] = float(np.mean(sets.contains(targets)))
         doc["mean_width"] = float(np.mean(sets.sizes()))
     if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
         if args.state:
             write_probs_csv(out_dir / "predictive.csv", probs, entropy(probs, axis=-1))
         if args.alpha is not None:
             write_sets_csv(out_dir / "sets.csv", sets)
-    return _report(doc, out_dir)
+    return doc
+
+
+def cmd_evaluate(args) -> int:
+    out_dir = Path(args.out_dir) if args.out_dir else None
+    doc = _evaluate(args, out_dir)
+    if out_dir:
+        write_json(out_dir / "report.json", doc)
+    sys.stdout.write(json_text(doc))
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -466,36 +454,25 @@ def cmd_benchmark(args) -> int:
     cfg = load_config(args.config, require_seeds=True)
     if args.out_dir:
         cfg.out_dir = Path(args.out_dir)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     runs = []
     for run_seed in cfg.seeds:
         log.info("benchmark seed %d", run_seed)
         runs.append(_benchmark_one(cfg, run_seed))
-    metrics = ["nll", "ece", "brier", "accuracy"]
     tally = {}
-    for metric in metrics:
-        wins = losses = ties = 0
-        for run in runs:
-            a = run["swag_temperature"][metric]
-            b = run["map"][metric]
-            better = a < b if _LOWER_IS_BETTER[metric] else a > b
-            worse = a > b if _LOWER_IS_BETTER[metric] else a < b
-            if better:
-                wins += 1
-            elif worse:
-                losses += 1
-            else:
-                ties += 1
-        tally[metric] = {"wins": wins, "losses": losses, "ties": ties}
+    for metric, lower in _LOWER_IS_BETTER.items():
+        pairs = [(run["swag_temperature"][metric], run["map"][metric]) for run in runs]
+        wins = sum(a < b if lower else a > b for a, b in pairs)
+        losses = sum(a > b if lower else a < b for a, b in pairs)
+        tally[metric] = {"wins": wins, "losses": losses, "ties": len(pairs) - wins - losses}
     doc = {
         "seeds": list(cfg.seeds),
         "bins": cfg.bins,
-        "metrics": metrics,
+        "metrics": list(_LOWER_IS_BETTER),
         "runs": runs,
         "tally": tally,
     }
-    _write_json(cfg.out_dir / "benchmark.json", doc)
-    _emit(doc)
+    write_json(cfg.out_dir / "benchmark.json", doc)
+    sys.stdout.write(json_text(doc))
     return 0
 
 
@@ -525,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(f"--{flag.replace('_', '-')}")
     p.add_argument("--test-targets")
     p.add_argument("--mode", choices=["deterministic", "randomized"], default="deterministic")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_conformal)
 

@@ -9,6 +9,7 @@ digits so write/load round-trips bit-exactly.
 from __future__ import annotations
 
 import csv
+import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -225,7 +226,7 @@ def synth_classification(
     )
 
 
-# --- the one CSV reader and the one CSV writer --------------------------------
+# --- the one CSV reader, the one CSV writer and the one JSON writer ----------
 
 # A "plain" body (everything after the header line) holds only these bytes;
 # numpy's C parser then reads it exactly as ``float`` reads each cell.
@@ -319,8 +320,9 @@ def check_finite_cells(path, matrix: np.ndarray, header) -> None:
 
 
 def write_matrix_csv(path, matrix, header: list[str]) -> None:
-    """Write a matrix with header. Numeric cells get 17 significant digits,
-    so a read round-trips bit-exactly; a string matrix is written as is.
+    """Write a matrix with header, making the file's missing parent
+    directories first. Numeric cells get 17 significant digits, so a read
+    round-trips bit-exactly; a string matrix is written as is.
 
     A numeric body is formatted one block of rows per ``%`` operation, the
     bytes ``csv.writer`` writes for the same cells."""
@@ -330,7 +332,9 @@ def write_matrix_csv(path, matrix, header: list[str]) -> None:
         matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
     if matrix.shape[1] != len(header):
         raise ValueError("header length must match the number of columns")
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         if strings:
@@ -340,3 +344,16 @@ def write_matrix_csv(path, matrix, header: list[str]) -> None:
         for start in range(0, matrix.shape[0], _WRITE_BLOCK_ROWS):
             block = matrix[start : start + _WRITE_BLOCK_ROWS]
             fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
+
+
+def json_text(doc) -> str:
+    """The JSON text of every report and artefact: sorted keys, a two-space
+    indent and a final newline."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def write_json(path, doc) -> None:
+    """Write ``json_text(doc)``, making missing parent directories first."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json_text(doc), encoding="utf-8")

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import CLASSIFICATION, REGRESSION, Dataset, batches
+from .data import CLASSIFICATION, REGRESSION, Dataset, batches, write_json
 from .errors import DataError
 from .mlp import MlpConfig, init_params, mlp_activations, mlp_backward, mlp_forward
 from .mlp import param_count
@@ -230,21 +230,23 @@ def _train(objective, x0, train, opt, shuffle_seed, epoch_value, on_step=None):
     stepper = _Optimizer(opt, x.size)
     trace: list[float] = []
     step = 0
-    for epoch in range(opt.epochs):
-        losses: list[float] = []
-        for xb, yb in batches(train, opt.batch_size, shuffle_seed, epoch):
-            loss, grad = objective(x, xb, yb)
-            if not math.isfinite(loss) or not np.all(np.isfinite(grad)):
-                return x, tuple(trace), True
-            new_x = stepper.step(x, grad)
-            if not np.all(np.isfinite(new_x)):
-                return x, tuple(trace), True
-            x = new_x
-            losses.append(loss)
-            step += 1
-            if on_step is not None:
-                on_step(step, x)
-        trace.append(epoch_value(x, losses))
+    # the checks below catch every non-finite value; numpy's warnings would repeat them
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(opt.epochs):
+            losses: list[float] = []
+            for xb, yb in batches(train, opt.batch_size, shuffle_seed, epoch):
+                loss, grad = objective(x, xb, yb)
+                if not math.isfinite(loss) or not np.all(np.isfinite(grad)):
+                    return x, tuple(trace), True
+                new_x = stepper.step(x, grad)
+                if not np.all(np.isfinite(new_x)):
+                    return x, tuple(trace), True
+                x = new_x
+                losses.append(loss)
+                step += 1
+                if on_step is not None:
+                    on_step(step, x)
+            trace.append(epoch_value(x, losses))
     return x, tuple(trace), False
 
 
@@ -715,10 +717,7 @@ def _state_from_dict(doc: dict) -> tuple[PosteriorState, MlpConfig, str]:
 
 
 def save_state(path, state: PosteriorState, model: MlpConfig, task: str) -> None:
-    doc = state_to_dict(state, model, task)
-    Path(path).write_text(
-        json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    write_json(path, state_to_dict(state, model, task))
 
 
 def load_state(path) -> tuple[PosteriorState, MlpConfig, str]:

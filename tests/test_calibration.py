@@ -43,6 +43,13 @@ class TestApplyTemperature:
         with pytest.raises(ValueError):
             apply_temperature([[1.0, 0.0]], 0.001)
 
+    def test_quotient_past_the_float_range(self):
+        # 1.7e308 / 0.5 overflows, yet the probabilities are well defined
+        z = np.array([[1.7e308, 0.0], [-1.7e308, 1.7e308], [2.0, 0.0]])
+        p = apply_temperature(z, 0.5)
+        np.testing.assert_array_equal(p[:2], [[1.0, 0.0], [0.0, 1.0]])
+        np.testing.assert_array_equal(p[2], softmax(z[2] / 0.5))
+
 
 class TestFitTemperature:
     def test_never_worse_than_identity(self):
@@ -89,6 +96,13 @@ class TestFitTemperature:
         assert abs(golden.temperature - adam.temperature) < 0.05
         assert adam.nll_after <= adam.nll_before + 1e-12
 
+    def test_adam_stops_before_an_overflowing_step(self):
+        # any beta above 1 overflows beta * logits
+        fit = fit_temperature(np.array([[-1.7976931348623157e308, 0.0]]), [0], method="adam")
+        assert fit.nll_after <= fit.nll_before
+        assert T_MIN <= fit.temperature <= T_MAX
+        assert fit.iterations < 300
+
     def test_label_validation(self):
         with pytest.raises(ValueError):
             fit_temperature([[0.0, 1.0]], [2])
@@ -132,6 +146,10 @@ class TestVarianceScale:
                     lo = m1
             numeric = 0.5 * (lo + hi)
             assert abs(fit_variance_scale(mu, var, y).scale - numeric) < 1e-6
+
+    def test_scale_past_the_float_range_rejected(self):
+        with pytest.raises(ValueError, match="overflows"):
+            fit_variance_scale([0.0], [1.0], [1.4e154])
 
     def test_nonpositive_variances_rejected(self):
         with pytest.raises(ValueError):

@@ -220,14 +220,38 @@ def test_help_still_exits_0(capsys):
     assert capsys.readouterr().out.startswith("usage: uqkit")
 
 
-@pytest.mark.parametrize("method", ["baseline", "cqr", "scalar"])
-def test_randomized_mode_on_a_method_other_than_adaptive_exits_2(tmp_path, capsys, method):
+_SEED_UNREAD = "--seed is read only with --method adaptive --mode randomized"
+
+
+# --mode randomized, and the --seed only it reads, outside adaptive randomized
+@pytest.mark.parametrize("method, flags, message", [
+    *[pytest.param(method, ["--mode", "randomized", "--seed", "5"],
+                   f"--mode randomized applies to adaptive only, not {method}", id=method)
+      for method in ("baseline", "cqr", "scalar")],
+    *[pytest.param(method, ["--seed", "5"], _SEED_UNREAD, id=f"seed-{method}")
+      for method in _CONFORMAL],
+    pytest.param("adaptive", ["--mode", "deterministic", "--seed", "0"], _SEED_UNREAD,
+                 id="seed-adaptive-deterministic"),
+])
+def test_randomized_mode_on_a_method_other_than_adaptive_exits_2(
+    tmp_path, capsys, method, flags, message
+):
     argv = conformal_argv(tmp_path, method)
-    code, out, err = run(capsys, *argv, "--mode", "randomized", "--seed", "5")
+    code, out, err = run(capsys, *argv, *flags)
     assert code == 2
     assert out == ""
-    assert err == f"config error: --mode randomized applies to adaptive only, not {method}\n"
+    assert err == f"config error: {message}\n"
     assert not (tmp_path / "new").exists()
+
+
+def test_randomized_seed_defaults_to_0(tmp_path, capsys):
+    argv = conformal_argv(tmp_path, "adaptive") + ["--mode", "randomized"]
+    assert run(capsys, *argv)[0] == 0
+    default = (tmp_path / "new" / "out.csv").read_bytes()
+    assert run(capsys, *argv, "--seed", "0")[0] == 0
+    assert (tmp_path / "new" / "out.csv").read_bytes() == default
+    assert run(capsys, *argv, "--seed", "1")[0] == 0  # a seed these rows feel
+    assert (tmp_path / "new" / "out.csv").read_bytes() != default
 
 
 def conformal_argv(tmp_path, method, leave_out=None):
@@ -312,6 +336,37 @@ def test_path_fault_exits_3_naming_the_path(tmp_path, capsys, fault):
     assert code == 3 and out == ""
     assert err.count("\n") == 1 and err.startswith("data error: ")
     assert str(bad) in err
+
+
+@pytest.mark.parametrize("command", ["conformal", "calibrate", "train", "benchmark"])
+def test_nonzero_exit_makes_no_directory_and_writes_no_file(tmp_path, capsys, command):
+    # the writers make an output's directory, and a command writes only
+    # after its last computation, so a fault leaves no trace on disk
+    out_path = tmp_path / "new"
+    missing = str(tmp_path / "missing.csv")
+    if command == "conformal":
+        argv = conformal_argv(tmp_path, "baseline")
+        argv[argv.index("--test-probs") + 1] = missing
+        expected = 3
+    elif command == "calibrate":
+        write_targets(tmp_path / "y.csv", [0, 1])
+        argv = ["calibrate", "--logits", missing, "--targets", str(tmp_path / "y.csv"),
+                "--out-dir", str(out_path)]
+        expected = 3
+    elif command == "train":
+        config = train_config(tmp_path, model={"hidden_widths": [2**56]}, out_dir=str(out_path))
+        argv, expected = ["train", "--config", str(config)], 3
+    else:
+        config = train_config(
+            tmp_path, method="swag", method_params={"rank": 2}, seeds=[0, 1, 2],
+            optimizer={"algorithm": "sgd", "learning_rate": 1e308, "epochs": 3},
+            out_dir=str(out_path),
+        )
+        argv, expected = ["benchmark", "--config", str(config)], 4
+    code, out, err = run(capsys, *argv)
+    assert code == expected and out == ""
+    assert err.count("\n") == 1, err
+    assert not out_path.exists()
 
 
 class TestCalibrateCommand:
@@ -632,7 +687,7 @@ class TestTrainCommand:
         assert "classes" in err
         assert not (tmp_path / "refused").exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_exits_4(self, tmp_path, capsys):
         config = train_config(
             tmp_path,
@@ -645,8 +700,12 @@ class TestTrainCommand:
         assert code == 4
         assert json.loads(out)["status"] == "diverged"
         assert err == "diverged: MAP phase diverged\n"
+        # the one nonzero exit that writes: the splits, last finite state and trace
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
+            "calib.csv", "state.json", "test.csv", "trace.csv", "train.csv",
+        ]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("method, phase", [
         ("laplace", "MAP"), ("advi", "ADVI"), ("ensemble", "ensemble"),
     ])
@@ -673,7 +732,7 @@ class TestTrainCommand:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error: ")
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_benchmark_divergence_exits_4(self, tmp_path, capsys):
         config = train_config(
             tmp_path,

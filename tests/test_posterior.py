@@ -108,7 +108,7 @@ _DIVERGING_FITS = {
 }
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("fit", list(_DIVERGING_FITS))
 def test_divergence_returns_last_finite_state(fit):
     ds = linear_regression_ds(seed=2, n=20)

@@ -1,7 +1,7 @@
 """Bounded property tests: every artefact format round-trips bit for bit,
 the fast CSV reader and writer agree with the exact ones, the config
-validator finds the faults jsonschema finds, and the conformal quantile and
-set constructions keep their guarantees."""
+validator finds the faults jsonschema finds, the conformal quantile and
+set constructions keep their guarantees, and so do the calibration fits."""
 
 import copy
 import csv
@@ -15,6 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from uqkit.calibration import (
+    T_MAX,
+    T_MIN,
+    apply_temperature,
+    fit_temperature,
+    fit_variance_scale,
+)
 from uqkit.conformal import adaptive_sets, baseline_sets, conformal_quantile
 from uqkit.config import RUN_SCHEMA, _schema_faults
 import uqkit.data
@@ -367,6 +374,70 @@ def test_quantile_and_sets_ignore_calibration_order(problem, alpha, method, data
     np.testing.assert_array_equal(
         method(vp[perm], y[perm], tp, alpha).member, method(vp, y, tp, alpha).member
     )
+
+
+# ---------------------------------------------------------------------------
+# calibration
+
+@st.composite
+def logit_problems(draw):
+    """(logits, labels) over the whole finite range, ties drawn often."""
+    k = draw(st.integers(2, 5), label="classes")
+    n = draw(st.integers(1, 20), label="rows")
+    cells = st.one_of(st.sampled_from([0.0, 1.0]), CELLS)
+    logits = draw(hnp.arrays(np.float64, (n, k), elements=cells), label="logits")
+    labels = draw(hnp.arrays(np.int64, n, elements=st.integers(0, k - 1)), label="labels")
+    return logits, labels
+
+
+@BOUNDED
+@given(problem=logit_problems(), method=st.sampled_from(["golden", "adam"]))
+def test_temperature_fit_never_raises_the_nll(problem, method):
+    fit = fit_temperature(*problem, method=method)
+    assert fit.nll_after <= fit.nll_before
+    assert T_MIN <= fit.temperature <= T_MAX
+
+
+@BOUNDED
+@given(problem=logit_problems(), t=st.floats(T_MIN, T_MAX))
+def test_temperature_keeps_a_separated_argmax(problem, t):
+    logits, _ = problem
+    probs = apply_temperature(logits, t)
+    assert np.all(probs >= 0.0)
+    with np.errstate(over="ignore"):
+        second, top = np.sort(logits, axis=1)[:, -2:].T
+        # the runner-up's share exp(-gap / t) rounds clearly below the top's
+        separated = (top - second) / t > 1e-6
+    np.testing.assert_array_equal(
+        probs.argmax(axis=1)[separated], logits.argmax(axis=1)[separated]
+    )
+
+
+@BOUNDED
+@given(n=st.integers(1, 20), data=st.data())
+def test_variance_scale_minimizes_the_gaussian_nll(n, data):
+    means, targets = (data.draw(vectors(n), label=label) for label in ("means", "targets"))
+    variances = data.draw(
+        vectors(n, st.floats(min_value=5e-324, allow_infinity=False)), label="variances"
+    )
+    with np.errstate(over="ignore"):
+        closed_form = np.mean((targets - means) ** 2 / variances)
+    if not np.isfinite(closed_form):
+        with pytest.raises(ValueError, match="overflows"):
+            fit_variance_scale(means, variances, targets)
+        return
+    fit = fit_variance_scale(means, variances, targets)
+    if fit.warning:
+        assert fit.scale == 1e-12
+        return
+
+    def nll(s):
+        with np.errstate(over="ignore"):
+            terms = np.log(2 * np.pi * s * variances) + (targets - means) ** 2 / (s * variances)
+        return 0.5 * np.mean(terms)
+
+    s = fit.scale
+    assert nll(s) <= nll(s * (1 + 1e-3)) and nll(s) <= nll(s * (1 - 1e-3))
 
 
 # ---------------------------------------------------------------------------
