@@ -130,24 +130,26 @@ def fit_temperature(logits, targets, method: str = "golden") -> TemperatureFit:
     if method not in ("golden", "adam"):
         raise ValueError(f"unknown method {method!r}")
 
-    nll_before = _scaled_nll(z, y, 1.0)
-    if np.max(np.abs(z - z.mean(axis=1, keepdims=True))) == 0.0:
-        return TemperatureFit(
-            temperature=1.0,
-            nll_before=nll_before,
-            nll_after=nll_before,
-            iterations=0,
-            warning="degenerate logits: every row is constant; kept t = 1",
-        )
-
-    if method == "golden":
-        beta, iterations = _golden_section(
-            lambda b: _scaled_nll(z, y, b), 1.0 / T_MAX, 1.0 / T_MIN
-        )
-    else:
-        beta, iterations = _adam_beta(z, y)
-
-    nll_fit = _scaled_nll(z, y, beta)
+    # Near the float limit an NLL or a search step can overflow: the NLLs
+    # come out infinite (callers check them) and Adam stops at the step
+    # that overflowed, so numpy's warnings would only repeat that.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        nll_before = _scaled_nll(z, y, 1.0)
+        if np.max(np.abs(z - z.mean(axis=1, keepdims=True))) == 0.0:
+            return TemperatureFit(
+                temperature=1.0,
+                nll_before=nll_before,
+                nll_after=nll_before,
+                iterations=0,
+                warning="degenerate logits: every row is constant; kept t = 1",
+            )
+        if method == "golden":
+            beta, iterations = _golden_section(
+                lambda b: _scaled_nll(z, y, b), 1.0 / T_MAX, 1.0 / T_MIN
+            )
+        else:
+            beta, iterations = _adam_beta(z, y)
+        nll_fit = _scaled_nll(z, y, beta)
     if nll_fit <= nll_before:
         t = 1.0 / beta
         nll_after = nll_fit

@@ -213,7 +213,9 @@ def cmd_conformal(args) -> int:
     if labels:
         report["mean_set_size"] = float(np.mean(result.sizes()))
     else:
-        report["mean_width"] = float(np.mean(result.width()))
+        width = float(np.mean(result.width()))
+        # standard JSON has no infinity: an unbounded interval's mean width is null
+        report["mean_width"] = width if np.isfinite(width) else None
         report["collapsed"] = int(result.collapsed.sum())
     if args.test_targets:
         y = _read_input(args.test_targets, "test_targets", labels)
@@ -231,6 +233,11 @@ def cmd_calibrate(args) -> int:
     logits = read_probs_csv(args.logits)
     targets = read_targets_csv(args.targets, classification=True)
     fit = fit_temperature(logits, targets, method=args.method)
+    for name in ("nll_before", "nll_after"):
+        if not np.isfinite(getattr(fit, name)):
+            raise DataError(
+                f"{name} is {getattr(fit, name)}: the logits are too large for a finite NLL"
+            )
     target_logits = read_probs_csv(args.test_logits) if args.test_logits else logits
     probs = apply_temperature(target_logits, fit.temperature)
     write_probs_csv(out_dir / "calibrated.csv", probs, entropy(probs, axis=-1))
@@ -250,28 +257,39 @@ def cmd_calibrate(args) -> int:
 # ---------------------------------------------------------------------------
 # train
 
-def _fits(cfg: RunConfig, model, train_ds, opt) -> list[tuple[str, FitResult]]:
-    """One (phase, result) per fit of ``cfg.method``, in order. SWAG and
-    Laplace continue the MAP fit unless it diverged; SWAG runs on its own
-    batch stream. Each fit is called through this module's globals, so a
-    rebound module attribute is the one called."""
+def _fits(cfg: RunConfig, lanes: list[tuple]) -> list[list[tuple[str, FitResult]]]:
+    """The (phase, result) pairs of ``cfg.method``'s fits, in order, for
+    each lane: one run seed's (seed, model, train split, optimizer). The
+    lanes train in lockstep: one ``map_fit`` call for every lane, then one
+    ``swag_fit`` call for every lane whose MAP fit did not diverge. SWAG
+    and Laplace continue the MAP fit; SWAG runs on its own batch stream.
+    Each fit is called through this module's globals, so a rebound module
+    attribute is the one called."""
     params = dict(cfg.method_params)
     if cfg.method == "ensemble":
-        return [("ensemble", ensemble_fit(model, train_ds, opt, **params))]
+        return [[("ensemble", ensemble_fit(m, t, o, **params))] for _, m, t, o in lanes]
     if cfg.method == "advi":
-        return [("ADVI", advi_fit(model, train_ds, opt, **params))]
-    base = map_fit(model, train_ds, opt)
-    if cfg.method == "map" or base.diverged:
-        return [("MAP", base)]
+        return [[("ADVI", advi_fit(m, t, o, **params))] for _, m, t, o in lanes]
+    seeds, models, trains, opts = (list(column) for column in zip(*lanes))
+    bases = map_fit(models, trains, opts)
+    fits = [[("MAP", base)] for base in bases]
+    go = [i for i, base in enumerate(bases) if not base.diverged]
     if cfg.method == "laplace":
-        state = laplace_fit(base.state, model, train_ds, **params)
-        return [("MAP", base), ("Laplace", FitResult(state, ()))]
-    swag_opt = replace(
-        opt,
-        seed=child_seed(cfg.seed, SEED_SWAG),
-        epochs=params.pop("swag_epochs", opt.epochs),
-    )
-    return [("MAP", base), ("SWAG", swag_fit(base.state, model, train_ds, swag_opt, **params))]
+        for i in go:
+            state = laplace_fit(bases[i].state, models[i], trains[i], **params)
+            fits[i].append(("Laplace", FitResult(state, ())))
+    elif cfg.method == "swag" and go:
+        epochs = params.pop("swag_epochs", opts[0].epochs)
+        swags = swag_fit(
+            [bases[i].state for i in go],
+            [models[i] for i in go],
+            [trains[i] for i in go],
+            [replace(opts[i], seed=child_seed(seeds[i], SEED_SWAG), epochs=epochs) for i in go],
+            **params,
+        )
+        for i, swag in zip(go, swags):
+            fits[i].append(("SWAG", swag))
+    return fits
 
 
 # trace.csv's label for each phase that keeps a per-epoch trace
@@ -289,7 +307,7 @@ def cmd_train(args) -> int:
         "training %s on %d rows (%d parameters)",
         cfg.method, train_ds.n, param_count(model),
     )
-    fits = _fits(cfg, model, train_ds, opt)
+    [fits] = _fits(cfg, [(cfg.seed, model, train_ds, opt)])
     rows = []
     for phase, fit in fits:
         rows += [(_TRACE_LABEL[phase], e, v) for e, v in enumerate(fit.trace)]
@@ -414,14 +432,9 @@ def cmd_evaluate(args) -> int:
 _LOWER_IS_BETTER = {"nll": True, "ece": True, "brier": True, "accuracy": False}
 
 
-def _benchmark_one(cfg: RunConfig, run_seed: int) -> dict:
-    run = replace(cfg, seed=run_seed, method="swag")
-    (train_ds, calib_ds, test_ds), model, opt = run.setup()
-    fits = _fits(run, model, train_ds, opt)
-    for phase, fit in fits:
-        if fit.diverged:
-            raise DivergenceError(f"{phase} phase diverged for seed {run_seed}")
-    (_, base), (_, swag) = fits
+def _benchmark_one(cfg: RunConfig, run_seed: int, splits, model, base, swag) -> dict:
+    """One seed's report from its splits, model and MAP and SWAG fits."""
+    _, calib_ds, test_ds = splits
     map_probs = softmax(mlp_forward(model, base.state.theta, test_ds.inputs), axis=1)
     map_report = classification_report(map_probs, test_ds.targets, n_bins=cfg.bins)
     thetas, _ = sample_weights(
@@ -454,10 +467,21 @@ def cmd_benchmark(args) -> int:
     cfg = load_config(args.config, require_seeds=True)
     if args.out_dir:
         cfg.out_dir = Path(args.out_dir)
+    run = replace(cfg, method="swag")
+    setups = [replace(run, seed=s).setup() for s in cfg.seeds]
+    # split sizes depend only on n and the fractions, so every seed's fits
+    # share a row count and train as lanes of one loop
+    fits = _fits(
+        run, [(s, model, splits[0], opt) for s, (splits, model, opt) in zip(cfg.seeds, setups)]
+    )
+    for run_seed, seed_fits in zip(cfg.seeds, fits):
+        for phase, fit in seed_fits:
+            if fit.diverged:
+                raise DivergenceError(f"{phase} phase diverged for seed {run_seed}")
     runs = []
-    for run_seed in cfg.seeds:
+    for run_seed, (splits, model, _), ((_, base), (_, swag)) in zip(cfg.seeds, setups, fits):
         log.info("benchmark seed %d", run_seed)
-        runs.append(_benchmark_one(cfg, run_seed))
+        runs.append(_benchmark_one(cfg, run_seed, splits, model, base, swag))
     tally = {}
     for metric, lower in _LOWER_IS_BETTER.items():
         pairs = [(run["swag_temperature"][metric], run["map"][metric]) for run in runs]

@@ -348,8 +348,9 @@ def write_matrix_csv(path, matrix, header: list[str]) -> None:
 
 def json_text(doc) -> str:
     """The JSON text of every report and artefact: sorted keys, a two-space
-    indent and a final newline."""
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    indent and a final newline. A non-finite number, which standard JSON
+    cannot hold, is a ``ValueError``."""
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def write_json(path, doc) -> None:

@@ -3,9 +3,11 @@
 Parameters live in one flat 64-bit vector with a fixed layer-major
 layout: for each layer, the weight matrix (fan_in x fan_out, row-major)
 followed by the bias vector. ``mlp_activations`` and ``mlp_backward``
-are the one forward/backward pair: training steps run them on an
-``(n, d)`` batch, and ``laplace_fit`` runs them over leading batch axes
-to get per-sample output Jacobians. The reverse-mode tape in
+are the one forward/backward pair, sharing one ``unpack_params`` per
+step: training steps run them on an ``(S, n, d)`` stack of batches with
+an ``(S, P)`` stack of parameter vectors (one lane per fit), and
+``laplace_fit`` runs them over leading batch axes to get per-sample
+output Jacobians. The reverse-mode tape in
 ``autodiff`` is not used here; the tests hold a taped copy of this
 forward pass as the oracle the backward pass must equal bit for bit.
 """
@@ -13,6 +15,7 @@ forward pass as the oracle the backward pass must equal bit for bit.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -55,6 +58,7 @@ class MlpConfig:
         )
 
 
+@lru_cache(maxsize=64)
 def param_count(cfg: MlpConfig) -> int:
     dims = cfg.dims
     return sum((dims[i] + 1) * dims[i + 1] for i in range(len(dims) - 1))
@@ -82,18 +86,24 @@ def init_params(cfg: MlpConfig) -> np.ndarray:
 
 
 def unpack_params(cfg: MlpConfig, theta) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Split a flat parameter vector into (W, b) pairs, as views into it."""
+    """Split a flat parameter vector, or an ``(S, P)`` stack of them, into
+    (W, b) pairs, as views into it: W is ``(..., fan_in, fan_out)`` and b
+    ``(..., 1, fan_out)``, so ``h @ W + b`` applies lane s's layer to lane
+    s's rows."""
     theta = np.asarray(theta, dtype=np.float64)
-    if theta.shape != (param_count(cfg),):
-        raise ValueError(
-            f"parameter vector has wrong length; expected {param_count(cfg)}"
-        )
+    p = param_count(cfg)
+    if theta.ndim not in (1, 2) or theta.shape[-1] != p:
+        raise ValueError(f"parameter vector has wrong length; expected {p}")
+    lead = theta.shape[:-1]
     dims = cfg.dims
     layers = []
     offset = 0
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         stop = offset + fan_in * fan_out
-        layers.append((theta[offset:stop].reshape(fan_in, fan_out), theta[stop : stop + fan_out]))
+        layers.append((
+            theta[..., offset:stop].reshape(*lead, fan_in, fan_out),
+            theta[..., None, stop : stop + fan_out],
+        ))
         offset = stop + fan_out
     return layers
 
@@ -104,15 +114,17 @@ def mlp_forward(cfg: MlpConfig, theta, inputs: np.ndarray):
     For classification the outputs are logits; for regression rows hold a
     (mean, log-variance) pair, so output_dim is 2.
     """
-    for h in mlp_activations(cfg, theta, inputs):
+    for h in mlp_activations(cfg, unpack_params(cfg, theta), inputs):
         pass  # keep only the current layer alive, not every layer's output
     return h
 
 
-def mlp_activations(cfg: MlpConfig, theta, inputs: np.ndarray):
+def mlp_activations(cfg: MlpConfig, layers: list, inputs: np.ndarray):
     """Yield every layer's output, inputs first: x, h_1, ..., h_L, raw output.
 
-    ``inputs`` is ``(..., n, input_dim)``; leading axes are batch axes.
+    ``layers`` is ``unpack_params(cfg, theta)``. ``inputs`` is ``(..., n,
+    input_dim)``; leading axes are batch axes, and with an ``(S, P)``
+    stack of parameter vectors the first is the lane axis.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim < 2 or inputs.shape[-1] != cfg.input_dim:
@@ -121,31 +133,44 @@ def mlp_activations(cfg: MlpConfig, theta, inputs: np.ndarray):
         )
     h = inputs
     yield h
-    layers = unpack_params(cfg, theta)
     for i, (w, b) in enumerate(layers):
-        h = h @ w + b
+        # the product is a new array, so the bias and the activation go in place
+        h = h @ w
+        h += b
         if i < len(layers) - 1:
-            h = np.tanh(h) if cfg.activation == "tanh" else np.maximum(h, 0.0)
+            if cfg.activation == "tanh":
+                np.tanh(h, out=h)
+            else:
+                np.maximum(h, 0.0, out=h)
         yield h
 
 
-def mlp_backward(cfg: MlpConfig, theta: np.ndarray, hs: list, grad_out: np.ndarray):
-    """Flat parameter gradient from the list of ``mlp_activations`` and the
-    output's gradient: the tape's vector-Jacobian products on the same
-    operands, so it equals the taped gradient bit for bit. The final
-    ``+ 0.0`` is the tape's scatter into a zero vector (-0.0 -> +0.0).
+def mlp_backward(cfg: MlpConfig, layers: list, hs: list, grad_out: np.ndarray):
+    """Flat parameter gradient from the unpacked ``layers``, the list of
+    ``mlp_activations`` and the output's gradient: the tape's
+    vector-Jacobian products on the same operands, so it equals the taped
+    gradient bit for bit. The final ``+ 0.0`` is the tape's scatter into a
+    zero vector (-0.0 -> +0.0).
 
     ``grad_out`` is ``(..., n, output_dim)``; its leading axes are batch
     axes, to which those of the activations must broadcast. The result
     is ``(..., P)``, one gradient per batch index.
     """
-    layers = unpack_params(cfg, theta)
-    parts = []
     g = grad_out
+    lead = g.shape[:-2]
+    grad = np.empty((*lead, param_count(cfg)))
+    stop = grad.shape[-1]
     for i in range(len(layers) - 1, -1, -1):
-        w_grad = np.swapaxes(hs[i], -1, -2) @ g
-        parts += [g.sum(axis=-2), w_grad.reshape(*w_grad.shape[:-2], -1)]
+        # layer i's bias and weight gradients, written into their slices
+        fan_in, fan_out = layers[i][0].shape[-2:]
+        b_start = stop - fan_out
+        w_start = b_start - fan_in * fan_out
+        g.sum(axis=-2, out=grad[..., b_start:stop])
+        w_grad = grad[..., w_start:b_start].reshape(*lead, fan_in, fan_out)
+        np.matmul(hs[i].swapaxes(-1, -2), g, out=w_grad)
+        stop = w_start
         if i:
-            g, h = g @ layers[i][0].T, hs[i]
+            g, h = g @ layers[i][0].swapaxes(-1, -2), hs[i]
             g = g * (1.0 - h * h) if cfg.activation == "tanh" else g * (h > 0.0)
-    return np.concatenate(parts[::-1], axis=-1) + 0.0
+    grad += 0.0
+    return grad

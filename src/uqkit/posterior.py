@@ -10,6 +10,16 @@ reparameterized stochastic gradients (``advi_fit``).
 All fits are bit-reproducible per seed: mini-batch order is keyed by
 (seed, epoch), ensemble members and Monte Carlo noise use derived child
 streams, and every array is 64-bit.
+
+Every gradient fit runs one training loop, ``_train``, over an ``(S, P)``
+stack of iterates: S lanes of the same shape (layer sizes, row count,
+optimizer settings) take each step together, one stacked forward and
+backward pass and one Adam update for all of them. A lane keeps its own
+batch stream, trace, step hook and divergence flag; a diverged lane
+freezes at its last finite iterate while the others go on. No operation
+mixes lanes, so each lane equals its solo fit (S = 1) bit for bit.
+``map_fit`` and ``swag_fit`` take lists to fit lanes together (the
+benchmark's seeds), and ``ensemble_fit`` trains its members that way.
 """
 
 from __future__ import annotations
@@ -18,15 +28,18 @@ import base64
 import json
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, fields, replace
+from itertools import compress
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .data import CLASSIFICATION, REGRESSION, Dataset, batches, write_json
 from .errors import DataError
 from .mlp import MlpConfig, init_params, mlp_activations, mlp_backward, mlp_forward
-from .mlp import param_count
+from .mlp import param_count, unpack_params
 from .numerics import softmax
 from .rng import Rng, child_seed
 
@@ -140,114 +153,179 @@ def _nll_head(out: np.ndarray, targets, task: str, scale: float | None = None):
     """Mean NLL of the raw outputs ``out`` and, when ``scale`` is given,
     ``scale`` times its gradient in ``out`` (else None).
 
-    The one loss head: every floating-point operation is the tape's, in
-    the tape's order, so the value and gradient equal the taped loss in
-    the tests bit for bit.
+    ``out`` is ``(..., n, K)`` and ``targets`` ``(..., n)``: leading axes
+    are lanes, each with its own mean. The one loss head: every
+    floating-point operation is the tape's, in the tape's order, so the
+    value and gradient equal the taped loss in the tests bit for bit.
     """
-    n = out.shape[0]
+    n = out.shape[-2]
     if task == CLASSIFICATION:
-        rows = np.arange(n)
-        labels = np.asarray(targets, dtype=np.int64)
+        # the lanes' rows as one (rows, K) matrix, for the per-row scatters
+        rows = np.arange(out.size // out.shape[-1])
+        labels = np.asarray(targets, dtype=np.int64).ravel()
         onehot = np.zeros(out.shape)
-        onehot[rows, labels] = 1.0
-        m = out.max(axis=1)
-        e = np.exp(out - m[:, None])
-        s = e.sum(axis=1)
-        loss = float((m + np.log(s) - (out * onehot).sum(axis=1)).sum() / n)
+        onehot.reshape(len(rows), -1)[rows, labels] = 1.0
+        m = out.max(axis=-1)
+        e = np.exp(out - m[..., None])
+        s = e.sum(axis=-1)
+        loss = (m + np.log(s) - (out * onehot).sum(axis=-1)).sum(axis=-1) / n
         if scale is None:
             return loss, None
         g = scale / n
-        grad_out = (g / s)[:, None] * e
-        g_max = g - grad_out.sum(axis=1)
-        grad_out[rows, labels] -= g
-        grad_out[rows, out.argmax(axis=1)] += g_max
+        grad_out = (g / s)[..., None] * e
+        g_max = g - grad_out.sum(axis=-1)
+        flat = grad_out.reshape(len(rows), -1)
+        flat[rows, labels] -= g
+        flat[rows, out.argmax(axis=-1).ravel()] += g_max.ravel()
         return loss, grad_out
-    mu, log_var = out[:, 0], out[:, 1]
+    mu, log_var = out[..., 0], out[..., 1]
     resid = np.asarray(targets, dtype=np.float64) - mu
     rr = resid * resid
     e = np.exp(-log_var)
-    loss = float(0.5 * (log_var + rr * e + _LOG_2PI).sum() / n)
+    loss = 0.5 * (log_var + rr * e + _LOG_2PI).sum(axis=-1) / n
     if scale is None:
         return loss, None
     g = scale / n * 0.5
     g_rr = g * e
-    g_mu = -(g_rr * resid + g_rr * resid)
-    return loss, np.column_stack([g_mu, g - (g * rr) * e]) + 0.0
+    grad_out = np.empty(out.shape)
+    grad_out[..., 0] = -(g_rr * resid + g_rr * resid)
+    grad_out[..., 1] = g - (g * rr) * e
+    grad_out += 0.0
+    return loss, grad_out
 
 
 def nll_value_and_grad(
     cfg: MlpConfig, theta: np.ndarray, inputs, targets, task: str, scale: float = 1.0
-) -> tuple[float, np.ndarray]:
+):
     """Mean data NLL over a batch and ``scale`` times its gradient, by one
-    explicit forward and backward pass (the training path)."""
-    hs = list(mlp_activations(cfg, theta, inputs))
+    explicit forward and backward pass (the training path). With an
+    ``(S, P)`` stack of parameter vectors and ``(S, n, d)`` inputs, both
+    come per lane: ``(S,)`` losses and ``(S, P)`` gradients."""
+    layers = unpack_params(cfg, theta)
+    hs = list(mlp_activations(cfg, layers, inputs))
     loss, grad_out = _nll_head(hs[-1], targets, task, scale)
-    return loss, mlp_backward(cfg, theta, hs, grad_out)
+    return loss, mlp_backward(cfg, layers, hs, grad_out)
 
 
 # ---------------------------------------------------------------------------
 # optimizer steps and the training loop
 
 class _Optimizer:
-    """Adam or plain SGD over a flat vector; state lives on the instance."""
+    """Adam or plain SGD over an ``(S, P)`` stack of flat vectors, one lane
+    per row; the moments live on the instance and update in place."""
 
-    def __init__(self, opt: OptimConfig, dim: int):
+    def __init__(self, opt: OptimConfig, shape: tuple[int, int]):
         self.opt = opt
         self.t = 0
-        self.m = np.zeros(dim)
-        self.v = np.zeros(dim)
+        self.m = np.zeros(shape)
+        self.v = np.zeros(shape)
+        self.buf = np.empty(shape)
+
+    def keep(self, rows: np.ndarray) -> None:
+        """Drop the lanes whose entry of the boolean ``rows`` is False."""
+        self.m, self.v, self.buf = self.m[rows], self.v[rows], self.buf[rows]
 
     def step(self, theta: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        """The next iterates, in a new array."""
         o = self.opt
         if o.algorithm == "sgd":
             return theta - o.learning_rate * grad
         self.t += 1
-        self.m = _ADAM_BETA1 * self.m + (1.0 - _ADAM_BETA1) * grad
-        self.v = _ADAM_BETA2 * self.v + (1.0 - _ADAM_BETA2) * grad * grad
-        m_hat = self.m / (1.0 - _ADAM_BETA1**self.t)
-        v_hat = self.v / (1.0 - _ADAM_BETA2**self.t)
-        return theta - o.learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
+        m, v, buf = self.m, self.v, self.buf
+        # m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g;  the step is
+        # (lr m_hat) / (sqrt(v_hat) + eps): the textbook order, in place
+        m *= _ADAM_BETA1
+        m += np.multiply(grad, 1.0 - _ADAM_BETA1, out=buf)
+        v *= _ADAM_BETA2
+        np.multiply(grad, 1.0 - _ADAM_BETA2, out=buf)
+        v += np.multiply(buf, grad, out=buf)
+        denom = np.sqrt(np.divide(v, 1.0 - _ADAM_BETA2**self.t, out=buf), out=buf)
+        denom += _ADAM_EPS
+        update = m / (1.0 - _ADAM_BETA1**self.t)
+        update *= o.learning_rate
+        update /= denom
+        return np.subtract(theta, update, out=update)
 
 
 def _n_batches(n: int, batch_size: int) -> int:
     return (n + batch_size - 1) // batch_size
 
 
-def _train(objective, x0, train, opt, shuffle_seed, epoch_value, on_step=None):
-    """The mini-batch loop every gradient fit runs.
+class _Lane(NamedTuple):
+    """One fit's own part of the lockstep loop: its data and batch stream,
+    its trace and its step callback."""
 
-    For each batch (order keyed by (shuffle_seed, epoch)) it takes one
-    optimizer step on ``objective(x, inputs, targets)``, which returns
-    the batch loss and its gradient in ``x``, then calls
-    ``on_step(step, x)`` with the 1-based step count and the new iterate.
-    After each epoch the trace gets ``epoch_value(x, batch_losses)``. A
-    non-finite loss, gradient or iterate stops the run. Returns (last
-    finite iterate, trace, diverged).
+    train: Dataset
+    shuffle_seed: int
+    epoch_value: Callable  # (x, batch_losses) -> trace value
+    on_step: Callable | None = None  # (step, x)
+
+
+def _stack(arrays: tuple[np.ndarray, ...]) -> np.ndarray:
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _train(objective, x0, lanes, opt):
+    """The mini-batch loop every gradient fit runs, over S lanes at once.
+
+    Row s of the ``(S, P)`` ``x0`` starts lane s, whose batches come from
+    ``lanes[s].train`` in an order keyed by (``lanes[s].shuffle_seed``,
+    epoch). The lanes share ``opt`` and a row count, so each step stacks
+    one equal-shape batch per lane into ``(S, b, d)`` inputs and takes one
+    optimizer step over all lanes on ``objective(x, inputs, targets)``,
+    which returns the ``(S,)`` batch losses and ``(S, P)`` gradients at
+    the iterates ``x``. Then each lane's ``on_step(step, x_s)`` gets the
+    1-based step count and its new iterate, and after each epoch its
+    trace gets ``epoch_value(x_s, batch_losses)``. A non-finite loss,
+    gradient or iterate freezes its lane at the last finite iterate while
+    the others go on. Every lane's arithmetic is its own, so each lane
+    equals its solo fit (S = 1) bit for bit. Returns one (last finite
+    iterate, trace, diverged) per lane.
     """
-    if not np.all(np.isfinite(x0)):
+    x = np.asarray(x0, dtype=np.float64)
+    if not np.all(np.isfinite(x)):
         raise ValueError("parameter vector contains non-finite entries")
-    x = x0
-    stepper = _Optimizer(opt, x.size)
-    trace: list[float] = []
+    live = list(range(len(lanes)))  # the lane of each row of x
+    traces: list[list[float]] = [[] for _ in lanes]
+    results: list = [None] * len(lanes)
+    stepper = _Optimizer(opt, x.shape)
+    per_epoch = _n_batches(lanes[0].train.n, opt.batch_size)
     step = 0
     # the checks below catch every non-finite value; numpy's warnings would repeat them
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for epoch in range(opt.epochs):
-            losses: list[float] = []
-            for xb, yb in batches(train, opt.batch_size, shuffle_seed, epoch):
-                loss, grad = objective(x, xb, yb)
-                if not math.isfinite(loss) or not np.all(np.isfinite(grad)):
-                    return x, tuple(trace), True
+            streams = [
+                batches(lanes[s].train, opt.batch_size, lanes[s].shuffle_seed, epoch)
+                for s in live
+            ]
+            losses: list[np.ndarray] = []
+            for _ in range(per_epoch):
+                inputs, targets = zip(*[next(stream) for stream in streams])
+                loss, grad = objective(x, _stack(inputs), _stack(targets))
                 new_x = stepper.step(x, grad)
-                if not np.all(np.isfinite(new_x)):
-                    return x, tuple(trace), True
+                # a non-finite gradient always makes a non-finite step
+                ok = np.isfinite(loss) & np.isfinite(new_x).all(axis=1)
+                if not ok.all():
+                    for row in np.flatnonzero(~ok):
+                        results[live[row]] = (x[row], tuple(traces[live[row]]), True)
+                    live = list(compress(live, ok))
+                    if not live:
+                        return results
+                    streams = list(compress(streams, ok))
+                    losses = [past[ok] for past in losses]
+                    new_x, loss = new_x[ok], loss[ok]
+                    stepper.keep(ok)
                 x = new_x
                 losses.append(loss)
                 step += 1
-                if on_step is not None:
-                    on_step(step, x)
-            trace.append(epoch_value(x, losses))
-    return x, tuple(trace), False
+                for row, s in enumerate(live):
+                    if lanes[s].on_step is not None:
+                        lanes[s].on_step(step, x[row])
+            for row, s in enumerate(live):
+                traces[s].append(lanes[s].epoch_value(x[row], [past[row] for past in losses]))
+    for row, s in enumerate(live):
+        results[s] = (x[row], tuple(traces[s]), False)
+    return results
 
 
 def _penalized_objective(cfg: MlpConfig, train: Dataset, opt: OptimConfig):
@@ -259,13 +337,13 @@ def _penalized_objective(cfg: MlpConfig, train: Dataset, opt: OptimConfig):
         loss, grad = nll_value_and_grad(cfg, theta, inputs, targets, train.task)
         if wd > 0:
             g = wd / 2.0
-            loss = loss + g * np.sum(theta * theta)
+            loss = loss + g * np.sum(theta * theta, axis=-1)
             grad = (g * theta + g * theta) + grad
         return loss, grad
 
     def full_loss(theta, _losses):
         out = mlp_forward(cfg, theta, train.inputs)
-        loss = _nll_head(out, train.targets, train.task)[0]
+        loss = float(_nll_head(out, train.targets, train.task)[0])
         return float(loss + wd / 2.0 * np.sum(theta * theta)) if wd > 0 else loss
 
     return objective, full_loss
@@ -274,25 +352,66 @@ def _penalized_objective(cfg: MlpConfig, train: Dataset, opt: OptimConfig):
 # ---------------------------------------------------------------------------
 # fits
 
-def map_fit(cfg: MlpConfig, train: Dataset, opt: OptimConfig) -> FitResult:
+def _lanes(cfg, train, opt) -> tuple[list, list, list, bool]:
+    """(configs, datasets, optimizer configs, solo) of a fit's arguments.
+
+    One fit is one lane. Lists give one lane per entry; the lanes train in
+    lockstep, so they must agree on all the loop shares: layer shapes,
+    activation, task, row count and every optimizer setting but the seed.
+    """
+    solo = isinstance(train, Dataset)
+    cfgs, trains, opts = ([cfg], [train], [opt]) if solo else (list(cfg), list(train), list(opt))
+    shared = {
+        (c.dims, c.activation, t.task, t.n, replace(o, seed=0))
+        for c, t, o in zip(cfgs, trains, opts)
+    }
+    if len(shared) != 1 or not len(cfgs) == len(trains) == len(opts):
+        raise ValueError(
+            "lockstep lanes must share layer shapes, activation, task, row count "
+            "and every optimizer setting but the seed"
+        )
+    for c, t in zip(cfgs, trains):
+        _check_head(c, t)
+    return cfgs, trains, opts, solo
+
+
+def _penalized_lanes(cfgs, trains, opts, on_steps=None):
+    """The lanes' shared penalized objective and their ``_Lane`` records,
+    each with its full-data epoch value and batch stream."""
+    objective, _ = _penalized_objective(cfgs[0], trains[0], opts[0])
+    lanes = [
+        _Lane(t, o.seed, _penalized_objective(cfgs[0], t, o)[1], on_step)
+        for t, o, on_step in zip(trains, opts, on_steps or [None] * len(trains))
+    ]
+    return objective, lanes
+
+
+def map_fit(cfg: MlpConfig, train: Dataset, opt: OptimConfig):
     """Penalized maximum likelihood from the seeded initialization.
 
     The per-epoch trace holds the full-dataset objective after each
     epoch. A non-finite loss or parameter aborts the run and returns the
     last finite parameters with ``diverged`` set.
+
+    Given lists of configs, datasets and optimizer configs (one entry per
+    fit) instead, it trains those fits in lockstep as lanes of one loop
+    and returns a list of results, each equal bit for bit to its solo
+    ``FitResult``.
     """
-    _check_head(cfg, train)
-    objective, full_loss = _penalized_objective(cfg, train, opt)
-    theta, trace, diverged = _train(
-        objective, init_params(cfg), train, opt, opt.seed, full_loss
-    )
-    return FitResult(MapState(theta), trace, diverged=diverged)
+    cfgs, trains, opts, solo = _lanes(cfg, train, opt)
+    objective, lanes = _penalized_lanes(cfgs, trains, opts)
+    x0 = np.stack([init_params(c) for c in cfgs])
+    results = [
+        FitResult(MapState(theta), trace, diverged=diverged)
+        for theta, trace, diverged in _train(objective, x0, lanes, opts[0])
+    ]
+    return results[0] if solo else results
 
 
 def ensemble_fit(
     cfg: MlpConfig, train: Dataset, opt: OptimConfig, members: int = 5
 ) -> FitResult:
-    """Independently seeded repetitions of ``map_fit``.
+    """Independently seeded repetitions of ``map_fit``, trained in lockstep.
 
     Member m trains with init stream (init_seed, m) and batch stream
     (seed, m), so each member equals the standalone ``map_fit`` with
@@ -300,14 +419,11 @@ def ensemble_fit(
     """
     if members < 2:
         raise ValueError("an ensemble needs at least 2 members")
-    results = [
-        map_fit(
-            replace(cfg, init_seed=child_seed(cfg.init_seed, m)),
-            train,
-            replace(opt, seed=child_seed(opt.seed, m)),
-        )
-        for m in range(members)
-    ]
+    results = map_fit(
+        [replace(cfg, init_seed=child_seed(cfg.init_seed, m)) for m in range(members)],
+        [train] * members,
+        [replace(opt, seed=child_seed(opt.seed, m)) for m in range(members)],
+    )
     return FitResult(
         EnsembleState(tuple(r.state.theta for r in results)),
         trace=(),
@@ -355,7 +471,7 @@ def swag_fit(
     opt: OptimConfig,
     rank: int = 20,
     snapshot_every: int | None = None,
-) -> FitResult:
+):
     """Collect SWAG moments by continuing optimization from a point estimate.
 
     Every ``snapshot_every`` optimizer steps (default: once per epoch)
@@ -363,33 +479,46 @@ def swag_fit(
     second moment, and the last ``rank`` deviation columns; each column
     is the iterate minus the running mean *after* that snapshot was
     folded in. Optimizer moments restart from zero at the hand-off.
+
+    As with ``map_fit``, lists of starts, configs, datasets and optimizer
+    configs train in lockstep and give a list of results.
     """
-    _check_head(cfg, train)
+    cfgs, trains, opts, solo = _lanes(cfg, train, opt)
+    starts = [start] if solo else list(start)
+    if len(starts) != len(cfgs):
+        raise ValueError("swag_fit needs one start per lane")
     if rank < 1:
         raise ValueError("rank must be at least 1")
-    per_epoch = _n_batches(train.n, opt.batch_size)
+    per_epoch = _n_batches(trains[0].n, opts[0].batch_size)
     if snapshot_every is None:
         snapshot_every = per_epoch
     if snapshot_every < 1:
         raise ValueError("snapshot_every must be at least 1")
-    total_steps = opt.epochs * per_epoch
+    total_steps = opts[0].epochs * per_epoch
     if total_steps // snapshot_every < rank:
         raise ValueError(
             f"rank {rank} needs at least {rank * snapshot_every} steps "
             f"(one snapshot every {snapshot_every}), but this run has only "
             f"{total_steps}"
         )
-    moments = SwagMoments(start.theta.size, rank)
+    moments = [SwagMoments(s.theta.size, rank) for s in starts]
 
-    def snapshot(step: int, theta: np.ndarray) -> None:
-        if step % snapshot_every == 0:
-            moments.update(theta)
+    def snapshot(lane_moments: SwagMoments):
+        def on_step(step: int, theta: np.ndarray) -> None:
+            if step % snapshot_every == 0:
+                lane_moments.update(theta)
 
-    objective, full_loss = _penalized_objective(cfg, train, opt)
-    _, trace, diverged = _train(
-        objective, start.theta.copy(), train, opt, opt.seed, full_loss, snapshot
-    )
-    return FitResult(moments.state(), trace, diverged=diverged)
+        return on_step
+
+    objective, lanes = _penalized_lanes(cfgs, trains, opts, [snapshot(m) for m in moments])
+    x0 = np.stack([s.theta for s in starts])
+    results = [
+        FitResult(lane_moments.state(), trace, diverged=diverged)
+        for lane_moments, (_, trace, diverged) in zip(
+            moments, _train(objective, x0, lanes, opts[0])
+        )
+    ]
+    return results[0] if solo else results
 
 
 def swag_sample(state: SwagState, rng: Rng) -> np.ndarray:
@@ -438,11 +567,12 @@ def laplace_fit(
     # matmul), seeded with the output's identity rows (regression: the
     # mean's row alone). The sum runs row by row, in row order.
     seed = np.eye(cfg.output_dim)[:k].reshape(1, k, 1, cfg.output_dim)
+    layers = unpack_params(cfg, theta)
     for lo in range(0, train.n, _LAPLACE_ROWS):
         x = train.inputs[lo : lo + _LAPLACE_ROWS]
-        hs = list(mlp_activations(cfg, theta, x[:, None, None, :]))
+        hs = list(mlp_activations(cfg, layers, x[:, None, None, :]))
         grad_out = np.broadcast_to(seed, (len(x), *seed.shape[1:]))
-        jacs = mlp_backward(cfg, theta, hs, grad_out)  # (rows, k, P)
+        jacs = mlp_backward(cfg, layers, hs, grad_out)  # (rows, k, P)
         for out, jac in zip(hs[-1][:, 0, 0], jacs):
             if classification:
                 probs = softmax(out)
@@ -541,18 +671,19 @@ def advi_fit(
 
     draws = step_noise()
 
-    def objective(phi, inputs, targets):
+    def objective(phi, inputs, targets):  # one lane
         zs = list(next(draws))
-        return advi_value_and_grad(
-            cfg, phi, inputs, targets, train.task, zs, prior_precision, train.n
+        loss, grad = advi_value_and_grad(
+            cfg, phi[0], inputs[0], targets[0], train.task, zs, prior_precision, train.n
         )
+        return np.array([loss]), grad[None]
 
     def mean_elbo(_phi, losses):
         return float(np.mean([-loss for loss in losses]))
 
     phi0 = np.concatenate([init_params(cfg), np.full(p, -2.3)])
-    phi, trace, diverged = _train(
-        objective, phi0, train, opt, child_seed(opt.seed, 0), mean_elbo
+    [(phi, trace, diverged)] = _train(
+        objective, phi0[None], [_Lane(train, child_seed(opt.seed, 0), mean_elbo)], opt
     )
     state = AdviState(mean=phi[:p].copy(), log_std=phi[p:].copy())
     return FitResult(state, trace, diverged=diverged)

@@ -313,6 +313,25 @@ def test_coverage_needs_one_valid_target_per_test_row(tmp_path, capsys, method, 
     assert err == f"error: {message}\n"
 
 
+def test_unbounded_intervals_report_a_null_mean_width(tmp_path, capsys):
+    # one calibration row is too few for alpha = 0.1, so every interval is
+    # unbounded, and standard JSON has no infinity
+    paths = {}
+    for name, column, value in (("lower", "lower", 0.0), ("upper", "upper", 1.0),
+                                ("y", "target", 0.5)):
+        paths[name] = str(tmp_path / f"{name}.csv")
+        write_column(paths[name], [value], column)
+    code, out, _ = run(
+        capsys, "conformal", "--method", "cqr", "--alpha", "0.1",
+        "--val-lower", paths["lower"], "--val-upper", paths["upper"],
+        "--val-targets", paths["y"], "--test-lower", paths["lower"],
+        "--test-upper", paths["upper"], "--out", str(tmp_path / "out.csv"),
+    )
+    assert code == 0
+    assert _strict_json(out)["mean_width"] is None
+    assert (tmp_path / "out.csv").read_text().splitlines()[1] == "-inf,inf"
+
+
 @pytest.mark.parametrize(
     "fault", ["conformal_input_dir", "conformal_out_dir", "calibrate_out_file"]
 )
@@ -338,7 +357,9 @@ def test_path_fault_exits_3_naming_the_path(tmp_path, capsys, fault):
     assert str(bad) in err
 
 
-@pytest.mark.parametrize("command", ["conformal", "calibrate", "train", "benchmark"])
+@pytest.mark.parametrize(
+    "command", ["conformal", "calibrate", "calibrate_overflow", "train", "benchmark"]
+)
 def test_nonzero_exit_makes_no_directory_and_writes_no_file(tmp_path, capsys, command):
     # the writers make an output's directory, and a command writes only
     # after its last computation, so a fault leaves no trace on disk
@@ -353,6 +374,8 @@ def test_nonzero_exit_makes_no_directory_and_writes_no_file(tmp_path, capsys, co
         argv = ["calibrate", "--logits", missing, "--targets", str(tmp_path / "y.csv"),
                 "--out-dir", str(out_path)]
         expected = 3
+    elif command == "calibrate_overflow":
+        argv, expected = calibrate_argv(tmp_path, [-1.797e308, 1.797e308], "adam", out_path), 3
     elif command == "train":
         config = train_config(tmp_path, model={"hidden_widths": [2**56]}, out_dir=str(out_path))
         argv, expected = ["train", "--config", str(config)], 3
@@ -369,7 +392,45 @@ def test_nonzero_exit_makes_no_directory_and_writes_no_file(tmp_path, capsys, co
     assert not out_path.exists()
 
 
+def calibrate_argv(tmp_path, row, method, out_dir):
+    """A ``calibrate`` call on one row of logits with target 0."""
+    write_matrix_csv(tmp_path / "row.csv", np.array([row]), ["z0", "z1"])
+    write_targets(tmp_path / "zero.csv", [0])
+    return ["calibrate", "--logits", str(tmp_path / "row.csv"),
+            "--targets", str(tmp_path / "zero.csv"), "--method", method,
+            "--out-dir", str(out_dir)]
+
+
+def _strict_json(text: str):
+    def reject(token):
+        raise AssertionError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 class TestCalibrateCommand:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("method", ["golden", "adam"])
+    def test_logits_at_the_float_limit_fit_without_warnings(self, tmp_path, capsys, method):
+        # the NLL is the largest float: finite, so the fit stands
+        argv = calibrate_argv(tmp_path, [-1.7976931348623157e308, 0.0], method, tmp_path / "o")
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        report = _strict_json(out)
+        assert report["nll_before"] == report["nll_after"] == 1.7976931348623157e308
+        assert _strict_json((tmp_path / "o" / "fit.json").read_text()) == report
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("method", ["golden", "adam"])
+    def test_an_infinite_nll_exits_3_naming_the_field(self, tmp_path, capsys, method):
+        argv = calibrate_argv(tmp_path, [-1.797e308, 1.797e308], method, tmp_path / "o")
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err == (
+            "data error: nll_before is inf: the logits are too large for a finite NLL\n"
+        )
+        assert not (tmp_path / "o").exists()
+
     def test_fit_report_fields_and_guarantee(self, tmp_path, capsys):
         rng = np.random.default_rng(1)
         logits = rng.normal(scale=4, size=(60, 3))
@@ -603,7 +664,7 @@ def test_each_setting_has_one_home(tmp_path, monkeypatch):
         model={"hidden_widths": [4]}, optimizer={"epochs": 1}, method_params={"rank": 1},
         seeds=[0, 1, 2],
     )
-    cli_module._benchmark_one(load_config(config, require_seeds=True), 0)
+    assert cli_module.main(["benchmark", "--config", str(config)]) == 0
     assert "n_classes" not in passed["synth_classification"]
     assert "activation" not in passed["MlpConfig"]
     assert "method" not in passed["fit_temperature"]

@@ -8,6 +8,7 @@ import uqkit
 from uqkit.data import (
     Dataset,
     batches,
+    json_text,
     load_csv,
     save_csv,
     split,
@@ -210,3 +211,10 @@ def test_only_the_data_module_reads_and_writes_csv():
     used = {p.name: _csv_codecs_used(p.read_text(encoding="utf-8")) for p in sources}
     assert used.pop("data.py") == {"csv.reader", "csv.writer", "np.loadtxt"}
     assert {name: u for name, u in used.items() if u} == {}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_json_text_holds_only_standard_json(value):
+    assert json_text({"x": 1.5}) == '{\n  "x": 1.5\n}\n'
+    with pytest.raises(ValueError):
+        json_text({"x": [value]})

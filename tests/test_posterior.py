@@ -1,10 +1,12 @@
 import hashlib
 import itertools
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uqkit.data import CLASSIFICATION, REGRESSION, Dataset, synth_classification
 from uqkit.mlp import MlpConfig, init_params, param_count
@@ -698,3 +700,130 @@ def test_training_gradient_matches_central_differences(task):
 
     fd = _central_differences(lambda v: elbo(v)[0], phi)
     assert np.all(np.abs(elbo(phi)[1] - fd) / np.maximum(np.abs(fd), 1e-8) < 1e-5)
+
+
+# ---------------------------------------------------------------------------
+# lockstep lanes: fits trained together equal the same fits trained alone
+
+
+def assert_same_fit(lane, solo):
+    """Every state array, the trace and the divergence flag, bit for bit."""
+    assert type(lane.state) is type(solo.state)
+    for f in fields(solo.state):
+        a, b = getattr(lane.state, f.name), getattr(solo.state, f.name)
+        if isinstance(b, np.ndarray):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), f.name
+        else:
+            assert a == b, f.name
+    assert np.asarray(lane.trace).tobytes() == np.asarray(solo.trace).tobytes()
+    assert lane.diverged == solo.diverged
+
+
+def _lane_problem(rng, task, act, n, d, widths, poisoned):
+    """One lane's (config, dataset); a poisoned lane has one row far out:
+    a regression target whose squared residual overflows (the lane
+    diverges at the step that reads it), or a huge classification input."""
+    k = 3 if task == CLASSIFICATION else 2
+    x = rng.normal(size=(n, d))
+    y = rng.integers(0, k, size=n) if task == CLASSIFICATION else rng.normal(size=n)
+    if poisoned:
+        row = int(rng.integers(n))
+        if task == CLASSIFICATION:
+            x[row] = 1e300
+        else:
+            y[row] = 1e200
+    cfg = MlpConfig(d, widths, k, act, init_seed=int(rng.integers(1000)))
+    return cfg, Dataset(inputs=x, targets=y, task=task, feature_names=("f",) * d)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    task=st.sampled_from([CLASSIFICATION, REGRESSION]),
+    act=st.sampled_from(["tanh", "relu"]),
+    algorithm=st.sampled_from(["adam", "sgd"]),
+    weight_decay=st.sampled_from([0.0, 0.1]),
+    n_lanes=st.integers(1, 5),
+    poisoned=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lanes_equal_their_solo_fits(
+    task, act, algorithm, weight_decay, n_lanes, poisoned, seed
+):
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(2, 25)), int(rng.integers(1, 4))
+    widths = tuple(int(w) for w in rng.integers(1, 7, size=int(rng.integers(0, 3))))
+    base = OptimConfig(
+        algorithm=algorithm, learning_rate=0.05 if algorithm == "sgd" else 0.02,
+        epochs=int(rng.integers(1, 5)), batch_size=int(rng.integers(1, n + 1)),
+        weight_decay=weight_decay,
+    )
+    # the last lane may diverge while the others go on
+    lanes = [
+        _lane_problem(rng, task, act, n, d, widths, poisoned and s == n_lanes - 1)
+        for s in range(n_lanes)
+    ]
+    cfgs, trains = [c for c, _ in lanes], [t for _, t in lanes]
+    opts = [replace(base, seed=int(rng.integers(1000))) for _ in lanes]
+    maps = map_fit(cfgs, trains, opts)
+    for lane, cfg, train, opt in zip(maps, cfgs, trains, opts):
+        assert_same_fit(lane, map_fit(cfg, train, opt))
+    if poisoned and task == REGRESSION:
+        assert maps[-1].diverged
+    starts = [m.state for m in maps]
+    swag_opts = [replace(o, seed=o.seed + 1) for o in opts]
+    swags = swag_fit(starts, cfgs, trains, swag_opts, rank=1, snapshot_every=1)
+    for lane, start, cfg, train, opt in zip(swags, starts, cfgs, trains, swag_opts):
+        assert_same_fit(lane, swag_fit(start, cfg, train, opt, rank=1, snapshot_every=1))
+
+
+def test_a_lane_that_diverges_mid_run_freezes_while_the_others_finish():
+    # SGD at this rate is unstable on inputs six times wider: the middle
+    # lane overflows in epoch 16 of 30, and the outer lanes converge
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(20, 2))
+    y = x[:, 0] - x[:, 1] + 0.1 * rng.normal(size=20)
+    trains = [
+        Dataset(inputs=x * scale, targets=y * scale, task=REGRESSION, feature_names=("a", "b"))
+        for scale in (1.0, 6.0, 1.0)
+    ]
+    cfgs = [MlpConfig(2, (4,), 2, "relu", init_seed=1)] * 3
+    opts = [
+        OptimConfig(algorithm="sgd", learning_rate=0.05, epochs=30, batch_size=8, seed=s)
+        for s in (2, 1, 3)
+    ]
+    fits = map_fit(cfgs, trains, opts)
+    assert [f.diverged for f in fits] == [False, True, False]
+    assert [len(f.trace) for f in fits] == [30, 16, 30]
+    for lane, cfg, train, opt in zip(fits, cfgs, trains, opts):
+        assert_same_fit(lane, map_fit(cfg, train, opt))
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(
+    task=st.sampled_from([CLASSIFICATION, REGRESSION]),
+    members=st.integers(2, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ensemble_members_equal_their_standalone_map_fits(task, members, seed):
+    rng = np.random.default_rng(seed)
+    cfg, train = _lane_problem(rng, task, "tanh", int(rng.integers(2, 25)), 2, (5,), False)
+    opt = OptimConfig(learning_rate=0.02, epochs=3, batch_size=8, weight_decay=1e-3, seed=7)
+    result = ensemble_fit(cfg, train, opt, members=members)
+    for m in range(members):
+        solo = map_fit(
+            replace(cfg, init_seed=child_seed(cfg.init_seed, m)),
+            train,
+            replace(opt, seed=child_seed(opt.seed, m)),
+        )
+        assert result.state.members[m].tobytes() == solo.state.theta.tobytes()
+        assert np.asarray(result.member_traces[m]).tobytes() == np.asarray(solo.trace).tobytes()
+    assert not result.diverged
+
+
+def test_lanes_must_share_what_the_loop_shares():
+    cfg, train = linear_cfg(), linear_regression_ds(n=20)
+    opt = OptimConfig(epochs=1)
+    with pytest.raises(ValueError, match="lockstep lanes"):
+        map_fit([cfg, cfg], [train, linear_regression_ds(n=21)], [opt, opt])
+    with pytest.raises(ValueError, match="lockstep lanes"):
+        map_fit([cfg, cfg], [train, train], [opt, replace(opt, learning_rate=0.5)])

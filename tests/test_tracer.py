@@ -66,4 +66,5 @@ def test_every_fit_is_called_through_the_cli_module(tmp_path, capsys, monkeypatc
         out_dir=str(tmp_path / "benchmark"),
     )
     assert run(capsys, "benchmark", "--config", str(config))[0] == 0
-    assert called == ["map_fit", "swag_fit"] * 3
+    # the seeds train as lanes of one loop: one call of each fit for all three
+    assert called == ["map_fit", "swag_fit"]
