@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import check_finite, check_labels, log_sum_exp, softmax
+from .numerics import check_finite, check_labels, softmax
 
 T_MIN = 0.01
 T_MAX = 100.0
@@ -57,12 +57,44 @@ def apply_temperature(logits, t: float) -> np.ndarray:
     return softmax(scaled, axis=-1)
 
 
-def _scaled_nll(logits: np.ndarray, targets: np.ndarray, beta: float) -> float:
-    """Mean NLL of softmax(beta * logits); beta is inverse temperature."""
-    z = beta * logits
-    lse = log_sum_exp(z, axis=1)
-    picked = z[np.arange(z.shape[0]), targets]
-    return float(np.mean(lse - picked))
+class _ScaledNll:
+    """The mean NLL of softmax(beta * logits) and its derivative in beta,
+    for one fit's logits and targets.
+
+    The row max, the picked logits and max|logits| are taken once, and each
+    evaluation runs in one work buffer. For beta > 0 rounding is monotone,
+    so fl(beta * row max) is the row max of fl(beta * logits), and
+    fl(beta * max|logits|) overflows exactly when some fl(beta * logits)
+    does: every value equals the textbook form's bit for bit.
+    """
+
+    def __init__(self, logits: np.ndarray, targets: np.ndarray):
+        self.z = logits
+        self.zmax = logits.max(axis=1, keepdims=True)
+        self.picked = logits[np.arange(logits.shape[0]), targets]
+        self.zabs = float(np.max(np.abs(logits)))
+        self.buf = np.empty_like(logits)
+
+    def _exp_shifted(self, beta: float, m: np.ndarray) -> np.ndarray:
+        """exp(beta * logits - m) in the work buffer."""
+        buf = np.multiply(self.z, beta, out=self.buf)
+        buf -= m
+        return np.exp(buf, out=buf)
+
+    def __call__(self, beta: float) -> float:
+        m = beta * self.zmax
+        m = np.where(np.isfinite(m), m, 0.0)  # log_sum_exp's guard on an infinite max
+        lse = np.log(np.sum(self._exp_shifted(beta, m), axis=1, keepdims=True)) + m
+        return float(np.mean(lse.ravel() - beta * self.picked))
+
+    def grad(self, beta: float) -> float:
+        """d NLL / d beta; NaN when beta * logits overflows."""
+        if not np.isfinite(beta * self.zabs):
+            return np.nan
+        p = self._exp_shifted(beta, beta * self.zmax)
+        p /= np.sum(p, axis=1, keepdims=True)
+        p *= self.z
+        return float(np.mean(np.sum(p, axis=1) - self.picked))
 
 
 def _golden_section(f, lo: float, hi: float) -> tuple[float, int]:
@@ -85,18 +117,12 @@ def _golden_section(f, lo: float, hi: float) -> tuple[float, int]:
     return 0.5 * (a + b), iterations
 
 
-def _adam_beta(logits, targets) -> tuple[float, int]:
+def _adam_beta(nll: _ScaledNll) -> tuple[float, int]:
     """Fit beta by full-batch Adam on the NLL; a step that overflows ends it."""
-    n = logits.shape[0]
-    rows = np.arange(n)
     beta = 1.0
     m = v = 0.0
     for step in range(1, _ADAM_STEPS + 1):
-        try:
-            p = softmax(beta * logits, axis=1)
-        except ValueError:  # beta * logits overflowed
-            return beta, step - 1
-        grad = float(np.mean(np.sum(p * logits, axis=1) - logits[rows, targets]))
+        grad = nll.grad(beta)
         if not np.isfinite(grad):
             return beta, step - 1
         m = 0.9 * m + 0.1 * grad
@@ -134,7 +160,8 @@ def fit_temperature(logits, targets, method: str = "golden") -> TemperatureFit:
     # come out infinite (callers check them) and Adam stops at the step
     # that overflowed, so numpy's warnings would only repeat that.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        nll_before = _scaled_nll(z, y, 1.0)
+        nll = _ScaledNll(z, y)
+        nll_before = nll(1.0)
         if np.max(np.abs(z - z.mean(axis=1, keepdims=True))) == 0.0:
             return TemperatureFit(
                 temperature=1.0,
@@ -144,12 +171,10 @@ def fit_temperature(logits, targets, method: str = "golden") -> TemperatureFit:
                 warning="degenerate logits: every row is constant; kept t = 1",
             )
         if method == "golden":
-            beta, iterations = _golden_section(
-                lambda b: _scaled_nll(z, y, b), 1.0 / T_MAX, 1.0 / T_MIN
-            )
+            beta, iterations = _golden_section(nll, 1.0 / T_MAX, 1.0 / T_MIN)
         else:
-            beta, iterations = _adam_beta(z, y)
-        nll_fit = _scaled_nll(z, y, beta)
+            beta, iterations = _adam_beta(nll)
+        nll_fit = nll(beta)
     if nll_fit <= nll_before:
         t = 1.0 / beta
         nll_after = nll_fit
@@ -167,12 +192,14 @@ def fit_temperature(logits, targets, method: str = "golden") -> TemperatureFit:
 
 
 def fit_variance_scale(means, variances, targets) -> VarianceScaleFit:
-    """Closed-form variance scale s = mean((y - mu)^2 / sigma^2).
+    """Closed-form variance scale s = mean(((y - mu) / sigma)^2).
 
     This is the exact minimizer of the Gaussian NLL over a multiplicative
     scale on the predicted variances; calibrated variances are s * sigma^2.
-    An s below 1e-12 (all-zero residuals, say) is clamped to 1e-12 with a
-    warning; an s past the float range is a ``ValueError``.
+    The residuals are standardized before they are squared, so a residual
+    and a variance both near the float limits still give s to full
+    precision. An s below 1e-12 (all-zero residuals, say) is clamped to
+    1e-12 with a warning; an s past the float range is a ``ValueError``.
     """
     mu = check_finite(means, "means")
     var = check_finite(variances, "variances")
@@ -181,7 +208,10 @@ def fit_variance_scale(means, variances, targets) -> VarianceScaleFit:
         raise ValueError("means, variances, and targets must be equal-length vectors")
     if np.any(var <= 0):
         raise ValueError("variances must be strictly positive")
-    s = float(np.mean((y - mu) ** 2 / var))
+    # an overflow here is the ValueError below, so numpy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = (y - mu) / np.sqrt(var)
+        s = float(np.mean(z * z))
     if not np.isfinite(s):
         raise ValueError("variance scale overflows: residuals too large for the variances")
     if s < 1e-12:

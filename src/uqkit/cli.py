@@ -48,7 +48,7 @@ from .data import (
     write_matrix_csv,
 )
 from .errors import ConfigError, DataError, DivergenceError, UqError
-from .metrics import DEFAULT_BINS, classification_report, interval_metrics
+from .metrics import DEFAULT_BINS, MAX_BINS, classification_report, interval_metrics
 from .mlp import mlp_forward, param_count
 from .numerics import entropy, softmax
 from .posterior import (
@@ -164,6 +164,13 @@ def _positive_int_flag(value: str) -> int:
         raise argparse.ArgumentTypeError(f"expected an integer, got {value!r}")
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return n
+
+
+def _bins_flag(value: str) -> int:
+    n = _positive_int_flag(value)
+    if n > MAX_BINS:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_BINS}, got {value}")
     return n
 
 
@@ -553,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--calib-probs")
     p.add_argument("--calib-targets")
     p.add_argument("--calib-data")
-    p.add_argument("--bins", type=_positive_int_flag, default=DEFAULT_BINS)
+    p.add_argument("--bins", type=_bins_flag, default=DEFAULT_BINS)
     p.add_argument("--alpha", type=_alpha_flag)
     p.add_argument("--predictive-samples", type=_positive_int_flag)
     p.add_argument("--seed", type=int, default=0)

@@ -24,7 +24,7 @@ from .data import (
     synth_classification,
 )
 from .errors import ConfigError
-from .metrics import DEFAULT_BINS
+from .metrics import DEFAULT_BINS, MAX_BINS
 from .mlp import MlpConfig
 from .posterior import OptimConfig
 from .rng import child_seed
@@ -117,7 +117,7 @@ RUN_SCHEMA = {
         },
         "calibration": {"type": "boolean"},
         "temperature_method": {"enum": ["golden", "adam"]},
-        "bins": {"type": "integer", "minimum": 1},
+        "bins": {"type": "integer", "minimum": 1, "maximum": MAX_BINS},
         "predictive_samples": {"type": "integer", "minimum": 1},
         "out_dir": {"type": "string"},
         "seed": {"type": "integer", "minimum": 0},
@@ -225,6 +225,8 @@ def _schema_faults(schema: dict, value, path: tuple = ()):
         yield path, f"{value!r} is not one of {schema['enum']!r}"
     if "minimum" in schema and value < schema["minimum"]:
         yield path, f"{value!r} is below the minimum {schema['minimum']}"
+    if "maximum" in schema and value > schema["maximum"]:
+        yield path, f"{value!r} is above the maximum {schema['maximum']}"
     if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
         yield path, f"{value!r} must be above {schema['exclusiveMinimum']}"
     if kind in ("object", "array"):

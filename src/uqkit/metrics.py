@@ -16,6 +16,9 @@ from .conformal import Intervals
 from .numerics import check_labels, check_prob_rows
 
 DEFAULT_BINS = 15
+# every count up to 2^53 is a float64, so confidence * bins is one rounding
+# and the bin index fits an int64
+MAX_BINS = 2**53
 
 
 @dataclass(frozen=True)
@@ -59,19 +62,20 @@ def _bin_index(confidence: np.ndarray, n_bins: int) -> np.ndarray:
 
 
 def _ece(p: np.ndarray, y: np.ndarray, n_bins: int) -> float:
-    if n_bins < 1:
-        raise ValueError("n_bins must be at least 1")
+    if not 1 <= n_bins <= MAX_BINS:
+        raise ValueError(f"n_bins must lie in [1, {MAX_BINS}], got {n_bins}")
     n = p.shape[0]
     confidence = p.max(axis=1)
     correct = (p.argmax(axis=1) == y).astype(np.float64)
     idx = _bin_index(confidence, n_bins)
+    # the occupied bins in ascending order, each bin's rows in row order (a
+    # stable sort): the every-bin sum's terms in its order, empty bins adding nothing
+    order = np.argsort(idx, kind="stable")
+    _, starts, counts = np.unique(idx[order], return_index=True, return_counts=True)
     total = 0.0
-    for b in range(n_bins):
-        mask = idx == b
-        count = int(mask.sum())
-        if count == 0:
-            continue
-        gap = abs(correct[mask].mean() - confidence[mask].mean())
+    for start, count in zip(starts.tolist(), counts.tolist()):
+        rows = order[start : start + count]
+        gap = abs(correct[rows].mean() - confidence[rows].mean())
         total += (count / n) * gap
     return float(total)
 

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -592,6 +593,13 @@ def test_split_fractions_must_sum_to_1(tmp_path, capsys):
     assert load_config(train_config(tmp_path, split=fractions)).split_fractions == tuple(fractions)
 
 
+def test_config_bins_past_2_to_the_53_exits_2(tmp_path, capsys):
+    code, out, err = run(capsys, "train", "--config", str(train_config(tmp_path, bins=2**53 + 1)))
+    assert code == 2 and out == ""
+    assert err == "config error: at bins: 9007199254740993 is above the maximum 9007199254740992\n"
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_config_faults_are_listed_in_one_run(tmp_path, capsys):
     # a rule on two keys, a method_params key the method never reads and a
     # schema bound: three faults, one exit-2 run
@@ -943,6 +951,26 @@ class TestEvaluateCommand:
         code, _, err = run(capsys, "evaluate", "--probs", "p.csv", "--targets", "t.csv", flag, "0")
         assert code == 2
         assert err.count("\n") == 1 and err.startswith(f"config error: argument {flag}:")
+
+    @pytest.mark.parametrize("bins, code", [("9007199254740992", 0), ("99999999999999999999", 2)])
+    def test_bin_count_work_is_bounded(self, tmp_path, capsys, bins, code):
+        # ECE visits occupied bins only, and a count past 2^53 is a config error
+        write_probs(tmp_path / "p.csv", [[0.8, 0.2]])
+        write_targets(tmp_path / "t.csv", [0])
+        start = time.perf_counter()
+        got, out, err = run(
+            capsys,
+            "evaluate", "--probs", str(tmp_path / "p.csv"), "--targets", str(tmp_path / "t.csv"),
+            "--bins", bins,
+        )
+        assert time.perf_counter() - start < 1.0
+        assert got == code
+        if code:
+            assert err == (
+                f"config error: argument --bins: must be at most 9007199254740992, got {bins}\n"
+            )
+        else:
+            assert json.loads(out)["ece"] == pytest.approx(0.2)
 
     def test_regression_state_writes_predictive_and_intervals(self, tmp_path, capsys):
         run_dir = train_regression(tmp_path, capsys)

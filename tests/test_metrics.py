@@ -6,6 +6,8 @@ import pytest
 
 from uqkit.conformal import Intervals
 from uqkit.metrics import (
+    MAX_BINS,
+    _bin_index,
     accuracy,
     brier,
     classification_report,
@@ -169,6 +171,34 @@ class TestAgainstOracles:
             )
             assert abs(cov - coverage_oracle(lower, upper, targets)) <= 1e-12
             assert abs(width - np.mean(upper - lower)) <= 1e-12
+
+    def test_ece_equals_the_every_bin_sum_bit_for_bit(self):
+        # skipping the empty bins leaves the same terms in the same order
+        rng = np.random.default_rng(11)
+        for n_bins in (1, 2, 15, 97, 2000):
+            probs, y = random_instance(rng, n=40)
+            confidence = probs.max(axis=1)
+            correct = (probs.argmax(axis=1) == y).astype(np.float64)
+            idx = _bin_index(confidence, n_bins)
+            total = 0.0
+            for b in range(n_bins):
+                mask = idx == b
+                if mask.any():
+                    gap = abs(correct[mask].mean() - confidence[mask].mean())
+                    total += (int(mask.sum()) / len(y)) * gap
+            assert ece(probs, y, n_bins) == total
+
+    def test_ece_work_is_bounded_by_rows_not_bins(self):
+        probs, y = random_instance(np.random.default_rng(12), n=200)
+        confidence = probs.max(axis=1)
+        correct = probs.argmax(axis=1) == y
+        # bins this narrow hold one row each, so ECE is the mean per-row gap
+        assert np.diff(np.sort(confidence)).min() > 1e-12
+        assert ece(probs, y, MAX_BINS) == pytest.approx(
+            np.mean(np.abs(correct - confidence)), abs=1e-12
+        )
+        with pytest.raises(ValueError, match="n_bins"):
+            ece(probs, y, MAX_BINS + 1)
 
     def test_permutation_invariance(self):
         # invariant up to summation order (last-ulp reassociation)

@@ -11,13 +11,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import temperature_oracle
 from uqkit.calibration import (
     T_MAX,
     T_MIN,
+    _ScaledNll,
     apply_temperature,
     fit_temperature,
     fit_variance_scale,
@@ -398,6 +400,52 @@ def test_temperature_fit_never_raises_the_nll(problem, method):
     assert T_MIN <= fit.temperature <= T_MAX
 
 
+# near the float limit, where beta * logits overflows at some beta the fits try
+LIMITS = st.sampled_from([1.7976931348623157e308, -1.7976931348623157e308, 1e306, -3e305, 0.0])
+
+
+@st.composite
+def limit_logit_problems(draw):
+    """logit_problems with some rows drawn near the float limit."""
+    logits, labels = draw(logit_problems())
+    limit = draw(hnp.arrays(np.float64, logits.shape, elements=LIMITS), label="limit rows")
+    rows = draw(hnp.arrays(np.bool_, logits.shape[0]), label="rows replaced")
+    return np.where(rows[:, None], limit, logits), labels
+
+
+@BOUNDED
+@given(
+    problem=st.one_of(logit_problems(), limit_logit_problems()),
+    method=st.sampled_from(["golden", "adam"]),
+    betas=st.lists(st.floats(T_MIN, 1.0 / T_MIN), min_size=1, max_size=5),
+)
+# a row whose max overflows, and one whose min does once Adam raises beta
+@example(
+    problem=(np.array([[1.7976931348623157e308, 0.0]]), np.array([1])),
+    method="golden", betas=[2.0],
+)
+@example(
+    problem=(np.array([[0.0, 1.0], [-1.7976931348623157e308, 0.0]]), np.array([1, 1])),
+    method="adam", betas=[1.0],
+)
+def test_temperature_fit_equals_the_textbook_oracle(problem, method, betas):
+    logits, labels = problem
+    fit = fit_temperature(logits, labels, method=method)
+    expected = temperature_oracle.fit_temperature(logits, labels, method)
+    fields = ("temperature", "nll_before", "nll_after")
+    np.testing.assert_array_equal(
+        bits([getattr(fit, f) for f in fields]), bits([getattr(expected, f) for f in fields])
+    )
+    assert (fit.iterations, fit.warning, fit.at_bound) == (
+        expected.iterations, expected.warning, expected.at_bound
+    )
+    nll = _ScaledNll(logits, labels)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        got = [nll(beta) for beta in betas]
+        want = [temperature_oracle.scaled_nll(logits, labels, beta) for beta in betas]
+    np.testing.assert_array_equal(bits(got), bits(want))
+
+
 @BOUNDED
 @given(problem=logit_problems(), t=st.floats(T_MIN, T_MAX))
 def test_temperature_keeps_a_separated_argmax(problem, t):
@@ -420,8 +468,9 @@ def test_variance_scale_minimizes_the_gaussian_nll(n, data):
     variances = data.draw(
         vectors(n, st.floats(min_value=5e-324, allow_infinity=False)), label="variances"
     )
-    with np.errstate(over="ignore"):
-        closed_form = np.mean((targets - means) ** 2 / variances)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = (targets - means) / np.sqrt(variances)
+        closed_form = np.mean(z * z)
     if not np.isfinite(closed_form):
         with pytest.raises(ValueError, match="overflows"):
             fit_variance_scale(means, variances, targets)
@@ -432,8 +481,9 @@ def test_variance_scale_minimizes_the_gaussian_nll(n, data):
         return
 
     def nll(s):
+        # in standardized residuals, so no product rounds into the subnormals
         with np.errstate(over="ignore"):
-            terms = np.log(2 * np.pi * s * variances) + (targets - means) ** 2 / (s * variances)
+            terms = np.log(2 * np.pi * variances) + np.log(s) + z * z / s
         return 0.5 * np.mean(terms)
 
     s = fit.scale
