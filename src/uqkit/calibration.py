@@ -162,7 +162,7 @@ def fit_temperature(logits, targets, method: str = "golden") -> TemperatureFit:
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         nll = _ScaledNll(z, y)
         nll_before = nll(1.0)
-        if np.max(np.abs(z - z.mean(axis=1, keepdims=True))) == 0.0:
+        if np.all(nll.zmax == z.min(axis=1, keepdims=True)):  # every row is constant
             return TemperatureFit(
                 temperature=1.0,
                 nll_before=nll_before,
@@ -180,7 +180,7 @@ def fit_temperature(logits, targets, method: str = "golden") -> TemperatureFit:
         nll_after = nll_fit
     else:
         t, nll_after = 1.0, nll_before
-    at_bound = t <= T_MIN * (1.0 + 1e-4) or t >= T_MAX * (1.0 - 1e-4)
+    at_bound = bool(t <= T_MIN * (1.0 + 1e-4) or t >= T_MAX * (1.0 - 1e-4))
     return TemperatureFit(
         temperature=float(t),
         nll_before=nll_before,

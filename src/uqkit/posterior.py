@@ -14,10 +14,11 @@ streams, and every array is 64-bit.
 Every gradient fit runs one training loop, ``_train``, over an ``(S, P)``
 stack of iterates: S lanes of the same shape (layer sizes, row count,
 optimizer settings) take each step together, one stacked forward and
-backward pass and one Adam update for all of them. A lane keeps its own
-batch stream, trace, step hook and divergence flag; a diverged lane
-freezes at its last finite iterate while the others go on. No operation
-mixes lanes, so each lane equals its solo fit (S = 1) bit for bit.
+backward pass and one Adam update for all of them. Lane s is row s of
+the stack for the whole fit, with its own batch stream, trace and
+divergence flag; a diverged lane's row freezes at its last finite
+iterate while the others go on. No operation mixes rows, so each lane
+equals its solo fit (S = 1) bit for bit.
 ``map_fit`` and ``swag_fit`` take lists to fit lanes together (the
 benchmark's seeds), and ``ensemble_fit`` trains its members that way.
 """
@@ -28,11 +29,8 @@ import base64
 import json
 import math
 import warnings
-from collections.abc import Callable
 from dataclasses import dataclass, fields, replace
-from itertools import compress
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -221,10 +219,6 @@ class _Optimizer:
         self.v = np.zeros(shape)
         self.buf = np.empty(shape)
 
-    def keep(self, rows: np.ndarray) -> None:
-        """Drop the lanes whose entry of the boolean ``rows`` is False."""
-        self.m, self.v, self.buf = self.m[rows], self.v[rows], self.buf[rows]
-
     def step(self, theta: np.ndarray, grad: np.ndarray) -> np.ndarray:
         """The next iterates, in a new array."""
         o = self.opt
@@ -251,102 +245,86 @@ def _n_batches(n: int, batch_size: int) -> int:
     return (n + batch_size - 1) // batch_size
 
 
-class _Lane(NamedTuple):
-    """One fit's own part of the lockstep loop: its data and batch stream,
-    its trace and its step callback."""
-
-    train: Dataset
-    shuffle_seed: int
-    epoch_value: Callable  # (x, batch_losses) -> trace value
-    on_step: Callable | None = None  # (step, x)
-
-
-def _stack(arrays: tuple[np.ndarray, ...]) -> np.ndarray:
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
-
-
-def _train(objective, x0, lanes, opt):
+def _train(objective, x0, trains, seeds, opt, epoch_values, on_step=None):
     """The mini-batch loop every gradient fit runs, over S lanes at once.
 
-    Row s of the ``(S, P)`` ``x0`` starts lane s, whose batches come from
-    ``lanes[s].train`` in an order keyed by (``lanes[s].shuffle_seed``,
-    epoch). The lanes share ``opt`` and a row count, so each step stacks
-    one equal-shape batch per lane into ``(S, b, d)`` inputs and takes one
-    optimizer step over all lanes on ``objective(x, inputs, targets)``,
-    which returns the ``(S,)`` batch losses and ``(S, P)`` gradients at
-    the iterates ``x``. Then each lane's ``on_step(step, x_s)`` gets the
-    1-based step count and its new iterate, and after each epoch its
-    trace gets ``epoch_value(x_s, batch_losses)``. A non-finite loss,
-    gradient or iterate freezes its lane at the last finite iterate while
-    the others go on. Every lane's arithmetic is its own, so each lane
-    equals its solo fit (S = 1) bit for bit. Returns one (last finite
-    iterate, trace, diverged) per lane.
+    Lane s is row s of the ``(S, P)`` stack ``x`` for the whole fit, from
+    row s of ``x0``, with batches from ``trains[s]`` in an order keyed by
+    (``seeds[s]``, epoch). Each step stacks one equal-shape batch per lane
+    into ``(S, b, d)`` inputs, and ``objective(x, inputs, targets)`` gives
+    the ``(S,)`` batch losses and ``(S, P)`` gradients for one optimizer
+    step over the stack. Then ``on_step(step, x, live)`` gets the 1-based
+    step, the live stack (the next step replaces it, never writes into
+    it) and the live rows' indices; after each epoch the live lanes'
+    traces take theirs of the S values ``epoch_values(x, batch_losses)``.
+    A lane whose loss, gradient or iterate is non-finite freezes: its row
+    keeps its last finite iterate and its trace stops; the loop ends when
+    every lane has frozen. No operation mixes rows, so each lane equals
+    its solo fit (S = 1) bit for bit. Returns one (last finite iterate,
+    trace, diverged) per lane.
     """
     x = np.asarray(x0, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise ValueError("parameter vector contains non-finite entries")
-    live = list(range(len(lanes)))  # the lane of each row of x
-    traces: list[list[float]] = [[] for _ in lanes]
-    results: list = [None] * len(lanes)
+    live = np.arange(len(x))
+    frozen = np.zeros(len(x), dtype=bool)
+    traces: list[list[float]] = [[] for _ in trains]
     stepper = _Optimizer(opt, x.shape)
-    per_epoch = _n_batches(lanes[0].train.n, opt.batch_size)
+    per_epoch = _n_batches(trains[0].n, opt.batch_size)
     step = 0
     # the checks below catch every non-finite value; numpy's warnings would repeat them
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for epoch in range(opt.epochs):
-            streams = [
-                batches(lanes[s].train, opt.batch_size, lanes[s].shuffle_seed, epoch)
-                for s in live
-            ]
+            streams = [batches(t, opt.batch_size, seed, epoch) for t, seed in zip(trains, seeds)]
             losses: list[np.ndarray] = []
             for _ in range(per_epoch):
                 inputs, targets = zip(*[next(stream) for stream in streams])
-                loss, grad = objective(x, _stack(inputs), _stack(targets))
+                loss, grad = objective(x, np.array(inputs), np.array(targets))
                 new_x = stepper.step(x, grad)
                 # a non-finite gradient always makes a non-finite step
                 ok = np.isfinite(loss) & np.isfinite(new_x).all(axis=1)
-                if not ok.all():
-                    for row in np.flatnonzero(~ok):
-                        results[live[row]] = (x[row], tuple(traces[live[row]]), True)
-                    live = list(compress(live, ok))
-                    if not live:
-                        return results
-                    streams = list(compress(streams, ok))
-                    losses = [past[ok] for past in losses]
-                    new_x, loss = new_x[ok], loss[ok]
-                    stepper.keep(ok)
+                if not ok[live].all():
+                    frozen |= ~ok
+                    live = np.flatnonzero(~frozen)
+                    if not live.size:
+                        return [(row, tuple(trace), True) for row, trace in zip(x, traces)]
+                if live.size < len(x):
+                    new_x[frozen] = x[frozen]
                 x = new_x
                 losses.append(loss)
                 step += 1
-                for row, s in enumerate(live):
-                    if lanes[s].on_step is not None:
-                        lanes[s].on_step(step, x[row])
-            for row, s in enumerate(live):
-                traces[s].append(lanes[s].epoch_value(x[row], [past[row] for past in losses]))
-    for row, s in enumerate(live):
-        results[s] = (x[row], tuple(traces[s]), False)
-    return results
+                if on_step is not None:
+                    on_step(step, x, live)
+            values = epoch_values(x, losses)
+            for s in live:
+                traces[s].append(values[s])
+    return [(row, tuple(trace), bool(f)) for row, trace, f in zip(x, traces, frozen)]
 
 
-def _penalized_objective(cfg: MlpConfig, train: Dataset, opt: OptimConfig):
-    """(batch loss and gradient, full-data epoch value) of the penalized
-    loss; the ridge term's gradient enters as the tape adds it."""
+def _penalized_objective(cfg: MlpConfig, trains: list[Dataset], opt: OptimConfig):
+    """(batch loss and gradient, full-data epoch values) of the penalized
+    loss, for lanes with the datasets ``trains``; the ridge term's
+    gradient enters as the tape adds it."""
     wd = opt.weight_decay
+    task = trains[0].task
 
     def objective(theta, inputs, targets):
-        loss, grad = nll_value_and_grad(cfg, theta, inputs, targets, train.task)
+        loss, grad = nll_value_and_grad(cfg, theta, inputs, targets, task)
         if wd > 0:
             g = wd / 2.0
             loss = loss + g * np.sum(theta * theta, axis=-1)
             grad = (g * theta + g * theta) + grad
         return loss, grad
 
-    def full_loss(theta, _losses):
-        out = mlp_forward(cfg, theta, train.inputs)
-        loss = float(_nll_head(out, train.targets, train.task)[0])
-        return float(loss + wd / 2.0 * np.sum(theta * theta)) if wd > 0 else loss
+    def epoch_values(x, _losses):
+        # one lane at a time, so only one lane's full-data activations are alive
+        values = []
+        for theta, train in zip(x, trains):
+            loss = float(_nll_head(mlp_forward(cfg, theta, train.inputs), train.targets, task)[0])
+            values.append(float(loss + wd / 2.0 * np.sum(theta * theta)) if wd > 0 else loss)
+        return values
 
-    return objective, full_loss
+    return objective, epoch_values
 
 
 # ---------------------------------------------------------------------------
@@ -375,17 +353,6 @@ def _lanes(cfg, train, opt) -> tuple[list, list, list, bool]:
     return cfgs, trains, opts, solo
 
 
-def _penalized_lanes(cfgs, trains, opts, on_steps=None):
-    """The lanes' shared penalized objective and their ``_Lane`` records,
-    each with its full-data epoch value and batch stream."""
-    objective, _ = _penalized_objective(cfgs[0], trains[0], opts[0])
-    lanes = [
-        _Lane(t, o.seed, _penalized_objective(cfgs[0], t, o)[1], on_step)
-        for t, o, on_step in zip(trains, opts, on_steps or [None] * len(trains))
-    ]
-    return objective, lanes
-
-
 def map_fit(cfg: MlpConfig, train: Dataset, opt: OptimConfig):
     """Penalized maximum likelihood from the seeded initialization.
 
@@ -399,12 +366,10 @@ def map_fit(cfg: MlpConfig, train: Dataset, opt: OptimConfig):
     ``FitResult``.
     """
     cfgs, trains, opts, solo = _lanes(cfg, train, opt)
-    objective, lanes = _penalized_lanes(cfgs, trains, opts)
     x0 = np.stack([init_params(c) for c in cfgs])
-    results = [
-        FitResult(MapState(theta), trace, diverged=diverged)
-        for theta, trace, diverged in _train(objective, x0, lanes, opts[0])
-    ]
+    objective, epoch_values = _penalized_objective(cfgs[0], trains, opts[0])
+    lanes = _train(objective, x0, trains, [o.seed for o in opts], opts[0], epoch_values)
+    results = [FitResult(MapState(theta), trace, diverged=d) for theta, trace, d in lanes]
     return results[0] if solo else results
 
 
@@ -503,21 +468,16 @@ def swag_fit(
         )
     moments = [SwagMoments(s.theta.size, rank) for s in starts]
 
-    def snapshot(lane_moments: SwagMoments):
-        def on_step(step: int, theta: np.ndarray) -> None:
-            if step % snapshot_every == 0:
-                lane_moments.update(theta)
+    def on_step(step: int, x: np.ndarray, live: np.ndarray) -> None:
+        if step % snapshot_every == 0:
+            for s in live:
+                moments[s].update(x[s])
 
-        return on_step
-
-    objective, lanes = _penalized_lanes(cfgs, trains, opts, [snapshot(m) for m in moments])
     x0 = np.stack([s.theta for s in starts])
-    results = [
-        FitResult(lane_moments.state(), trace, diverged=diverged)
-        for lane_moments, (_, trace, diverged) in zip(
-            moments, _train(objective, x0, lanes, opts[0])
-        )
-    ]
+    objective, epoch_values = _penalized_objective(cfgs[0], trains, opts[0])
+    seeds = [o.seed for o in opts]
+    lanes = _train(objective, x0, trains, seeds, opts[0], epoch_values, on_step)
+    results = [FitResult(m.state(), trace, diverged=d) for m, (_, trace, d) in zip(moments, lanes)]
     return results[0] if solo else results
 
 
@@ -679,11 +639,11 @@ def advi_fit(
         return np.array([loss]), grad[None]
 
     def mean_elbo(_phi, losses):
-        return float(np.mean([-loss for loss in losses]))
+        return [float(np.mean([-loss[0] for loss in losses]))]
 
     phi0 = np.concatenate([init_params(cfg), np.full(p, -2.3)])
     [(phi, trace, diverged)] = _train(
-        objective, phi0[None], [_Lane(train, child_seed(opt.seed, 0), mean_elbo)], opt
+        objective, phi0[None], [train], [child_seed(opt.seed, 0)], opt, mean_elbo
     )
     state = AdviState(mean=phi[:p].copy(), log_std=phi[p:].copy())
     return FitResult(state, trace, diverged=diverged)

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -106,6 +108,28 @@ class TestFitTemperature:
     def test_label_validation(self):
         with pytest.raises(ValueError):
             fit_temperature([[0.0, 1.0]], [2])
+
+    @pytest.mark.parametrize("method", ["golden", "adam"])
+    def test_constant_rows_are_degenerate_whatever_their_mean_rounds_to(self, method):
+        # 0.1 + 0.1 + 0.1 over 3 is 0.10000000000000002, not the row value
+        fit = fit_temperature([[0.1, 0.1, 0.1]] * 4, [0, 1, 2, 0], method=method)
+        assert (fit.temperature, fit.iterations) == (1.0, 0)
+        assert "degenerate" in fit.warning
+
+    @pytest.mark.parametrize(
+        "logits, labels, method, kept",
+        [
+            ([[2.0, 0.0], [0.0, 1.0], [1.0, 0.0]], [0, 1, 1], "golden", False),
+            ([[2.0, 0.0], [0.0, 1.0], [1.0, 0.0]], [0, 1, 1], "adam", False),
+            # calibrated at t = 1: sigmoid(ln 3) = 3/4, the share of label 0
+            ([[math.log(3.0), 0.0]] * 4, [0, 0, 0, 1], "golden", True),
+        ],
+    )
+    def test_the_fit_serializes_as_json(self, logits, labels, method, kept):
+        fit = fit_temperature(logits, labels, method=method)
+        assert (fit.temperature == 1.0) == kept
+        assert json.loads(json.dumps(dataclasses.asdict(fit))) == dataclasses.asdict(fit)
+        assert type(fit.at_bound) is bool
 
 
 class TestVarianceScale:

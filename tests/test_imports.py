@@ -1,0 +1,43 @@
+"""Every ``uqkit`` module uses every name it imports."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import uqkit
+from uqkit.cli import _CONFORMAL
+
+MODULES = sorted(
+    p for p in Path(uqkit.__file__).parent.glob("*.py") if p.name != "__init__.py"
+)
+# names a module reaches by string: ``cmd_conformal`` looks its function up in globals()
+USED_BY_NAME = {"cli.py": {name for name, _ in _CONFORMAL.values()}}
+
+
+def unused_imports(source: str, used_by_name: set[str] = frozenset()) -> list[str]:
+    """The names ``source`` imports and never reads (``__future__`` aside)."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | set(used_by_name)
+    return [name for name in imported if name not in read]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_uses_every_name_it_imports(path):
+    source = path.read_text(encoding="utf-8")
+    assert unused_imports(source, USED_BY_NAME.get(path.name, set())) == []
+
+
+def test_the_check_sees_a_leftover_import():
+    source = (
+        "from itertools import compress\nimport numpy as np\n"
+        "from typing import NamedTuple as T\nnp.zeros(1)\n"
+    )
+    assert unused_imports(source) == ["compress", "T"]
+    assert unused_imports("from .x import f\n", {"f"}) == []

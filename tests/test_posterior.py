@@ -626,7 +626,7 @@ def test_training_gradient_equals_tape_bit_for_bit(task):
         cfg, x, y, theta = _random_problem(rng, task)
         wd = (0.0, 1e-4, 0.3)[case % 3]
         ds = Dataset(inputs=x, targets=y, task=task, feature_names=("f",) * x.shape[1])
-        objective, _ = _penalized_objective(cfg, ds, OptimConfig(weight_decay=wd))
+        objective, _ = _penalized_objective(cfg, [ds], OptimConfig(weight_decay=wd))
         loss, grad = objective(theta, x, y)
         ref_loss, ref_grad = value_and_grad(
             lambda v: penalized_loss(cfg, v, x, y, task, wd), theta
@@ -776,26 +776,66 @@ def test_lanes_equal_their_solo_fits(
         assert_same_fit(lane, swag_fit(start, cfg, train, opt, rank=1, snapshot_every=1))
 
 
-def test_a_lane_that_diverges_mid_run_freezes_while_the_others_finish():
-    # SGD at this rate is unstable on inputs six times wider: the middle
-    # lane overflows in epoch 16 of 30, and the outer lanes converge
+def _scaled_lanes(lanes):
+    """(configs, datasets, optimizer configs) of one SGD problem whose
+    inputs and targets each lane scales by its own factor; wider inputs
+    make the step unstable sooner."""
     rng = np.random.default_rng(5)
     x = rng.normal(size=(20, 2))
     y = x[:, 0] - x[:, 1] + 0.1 * rng.normal(size=20)
     trains = [
         Dataset(inputs=x * scale, targets=y * scale, task=REGRESSION, feature_names=("a", "b"))
-        for scale in (1.0, 6.0, 1.0)
+        for scale, _ in lanes
     ]
-    cfgs = [MlpConfig(2, (4,), 2, "relu", init_seed=1)] * 3
+    cfgs = [MlpConfig(2, (4,), 2, "relu", init_seed=1)] * len(lanes)
     opts = [
-        OptimConfig(algorithm="sgd", learning_rate=0.05, epochs=30, batch_size=8, seed=s)
-        for s in (2, 1, 3)
+        OptimConfig(algorithm="sgd", learning_rate=0.05, epochs=30, batch_size=8, seed=seed)
+        for _, seed in lanes
     ]
+    return cfgs, trains, opts
+
+
+def test_a_lane_that_diverges_mid_run_freezes_while_the_others_finish():
+    # SGD at this rate is unstable on inputs six times wider: the middle
+    # lane overflows in epoch 16 of 30, and the outer lanes converge
+    cfgs, trains, opts = _scaled_lanes([(1.0, 2), (6.0, 1), (1.0, 3)])
     fits = map_fit(cfgs, trains, opts)
     assert [f.diverged for f in fits] == [False, True, False]
     assert [len(f.trace) for f in fits] == [30, 16, 30]
     for lane, cfg, train, opt in zip(fits, cfgs, trains, opts):
         assert_same_fit(lane, map_fit(cfg, train, opt))
+
+
+# the lockstep forms of ``_DIVERGING_FITS``
+_LOCKSTEP_FITS = {
+    "map_fit": map_fit,
+    "swag_fit": lambda cfgs, trains, opts: swag_fit(
+        [MapState(init_params(c)) for c in cfgs], cfgs, trains, opts,
+        rank=2, snapshot_every=1,
+    ),
+}
+
+
+@pytest.mark.parametrize("fit", list(_LOCKSTEP_FITS))
+@pytest.mark.parametrize(
+    "lanes, diverged, epochs, snapshots",
+    [
+        # three steps per epoch: the first lane overflows at step 49, the
+        # last at step 12, and the middle one trains all 30 epochs
+        ([(6.0, 1), (1.0, 2), (8.0, 3)], [True, False, True], [16, 30, 3], [48, 90, 11]),
+        # both lanes overflow at step 7, so the loop returns with no lane left
+        ([(20.0, 1), (20.0, 3)], [True, True], [2, 2], [6, 6]),
+    ],
+)
+def test_lanes_that_diverge_freeze_at_their_own_step(fit, lanes, diverged, epochs, snapshots):
+    cfgs, trains, opts = _scaled_lanes(lanes)
+    fits = _LOCKSTEP_FITS[fit](cfgs, trains, opts)
+    assert [f.diverged for f in fits] == diverged
+    assert [len(f.trace) for f in fits] == epochs
+    if fit == "swag_fit":
+        assert [f.state.snapshots for f in fits] == snapshots
+    for lane, cfg, train, opt in zip(fits, cfgs, trains, opts):
+        assert_same_fit(lane, _DIVERGING_FITS[fit](cfg, train, opt))
 
 
 @settings(max_examples=20, deadline=None, database=None)
