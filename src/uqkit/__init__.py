@@ -62,7 +62,6 @@ from .posterior import (
     posterior_sample,
     save_state,
     swag_fit,
-    swag_sample,
 )
 from .predictive import (
     RegressionMoments,

@@ -20,7 +20,7 @@ import os
 import re
 import sys
 from dataclasses import replace
-from itertools import compress
+from itertools import compress, takewhile
 from pathlib import Path
 
 import numpy as np
@@ -268,8 +268,8 @@ def _fits(cfg: RunConfig, lanes: list[tuple]) -> list[list[tuple[str, FitResult]
     """The (phase, result) pairs of ``cfg.method``'s fits, in order, for
     each lane: one run seed's (seed, model, train split, optimizer). The
     lanes train in lockstep: one ``map_fit`` call for every lane, then one
-    ``swag_fit`` call for every lane whose MAP fit did not diverge. SWAG
-    and Laplace continue the MAP fit; SWAG runs on its own batch stream.
+    ``swag_fit`` call for the lanes before the first whose MAP fit diverged.
+    SWAG and Laplace continue the MAP fit; SWAG runs on its own batch stream.
     Each fit is called through this module's globals, so a rebound module
     attribute is the one called."""
     params = dict(cfg.method_params)
@@ -280,7 +280,7 @@ def _fits(cfg: RunConfig, lanes: list[tuple]) -> list[list[tuple[str, FitResult]
     seeds, models, trains, opts = (list(column) for column in zip(*lanes))
     bases = map_fit(models, trains, opts)
     fits = [[("MAP", base)] for base in bases]
-    go = [i for i, base in enumerate(bases) if not base.diverged]
+    go = list(takewhile(lambda i: not bases[i].diverged, range(len(bases))))
     if cfg.method == "laplace":
         for i in go:
             state = laplace_fit(bases[i].state, models[i], trains[i], **params)

@@ -481,26 +481,6 @@ def swag_fit(
     return results[0] if solo else results
 
 
-def swag_sample(state: SwagState, rng: Rng) -> np.ndarray:
-    """One weight draw from the SWAG Gaussian.
-
-    theta = mean + sigma/sqrt(2) * z1 + D z2 / sqrt(2 (rank - 1)), with z1
-    of length P drawn before z2 of length rank. Exactly-zero variances
-    contribute nothing, so a zero-variance, zero-deviation state returns
-    the mean bit-exactly. With rank 1 the low-rank term is dropped
-    (diagonal-only sampling).
-    """
-    p = state.mean.size
-    raw_var = np.maximum(state.diag_second_moment - state.mean**2, 0.0)
-    sigma = np.sqrt(raw_var)
-    z1 = rng.normals(p)
-    theta = state.mean + sigma * z1 / np.sqrt(2.0)
-    if state.rank >= 2:
-        z2 = rng.normals(state.rank)
-        theta = theta + (state.deviations @ z2) / np.sqrt(2.0 * (state.rank - 1))
-    return theta
-
-
 _LAPLACE_ROWS = 64  # training rows per batched Jacobian pass in laplace_fit
 
 
@@ -652,36 +632,53 @@ def advi_fit(
 # ---------------------------------------------------------------------------
 # sampling
 
-def posterior_sample(state: PosteriorState, rng: Rng, n_samples: int) -> list[np.ndarray]:
-    """Draw weight vectors from an approximate posterior.
+DEFAULT_MC_SAMPLES = 30  # draws from a Gaussian state when no count is given
 
-    Point estimates replicate their parameters; ensembles cycle members
-    round-robin; SWAG, Laplace, and mean-field states draw Gaussians with
-    their stored moments (coordinates consumed in order, one vector per
-    draw).
+
+def posterior_sample(state: PosteriorState, rng: Rng, n_samples: int | None = None) -> np.ndarray:
+    """An ``(n_samples, P)`` matrix of weight draws from ``state``, one per row.
+
+    ``n_samples=None`` picks a per-kind default: 1 for a point estimate,
+    the member count for an ensemble, ``DEFAULT_MC_SAMPLES`` otherwise.
+    Point estimates repeat their parameters; ensembles cycle members
+    round-robin. Gaussian states compute ``(loc, std)`` once and draw row
+    by row from ``rng``: ``loc + std * z`` for Laplace and mean-field, and
+    for SWAG mean + sigma/sqrt(2) * z1 + D z2 / sqrt(2 (rank - 1)), with z2
+    of length rank drawn after z1 and dropped at rank 1. Zero variances add
+    nothing, so a zero-spread state draws its mean bit-exactly.
     """
+    if n_samples is None:
+        n_samples = (
+            1 if isinstance(state, MapState)
+            else len(state.members) if isinstance(state, EnsembleState)
+            else DEFAULT_MC_SAMPLES
+        )
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     if isinstance(state, MapState):
-        return [state.theta.copy() for _ in range(n_samples)]
+        return np.repeat(state.theta[None], n_samples, axis=0)
     if isinstance(state, EnsembleState):
-        m = len(state.members)
-        return [state.members[i % m].copy() for i in range(n_samples)]
-    if isinstance(state, SwagState):
-        return [swag_sample(state, rng) for _ in range(n_samples)]
-    if isinstance(state, LaplaceState):
-        std = 1.0 / np.sqrt(state.diag_precision)
-        return [
-            state.mode + std * rng.normals(state.mode.size)
-            for _ in range(n_samples)
-        ]
-    if isinstance(state, AdviState):
-        std = np.exp(np.maximum(state.log_std, _LOG_STD_FLOOR))
-        return [
-            state.mean + std * rng.normals(state.mean.size)
-            for _ in range(n_samples)
-        ]
-    raise TypeError(f"unknown posterior state {type(state).__name__}")
+        return np.stack(state.members)[np.arange(n_samples) % len(state.members)]
+    swag = isinstance(state, SwagState)
+    if swag:
+        loc = state.mean
+        std = np.sqrt(np.maximum(state.diag_second_moment - state.mean**2, 0.0))
+    elif isinstance(state, LaplaceState):
+        loc, std = state.mode, 1.0 / np.sqrt(state.diag_precision)
+    elif isinstance(state, AdviState):
+        loc, std = state.mean, np.exp(np.maximum(state.log_std, _LOG_STD_FLOOR))
+    else:
+        raise TypeError(f"unknown posterior state {type(state).__name__}")
+    draws = np.empty((n_samples, loc.size))
+    for row in draws:  # one normals call per row keeps the temporaries P long
+        if swag:
+            np.add(loc, std * rng.normals(loc.size) / np.sqrt(2.0), out=row)
+            if state.rank >= 2:
+                low_rank = state.deviations @ rng.normals(state.rank)
+                row += low_rank / np.sqrt(2.0 * (state.rank - 1))
+        else:
+            np.add(loc, std * rng.normals(loc.size), out=row)
+    return draws
 
 
 # ---------------------------------------------------------------------------

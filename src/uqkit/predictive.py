@@ -1,11 +1,11 @@
 """Predictive statistics from an approximate posterior.
 
-A command samples the posterior once with ``sample_weights`` and hands
-the draws to every reduction it needs, so calibration, conformal, and
-metric inputs all come from one set of weights: class probability means,
-regression moments split into aleatoric and epistemic parts, and sampled
-credible intervals. Predictive entropy is ``numerics.entropy`` of the
-class probability mean.
+A command draws one ``(n, P)`` weight matrix with ``sample_weights``
+(``posterior_sample`` owns the per-kind default n) and hands it to every
+reduction: class probability means, regression moments split into
+aleatoric and epistemic parts, and sampled credible intervals, so
+calibration, conformal, and metric inputs share one set of weights.
+Predictive entropy is ``numerics.entropy`` of the class probability mean.
 """
 
 from __future__ import annotations
@@ -19,10 +19,8 @@ import numpy as np
 from .conformal import Intervals, _check_alpha, _make_intervals
 from .mlp import MlpConfig, mlp_forward
 from .numerics import kth_smallest_columns, softmax
-from .posterior import EnsembleState, MapState, PosteriorState, posterior_sample
+from .posterior import PosteriorState, posterior_sample
 from .rng import Rng
-
-DEFAULT_MC_SAMPLES = 30
 
 
 @dataclass(frozen=True)
@@ -37,21 +35,11 @@ class RegressionMoments:
 
 def sample_weights(
     state: PosteriorState, n_samples: int | None = None, seed: int = 0
-) -> tuple[list[np.ndarray], Rng]:
-    """Weight draws from ``state`` and the stream that drew them.
-
-    ``n_samples=None`` picks a per-state default: 1 for a point estimate,
-    the member count for an ensemble, 30 otherwise. The returned stream
-    continues where the draws ended; ``credible_interval_regression``
-    takes its observation noise from it.
+) -> tuple[np.ndarray, Rng]:
+    """``posterior_sample``'s ``(n, P)`` draws from ``state`` and the stream
+    that drew them. The stream continues where the draws ended;
+    ``credible_interval_regression`` takes its observation noise from it.
     """
-    if n_samples is None:
-        if isinstance(state, MapState):
-            n_samples = 1
-        elif isinstance(state, EnsembleState):
-            n_samples = len(state.members)
-        else:
-            n_samples = DEFAULT_MC_SAMPLES
     rng = Rng(seed)
     return posterior_sample(state, rng, n_samples), rng
 

@@ -33,7 +33,7 @@ from uqkit.posterior import (
     SwagState,
     advi_fit,
     laplace_fit,
-    swag_sample,
+    posterior_sample,
 )
 from uqkit.rng import Rng
 
@@ -319,10 +319,7 @@ def test_criterion_8_swag_sampling_covariance():
         mean=mean, diag_second_moment=var + mean**2, deviations=dev,
         rank=2, snapshots=5,
     )
-    rng = Rng(8)
-    draws = np.empty((100_000, 3))
-    for i in range(draws.shape[0]):
-        draws[i] = swag_sample(state, rng)
+    draws = posterior_sample(state, Rng(8), 100_000)
     expected = 0.5 * np.diag(var) + dev @ dev.T / (2.0 * (2 - 1))
     sample_cov = np.cov(draws.T, bias=True)
     rel = np.abs(sample_cov - expected) / np.abs(expected)
@@ -330,7 +327,7 @@ def test_criterion_8_swag_sampling_covariance():
         mean=mean, diag_second_moment=mean**2, deviations=np.zeros((3, 2)),
         rank=2, snapshots=3,
     )
-    exact = np.array_equal(swag_sample(zero_state, Rng(0)), mean)
+    exact = np.array_equal(posterior_sample(zero_state, Rng(0), 1)[0], mean)
     report(8, "SWAG samples match the half-diag + low-rank covariance",
            bool(rel.max() < 0.05 and exact), f"worst entry rel err = {rel.max():.3f}")
 

@@ -21,7 +21,9 @@ from uqkit.data import load_csv, save_csv, synth_classification, write_matrix_cs
 from uqkit.metrics import classification_report
 from uqkit.mlp import MlpConfig, param_count
 from uqkit.numerics import softmax
-from uqkit.posterior import MapState, SwagState, load_state, state_to_dict
+from uqkit.posterior import (
+    FitResult, MapState, SwagState, load_state, save_state, state_to_dict,
+)
 
 
 def run(capsys, *argv):
@@ -802,6 +804,58 @@ class TestTrainCommand:
         assert err.count("\n") == 1 and err.startswith("error: ")
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_benchmark_fits_no_swag_lane_after_a_map_divergence(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # seed 0's MAP fit diverges, so no SWAG fit of a later seed can be
+        # reported: the benchmark stops before the SWAG phase
+        lanes = []
+        real = cli_module.swag_fit
+
+        def counting(starts, *args, **kwargs):
+            lanes.append(len(starts))
+            return real(starts, *args, **kwargs)
+
+        monkeypatch.setattr(cli_module, "swag_fit", counting)
+        config = train_config(
+            tmp_path,
+            data={"synth": {"name": "two_moons", "n": 95, "noise": 0.45}},
+            model={"hidden_widths": [64, 64], "activation": "relu"},
+            method="swag",
+            method_params={"rank": 2},
+            seeds=[0, 1, 2],
+            optimizer={
+                "algorithm": "sgd", "learning_rate": 3e3, "epochs": 10,
+                "batch_size": 16, "weight_decay": 0.0,
+            },
+        )
+        code, out, err = run(capsys, "benchmark", "--config", str(config))
+        assert code == 4 and out == ""
+        assert err == "diverged: MAP phase diverged for seed 0\n"
+        assert lanes == []
+
+    def test_benchmark_reports_an_earlier_seeds_swag_divergence_first(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # seed 0's SWAG fit diverges and seed 1's MAP fit diverges: seed
+        # order decides which is reported
+        def fake_map(models, trains, opts):
+            return [FitResult(MapState(np.zeros(param_count(m))), (0.0,), diverged=i == 1)
+                    for i, m in enumerate(models)]
+
+        def fake_swag(starts, *args, **kwargs):
+            return [FitResult(s, (0.0,), diverged=i == 0) for i, s in enumerate(starts)]
+
+        monkeypatch.setattr(cli_module, "map_fit", fake_map)
+        monkeypatch.setattr(cli_module, "swag_fit", fake_swag)
+        config = train_config(
+            tmp_path, method="swag", method_params={"rank": 2}, seeds=[0, 1, 2]
+        )
+        code, out, err = run(capsys, "benchmark", "--config", str(config))
+        assert code == 4 and out == ""
+        assert err == "diverged: SWAG phase diverged for seed 0\n"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_benchmark_divergence_exits_4(self, tmp_path, capsys):
         config = train_config(
             tmp_path,
@@ -843,6 +897,33 @@ class TestTrainCommand:
 
 
 class TestEvaluateCommand:
+    @pytest.mark.parametrize("kind", ["map", "swag"])
+    @pytest.mark.parametrize("count", [2**62, 10**14])
+    def test_an_unallocatable_draw_count_exits_3_at_once(self, tmp_path, capsys, kind, count):
+        # the draws are one (count, P) matrix allocated before the first
+        # draw. 2**62 rows overflow numpy's size limit; 10**14 rows of these
+        # 322 parameters need 229 PiB, past a 57-bit address space, so the
+        # allocation fails at once on any host and nothing is drawn
+        cfg = MlpConfig(2, (64,), 2, "relu")
+        theta = np.linspace(-1.0, 1.0, param_count(cfg))
+        state = MapState(theta) if kind == "map" else SwagState(
+            mean=theta, diag_second_moment=theta**2 + 1.0,
+            deviations=np.ones((theta.size, 3)), rank=3, snapshots=3,
+        )
+        save_state(tmp_path / "state.json", state, cfg, "classification")
+        save_csv(synth_classification("two_moons", 10, 0.1, seed=0), tmp_path / "data.csv")
+        before = sorted(tmp_path.rglob("*"))
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "evaluate", "--state", str(tmp_path / "state.json"),
+            "--data", str(tmp_path / "data.csv"), "--predictive-samples", str(count),
+            "--out-dir", str(tmp_path / "eval"),
+        )
+        assert time.perf_counter() - start < 2.0
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_perfect_fixture(self, tmp_path, capsys):
         write_probs(tmp_path / "p.csv", np.eye(4))
         write_targets(tmp_path / "t.csv", [0, 1, 2, 3])

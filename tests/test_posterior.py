@@ -12,6 +12,7 @@ from uqkit.data import CLASSIFICATION, REGRESSION, Dataset, synth_classification
 from uqkit.mlp import MlpConfig, init_params, param_count
 from uqkit.posterior import (
     AdviState,
+    EnsembleState,
     LaplaceState,
     MapState,
     OptimConfig,
@@ -29,10 +30,10 @@ from uqkit.posterior import (
     posterior_sample,
     save_state,
     swag_fit,
-    swag_sample,
 )
 import uqkit.autodiff
 from tape_oracle import advi_objective, laplace_ggn, penalized_loss
+from sample_oracle import sample_list
 from uqkit.autodiff import value_and_grad
 from uqkit.rng import Rng, child_seed
 
@@ -271,19 +272,19 @@ class TestSwagSample:
             rank=2,
             snapshots=3,
         )
-        draw = swag_sample(state, Rng(0))
+        draw = posterior_sample(state, Rng(0), 1)[0]
         np.testing.assert_array_equal(draw, mean)
 
     def test_deterministic_per_seed(self):
         state = self.toy_state()
         np.testing.assert_array_equal(
-            swag_sample(state, Rng(5)), swag_sample(state, Rng(5))
+            posterior_sample(state, Rng(5), 1), posterior_sample(state, Rng(5), 1)
         )
 
     def test_covariance_sanity(self):
         state = self.toy_state()
         rng = Rng(7)
-        draws = np.stack([swag_sample(state, rng) for _ in range(20_000)])
+        draws = posterior_sample(state, rng, 20_000)
         var = state.diag_second_moment - state.mean**2
         expected = 0.5 * np.diag(var) + state.deviations @ state.deviations.T / 2.0
         sample_cov = np.cov(draws.T, bias=True)
@@ -300,7 +301,7 @@ class TestSwagSample:
         )
         rng = Rng(1)
         z = Rng(1).normals(1)[0]
-        draw = swag_sample(state, rng)
+        draw = posterior_sample(state, rng, 1)[0]
         np.testing.assert_allclose(draw, mean + 2.0 * z / np.sqrt(2.0), atol=1e-12)
 
 
@@ -399,8 +400,6 @@ class TestPosteriorSample:
 
     def test_ensemble_round_robin(self):
         members = (np.array([0.0]), np.array([1.0]))
-        from uqkit.posterior import EnsembleState
-
         draws = posterior_sample(EnsembleState(members), Rng(0), 5)
         assert [float(d[0]) for d in draws] == [0.0, 1.0, 0.0, 1.0, 0.0]
 
@@ -414,8 +413,54 @@ class TestPosteriorSample:
         precision = np.array([4.0, 0.25, 1.0])
         state = LaplaceState(mode=np.zeros(3), diag_precision=precision)
         rng = Rng(8)
-        draws = np.stack(posterior_sample(state, rng, 100_000))
+        draws = posterior_sample(state, rng, 100_000)
         np.testing.assert_allclose(draws.var(axis=0), 1.0 / precision, rtol=0.05)
+
+
+def _sampling_state(kind, p, rank, members, gen):
+    """A ``kind`` state over p parameters. SWAG's variances include exact
+    zeros and negative ones (clamped to zero); ADVI's log stds include
+    values below the sampling floor."""
+    mean = gen.normal(size=p)
+    if kind == "map":
+        return MapState(mean)
+    if kind == "ensemble":
+        return EnsembleState(tuple(gen.normal(size=p) for _ in range(members)))
+    if kind == "swag":
+        var = np.where(gen.uniform(size=p) < 0.2, 0.0, gen.normal(size=p))
+        return SwagState(
+            mean=mean, diag_second_moment=mean**2 + var,
+            deviations=gen.normal(size=(p, rank)), rank=rank, snapshots=rank,
+        )
+    if kind == "laplace":
+        return LaplaceState(mode=mean, diag_precision=gen.uniform(0.1, 10.0, size=p))
+    return AdviState(mean=mean, log_std=gen.uniform(-150.0, 2.0, size=p))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    kind=st.sampled_from(["map", "ensemble", "swag", "laplace", "advi"]),
+    p=st.sampled_from([1, 2, 7, 8, 33, 4482]),
+    rank=st.sampled_from([1, 2, 3, 5, 20]),
+    members=st.integers(2, 5),
+    n_samples=st.sampled_from([None, 1, 2, 3, 30]),
+    cached=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_posterior_sample_equals_the_per_draw_oracle(
+    kind, p, rank, members, n_samples, cached, seed
+):
+    state = _sampling_state(kind, p, rank, members, np.random.default_rng(seed))
+    ours, oracle = Rng(seed), Rng(seed)
+    if cached:  # a stream mid-use may hold the sin half of a normal pair
+        ours.normals(1)
+        oracle.normals(1)
+    draws = posterior_sample(state, ours, n_samples)
+    expected = sample_list(state, oracle, n_samples)
+    assert draws.dtype == np.float64 and draws.shape == (len(expected), p)
+    assert [row.tobytes() for row in draws] == [e.tobytes() for e in expected]
+    assert ours._state == oracle._state
+    assert ours._cached_normal == oracle._cached_normal
 
 
 class TestSerialization:
