@@ -239,7 +239,9 @@ def cmd_calibrate(args) -> int:
     out_dir = Path(args.out_dir)
     logits = read_probs_csv(args.logits)
     targets = read_targets_csv(args.targets, classification=True)
-    fit = fit_temperature(logits, targets, method=args.method)
+    # an absent flag passes nothing, so fit_temperature's default holds
+    method = {} if args.method is None else {"method": args.method}
+    fit = fit_temperature(logits, targets, **method)
     for name in ("nll_before", "nll_after"):
         if not np.isfinite(getattr(fit, name)):
             raise DataError(
@@ -395,7 +397,8 @@ def _evaluate(args, out_dir: Path | None) -> dict:
         if task == CLASSIFICATION and args.alpha is not None and args.calib_data is None:
             raise ConfigError(["--alpha with --state needs --calib-data"])
         test_ds = load_csv(args.data, task, args.target_column)
-        thetas, rng = sample_weights(state, args.predictive_samples, args.seed)
+        seed = {} if args.seed is None else {"seed": args.seed}
+        thetas, rng = sample_weights(state, args.predictive_samples, **seed)
         if task != CLASSIFICATION:
             return _evaluate_regression(thetas, rng, model, test_ds, args.alpha, out_dir)
         probs = predictive_mean_classification(thetas, model, test_ds.inputs)
@@ -541,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--logits", required=True)
     p.add_argument("--targets", required=True)
     p.add_argument("--test-logits")
-    p.add_argument("--method", choices=["golden", "adam"], default="golden")
+    p.add_argument("--method", choices=["golden", "adam"])
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_calibrate)
 
@@ -563,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins", type=_bins_flag, default=DEFAULT_BINS)
     p.add_argument("--alpha", type=_alpha_flag)
     p.add_argument("--predictive-samples", type=_positive_int_flag)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out-dir")
     p.set_defaults(func=cmd_evaluate)
 

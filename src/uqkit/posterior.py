@@ -400,7 +400,9 @@ def ensemble_fit(
 class SwagMoments:
     """Running snapshot moments: mean, elementwise second moment, and the
     last ``rank`` deviation columns (iterate minus the running mean after
-    the update)."""
+    the update). A finite snapshot whose moments are not (its square
+    overflows past ~1.3e154) sets ``diverged``; the moments stay those of
+    the last finite snapshot, and later snapshots are ignored."""
 
     def __init__(self, dim: int, rank: int):
         self.rank = rank
@@ -408,12 +410,21 @@ class SwagMoments:
         self.mean = np.zeros(dim)
         self.second = np.zeros(dim)
         self.dev_cols: list[np.ndarray] = []
+        self.diverged = False
 
     def update(self, theta: np.ndarray) -> None:
-        self.count += 1
-        k = self.count
+        if self.diverged:
+            return
+        k = self.count + 1
+        with np.errstate(over="ignore"):
+            second = self.second * ((k - 1) / k) + theta**2 / k
+        # a finite second moment bounds every |theta|, so the mean and the
+        # deviation are finite too
+        if not np.isfinite(second).all():
+            self.diverged = True
+            return
+        self.count, self.second = k, second
         self.mean = self.mean * ((k - 1) / k) + theta / k
-        self.second = self.second * ((k - 1) / k) + theta**2 / k
         self.dev_cols.append(theta - self.mean)
         if len(self.dev_cols) > self.rank:
             self.dev_cols.pop(0)
@@ -477,7 +488,10 @@ def swag_fit(
     objective, epoch_values = _penalized_objective(cfgs[0], trains, opts[0])
     seeds = [o.seed for o in opts]
     lanes = _train(objective, x0, trains, seeds, opts[0], epoch_values, on_step)
-    results = [FitResult(m.state(), trace, diverged=d) for m, (_, trace, d) in zip(moments, lanes)]
+    results = [
+        FitResult(m.state(), trace, diverged=d or m.diverged)
+        for m, (_, trace, d) in zip(moments, lanes)
+    ]
     return results[0] if solo else results
 
 

@@ -6,21 +6,19 @@ integers, so a given seed replays the identical stream on any platform.
 Normal variates use the Box-Muller transform with the (cos, sin) pair
 consumed in order, which pins posterior-sampling golden values.
 
-The array methods (``uniforms``, ``normals``, ``permutation``) return
-exactly the bytes of the one-draw-at-a-time methods, and leave the same
-state and cached normal behind, but make the states in numpy. The
-xorshift step is linear over GF(2), so M^(2^j), the step applied 2^j
-times, is a 64x64 bit matrix; applying it to the k states made so far
-gives the next k (Haramoto et al. 2008, "Efficient jump ahead for
-F2-linear random number generators"). Each M^(2^j) is kept as 8
-byte-indexed 256-entry tables, built at first use by squaring and shared
-by every stream. The output multiply, the uniform scaling and ``np.sqrt``
-are exact or correctly rounded in numpy. The Box-Muller log stays
-``math.log`` per value, since ``np.log`` can differ from it in the last
-bit; ``np.cos``/``np.sin`` are used only after a first-use probe finds
-them equal to ``math`` on a fixed set of angles, and ``math`` is used
-otherwise. The one-draw methods define the stream; ``permutation``
-finishes with ``integer`` from the first draw it would reject.
+The array methods (``uniforms``, ``normals``, ``permutation``) define
+the stream; ``tests/rng_oracle.py`` keeps the same stream one draw at a
+time as their oracle. The states are made in numpy. The xorshift step is
+linear over GF(2), so M^(2^j), the step applied 2^j times, is a 64x64 bit
+matrix; applying it to the k states made so far gives the next k
+(Haramoto et al. 2008, "Efficient jump ahead for F2-linear random number
+generators"). Each M^(2^j) is kept as 8 byte-indexed 256-entry tables,
+built at first use by squaring and shared by every stream. The output
+multiply, the uniform scaling and ``np.sqrt`` are exact or correctly
+rounded in numpy. The Box-Muller log stays ``math.log`` per value, since
+``np.log`` can differ from it in the last bit; ``np.cos``/``np.sin`` are
+used only after a first-use probe finds them equal to ``math`` on a fixed
+set of angles, and ``math`` is used otherwise.
 """
 
 from __future__ import annotations
@@ -109,7 +107,7 @@ def _jump(j: int) -> np.ndarray:
 
 
 def _rejected(draws: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """Which draws ``Rng.integer`` would reject for their bound: those at
+    """Which draws a bounded draw rejects for their bound: those at
     or above 2**64 - (2**64 % bound). When 2**64 % bound is 0 the threshold
     is 2**64, past every draw."""
     zero = np.uint64(0)
@@ -169,36 +167,6 @@ class Rng:
         self._state = state if state != 0 else _GOLDEN
         self._cached_normal: float | None = None
 
-    def next_uint64(self) -> int:
-        x = self._state = _step(self._state)
-        return (x * _MULTIPLIER) & _MASK64
-
-    def uniform(self) -> float:
-        """Uniform draw in [0, 1) with 53 bits of precision."""
-        return (self.next_uint64() >> 11) * _TO_UNIT
-
-    def standard_normal(self) -> float:
-        """N(0, 1) draw; Box-Muller, cos draw returned before the sin draw."""
-        if self._cached_normal is not None:
-            z = self._cached_normal
-            self._cached_normal = None
-            return z
-        # 1 - uniform() lies in (0, 1], so the log is always finite
-        r = math.sqrt(-2.0 * math.log(1.0 - self.uniform()))
-        a = _TWO_PI * self.uniform()
-        self._cached_normal = r * math.sin(a)
-        return r * math.cos(a)
-
-    def integer(self, bound: int) -> int:
-        """Uniform integer in [0, bound) without modulo bias."""
-        if bound <= 0:
-            raise ValueError(f"bound must be positive, got {bound}")
-        threshold = (_MASK64 + 1) - ((_MASK64 + 1) % bound)
-        while True:
-            draw = self.next_uint64()
-            if draw < threshold:
-                return draw % bound
-
     def _states(self, n: int) -> np.ndarray:
         """The stream's next n states, made by doubling jumps; the stream
         moves past them."""
@@ -215,13 +183,14 @@ class Rng:
         return states
 
     def uniforms(self, n: int) -> np.ndarray:
-        """n draws of ``uniform``."""
+        """n uniform draws in [0, 1), each the top 53 bits of an output."""
         draws = self._states(n) * np.uint64(_MULTIPLIER)
         return (draws >> np.uint64(11)).astype(np.float64) * _TO_UNIT
 
     def normals(self, n: int) -> np.ndarray:
-        """n draws of ``standard_normal``: a cached sin half comes first,
-        and an odd count leaves one for the next call."""
+        """n N(0, 1) draws by Box-Muller: each pair of uniforms gives its
+        cos value, then its sin value. A cached sin half comes first, and an
+        odd count leaves one for the next call."""
         out = np.empty(n, dtype=np.float64)
         start = 0
         if n and self._cached_normal is not None:
@@ -230,7 +199,8 @@ class Rng:
             start = 1
         pairs = (n - start + 1) // 2
         u = self.uniforms(2 * pairs)
-        # the log stays math.log, value by value, as standard_normal takes it
+        # 1 - u lies in (0, 1], so the log is finite; it stays math.log,
+        # value by value, since np.log can differ in the last bit
         logs = np.fromiter(map(math.log, (1.0 - u[0::2]).tolist()), dtype=np.float64, count=pairs)
         radius = np.sqrt(-2.0 * logs)
         cos, sin = _cos_sin(_TWO_PI * u[1::2])
@@ -243,19 +213,21 @@ class Rng:
         return out
 
     def _bounded_draws(self, bounds: np.ndarray) -> list[int]:
-        """``integer(b)`` for each b in ``bounds`` in turn. The draws are
-        batched; from the first one ``integer`` would reject, the stream
-        rewinds to before it and the rest run one at a time."""
-        before = self._state
-        states = self._states(len(bounds))
-        draws = states * np.uint64(_MULTIPLIER)
-        rejected = _rejected(draws, bounds)
-        if not rejected.any():
-            return (draws % bounds).tolist()
-        r = int(np.argmax(rejected))
-        self._state = int(states[r - 1]) if r else before
-        head = (draws[:r] % bounds[:r]).tolist()
-        return head + [self.integer(b) for b in bounds[r:].tolist()]
+        """A uniform integer in [0, b) for each b in ``bounds`` in turn,
+        without modulo bias: a draw at or above 2**64 - (2**64 % b) is
+        rejected and drawn again. A rejected draw spends its state, so the
+        bounds from it onward draw again from that state."""
+        out: list[int] = []
+        while len(out) < len(bounds):
+            open_bounds = bounds[len(out) :]
+            states = self._states(len(open_bounds))
+            draws = states * np.uint64(_MULTIPLIER)
+            rejected = _rejected(draws, open_bounds)
+            r = int(np.argmax(rejected)) if rejected.any() else len(open_bounds)
+            out += (draws[:r] % open_bounds[:r]).tolist()
+            if r < len(open_bounds):
+                self._state = int(states[r])
+        return out
 
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates permutation of range(n)."""

@@ -661,7 +661,8 @@ def test_each_setting_has_one_home(tmp_path, monkeypatch):
         fn = getattr(module, name)
 
         def call(*args, **kwargs):
-            passed[name] = kwargs
+            # every parameter given, by position or by name
+            passed[name] = inspect.signature(fn).bind(*args, **kwargs).arguments
             return fn(*args, **kwargs)
 
         monkeypatch.setattr(module, name, call)
@@ -677,6 +678,23 @@ def test_each_setting_has_one_home(tmp_path, monkeypatch):
     assert cli_module.main(["benchmark", "--config", str(config)]) == 0
     assert "n_classes" not in passed["synth_classification"]
     assert "activation" not in passed["MlpConfig"]
+    assert "method" not in passed["fit_temperature"]
+    # neither do calibrate without --method and evaluate without --seed, so
+    # the defaults of fit_temperature and sample_weights hold
+    record(cli_module, "sample_weights")
+    run_dir = tmp_path / "run"
+    config = train_config(tmp_path, model={"hidden_widths": [4]}, optimizer={"epochs": 1})
+    assert cli_module.main(["train", "--config", str(config)]) == 0
+    assert cli_module.main([
+        "evaluate", "--state", str(run_dir / "state.json"), "--data", str(run_dir / "test.csv"),
+    ]) == 0
+    assert "seed" not in passed["sample_weights"]
+    write_probs(tmp_path / "logits.csv", [[2.0, 0.0], [0.0, 1.0], [1.0, 0.5]])
+    write_targets(tmp_path / "targets.csv", [0, 1, 1])
+    assert cli_module.main([
+        "calibrate", "--logits", str(tmp_path / "logits.csv"),
+        "--targets", str(tmp_path / "targets.csv"), "--out-dir", str(tmp_path / "cal"),
+    ]) == 0
     assert "method" not in passed["fit_temperature"]
 
 
@@ -724,6 +742,63 @@ class TestTrainCommand:
         for fragment in ("task", "data/synth/n", "model/hidden_widths",
                          "optimizer/epochs", "unknown_key", "conformal"):
             assert fragment in err
+
+    @pytest.mark.parametrize("text, needle", [
+        (None, "no such config file"),
+        ("{", "config is not valid JSON"),
+        ("[]", "config must be a JSON object"),
+    ])
+    def test_unreadable_config_exits_2_with_one_line(self, tmp_path, capsys, text, needle):
+        path = tmp_path / "config.json"
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "train", "--config", str(path))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith(f"config error: {needle}")
+
+    def test_seed_flag_writes_the_bytes_of_that_config_seed(self, tmp_path, capsys):
+        optimizer = {"algorithm": "adam", "learning_rate": 0.01, "epochs": 3, "batch_size": 16}
+        config = train_config(tmp_path, optimizer=optimizer)
+        for out_dir, seed in (("flag", ["--seed", "5"]), ("zero", [])):
+            argv = ["train", "--config", str(config), "--out-dir", str(tmp_path / out_dir)]
+            assert main(argv + seed) == 0
+        config = train_config(tmp_path, optimizer=optimizer, seed=5)
+        assert main(["train", "--config", str(config), "--out-dir", str(tmp_path / "five")]) == 0
+        capsys.readouterr()
+        names = ("state.json", "trace.csv", "train.csv", "calib.csv", "test.csv")
+        read = {d: [(tmp_path / d / n).read_bytes() for n in names] for d in ("flag", "zero", "five")}
+        assert read["flag"] == read["five"]
+        assert read["flag"] != read["zero"]
+
+    def test_overflowing_swag_snapshot_exits_4(self, tmp_path, capsys):
+        # SGD at learning rate 1e3 takes seed 2's SWAG iterates past
+        # ~1.3e154 while they stay finite, so a snapshot's square overflows
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "task": "classification",
+            "data": {"synth": {"name": "two_moons", "n": 95, "noise": 0.15}},
+            "model": {"hidden_widths": [64, 64], "activation": "relu"},
+            "method": "swag",
+            "optimizer": {
+                "algorithm": "sgd", "learning_rate": 1e3, "epochs": 10,
+                "batch_size": 16, "weight_decay": 0.0,
+            },
+            "method_params": {"rank": 2},
+            "out_dir": str(tmp_path / "run"),
+            "seed": 2,
+            "seeds": [2, 0, 1],
+        }), encoding="utf-8")
+        code, out, err = run(capsys, "train", "--config", str(config))
+        assert code == 4 and json.loads(out)["status"] == "diverged"
+        assert err == "diverged: SWAG phase diverged\n"
+        # the saved moments are those of the last finite snapshot
+        state, _, _ = load_state(tmp_path / "run" / "state.json")
+        assert np.isfinite(state.diag_second_moment).all() and np.isfinite(state.mean).all()
+        code, out, err = run(
+            capsys, "benchmark", "--config", str(config), "--out-dir", str(tmp_path / "bench"),
+        )
+        assert code == 4 and out == ""
+        assert err == "diverged: SWAG phase diverged for seed 2\n"
 
     def test_class_count_override(self, tmp_path, capsys):
         # the inferred K (max label + 1) can be raised via data/csv/classes
@@ -1021,6 +1096,86 @@ class TestEvaluateCommand:
             )
             assert code == 3, name
             assert err.count("\n") == 1 and needle in err
+
+    def test_raw_probs_sets_equal_the_conformal_baseline(self, tmp_path, clf_fixture, capsys):
+        code, out, _ = run(
+            capsys,
+            "evaluate", "--probs", str(clf_fixture["test_probs"]),
+            "--targets", str(clf_fixture["test_targets"]), "--alpha", "0.2",
+            "--calib-probs", str(clf_fixture["val_probs"]),
+            "--calib-targets", str(clf_fixture["val_targets"]),
+            "--out-dir", str(tmp_path / "eval"),
+        )
+        assert code == 0
+        got = json.loads(out)
+        code, out, _ = run(
+            capsys,
+            "conformal", "--method", "baseline", "--alpha", "0.2",
+            "--val-probs", str(clf_fixture["val_probs"]),
+            "--val-targets", str(clf_fixture["val_targets"]),
+            "--test-probs", str(clf_fixture["test_probs"]),
+            "--test-targets", str(clf_fixture["test_targets"]),
+            "--out", str(tmp_path / "sets.csv"),
+        )
+        assert code == 0
+        want = json.loads(out)
+        assert got["coverage"] == want["coverage"]
+        assert got["mean_width"] == want["mean_set_size"]
+        assert (tmp_path / "eval" / "sets.csv").read_bytes() == (tmp_path / "sets.csv").read_bytes()
+
+    @staticmethod
+    def two_class_state(tmp_path):
+        cfg = MlpConfig(2, (4,), 2, "relu")
+        path = tmp_path / "state.json"
+        save_state(path, MapState(np.linspace(-1.0, 1.0, param_count(cfg))), cfg, "classification")
+        return path
+
+    @pytest.mark.parametrize("argv, needle", [
+        (["--probs", "p.csv"], "--targets is required with --probs"),
+        (["--probs", "p.csv", "--targets", "t.csv", "--alpha", "0.1"],
+         "--alpha with --probs needs --calib-probs and --calib-targets"),
+        (["--probs", "p.csv", "--targets", "t.csv", "--alpha", "0.1", "--calib-probs", "c.csv"],
+         "--alpha with --probs needs --calib-probs and --calib-targets"),
+        (["--state", "state.json"], "--data is required with --state"),
+        (["--state", "STATE", "--data", "d.csv", "--alpha", "0.1"],
+         "--alpha with --state needs --calib-data"),
+        (["--probs", "p.csv", "--targets", "t.csv", "--predictive-samples", "abc"],
+         "argument --predictive-samples: expected an integer, got 'abc'"),
+    ])
+    def test_flag_combination_faults_exit_2(self, tmp_path, capsys, argv, needle):
+        state = str(self.two_class_state(tmp_path))
+        argv = [state if a == "STATE" else a for a in argv]
+        code, out, err = run(capsys, "evaluate", *argv, "--out-dir", str(tmp_path / "eval"))
+        assert code == 2 and out == ""
+        assert err == f"config error: {needle}\n"
+        assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.parametrize("probs, targets, needle", [
+        ("p0,p1\n0.5,0.5\n", "a,b\n0,1\n",
+         "has columns ['a', 'b']; expected a single column or one named 'target'"),
+        ("p0,p2\n0.5,0.5\n", "target\n0\n", "probability columns must be contiguous p0..pK-1"),
+    ])
+    def test_malformed_columns_exit_3(self, tmp_path, capsys, probs, targets, needle):
+        (tmp_path / "p.csv").write_text(probs, encoding="utf-8")
+        (tmp_path / "t.csv").write_text(targets, encoding="utf-8")
+        code, out, err = run(
+            capsys,
+            "evaluate", "--probs", str(tmp_path / "p.csv"), "--targets", str(tmp_path / "t.csv"),
+        )
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and err.startswith("data error: ") and needle in err
+
+    def test_data_labels_beyond_the_model_classes_exit_3(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("x0,x1,target\n0.1,0.2,0\n0.3,0.4,2\n", encoding="utf-8")
+        code, out, err = run(
+            capsys,
+            "evaluate", "--state", str(self.two_class_state(tmp_path)), "--data", str(data),
+            "--out-dir", str(tmp_path / "eval"),
+        )
+        assert code == 3 and out == ""
+        assert err == "data error: data has labels up to 2 but the model has 2 classes\n"
+        assert not (tmp_path / "eval").exists()
 
     def test_exactly_one_input_mode(self, capsys):
         code, _, err = run(capsys, "evaluate")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rng_oracle import ScalarRng
 from uqkit.conformal import (
     adaptive_sets,
     baseline_sets,
@@ -184,7 +185,7 @@ def test_adaptive_sets_equal_the_row_loop(mode):
                 adaptive_sets(vp_moved, y, tp_moved, alpha, sets_rng)
             seen_negative = True
         got = adaptive_sets(vp, y, tp, alpha, sets_rng)
-        want = adaptive_sets_row_loop(vp, y, tp, alpha, mode, Rng(seed))
+        want = adaptive_sets_row_loop(vp, y, tp, alpha, mode, ScalarRng(seed))
         np.testing.assert_array_equal(got.member, want, err_msg=f"case {case}")
         seen_empty |= bool(np.any(~want.any(axis=1)))
         seen_full_inf |= conformal_quantile(np.ones(n), alpha) == math.inf

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from uqkit.numerics import entropy, kth_smallest, log_sum_exp, softmax
+from uqkit.numerics import check_labels, entropy, kth_smallest, log_sum_exp, softmax
 
 
 class TestSoftmax:
@@ -103,3 +103,13 @@ class TestEntropy:
 
     def test_one_hot(self):
         assert entropy([1.0, 0.0, 0.0]) == 0.0
+
+
+class TestCheckLabels:
+    def test_integral_float_labels_are_accepted(self):
+        y = check_labels(np.array([0.0, 1.0]), 2)
+        assert y.dtype == np.int64 and y.tolist() == [0, 1]
+
+    def test_fractional_float_labels_are_rejected(self):
+        with pytest.raises(ValueError, match="targets must hold integer class labels"):
+            check_labels(np.array([0.5]), 2)

@@ -206,6 +206,19 @@ class TestSwagMoments:
         assert state.snapshots == 9 and state.rank == 3
 
 
+    def test_an_overflowing_snapshot_keeps_the_last_finite_moments(self):
+        tracker = SwagMoments(3, rank=2)
+        tracker.update(np.array([1.0, -2.0, 0.5]))
+        before = tracker.state()
+        tracker.update(np.array([1e200, 0.0, 0.0]))  # finite, but its square is not
+        assert tracker.diverged
+        tracker.update(np.array([3.0, 3.0, 3.0]))  # ignored once diverged
+        after = tracker.state()
+        for field in ("mean", "diag_second_moment", "deviations"):
+            np.testing.assert_array_equal(getattr(after, field), getattr(before, field))
+        assert after.snapshots == before.snapshots == 1
+
+
 class TestSwagFit:
     def zero_gradient_setup(self):
         # x = 0 and balanced labels put theta = 0 at a stationary point, so

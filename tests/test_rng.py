@@ -11,22 +11,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import uqkit.rng as rng_module
+from rng_oracle import ScalarRng
 from uqkit.rng import Rng, child_seed
 
 
 def test_replay_is_bit_identical():
     a = Rng(1234)
     b = Rng(1234)
-    assert [a.next_uint64() for _ in range(50)] == [b.next_uint64() for _ in range(50)]
+    assert a.uniforms(50).tolist() == b.uniforms(50).tolist()
     a2, b2 = Rng(99), Rng(99)
     assert a2.normals(31).tolist() == b2.normals(31).tolist()
 
 
 def test_two_calls_replay_as_pair():
     r = Rng(7)
-    pair = (r.standard_normal(), r.standard_normal())
+    pair = (r.normals(1)[0], r.normals(1)[0])
     r2 = Rng(7)
-    assert pair == (r2.standard_normal(), r2.standard_normal())
+    assert pair == (r2.normals(1)[0], r2.normals(1)[0])
 
 
 def test_distinct_seeds_differ():
@@ -62,23 +63,19 @@ def test_normal_moments():
 
 
 def test_box_muller_pair_is_cos_then_sin():
-    r = Rng(3)
-    z0 = r.standard_normal()
-    z1 = r.standard_normal()
+    z0, z1 = Rng(3).normals(2).tolist()
     # replay the uniforms by hand and apply the documented transform
-    r2 = Rng(3)
-    u1, u2 = r2.uniform(), r2.uniform()
+    u1, u2 = Rng(3).uniforms(2).tolist()
     radius = math.sqrt(-2.0 * math.log(1.0 - u1))
     assert z0 == radius * math.cos(2.0 * math.pi * u2)
     assert z1 == radius * math.sin(2.0 * math.pi * u2)
 
 
 def test_integer_bounds_and_determinism():
-    r = Rng(5)
-    draws = [r.integer(7) for _ in range(2000)]
+    bounds = np.full(2000, 7, dtype=np.uint64)
+    draws = Rng(5)._bounded_draws(bounds)
     assert min(draws) == 0 and max(draws) == 6
-    r2 = Rng(5)
-    assert draws == [r2.integer(7) for _ in range(2000)]
+    assert draws == Rng(5)._bounded_draws(bounds)
 
 
 def test_permutation_is_a_permutation():
@@ -91,8 +88,8 @@ def test_permutation_is_a_permutation():
 # guards on the stream's bytes
 
 # sha256 of (first 1e5 uniforms, first 1e5 normals, permutation(10_000)),
-# each drawn from a fresh Rng(seed), as produced by the one-draw-at-a-time
-# generator
+# each drawn from a fresh Rng(seed), as first produced by the one-draw-at-a-time
+# generator that ScalarRng keeps
 _GOLDEN_STREAM = {
     0: (
         "9dadded310086aa75a6104d1eaa1a4e5bcbcb6444833c79dd3678c91e920a2cd",
@@ -123,25 +120,6 @@ def test_stream_golden_digests(seed):
     assert got == _GOLDEN_STREAM[seed]
 
 
-class ScalarRng(Rng):
-    """The one-draw-at-a-time array methods: the oracle for the batched ones."""
-
-    __slots__ = ()
-
-    def uniforms(self, n):
-        return np.array([self.uniform() for _ in range(n)], dtype=np.float64)
-
-    def normals(self, n):
-        return np.array([self.standard_normal() for _ in range(n)], dtype=np.float64)
-
-    def permutation(self, n):
-        perm = np.arange(n, dtype=np.int64)
-        for i in range(n - 1, 0, -1):
-            j = self.integer(i + 1)
-            perm[i], perm[j] = perm[j], perm[i]
-        return perm
-
-
 _SIZES = st.one_of(
     st.sampled_from([0, 1, 2, 3, 4, 5, 63, 64, 65, 127, 128, 129, 149, 150, 151, 152, 255, 256, 257]),
     st.integers(0, 700),
@@ -152,14 +130,7 @@ _BOUNDS = st.one_of(
     st.integers(1, 2**64 - 1),
 )
 _CALLS = st.lists(
-    st.one_of(
-        st.tuples(st.just("uniform")),
-        st.tuples(st.just("standard_normal")),
-        st.tuples(st.just("uniforms"), _SIZES),
-        st.tuples(st.just("normals"), _SIZES),
-        st.tuples(st.just("integer"), _BOUNDS),
-        st.tuples(st.just("permutation"), _SIZES),
-    ),
+    st.tuples(st.sampled_from(["uniforms", "normals", "permutation"]), _SIZES),
     max_size=12,
 )
 
@@ -168,13 +139,10 @@ _CALLS = st.lists(
 @given(seed=st.integers(0, 2**64 - 1), calls=_CALLS)
 def test_mixed_calls_equal_the_scalar_stream(seed, calls):
     fast, slow = Rng(seed), ScalarRng(seed)
-    for name, *args in calls:
-        got, want = getattr(fast, name)(*args), getattr(slow, name)(*args)
-        if isinstance(want, np.ndarray):
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes(), (name, args)
-        else:
-            assert type(got) is type(want) and got == want, (name, args)
+    for name, n in calls:
+        got, want = getattr(fast, name)(n), getattr(slow, name)(n)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), (name, n)
     assert fast._state == slow._state
     assert fast._cached_normal == slow._cached_normal
 
@@ -199,20 +167,52 @@ def test_rejection_mask_matches_the_integer_rule():
     assert any(want) and not all(want)
 
 
-@pytest.mark.parametrize("split", [0, 1, 150, 298])
-def test_permutation_rewinds_to_the_first_rejection(monkeypatch, split):
-    real = rng_module._rejected
+class _BudgetedRng(Rng):
+    """An Rng whose ``_states`` fails past a call budget, so that a bounded
+    draw loop that stops making progress fails instead of hanging."""
 
-    def reject_at_split(draws, bounds):
-        mask = real(draws, bounds)
-        mask[split] = True
-        return mask
+    __slots__ = ("calls_left",)
 
-    monkeypatch.setattr(rng_module, "_rejected", reject_at_split)
-    fast, slow = Rng(9), ScalarRng(9)
-    assert fast.permutation(300).tobytes() == slow.permutation(300).tobytes()
-    assert fast._state == slow._state
-    assert fast.uniforms(200).tobytes() == slow.uniforms(200).tobytes()
+    def _states(self, n):
+        self.calls_left -= 1
+        assert self.calls_left >= 0, "bounded draws made no progress"
+        return super()._states(n)
+
+
+def _bounded_draws_and_oracle(seed, bounds):
+    """(draws, final state, batches made) of ``_bounded_draws``, and the
+    draws and final state of ``ScalarRng.integer`` over the same bounds."""
+    fast, slow = _BudgetedRng(seed), ScalarRng(seed)
+    # a batch follows each rejection, and even the bound 2**63 + 1 rejects
+    # only about half its draws
+    budget = fast.calls_left = 10 * len(bounds) + 10
+    got = fast._bounded_draws(np.array(bounds, dtype=np.uint64))
+    want = [slow.integer(b) for b in bounds]
+    return (got, fast._state, budget - fast.calls_left), (want, slow._state)
+
+
+# bounds whose draws really are rejected: a quarter of all draws for
+# 3 * 2**61, about half for 2**63 + 1, and one output value for 2**64 - 1
+_REJECTING = st.sampled_from([3 * 2**61, 2**63 + 1, 2**64 - 1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    bounds=st.lists(st.one_of(_REJECTING, _BOUNDS), max_size=40),
+)
+def test_bounded_draws_equal_the_scalar_integer_loop(seed, bounds):
+    (got, state, _), (want, want_state) = _bounded_draws_and_oracle(seed, bounds)
+    assert got == want
+    assert state == want_state
+
+
+def test_bounded_draws_redraw_after_rejections_in_a_batch():
+    # bounds that reject often, so the loop takes many batches
+    bounds = [3 * 2**61, 2**63 + 1, 5] * 30
+    (got, state, batches), (want, want_state) = _bounded_draws_and_oracle(1, bounds)
+    assert batches > 10
+    assert got == want and state == want_state
 
 
 def test_scalar_trig_fallback_gives_the_same_normals(monkeypatch):
