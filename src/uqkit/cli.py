@@ -136,9 +136,9 @@ def write_intervals_csv(path: Path, intervals: Intervals) -> None:
     )
 
 
-def write_probs_csv(path: Path, probs: np.ndarray, entropies: np.ndarray) -> None:
+def write_probs_csv(path: Path, probs: np.ndarray) -> None:
     header = [f"p{k}" for k in range(probs.shape[1])] + ["entropy"]
-    write_matrix_csv(path, np.column_stack([probs, entropies]), header)
+    write_matrix_csv(path, np.column_stack([probs, entropy(probs, axis=-1)]), header)
 
 
 def write_trace_csv(path: Path, rows: list[tuple[str, int, float]]) -> None:
@@ -249,7 +249,7 @@ def cmd_calibrate(args) -> int:
             )
     target_logits = read_probs_csv(args.test_logits) if args.test_logits else logits
     probs = apply_temperature(target_logits, fit.temperature)
-    write_probs_csv(out_dir / "calibrated.csv", probs, entropy(probs, axis=-1))
+    write_probs_csv(out_dir / "calibrated.csv", probs)
     report = {
         "t": fit.temperature,
         "nll_before": fit.nll_before,
@@ -323,9 +323,8 @@ def cmd_train(args) -> int:
         for m, trace in enumerate(fit.member_traces):
             rows += [(f"member_{m}", e, v) for e, v in enumerate(trace)]
     phase, last = fits[-1]
-    save_csv(train_ds, cfg.out_dir / "train.csv")
-    save_csv(calib_ds, cfg.out_dir / "calib.csv")
-    save_csv(test_ds, cfg.out_dir / "test.csv")
+    for name, ds in (("train", train_ds), ("calib", calib_ds), ("test", test_ds)):
+        save_csv(ds, cfg.out_dir / f"{name}.csv")
     save_state(cfg.out_dir / "state.json", last.state, model, cfg.task)
     write_trace_csv(cfg.out_dir / "trace.csv", rows)
     report = {
@@ -339,8 +338,7 @@ def cmd_train(args) -> int:
         report["final_loss"] = rows[-1][2]
     sys.stdout.write(json_text(report))
     if last.diverged:
-        print(f"diverged: {phase} phase diverged", file=sys.stderr)
-        return 4
+        raise DivergenceError(f"{phase} phase diverged")
     return 0
 
 
@@ -372,13 +370,25 @@ def _evaluate_regression(thetas, rng, model, test_ds, alpha, out_dir) -> dict:
     return doc
 
 
+# the flags only one input source reads (the first is required); with the other, each is an error
+_SOURCE_FLAGS = {
+    "probs": ("targets", "calib_probs", "calib_targets"),
+    "state": ("data", "calib_data", "predictive_samples", "seed"),
+}
+
+
 def _evaluate(args, out_dir: Path | None) -> dict:
     """An ``evaluate`` run's report, once its CSV outputs are under ``out_dir``."""
     if (args.probs is None) == (args.state is None):
         raise ConfigError(["pass exactly one of --probs or --state"])
-    if args.probs:
-        if args.targets is None:
-            raise ConfigError(["--targets is required with --probs"])
+    source, other = ("probs", "state") if args.probs is not None else ("state", "probs")
+    unused = [f for f in _SOURCE_FLAGS[other] if getattr(args, f) is not None]
+    if unused:
+        raise ConfigError([f"--{f.replace('_', '-')} is read only with --{other}" for f in unused])
+    needed = _SOURCE_FLAGS[source][0]
+    if getattr(args, needed) is None:
+        raise ConfigError([f"--{needed} is required with --{source}"])
+    if source == "probs":
         if args.alpha is not None and not (args.calib_probs and args.calib_targets):
             raise ConfigError(
                 ["--alpha with --probs needs --calib-probs and --calib-targets"]
@@ -391,9 +401,9 @@ def _evaluate(args, out_dir: Path | None) -> dict:
                 read_targets_csv(args.calib_targets, classification=True),
             )
     else:
-        if args.data is None:
-            raise ConfigError(["--data is required with --state"])
         state, model, task = load_state(args.state)
+        if task != CLASSIFICATION and args.calib_data is not None:
+            raise ConfigError(["--calib-data is read only with a classification state"])
         if task == CLASSIFICATION and args.alpha is not None and args.calib_data is None:
             raise ConfigError(["--alpha with --state needs --calib-data"])
         test_ds = load_csv(args.data, task, args.target_column)
@@ -420,8 +430,8 @@ def _evaluate(args, out_dir: Path | None) -> dict:
         doc["coverage"] = float(np.mean(sets.contains(targets)))
         doc["mean_width"] = float(np.mean(sets.sizes()))
     if out_dir:
-        if args.state:
-            write_probs_csv(out_dir / "predictive.csv", probs, entropy(probs, axis=-1))
+        if source == "state":
+            write_probs_csv(out_dir / "predictive.csv", probs)
         if args.alpha is not None:
             write_sets_csv(out_dir / "sets.csv", sets)
     return doc

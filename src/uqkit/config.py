@@ -9,7 +9,6 @@ draws) are derived child seeds, so a config replays bit-identically.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,10 +19,11 @@ from .data import (
     Dataset,
     check_split_fractions,
     load_csv,
+    read_json,
     split,
     synth_classification,
 )
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .metrics import DEFAULT_BINS, MAX_BINS
 from .mlp import MlpConfig
 from .posterior import OptimConfig
@@ -282,15 +282,10 @@ def validate_config(doc: dict, require_seeds: bool = False) -> list[str]:
 
 
 def load_config(path, require_seeds: bool = False) -> RunConfig:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError([f"no such config file: {path}"])
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError([f"config is not valid JSON: {exc}"]) from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(["config must be a JSON object"])
+        doc = read_json(path, "config")
+    except DataError as exc:
+        raise ConfigError([str(exc)]) from None
     messages = validate_config(doc, require_seeds=require_seeds)
     if messages:
         raise ConfigError(messages)

@@ -146,11 +146,10 @@ def _aps_val_scores(probs: np.ndarray, targets: np.ndarray, u: np.ndarray) -> np
     cum = np.cumsum(sorted_p, axis=1)
     ranks = np.empty_like(order)
     np.put_along_axis(ranks, order, np.arange(probs.shape[1])[None, :], axis=1)
-    r = ranks[np.arange(len(targets)), targets]
-    above = np.take_along_axis(cum, r[:, None], axis=1)[:, 0] - probs[
-        np.arange(len(targets)), targets
-    ]
-    return above + u * probs[np.arange(len(targets)), targets]
+    rows = np.arange(len(targets))
+    p_true = probs[rows, targets]
+    above = np.take_along_axis(cum, ranks[rows, targets][:, None], axis=1)[:, 0] - p_true
+    return above + u * p_true
 
 
 def adaptive_sets(
@@ -346,11 +345,7 @@ def cv_folds(n: int, n_folds: int, seed: int) -> np.ndarray:
     perm = Rng(seed).permutation(n)
     base, rem = divmod(n, n_folds)
     fold_of = np.empty(n, dtype=np.int64)
-    start = 0
-    for f in range(n_folds):
-        size = base + (1 if f < rem else 0)
-        fold_of[perm[start : start + size]] = f
-        start += size
+    fold_of[perm] = np.repeat(np.arange(n_folds), base + (np.arange(n_folds) < rem))
     return fold_of
 
 

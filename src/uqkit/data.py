@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, InvalidSplitError
+from .numerics import check_labels
 from .rng import Rng, child_seed
 
 CLASSIFICATION = "classification"
@@ -45,8 +46,9 @@ class Dataset:
         if not np.all(np.isfinite(self.inputs)):
             raise ValueError("inputs contain non-finite entries")
         if self.task == CLASSIFICATION:
-            if self.targets.dtype != np.int64 or (self.n and self.targets.min() < 0):
-                raise ValueError("classification targets must be nonnegative int64")
+            if self.targets.dtype != np.int64:
+                raise ValueError("classification targets must be int64")
+            check_labels(self.targets)
         elif not np.all(np.isfinite(self.targets)):
             raise ValueError("regression targets contain non-finite entries")
 
@@ -84,18 +86,12 @@ def _parse_float(cell: str, path, line: int, column: str) -> float:
 
 
 def class_labels(values: np.ndarray, path) -> np.ndarray:
-    """The one class-label rule: each value integral (``2`` or ``2.0``),
-    finite and nonnegative. Returns int64 labels; a breach is a
-    ``DataError`` naming the file and the data row (1 = first after the
-    header)."""
-    bad = ~(np.isfinite(values) & (values == np.round(values)) & (values >= 0))
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise DataError(
-            f"{path}: class label {format(values[i], '.17g')} in data row {i + 1} "
-            "is not a nonnegative integer"
-        )
-    return values.astype(np.int64)
+    """``check_labels`` on a file's label column; a breach is a ``DataError``
+    naming the file and the data row (1 = first after the header)."""
+    try:
+        return check_labels(values, name="data")
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def load_csv(path, task: str, target_column: str) -> Dataset:
@@ -198,20 +194,14 @@ def synth_classification(
     rng = Rng(seed)
     if name == "two_moons":
         n0 = n // 2
-        n1 = n - n0
-        xs, ys = [], []
-        for i in range(n0):
-            t = np.pi * i / max(n0 - 1, 1)
-            xs.append((np.cos(t), np.sin(t)))
-            ys.append(0)
-        for i in range(n1):
-            t = np.pi * i / max(n1 - 1, 1)
-            xs.append((1.0 - np.cos(t), 0.5 - np.sin(t)))
-            ys.append(1)
-        inputs = np.asarray(xs, dtype=np.float64)
+        arcs = [np.pi * np.arange(k) / max(k - 1, 1) for k in (n0, n - n0)]
+        inputs = np.column_stack([
+            np.concatenate([np.cos(arcs[0]), 1.0 - np.cos(arcs[1])]),
+            np.concatenate([np.sin(arcs[0]), 0.5 - np.sin(arcs[1])]),
+        ])
         if noise > 0:
             inputs += noise * rng.normals(2 * n).reshape(n, 2)
-        targets = np.asarray(ys, dtype=np.int64)
+        targets = (np.arange(n) >= n0).astype(np.int64)
     elif name == "gaussian_blobs":
         if n_classes < 2:
             raise ValueError("gaussian_blobs needs at least 2 classes")
@@ -226,7 +216,7 @@ def synth_classification(
     )
 
 
-# --- the one CSV reader, the one CSV writer and the one JSON writer ----------
+# --- the one CSV reader and writer, and the one JSON reader and writer --------
 
 # A "plain" body (everything after the header line) holds only these bytes;
 # numpy's C parser then reads it exactly as ``float`` reads each cell.
@@ -344,6 +334,21 @@ def write_matrix_csv(path, matrix, header: list[str]) -> None:
         for start in range(0, matrix.shape[0], _WRITE_BLOCK_ROWS):
             block = matrix[start : start + _WRITE_BLOCK_ROWS]
             fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
+
+
+def read_json(path, what: str) -> dict:
+    """The JSON object in the ``what`` file (say, a config). No file, text that is not
+    UTF-8 JSON and JSON that is not an object are each a ``DataError`` naming the file."""
+    path = Path(path)
+    if not path.exists():
+        raise DataError(f"no such {what} file: {path}")
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSON text is UTF-8, so a decode error is one of its faults
+        raise DataError(f"{what} is not valid JSON: {path} ({exc})") from None
+    if not isinstance(doc, dict):
+        raise DataError(f"{what} must be a JSON object: {path} holds a {type(doc).__name__}")
+    return doc
 
 
 def json_text(doc) -> str:

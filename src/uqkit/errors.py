@@ -13,8 +13,6 @@ class ConfigError(UqError):
     """Invalid run configuration. Carries all field-level messages at once."""
 
     def __init__(self, messages):
-        if isinstance(messages, str):
-            messages = [messages]
         self.messages = list(messages)
         super().__init__("; ".join(self.messages))
 

@@ -13,12 +13,12 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .conformal import Intervals
-from .numerics import check_labels, check_prob_rows
+from .numerics import EXACT_INT_LIMIT, check_labels, check_prob_rows
 
 DEFAULT_BINS = 15
 # every count up to 2^53 is a float64, so confidence * bins is one rounding
 # and the bin index fits an int64
-MAX_BINS = 2**53
+MAX_BINS = EXACT_INT_LIMIT
 
 
 @dataclass(frozen=True)

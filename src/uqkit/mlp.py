@@ -34,8 +34,7 @@ class MlpConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_widths", tuple(self.hidden_widths))
-        dims = (self.input_dim, *self.hidden_widths, self.output_dim)
-        if any(d < 1 for d in dims):
+        if any(d < 1 for d in self.dims):
             raise ValueError("all layer dimensions must be at least 1")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")

@@ -94,20 +94,26 @@ def check_prob_rows(probs: np.ndarray, name: str = "probs") -> np.ndarray:
     return p
 
 
-def check_labels(targets, n_classes: int, name: str = "targets") -> np.ndarray:
-    """Validate integer class labels in [0, n_classes)."""
+# every integer up to 2^53 is a float64 exactly
+EXACT_INT_LIMIT = 2**53
+
+
+def check_labels(targets, n_classes: int | None = None, name: str = "targets") -> np.ndarray:
+    """The one class-label rule: a 1-D vector whose values are each finite,
+    integral, nonnegative and below ``n_classes`` (below 2^53 when it is
+    None). The values are checked before the int64 cast, so the cast is
+    exact; the message counts rows from 1, as ``check_prob_rows`` does."""
     y = np.asarray(targets)
     if y.ndim != 1:
         raise ValueError(f"{name} must be a 1-D vector, got shape {y.shape}")
     if not np.issubdtype(y.dtype, np.integer):
-        yf = np.asarray(y, dtype=np.float64)
-        if np.any(yf != np.round(yf)):
-            raise ValueError(f"{name} must hold integer class labels")
-        y = yf.astype(np.int64)
-    else:
-        y = y.astype(np.int64)
-    if y.size and (y.min() < 0 or y.max() >= n_classes):
+        y = np.asarray(y, dtype=np.float64)
+    bound = EXACT_INT_LIMIT if n_classes is None else n_classes
+    bad = ~((y >= 0) & (y < bound) & (y == np.round(y)))
+    if np.any(bad):
+        row = int(np.argmax(bad))
         raise ValueError(
-            f"{name} out of range: labels must lie in [0, {n_classes})"
+            f"{name} row {row + 1}: class label {format(y[row], '.17g')} "
+            f"is not a nonnegative integer below {bound}"
         )
-    return y
+    return y.astype(np.int64)

@@ -26,15 +26,13 @@ benchmark's seeds), and ``ensemble_fit`` trains its members that way.
 from __future__ import annotations
 
 import base64
-import json
 import math
 import warnings
 from dataclasses import dataclass, fields, replace
-from pathlib import Path
 
 import numpy as np
 
-from .data import CLASSIFICATION, REGRESSION, Dataset, batches, write_json
+from .data import CLASSIFICATION, REGRESSION, Dataset, batches, read_json, write_json
 from .errors import DataError
 from .mlp import MlpConfig, init_params, mlp_activations, mlp_backward, mlp_forward
 from .mlp import param_count, unpack_params
@@ -823,11 +821,4 @@ def save_state(path, state: PosteriorState, model: MlpConfig, task: str) -> None
 
 
 def load_state(path) -> tuple[PosteriorState, MlpConfig, str]:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"corrupt state file {path}: {exc}") from exc
-    return state_from_dict(doc)
+    return state_from_dict(read_json(path, "state"))

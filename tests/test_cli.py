@@ -22,7 +22,8 @@ from uqkit.metrics import classification_report
 from uqkit.mlp import MlpConfig, param_count
 from uqkit.numerics import softmax
 from uqkit.posterior import (
-    FitResult, MapState, SwagState, load_state, save_state, state_to_dict,
+    EnsembleState, FitResult, LaplaceState, MapState, SwagState, load_state, save_state,
+    state_to_dict,
 )
 
 
@@ -304,7 +305,7 @@ def test_conformal_parser_takes_the_table_flags():
 @pytest.mark.parametrize("method, targets, message", [
     ("baseline", [0], "prediction sets and targets disagree on length"),
     ("baseline", [0, 1, 0, 1, 0], "prediction sets and targets disagree on length"),
-    ("baseline", [7, 0, 1, 0], "targets out of range: labels must lie in [0, 2)"),
+    ("baseline", [7, 0, 1, 0], "targets row 1: class label 7 is not a nonnegative integer below 2"),
     ("cqr", [0.5], "intervals and targets disagree on length"),
     ("cqr", [0.5] * 5, "intervals and targets disagree on length"),
 ])
@@ -747,14 +748,16 @@ class TestTrainCommand:
         (None, "no such config file"),
         ("{", "config is not valid JSON"),
         ("[]", "config must be a JSON object"),
+        (b"\xff{}", "config is not valid JSON"),
     ])
     def test_unreadable_config_exits_2_with_one_line(self, tmp_path, capsys, text, needle):
         path = tmp_path / "config.json"
         if text is not None:
-            path.write_text(text, encoding="utf-8")
+            path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
         code, out, err = run(capsys, "train", "--config", str(path))
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith(f"config error: {needle}")
+        assert str(path) in err
 
     def test_seed_flag_writes_the_bytes_of_that_config_seed(self, tmp_path, capsys):
         optimizer = {"algorithm": "adam", "learning_rate": 0.01, "epochs": 3, "batch_size": 16}
@@ -1012,7 +1015,7 @@ class TestEvaluateCommand:
         assert report["ece"] == 0.0 and report["brier"] == 0.0
         assert report["nll"] == 0.0 and report["accuracy"] == 1.0
 
-    @pytest.mark.parametrize("label, code", [("2.0", 0), ("1.5", 3), ("-1", 3)])
+    @pytest.mark.parametrize("label, code", [("2.0", 0), ("1.5", 3), ("-1", 3), ("1e300", 3)])
     def test_targets_follow_the_class_label_rule(self, tmp_path, capsys, label, code):
         write_probs(tmp_path / "p.csv", np.eye(3))
         targets = tmp_path / "t.csv"
@@ -1122,6 +1125,38 @@ class TestEvaluateCommand:
         assert got["coverage"] == want["coverage"]
         assert got["mean_width"] == want["mean_set_size"]
         assert (tmp_path / "eval" / "sets.csv").read_bytes() == (tmp_path / "sets.csv").read_bytes()
+
+    @pytest.mark.parametrize("source, extra, needle", [
+        ("probs", ["--seed", "5"], "--seed is read only with --state"),
+        ("probs", ["--calib-data", "no.csv"], "--calib-data is read only with --state"),
+        ("probs", ["--predictive-samples", "7"], "--predictive-samples is read only with --state"),
+        ("probs", ["--data", "no.csv"], "--data is read only with --state"),
+        ("classification", ["--targets", "no.csv"], "--targets is read only with --probs"),
+        ("classification", ["--calib-probs", "no.csv"], "--calib-probs is read only with --probs"),
+        ("classification", ["--calib-targets", "no.csv"],
+         "--calib-targets is read only with --probs"),
+        ("regression", ["--alpha", "0.5", "--calib-data", "no.csv"],
+         "--calib-data is read only with a classification state"),
+    ])
+    def test_a_flag_the_source_never_reads_exits_2(
+        self, tmp_path, capsys, monkeypatch, source, extra, needle
+    ):
+        monkeypatch.chdir(tmp_path)
+        write_probs(tmp_path / "p.csv", [[0.8, 0.2], [0.3, 0.7]])
+        write_targets(tmp_path / "t.csv", [0, 1])
+        if source == "probs":
+            argv = ["--probs", "p.csv", "--targets", "t.csv"]
+        else:
+            (tmp_path / "d.csv").write_text("x0,x1,target\n0.1,0.2,0\n0.3,0.4,1\n")
+            cfg = MlpConfig(2, (4,), 2, "relu")
+            theta = np.linspace(-1.0, 1.0, param_count(cfg))
+            save_state(tmp_path / "state.json", MapState(theta), cfg, source)
+            argv = ["--state", "state.json", "--data", "d.csv"]
+        code, out, err = run(capsys, "evaluate", *argv, *extra, "--out-dir", "eval")
+        assert code == 2 and out == ""
+        assert err == f"config error: {needle}\n"
+        assert not (tmp_path / "eval").exists()
+        assert run(capsys, "evaluate", *argv, "--out-dir", "eval")[0] == 0
 
     @staticmethod
     def two_class_state(tmp_path):
@@ -1240,6 +1275,56 @@ class TestEvaluateCommand:
         assert json.loads(out)["n"] == len(predictive) - 1
 
 
+def _label_slot_argv(tmp_path, slot, labels, dataset):
+    """An argv whose ``slot`` reads ``labels`` (a target CSV) or ``dataset``
+    (a classification CSV), every other input valid."""
+    write_probs(tmp_path / "p.csv", [[0.8, 0.2], [0.3, 0.7]])
+    write_targets(tmp_path / "t.csv", [0, 1])
+    good = tmp_path / "d.csv"
+    good.write_text("x0,x1,target\n0.1,0.2,0\n0.3,0.4,1\n", encoding="utf-8")
+    probs, targets = str(tmp_path / "p.csv"), str(tmp_path / "t.csv")
+    cfg = MlpConfig(2, (4,), 2, "relu")
+    state = tmp_path / "state.json"
+    save_state(state, MapState(np.linspace(-1.0, 1.0, param_count(cfg))), cfg, "classification")
+    if slot == "conformal --val-targets":
+        argv = conformal_argv(tmp_path, "baseline", leave_out="val_targets")
+        return argv + ["--val-targets", str(labels)]
+    if slot == "conformal --test-targets":
+        return conformal_argv(tmp_path, "baseline") + ["--test-targets", str(labels)]
+    if slot == "calibrate --targets":
+        return ["calibrate", "--logits", probs, "--targets", str(labels),
+                "--out-dir", str(tmp_path / "cal")]
+    if slot == "evaluate --targets":
+        return ["evaluate", "--probs", probs, "--targets", str(labels)]
+    if slot == "evaluate --calib-targets":
+        return ["evaluate", "--probs", probs, "--targets", targets, "--alpha", "0.5",
+                "--calib-probs", probs, "--calib-targets", str(labels)]
+    if slot == "evaluate --data":
+        return ["evaluate", "--state", str(state), "--data", str(dataset)]
+    if slot == "evaluate --calib-data":
+        return ["evaluate", "--state", str(state), "--data", str(good), "--alpha", "0.5",
+                "--calib-data", str(dataset)]
+    assert slot == "train config data/csv"
+    data = {"csv": {"path": str(dataset), "target_column": "target"}}
+    return ["train", "--config", str(train_config(tmp_path, data=data))]
+
+
+@pytest.mark.parametrize("slot", [
+    "conformal --val-targets", "conformal --test-targets", "calibrate --targets",
+    "evaluate --targets", "evaluate --calib-targets", "evaluate --data",
+    "evaluate --calib-data", "train config data/csv",
+])
+def test_label_past_the_int64_cast_exits_3_naming_the_file(tmp_path, capsys, slot):
+    # 1e300 is integral and nonnegative, but no int64 holds it
+    labels, dataset = tmp_path / "bad_labels.csv", tmp_path / "bad_data.csv"
+    labels.write_text("target\n0\n1e300\n", encoding="utf-8")
+    dataset.write_text("x0,x1,target\n0.1,0.2,0\n0.3,0.4,1e300\n", encoding="utf-8")
+    code, out, err = run(capsys, *_label_slot_argv(tmp_path, slot, labels, dataset))
+    bad = labels if slot.endswith("targets") else dataset
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and err.startswith(f"data error: {bad}: data row 2: ")
+
+
 def _fault_cases():
     """(name, state document, stderr needle): each document breaks one rule
     of the ``state.json`` format."""
@@ -1258,6 +1343,7 @@ def _fault_cases():
         return pytest.param(doc, needle, id=name)
 
     short = state_to_dict(MapState(theta[:-1]), cfg, "classification")["arrays"]
+    zeros = state_to_dict(MapState(np.zeros(p)), cfg, "classification")["arrays"]["theta"]
     return [
         broken("arrays_list", "arrays", lambda d: d.update(arrays=[])),
         broken("model_list", "model", lambda d: d.update(model=[])),
@@ -1272,7 +1358,34 @@ def _fault_cases():
         broken("unknown_kind", "kind", lambda d: d.update(kind="mcmc")),
         broken("missing_key", "kind", lambda d: d.pop("kind")),
         broken("unknown_task", "task", lambda d: d.update(task="ranking")),
+        broken("float_count", "state field 'members' must be an integer, got 2.0",
+               lambda d: d.update(members=2.0),
+               base=state_to_dict(EnsembleState((theta, -theta)), cfg, "classification")),
+        broken("unknown_activation", "state model is invalid: unknown activation 'sigmoid'",
+               lambda d: d["model"].update(activation="sigmoid")),
+        broken("zero_precision",
+               "invalid laplace state: diag_precision must be strictly positive",
+               lambda d: d["arrays"].update(diag_precision=zeros),
+               base=state_to_dict(LaplaceState(theta, np.ones(p)), cfg, "classification")),
     ]
+
+
+@pytest.mark.parametrize("text, needle", [
+    (None, "no such state file"),
+    ("{", "state is not valid JSON"),
+    ("[]", "state must be a JSON object"),
+    (b"\xff{}", "state is not valid JSON"),
+])
+def test_unreadable_state_exits_3_with_one_line(tmp_path, capsys, text, needle):
+    data = tmp_path / "data.csv"
+    save_csv(synth_classification("two_moons", 10, 0.1, seed=0), data)
+    state = tmp_path / "state.json"
+    if text is not None:
+        state.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+    code, out, err = run(capsys, "evaluate", "--state", str(state), "--data", str(data))
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and err.startswith(f"data error: {needle}")
+    assert str(state) in err
 
 
 @pytest.mark.parametrize("doc, needle", _fault_cases())

@@ -75,7 +75,7 @@ class TestBaselineSets:
             baseline_sets([[0.9, 0.3]], [0], [[0.5, 0.5]], 0.1)
 
     def test_label_out_of_range(self):
-        with pytest.raises(ValueError, match="range"):
+        with pytest.raises(ValueError, match=r"^val_targets row 1: class label 2 .* below 2$"):
             baseline_sets([[0.9, 0.1]], [2], [[0.5, 0.5]], 0.1)
 
     def test_relabeling_invariance(self):

@@ -58,7 +58,10 @@ class TestLoadCsv:
         assert ds.targets.dtype == np.int64
         np.testing.assert_array_equal(ds.targets, [2, 0])
 
-    @pytest.mark.parametrize("label", ["1.5", "-1", "inf", "nan"])
+    # 1e16 and up are past 2^53, so an int64 cast of them would not be exact
+    @pytest.mark.parametrize(
+        "label", ["1.5", "-1", "inf", "nan", "1e300", str(2**63), "1e16"]
+    )
     def test_bad_label_names_file_and_row(self, tmp_path, label):
         path = write(tmp_path, f"x0,target\n1.0,0\n2.0,{label}\n")
         with pytest.raises(DataError) as exc:

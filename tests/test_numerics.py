@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -111,5 +112,20 @@ class TestCheckLabels:
         assert y.dtype == np.int64 and y.tolist() == [0, 1]
 
     def test_fractional_float_labels_are_rejected(self):
-        with pytest.raises(ValueError, match="targets must hold integer class labels"):
+        message = r"^targets row 1: class label 0\.5 is not a nonnegative integer below 2$"
+        with pytest.raises(ValueError, match=message):
             check_labels(np.array([0.5]), 2)
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan, 1e300, 2.0**63])
+    def test_labels_past_the_int64_cast_are_rejected_without_a_warning(self, value):
+        # the values are checked before the cast, which would warn and wrap
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n_classes in (2, None):
+                with pytest.raises(ValueError, match=r"^targets row 2: class label "):
+                    check_labels(np.array([0.0, value]), n_classes)
+
+    def test_without_a_class_count_labels_stay_below_2_to_the_53(self):
+        assert check_labels(np.array([2.0**53 - 1])).tolist() == [2**53 - 1]
+        with pytest.raises(ValueError, match="below 9007199254740992$"):
+            check_labels(np.array([2.0**53]))
