@@ -124,6 +124,16 @@ def read_targets_csv(path, classification: bool) -> np.ndarray:
     return class_labels(values, path) if classification else values
 
 
+def _same_rows(*files) -> None:
+    """A ``DataError`` naming both files and both row counts when a file
+    has a different number of data rows from the first; each file is a
+    (path, array read from it) pair."""
+    (first, rows), *rest = files
+    for path, values in rest:
+        if len(values) != len(rows):
+            raise DataError(f"{first} has {len(rows)} data rows but {path} has {len(values)}")
+
+
 def write_sets_csv(path: Path, sets: PredictionSets) -> None:
     names = [str(c) for c in range(sets.member.shape[1])]
     cells = [";".join(compress(names, row)) for row in sets.member.tolist()]
@@ -213,7 +223,14 @@ def cmd_conformal(args) -> int:
         raise ConfigError(["--seed is read only with --method adaptive --mode randomized"])
     out = Path(args.out)
     labels = "test_probs" in flags  # the set methods
-    inputs = [_read_input(getattr(args, flag), flag, labels) for flag in flags]
+    paths = [getattr(args, flag) for flag in flags]
+    inputs = [_read_input(path, flag, labels) for path, flag in zip(paths, flags)]
+    # the val files must agree on their row count, and so must the test files
+    groups: dict[str, list] = {"val": [], "test": []}
+    for flag, path, values in zip(flags, paths, inputs):
+        groups[flag.split("_")[0]].append((path, values))
+    for files in groups.values():
+        _same_rows(*files)
     kwargs = {"rng": Rng(0 if args.seed is None else args.seed)} if randomized else {}
     result = globals()[name](*inputs, args.alpha, **kwargs)
     report = {"method": args.method, "alpha": args.alpha, "n": len(result), "out": str(out)}
@@ -226,6 +243,7 @@ def cmd_conformal(args) -> int:
         report["collapsed"] = int(result.collapsed.sum())
     if args.test_targets:
         y = _read_input(args.test_targets, "test_targets", labels)
+        _same_rows(groups["test"][0], (args.test_targets, y))
         report["coverage"] = float(np.mean(result.contains(y)))
     (write_sets_csv if labels else write_intervals_csv)(out, result)
     sys.stdout.write(json_text(report))
@@ -239,6 +257,7 @@ def cmd_calibrate(args) -> int:
     out_dir = Path(args.out_dir)
     logits = read_probs_csv(args.logits)
     targets = read_targets_csv(args.targets, classification=True)
+    _same_rows((args.logits, logits), (args.targets, targets))
     # an absent flag passes nothing, so fit_temperature's default holds
     method = {} if args.method is None else {"method": args.method}
     fit = fit_temperature(logits, targets, **method)
@@ -266,12 +285,16 @@ def cmd_calibrate(args) -> int:
 # ---------------------------------------------------------------------------
 # train
 
-def _fits(cfg: RunConfig, lanes: list[tuple]) -> list[list[tuple[str, FitResult]]]:
+def _fits(
+    cfg: RunConfig, lanes: list[tuple], trace: bool = True
+) -> list[list[tuple[str, FitResult]]]:
     """The (phase, result) pairs of ``cfg.method``'s fits, in order, for
     each lane: one run seed's (seed, model, train split, optimizer). The
     lanes train in lockstep: one ``map_fit`` call for every lane, then one
     ``swag_fit`` call for the lanes before the first whose MAP fit diverged.
     SWAG and Laplace continue the MAP fit; SWAG runs on its own batch stream.
+    ``trace=False`` leaves the MAP and SWAG traces empty (``benchmark``
+    reads none); ensembles and ADVI always keep theirs.
     Each fit is called through this module's globals, so a rebound module
     attribute is the one called."""
     params = dict(cfg.method_params)
@@ -280,7 +303,7 @@ def _fits(cfg: RunConfig, lanes: list[tuple]) -> list[list[tuple[str, FitResult]
     if cfg.method == "advi":
         return [[("ADVI", advi_fit(m, t, o, **params))] for _, m, t, o in lanes]
     seeds, models, trains, opts = (list(column) for column in zip(*lanes))
-    bases = map_fit(models, trains, opts)
+    bases = map_fit(models, trains, opts, trace=trace)
     fits = [[("MAP", base)] for base in bases]
     go = list(takewhile(lambda i: not bases[i].diverged, range(len(bases))))
     if cfg.method == "laplace":
@@ -295,6 +318,7 @@ def _fits(cfg: RunConfig, lanes: list[tuple]) -> list[list[tuple[str, FitResult]
             [trains[i] for i in go],
             [replace(opts[i], seed=child_seed(seeds[i], SEED_SWAG), epochs=epochs) for i in go],
             **params,
+            trace=trace,
         )
         for i, swag in zip(go, swags):
             fits[i].append(("SWAG", swag))
@@ -395,11 +419,13 @@ def _evaluate(args, out_dir: Path | None) -> dict:
             )
         probs = read_probs_csv(args.probs)
         targets = read_targets_csv(args.targets, classification=True)
+        _same_rows((args.probs, probs), (args.targets, targets))
         if args.alpha is not None:
             calib = (
                 read_probs_csv(args.calib_probs),
                 read_targets_csv(args.calib_targets, classification=True),
             )
+            _same_rows(*zip((args.calib_probs, args.calib_targets), calib))
     else:
         state, model, task = load_state(args.state)
         if task != CLASSIFICATION and args.calib_data is not None:
@@ -490,9 +516,11 @@ def cmd_benchmark(args) -> int:
     run = replace(cfg, method="swag")
     setups = [replace(run, seed=s).setup() for s in cfg.seeds]
     # split sizes depend only on n and the fractions, so every seed's fits
-    # share a row count and train as lanes of one loop
+    # share a row count and train as lanes of one loop; no report reads a trace
     fits = _fits(
-        run, [(s, model, splits[0], opt) for s, (splits, model, opt) in zip(cfg.seeds, setups)]
+        run,
+        [(s, model, splits[0], opt) for s, (splits, model, opt) in zip(cfg.seeds, setups)],
+        trace=False,
     )
     for run_seed, seed_fits in zip(cfg.seeds, fits):
         for phase, fit in seed_fits:

@@ -301,14 +301,16 @@ def _plus_endpoints(
     """Jackknife+/CV+ interval endpoints from per-point predictions.
 
     Lower bound is the floor(alpha(n+1))-th smallest of mu_i - R_i, upper
-    the ceil((1-alpha)(n+1))-th smallest of mu_i + R_i; ranks outside
-    [1, n] clamp to the extremes.
+    the ceil((1-alpha)(n+1))-th smallest of mu_i + R_i. A rank below 1
+    gives -inf and one past n gives +inf, as in ``conformal_quantile``, so
+    the coverage guarantee holds for every n.
     """
     n = residuals.shape[0]
-    k_lo = min(max(math.floor(alpha * (n + 1)), 1), n)
-    k_up = min(max(math.ceil((1.0 - alpha) * (n + 1)), 1), n)
-    lower = kth_smallest_columns(mu - residuals[:, None], k_lo)
-    upper = kth_smallest_columns(mu + residuals[:, None], k_up)
+    k_lo = math.floor(alpha * (n + 1))
+    k_up = math.ceil((1.0 - alpha) * (n + 1))
+    unbounded = np.full(mu.shape[1], np.inf)
+    lower = kth_smallest_columns(mu - residuals[:, None], k_lo) if k_lo >= 1 else -unbounded
+    upper = kth_smallest_columns(mu + residuals[:, None], k_up) if k_up <= n else unbounded
     return lower, upper
 
 
@@ -328,9 +330,7 @@ def jackknife_minmax(
     """Jackknife-minmax intervals: wider than jackknife+, coverage >= 1 - alpha."""
     alpha = _check_alpha(alpha)
     residuals, mu = _leave_one_out(trainer, train, test_inputs, seed)
-    n = residuals.shape[0]
-    k = min(math.ceil((1.0 - alpha) * (n + 1)), n)
-    q = kth_smallest(residuals, k)
+    q = conformal_quantile(residuals, alpha)
     return _make_intervals(mu.min(axis=0) - q, mu.max(axis=0) + q)
 
 

@@ -46,16 +46,6 @@ class MlpConfig:
     def to_dict(self) -> dict:
         return dict(asdict(self), hidden_widths=list(self.hidden_widths))
 
-    @staticmethod
-    def from_dict(d: dict) -> "MlpConfig":
-        return MlpConfig(
-            input_dim=int(d["input_dim"]),
-            hidden_widths=tuple(int(w) for w in d["hidden_widths"]),
-            output_dim=int(d["output_dim"]),
-            activation=str(d["activation"]),
-            init_seed=int(d["init_seed"]),
-        )
-
 
 @lru_cache(maxsize=64)
 def param_count(cfg: MlpConfig) -> int:

@@ -255,6 +255,8 @@ def _train(objective, x0, trains, seeds, opt, epoch_values, on_step=None):
     step, the live stack (the next step replaces it, never writes into
     it) and the live rows' indices; after each epoch the live lanes'
     traces take theirs of the S values ``epoch_values(x, batch_losses)``.
+    With ``epoch_values=None`` nothing is computed per epoch and every
+    trace stays empty; the iterates are the same bit for bit.
     A lane whose loss, gradient or iterate is non-finite freezes: its row
     keeps its last finite iterate and its trace stops; the loop ends when
     every lane has frozen. No operation mixes rows, so each lane equals
@@ -293,9 +295,10 @@ def _train(objective, x0, trains, seeds, opt, epoch_values, on_step=None):
                 step += 1
                 if on_step is not None:
                     on_step(step, x, live)
-            values = epoch_values(x, losses)
-            for s in live:
-                traces[s].append(values[s])
+            if epoch_values is not None:
+                values = epoch_values(x, losses)
+                for s in live:
+                    traces[s].append(values[s])
     return [(row, tuple(trace), bool(f)) for row, trace, f in zip(x, traces, frozen)]
 
 
@@ -351,12 +354,14 @@ def _lanes(cfg, train, opt) -> tuple[list, list, list, bool]:
     return cfgs, trains, opts, solo
 
 
-def map_fit(cfg: MlpConfig, train: Dataset, opt: OptimConfig):
+def map_fit(cfg: MlpConfig, train: Dataset, opt: OptimConfig, trace: bool = True):
     """Penalized maximum likelihood from the seeded initialization.
 
     The per-epoch trace holds the full-dataset objective after each
-    epoch. A non-finite loss or parameter aborts the run and returns the
-    last finite parameters with ``diverged`` set.
+    epoch; ``trace=False`` skips that full-data pass and leaves the trace
+    empty, with the same fitted state. A non-finite loss or parameter
+    aborts the run and returns the last finite parameters with
+    ``diverged`` set.
 
     Given lists of configs, datasets and optimizer configs (one entry per
     fit) instead, it trains those fits in lockstep as lanes of one loop
@@ -366,8 +371,9 @@ def map_fit(cfg: MlpConfig, train: Dataset, opt: OptimConfig):
     cfgs, trains, opts, solo = _lanes(cfg, train, opt)
     x0 = np.stack([init_params(c) for c in cfgs])
     objective, epoch_values = _penalized_objective(cfgs[0], trains, opts[0])
-    lanes = _train(objective, x0, trains, [o.seed for o in opts], opts[0], epoch_values)
-    results = [FitResult(MapState(theta), trace, diverged=d) for theta, trace, d in lanes]
+    seeds = [o.seed for o in opts]
+    lanes = _train(objective, x0, trains, seeds, opts[0], epoch_values if trace else None)
+    results = [FitResult(MapState(theta), values, diverged=d) for theta, values, d in lanes]
     return results[0] if solo else results
 
 
@@ -445,6 +451,7 @@ def swag_fit(
     opt: OptimConfig,
     rank: int = 20,
     snapshot_every: int | None = None,
+    trace: bool = True,
 ):
     """Collect SWAG moments by continuing optimization from a point estimate.
 
@@ -452,7 +459,8 @@ def swag_fit(
     the iterate is recorded into a running mean, a running elementwise
     second moment, and the last ``rank`` deviation columns; each column
     is the iterate minus the running mean *after* that snapshot was
-    folded in. Optimizer moments restart from zero at the hand-off.
+    folded in. Optimizer moments restart from zero at the hand-off. The
+    trace is ``map_fit``'s, and ``trace=False`` skips it the same way.
 
     As with ``map_fit``, lists of starts, configs, datasets and optimizer
     configs train in lockstep and give a list of results.
@@ -485,10 +493,12 @@ def swag_fit(
     x0 = np.stack([s.theta for s in starts])
     objective, epoch_values = _penalized_objective(cfgs[0], trains, opts[0])
     seeds = [o.seed for o in opts]
-    lanes = _train(objective, x0, trains, seeds, opts[0], epoch_values, on_step)
+    lanes = _train(
+        objective, x0, trains, seeds, opts[0], epoch_values if trace else None, on_step
+    )
     results = [
-        FitResult(m.state(), trace, diverged=d or m.diverged)
-        for m, (_, trace, d) in zip(moments, lanes)
+        FitResult(m.state(), values, diverged=d or m.diverged)
+        for m, (_, values, d) in zip(moments, lanes)
     ]
     return results[0] if solo else results
 
@@ -756,11 +766,33 @@ def _check_object(value, what: str) -> None:
         raise DataError(f"{what} must be a JSON object, got {type(value).__name__}")
 
 
-def _count(doc: dict, key: str) -> int:
-    value = doc[key]
-    if type(value) is not int:
-        raise DataError(f"state field {key!r} must be an integer, got {value!r}")
+_JSON_TYPE = {int: "an integer", str: "a string", list: "a list"}
+
+
+def _field(value, name: str, kind: type = int):
+    """``value`` if it is exactly of ``kind`` (a bool is no integer), else
+    a ``DataError`` naming the state field."""
+    if type(value) is not kind:
+        raise DataError(f"state field {name!r} must be {_JSON_TYPE[kind]}, got {value!r}")
     return value
+
+
+def _model(doc) -> MlpConfig:
+    """The state's model, each field checked for its JSON type."""
+    _check_object(doc, "state field 'model'")
+    widths = _field(doc["hidden_widths"], "model.hidden_widths", list)
+    try:
+        return MlpConfig(
+            input_dim=_field(doc["input_dim"], "model.input_dim"),
+            hidden_widths=tuple(
+                _field(w, f"model.hidden_widths[{i}]") for i, w in enumerate(widths)
+            ),
+            output_dim=_field(doc["output_dim"], "model.output_dim"),
+            activation=_field(doc["activation"], "model.activation", str),
+            init_seed=_field(doc["init_seed"], "model.init_seed"),
+        )
+    except ValueError as exc:
+        raise DataError(f"state model is invalid: {exc}") from None
 
 
 def _decode(arrays: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:
@@ -791,24 +823,20 @@ def _state_from_dict(doc: dict) -> tuple[PosteriorState, MlpConfig, str]:
     task = doc["task"]
     if task not in (CLASSIFICATION, REGRESSION):
         raise DataError(f"unknown task {task!r} in state")
-    _check_object(doc["model"], "state field 'model'")
+    model = _model(doc["model"])
     arrays = doc["arrays"]
     _check_object(arrays, "state field 'arrays'")
-    try:
-        model = MlpConfig.from_dict(doc["model"])
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"state model is invalid: {exc}") from None
     p = param_count(model)
     values: dict = {}
     for f in fields(cls):
         if f.type == "int":
-            values[f.name] = _count(doc, f.name)
+            values[f.name] = _field(doc[f.name], f.name)
         elif f.type == "np.ndarray":
-            shape = (p, _count(doc, "rank")) if f.name == "deviations" else (p,)
+            shape = (p, _field(doc["rank"], "rank")) if f.name == "deviations" else (p,)
             values[f.name] = _decode(arrays, f.name, shape)
         else:
             values[f.name] = tuple(
-                _decode(arrays, f"member_{i}", (p,)) for i in range(_count(doc, f.name))
+                _decode(arrays, f"member_{i}", (p,)) for i in range(_field(doc[f.name], f.name))
             )
     try:
         return cls(**values), model, task

@@ -13,7 +13,10 @@ linear over GF(2), so M^(2^j), the step applied 2^j times, is a 64x64 bit
 matrix; applying it to the k states made so far gives the next k
 (Haramoto et al. 2008, "Efficient jump ahead for F2-linear random number
 generators"). Each M^(2^j) is kept as 8 byte-indexed 256-entry tables,
-built at first use by squaring and shared by every stream. The output
+built at first use by squaring and shared by every stream. From 256
+states on, only every B-th state is made by jumps (of M^(B 2^j)), and
+the B - 1 after each by plain xorshift steps across all of them at once:
+B = 4 from 256 states, 8 from 2,048 and 16 from 16,384. The output
 multiply, the uniform scaling and ``np.sqrt`` are exact or correctly
 rounded in numpy. The Box-Muller log stays ``math.log`` per value, since
 ``np.log`` can differ from it in the last bit; ``np.cos``/``np.sin`` are
@@ -23,6 +26,7 @@ set of angles, and ``math`` is used otherwise.
 
 from __future__ import annotations
 
+import bisect
 import math
 import threading
 
@@ -45,6 +49,12 @@ _BYTE_OFFSETS = np.arange(0, 8 * 256, 256)
 # threads never append a level twice; nothing is built at import.
 _JUMPS: list[np.ndarray] = []
 _JUMPS_LOCK = threading.Lock()
+
+# blocked stepping: _states makes n states in blocks of B = 2**b, with b
+# _BLOCK_BITS[i] for the number i of _BLOCK_FROM's counts that n reaches
+_BLOCK_FROM = (256, 2048, 16384)
+_BLOCK_BITS = (0, 2, 3, 4)
+_SHIFTS = np.uint64(12), np.uint64(25), np.uint64(27)
 
 # whether np.cos/np.sin equal math.cos/math.sin; probed at first use
 _NUMPY_TRIG_EXACT: bool | None = None
@@ -168,17 +178,33 @@ class Rng:
         self._cached_normal: float | None = None
 
     def _states(self, n: int) -> np.ndarray:
-        """The stream's next n states, made by doubling jumps; the stream
-        moves past them."""
-        states = np.empty(n, dtype=_U64)
+        """The stream's next n states; the stream moves past them.
+
+        Every B-th state (every state when B is 1) comes from doubling
+        jumps of M^B; row t of the ``(B, n / B)`` block is then row t - 1
+        stepped once, and the block read column by column is the stream."""
         if n == 0:
-            return states
-        states[0] = _step(self._state)
+            return np.empty(0, dtype=_U64)
+        b = _BLOCK_BITS[bisect.bisect(_BLOCK_FROM, n)]
+        h = -(-n >> b)
+        heads = np.empty(h, dtype=_U64)
+        heads[0] = _step(self._state)
         k, j = 1, 0
-        while k < n:
-            m = min(k, n - k)
-            states[k : k + m] = _apply(_jump(j), states[:m])
+        while k < h:
+            m = min(k, h - k)
+            heads[k : k + m] = _apply(_jump(j + b), heads[:m])
             k, j = k + m, j + 1
+        states = heads
+        if b:
+            right, left, last = _SHIFTS
+            block = np.empty((1 << b, h), dtype=_U64)
+            block[0] = heads
+            for prev, x in zip(block, block[1:]):
+                np.right_shift(prev, right, out=x)
+                x ^= prev
+                x ^= x << left
+                x ^= x >> last
+            states = block.T.ravel()[:n]
         self._state = int(states[-1])
         return states
 

@@ -303,18 +303,62 @@ def test_conformal_parser_takes_the_table_flags():
 
 
 @pytest.mark.parametrize("method, targets, message", [
-    ("baseline", [0], "prediction sets and targets disagree on length"),
-    ("baseline", [0, 1, 0, 1, 0], "prediction sets and targets disagree on length"),
-    ("baseline", [7, 0, 1, 0], "targets row 1: class label 7 is not a nonnegative integer below 2"),
-    ("cqr", [0.5], "intervals and targets disagree on length"),
-    ("cqr", [0.5] * 5, "intervals and targets disagree on length"),
+    ("baseline", [0], "data error: {dir}/test_probs.csv has 4 data rows but {dir}/y.csv has 1"),
+    ("baseline", [0, 1, 0, 1, 0],
+     "data error: {dir}/test_probs.csv has 4 data rows but {dir}/y.csv has 5"),
+    ("baseline", [7, 0, 1, 0],
+     "error: targets row 1: class label 7 is not a nonnegative integer below 2"),
+    ("cqr", [0.5], "data error: {dir}/test_lower.csv has 4 data rows but {dir}/y.csv has 1"),
+    ("cqr", [0.5] * 5, "data error: {dir}/test_lower.csv has 4 data rows but {dir}/y.csv has 5"),
 ])
 def test_coverage_needs_one_valid_target_per_test_row(tmp_path, capsys, method, targets, message):
     write_targets(tmp_path / "y.csv", targets)
     argv = conformal_argv(tmp_path, method) + ["--test-targets", str(tmp_path / "y.csv")]
     code, out, err = run(capsys, *argv)
     assert code == 3 and out == ""
-    assert err == f"error: {message}\n"
+    assert err == message.format(dir=tmp_path) + "\n"
+
+
+def _row_pairs():
+    """(command, conformal method, first flag, partner flag) of every CLI
+    pairing of files whose data rows must match."""
+    for method, (_, flags) in _CONFORMAL.items():
+        for group in ("val_", "test_"):
+            paired = [f for f in [*flags, "test_targets"] if f.startswith(group)]
+            for flag in paired[1:]:
+                yield pytest.param("conformal", method, paired[0], flag, id=f"{method}-{flag}")
+    for first, flag in (("probs", "targets"), ("calib_probs", "calib_targets")):
+        yield pytest.param("evaluate", None, first, flag, id=f"evaluate-{flag}")
+    yield pytest.param("calibrate", None, "logits", "targets", id="calibrate-targets")
+
+
+@pytest.mark.parametrize("command, method, first, short", _row_pairs())
+def test_paired_files_with_different_row_counts_exit_3_naming_both(
+    tmp_path, capsys, command, method, first, short
+):
+    if command == "conformal":
+        argv = conformal_argv(tmp_path, method)
+        flags = ["test_targets"]
+    elif command == "evaluate":
+        argv = ["evaluate", "--alpha", "0.5"]
+        flags = ["probs", "targets", "calib_probs", "calib_targets"]
+    else:
+        argv = ["calibrate", "--out-dir", str(tmp_path / "new")]
+        flags = ["logits", "targets"]
+    for flag in flags:
+        argv += [f"--{flag.replace('_', '-')}", str(tmp_path / f"{flag}.csv")]
+    for flag in [*flags, short]:
+        kind = flag.rsplit("_", 1)[-1]
+        header, rows = _INPUT_ROWS["probs" if kind == "logits" else kind]
+        rows = rows[:3] if flag == short else rows
+        write_matrix_csv(tmp_path / f"{flag}.csv", np.array(rows, float), header)
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err == (
+        f"data error: {tmp_path / f'{first}.csv'} has 4 data rows "
+        f"but {tmp_path / f'{short}.csv'} has 3\n"
+    )
+    assert not (tmp_path / "new").exists()
 
 
 def test_unbounded_intervals_report_a_null_mean_width(tmp_path, capsys):
@@ -912,12 +956,42 @@ class TestTrainCommand:
         assert err == "diverged: MAP phase diverged for seed 0\n"
         assert lanes == []
 
+    def test_benchmark_fits_make_no_full_data_pass(self, tmp_path, capsys, monkeypatch):
+        # a fit's one full-data forward pass is its per-epoch trace, which
+        # no benchmark report reads; train still writes every trace row
+        rows = []
+        real = posterior.mlp_forward
+
+        def counting(cfg, theta, inputs):
+            rows.append(len(inputs))
+            return real(cfg, theta, inputs)
+
+        monkeypatch.setattr(posterior, "mlp_forward", counting)
+        optimizer = {
+            "algorithm": "adam", "learning_rate": 0.01, "epochs": 3,
+            "batch_size": 16, "weight_decay": 0.0,
+        }
+        config = train_config(
+            tmp_path, method="swag", method_params={"rank": 2}, seeds=[0, 1, 2],
+            optimizer=optimizer,
+        )
+        code, _, err = run(capsys, "benchmark", "--config", str(config))
+        assert code == 0, err
+        assert rows == []
+        config = train_config(
+            tmp_path, method="swag", method_params={"rank": 2}, optimizer=optimizer
+        )
+        code, _, err = run(capsys, "train", "--config", str(config))
+        assert code == 0, err
+        assert rows == [90] * 6  # after each MAP and SWAG epoch, on all 90 train rows
+        assert len((tmp_path / "run" / "trace.csv").read_text().splitlines()) == 7
+
     def test_benchmark_reports_an_earlier_seeds_swag_divergence_first(
         self, tmp_path, capsys, monkeypatch
     ):
         # seed 0's SWAG fit diverges and seed 1's MAP fit diverges: seed
         # order decides which is reported
-        def fake_map(models, trains, opts):
+        def fake_map(models, trains, opts, trace=True):
             return [FitResult(MapState(np.zeros(param_count(m))), (0.0,), diverged=i == 1)
                     for i, m in enumerate(models)]
 
@@ -1363,6 +1437,20 @@ def _fault_cases():
                base=state_to_dict(EnsembleState((theta, -theta)), cfg, "classification")),
         broken("unknown_activation", "state model is invalid: unknown activation 'sigmoid'",
                lambda d: d["model"].update(activation="sigmoid")),
+        broken("float_input_dim", "state field 'model.input_dim' must be an integer, got 2.9",
+               lambda d: d["model"].update(input_dim=2.9)),
+        broken("string_init_seed", "state field 'model.init_seed' must be an integer, got '7'",
+               lambda d: d["model"].update(init_seed="7")),
+        broken("bool_output_dim", "state field 'model.output_dim' must be an integer, got True",
+               lambda d: d["model"].update(output_dim=True)),
+        broken("float_width", "state field 'model.hidden_widths[0]' must be an integer, got 4.0",
+               lambda d: d["model"].update(hidden_widths=[4.0])),
+        broken("string_widths", "state field 'model.hidden_widths' must be a list, got '4'",
+               lambda d: d["model"].update(hidden_widths="4")),
+        broken("number_activation", "state field 'model.activation' must be a string, got 1",
+               lambda d: d["model"].update(activation=1)),
+        broken("missing_model_key", "state lacks required key 'init_seed'",
+               lambda d: d["model"].pop("init_seed")),
         broken("zero_precision",
                "invalid laplace state: diag_precision must be strictly positive",
                lambda d: d["arrays"].update(diag_precision=zeros),

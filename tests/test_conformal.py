@@ -317,6 +317,19 @@ class TestJackknife:
             jackknife_plus(flaky, ds, np.zeros((1, 1)), 0.3)
 
 
+@pytest.mark.parametrize("fit", [
+    lambda ds, x: jackknife_plus(mean_trainer, ds, x, 0.1),
+    lambda ds, x: jackknife_minmax(mean_trainer, ds, x, 0.1),
+    lambda ds, x: cv_plus(mean_trainer, ds, 5, x, 0.1, seed=0),
+], ids=["jackknife_plus", "jackknife_minmax", "cv_plus"])
+def test_ranks_past_the_calibration_count_give_unbounded_intervals(fit):
+    # n = 5, alpha = 0.1: ceil(0.9 * 6) = 6 > 5 and floor(0.1 * 6) = 0 < 1,
+    # so no finite endpoint keeps the guarantee
+    out = fit(regression_ds([0.0, 1.0, 2.0, 3.0, 4.0]), np.zeros((2, 1)))
+    assert out.lower.tolist() == [-np.inf] * 2 and out.upper.tolist() == [np.inf] * 2
+    assert not out.collapsed.any()
+
+
 class TestCvPlus:
     def test_folds_are_contiguous_chunks_of_a_permutation(self):
         fold_of = cv_folds(10, 3, seed=4)

@@ -864,6 +864,22 @@ def test_a_lane_that_diverges_mid_run_freezes_while_the_others_finish():
         assert_same_fit(lane, map_fit(cfg, train, opt))
 
 
+def test_untraced_fits_equal_the_traced_fits_with_empty_traces():
+    # the middle lane diverges in epoch 16 of 30, so freezing is covered
+    cfgs, trains, opts = _scaled_lanes([(1.0, 2), (6.0, 1), (1.0, 3)])
+    maps = map_fit(cfgs, trains, opts)
+    starts = [m.state for m in maps]
+    swags = swag_fit(starts, cfgs, trains, opts, rank=2)
+    assert [len(f.trace) for f in maps] == [30, 16, 30] and swags[0].trace
+    for traced, untraced in [
+        *zip(maps, map_fit(cfgs, trains, opts, trace=False)),
+        *zip(swags, swag_fit(starts, cfgs, trains, opts, rank=2, trace=False)),
+        (maps[0], map_fit(cfgs[0], trains[0], opts[0], trace=False)),
+        (swags[0], swag_fit(starts[0], cfgs[0], trains[0], opts[0], rank=2, trace=False)),
+    ]:
+        assert_same_fit(untraced, replace(traced, trace=()))
+
+
 # the lockstep forms of ``_DIVERGING_FITS``
 _LOCKSTEP_FITS = {
     "map_fit": map_fit,

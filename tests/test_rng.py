@@ -147,6 +147,35 @@ def test_mixed_calls_equal_the_scalar_stream(seed, calls):
     assert fast._cached_normal == slow._cached_normal
 
 
+# counts at and around each blocked-stepping threshold, most of them not a
+# multiple of the block length there, and counts between the thresholds
+_BLOCKED_SIZES = st.one_of(
+    st.sampled_from([t + d for t in rng_module._BLOCK_FROM for d in (-1, 0, 1, 3, 7, 9)]),
+    st.integers(rng_module._BLOCK_FROM[0] - 2, rng_module._BLOCK_FROM[-1] + 40),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    method=st.sampled_from(["_states", "uniforms", "normals", "permutation"]),
+    n=_BLOCKED_SIZES,
+    cached=st.booleans(),
+)
+def test_blocked_stepping_equals_the_scalar_stream(seed, method, n, cached):
+    fast, slow = Rng(seed), ScalarRng(seed)
+    if cached:  # an odd normals call leaves the sin half cached
+        assert fast.normals(3).tobytes() == slow.normals(3).tobytes()
+    if method == "_states":
+        got = fast._states(n).tolist()
+        want = [(slow.next_uint64(), slow._state)[1] for _ in range(n)]
+    else:
+        got, want = getattr(fast, method)(n).tobytes(), getattr(slow, method)(n).tobytes()
+    assert got == want
+    assert fast._state == slow._state
+    assert fast._cached_normal == slow._cached_normal
+
+
 def test_normals_do_not_depend_on_how_the_calls_split():
     whole = Rng(11).normals(1001)
     r = Rng(11)
