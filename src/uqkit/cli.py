@@ -83,55 +83,62 @@ _COLUMN_OF = {
 }
 
 
-def read_probs_csv(path) -> np.ndarray:
-    """Probability (or logit) matrix: the p0..pK-1 columns when present,
-    otherwise every column in file order. A non-finite cell among them is
-    a ``DataError`` naming the file, the data row (1 = first after the
-    header) and the column."""
+def _read_input(path, flag: str, labels: bool) -> np.ndarray:
+    """A CSV input, read by the last word of its flag: a ``probs`` or
+    ``logits`` matrix of the p0..pK-1 columns (of every column, as read,
+    when there are none), else a vector of the flag's canonical column or
+    the only one, as class labels for ``targets`` when ``labels`` is set.
+    A non-finite cell among those read is a ``DataError`` naming the file,
+    the data row (1 = first after the header) and the column."""
+    kind = flag.rsplit("_", 1)[-1]
+    want = _COLUMN_OF.get(kind)  # None for a probs or logits matrix
     matrix, header = read_matrix_csv(path)
-    indexed = [(int(m.group(1)), i) for i, h in enumerate(header) if (m := _PROB_COLUMN.match(h))]
-    if indexed:
-        indexed.sort()
-        ranks = [r for r, _ in indexed]
-        if ranks != list(range(len(ranks))):
+    if want is None:
+        ranked = sorted(
+            (int(m.group(1)), i) for i, h in enumerate(header) if (m := _PROB_COLUMN.match(h))
+        )
+        if [r for r, _ in ranked] != list(range(len(ranked))):
             raise DataError(f"{path}: probability columns must be contiguous p0..pK-1")
-        columns = [i for _, i in indexed]
-        matrix, header = matrix[:, columns], [header[i] for i in columns]
-    check_finite_cells(path, matrix, header)
-    return matrix
-
-
-def read_vector_csv(path, kind: str) -> np.ndarray:
-    """One float column: the canonical column for ``kind``, or the only
-    one. A non-finite cell in it is a ``DataError`` as in
-    ``read_probs_csv``."""
-    matrix, header = read_matrix_csv(path)
-    want = _COLUMN_OF[kind]
-    if want in header:
-        col = header.index(want)
+        columns = [i for _, i in ranked]
+    elif want in header:
+        columns = [header.index(want)]
     elif len(header) == 1:
-        col = 0
+        columns = [0]
     else:
         raise DataError(
             f"{path} has columns {header}; expected a single column or one named {want!r}"
         )
-    check_finite_cells(path, matrix[:, [col]], [header[col]])
-    return matrix[:, col]
+    if columns:
+        matrix, header = matrix[:, columns], [header[i] for i in columns]
+    check_finite_cells(path, matrix, header)
+    if want is None:
+        return matrix
+    return class_labels(matrix[:, 0], path) if labels and kind == "targets" else matrix[:, 0]
 
 
-def read_targets_csv(path, classification: bool) -> np.ndarray:
-    values = read_vector_csv(path, "targets")
-    return class_labels(values, path) if classification else values
-
-
-def _same_rows(*files) -> None:
-    """A ``DataError`` naming both files and both row counts when a file
-    has a different number of data rows from the first; each file is a
-    (path, array read from it) pair."""
-    (first, rows), *rest = files
-    for path, values in rest:
-        if len(values) != len(rows):
-            raise DataError(f"{first} has {len(rows)} data rows but {path} has {len(values)}")
+def _read_inputs(args, flags, labels: bool) -> dict[str, np.ndarray]:
+    """Each of ``flags`` that was given, read once by ``_read_input``.
+    Files whose flags share a first word (``val``, ``test``, ``calib`` or
+    none) pair row by row, and all matrices hold the same classes: a count
+    that differs from the first such file's is a ``DataError`` naming both
+    files and both counts."""
+    inputs = {
+        flag: _read_input(getattr(args, flag), flag, labels)
+        for flag in flags
+        if getattr(args, flag) is not None
+    }
+    firsts = {}
+    for flag, values in inputs.items():
+        counts = [("data rows", flag.rpartition("_")[0], len(values))]
+        if values.ndim == 2:
+            counts.append(("classes", "", values.shape[1]))
+        for unit, group, count in counts:
+            first, n = firsts.setdefault((unit, group), (flag, count))
+            if n != count:
+                raise DataError(
+                    f"{getattr(args, first)} has {n} {unit} but {getattr(args, flag)} has {count}"
+                )
+    return inputs
 
 
 def write_sets_csv(path: Path, sets: PredictionSets) -> None:
@@ -201,16 +208,6 @@ _CONFORMAL = {
 }
 
 
-def _read_input(path, flag: str, labels: bool) -> np.ndarray:
-    """A conformal input, read by the last word of its flag."""
-    kind = flag.rsplit("_", 1)[1]
-    if kind == "probs":
-        return read_probs_csv(path)
-    if kind == "targets":
-        return read_targets_csv(path, classification=labels)
-    return read_vector_csv(path, kind)
-
-
 def cmd_conformal(args) -> int:
     name, flags = _CONFORMAL[args.method]
     for flag in flags:
@@ -223,16 +220,9 @@ def cmd_conformal(args) -> int:
         raise ConfigError(["--seed is read only with --method adaptive --mode randomized"])
     out = Path(args.out)
     labels = "test_probs" in flags  # the set methods
-    paths = [getattr(args, flag) for flag in flags]
-    inputs = [_read_input(path, flag, labels) for path, flag in zip(paths, flags)]
-    # the val files must agree on their row count, and so must the test files
-    groups: dict[str, list] = {"val": [], "test": []}
-    for flag, path, values in zip(flags, paths, inputs):
-        groups[flag.split("_")[0]].append((path, values))
-    for files in groups.values():
-        _same_rows(*files)
+    inputs = _read_inputs(args, (*flags, "test_targets"), labels)
     kwargs = {"rng": Rng(0 if args.seed is None else args.seed)} if randomized else {}
-    result = globals()[name](*inputs, args.alpha, **kwargs)
+    result = globals()[name](*(inputs[flag] for flag in flags), args.alpha, **kwargs)
     report = {"method": args.method, "alpha": args.alpha, "n": len(result), "out": str(out)}
     if labels:
         report["mean_set_size"] = float(np.mean(result.sizes()))
@@ -242,9 +232,7 @@ def cmd_conformal(args) -> int:
         report["mean_width"] = width if np.isfinite(width) else None
         report["collapsed"] = int(result.collapsed.sum())
     if args.test_targets:
-        y = _read_input(args.test_targets, "test_targets", labels)
-        _same_rows(groups["test"][0], (args.test_targets, y))
-        report["coverage"] = float(np.mean(result.contains(y)))
+        report["coverage"] = float(np.mean(result.contains(inputs["test_targets"])))
     (write_sets_csv if labels else write_intervals_csv)(out, result)
     sys.stdout.write(json_text(report))
     return 0
@@ -255,9 +243,8 @@ def cmd_conformal(args) -> int:
 
 def cmd_calibrate(args) -> int:
     out_dir = Path(args.out_dir)
-    logits = read_probs_csv(args.logits)
-    targets = read_targets_csv(args.targets, classification=True)
-    _same_rows((args.logits, logits), (args.targets, targets))
+    inputs = _read_inputs(args, ("logits", "targets", "test_logits"), labels=True)
+    logits, targets = inputs["logits"], inputs["targets"]
     # an absent flag passes nothing, so fit_temperature's default holds
     method = {} if args.method is None else {"method": args.method}
     fit = fit_temperature(logits, targets, **method)
@@ -266,8 +253,7 @@ def cmd_calibrate(args) -> int:
             raise DataError(
                 f"{name} is {getattr(fit, name)}: the logits are too large for a finite NLL"
             )
-    target_logits = read_probs_csv(args.test_logits) if args.test_logits else logits
-    probs = apply_temperature(target_logits, fit.temperature)
+    probs = apply_temperature(inputs.get("test_logits", logits), fit.temperature)
     write_probs_csv(out_dir / "calibrated.csv", probs)
     report = {
         "t": fit.temperature,
@@ -401,6 +387,21 @@ _SOURCE_FLAGS = {
 }
 
 
+def _load_data(path, model, task: str, target_column: str):
+    """A dataset ``model`` takes: one feature per model input and, for
+    classification, no label past its classes. Either fault is a
+    ``DataError`` naming the file."""
+    ds = load_csv(path, task, target_column)
+    if ds.d != model.input_dim:
+        raise DataError(f"{path} has {ds.d} features but the model takes {model.input_dim}")
+    if task == CLASSIFICATION and ds.n_classes > model.output_dim:
+        raise DataError(
+            f"{path} has labels up to {ds.n_classes - 1} but the model "
+            f"has {model.output_dim} classes"
+        )
+    return ds
+
+
 def _evaluate(args, out_dir: Path | None) -> dict:
     """An ``evaluate`` run's report, once its CSV outputs are under ``out_dir``."""
     if (args.probs is None) == (args.state is None):
@@ -417,35 +418,27 @@ def _evaluate(args, out_dir: Path | None) -> dict:
             raise ConfigError(
                 ["--alpha with --probs needs --calib-probs and --calib-targets"]
             )
-        probs = read_probs_csv(args.probs)
-        targets = read_targets_csv(args.targets, classification=True)
-        _same_rows((args.probs, probs), (args.targets, targets))
-        if args.alpha is not None:
-            calib = (
-                read_probs_csv(args.calib_probs),
-                read_targets_csv(args.calib_targets, classification=True),
-            )
-            _same_rows(*zip((args.calib_probs, args.calib_targets), calib))
+        # without --alpha, no calibration file is read
+        calib_flags = ("calib_probs", "calib_targets") if args.alpha is not None else ()
+        inputs = _read_inputs(args, ("probs", "targets", *calib_flags), labels=True)
+        probs, targets = inputs["probs"], inputs["targets"]
+        calib = tuple(inputs[flag] for flag in calib_flags)
     else:
         state, model, task = load_state(args.state)
         if task != CLASSIFICATION and args.calib_data is not None:
             raise ConfigError(["--calib-data is read only with a classification state"])
         if task == CLASSIFICATION and args.alpha is not None and args.calib_data is None:
             raise ConfigError(["--alpha with --state needs --calib-data"])
-        test_ds = load_csv(args.data, task, args.target_column)
+        test_ds = _load_data(args.data, model, task, args.target_column)
+        if task == CLASSIFICATION and args.alpha is not None:
+            calib_ds = _load_data(args.calib_data, model, task, args.target_column)
         seed = {} if args.seed is None else {"seed": args.seed}
         thetas, rng = sample_weights(state, args.predictive_samples, **seed)
         if task != CLASSIFICATION:
             return _evaluate_regression(thetas, rng, model, test_ds, args.alpha, out_dir)
         probs = predictive_mean_classification(thetas, model, test_ds.inputs)
-        if probs.shape[1] < test_ds.n_classes:
-            raise DataError(
-                f"data has labels up to {test_ds.n_classes - 1} but the model "
-                f"has {probs.shape[1]} classes"
-            )
         targets = test_ds.targets
         if args.alpha is not None:
-            calib_ds = load_csv(args.calib_data, task, args.target_column)
             calib = (
                 predictive_mean_classification(thetas, model, calib_ds.inputs),
                 calib_ds.targets,

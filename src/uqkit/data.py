@@ -9,6 +9,7 @@ digits so write/load round-trips bit-exactly.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -229,51 +230,59 @@ _WRITE_BLOCK_ROWS = 1024
 def read_matrix_csv(path) -> tuple[np.ndarray, list[str]]:
     """Read an all-float CSV with header into (matrix, column names).
 
-    A plain body is parsed by ``np.loadtxt``; any other file, and any file
-    ``loadtxt`` rejects, goes through the Python reader, which gives the
-    same matrix and is the source of every error message."""
+    The file is opened once. A plain body is parsed by ``np.loadtxt``; any
+    other file, any file ``loadtxt`` rejects, and any stream that cannot
+    seek (a pipe or FIFO) goes through the Python reader on the same
+    handle, which gives the same matrix and is the source of every error
+    message."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
-    return _read_csv_plain(path) or _read_csv_python(path)
-
-
-def _read_csv_plain(path: Path) -> tuple[np.ndarray, list[str]] | None:
-    """The C-speed read, or None when the file is not plain or ``loadtxt``
-    fails on it. The header line must end in a newline and hold no quote
-    and no bare carriage return; the body is checked in chunks, so memory
-    stays at the matrix's size."""
     with path.open("rb") as fh:
-        head = fh.readline()
-        if not head.endswith(b"\n") or b'"' in head or b"\r" in head[:-2]:
+        return _read_csv_plain(fh) or _read_csv_python(path, fh)
+
+
+def _read_csv_plain(fh) -> tuple[np.ndarray, list[str]] | None:
+    """The C-speed read of a binary handle at its start, or None when the
+    handle cannot seek (before any byte is read), the file is not plain or
+    ``loadtxt`` fails on it. The header line must end in a newline and hold
+    no quote and no bare carriage return; the body is checked in chunks, so
+    memory stays at the matrix's size."""
+    if not fh.seekable():
+        return None
+    head = fh.readline()
+    if not head.endswith(b"\n") or b'"' in head or b"\r" in head[:-2]:
+        return None
+    non_blank = False
+    while chunk := fh.read(_SCAN_BYTES):
+        if chunk.translate(None, _PLAIN_BYTES):
             return None
-        non_blank = False
-        while chunk := fh.read(_SCAN_BYTES):
-            if chunk.translate(None, _PLAIN_BYTES):
-                return None
-            non_blank = non_blank or bool(chunk.translate(None, b"\r\n"))
-        if not non_blank:
-            return None
-        try:
-            header = [h.strip() for h in next(csv.reader([head.decode("utf-8-sig")]))]
-        except UnicodeDecodeError:
-            return None
-        fh.seek(len(head))
-        try:
-            matrix = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            return None
+        non_blank = non_blank or bool(chunk.translate(None, b"\r\n"))
+    if not non_blank:
+        return None
+    try:
+        header = [h.strip() for h in next(csv.reader([head.decode("utf-8-sig")]))]
+    except UnicodeDecodeError:
+        return None
+    fh.seek(len(head))
+    try:
+        matrix = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
     if matrix.shape[1] != len(header):
         return None
     return matrix, header
 
 
-def _read_csv_python(path: Path) -> tuple[np.ndarray, list[str]]:
-    """The exact reader: any text ``float`` accepts, one ``DataError`` per
-    fault."""
+def _read_csv_python(path, fh) -> tuple[np.ndarray, list[str]]:
+    """The exact reader of ``path``'s binary handle ``fh``, from the start
+    when it can seek, closing it: any text ``float`` accepts, one
+    ``DataError`` per fault."""
+    if fh.seekable():
+        fh.seek(0)
     try:
-        with path.open(newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
+        with io.TextIOWrapper(fh, encoding="utf-8-sig", newline="") as text:
+            reader = csv.reader(text)
             try:
                 header = [h.strip() for h in next(reader)]
             except StopIteration:

@@ -849,4 +849,9 @@ def save_state(path, state: PosteriorState, model: MlpConfig, task: str) -> None
 
 
 def load_state(path) -> tuple[PosteriorState, MlpConfig, str]:
-    return state_from_dict(read_json(path, "state"))
+    """``state_from_dict`` of the file's JSON; each ``DataError`` names the file."""
+    doc = read_json(path, "state")
+    try:
+        return state_from_dict(doc)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -320,45 +321,95 @@ def test_coverage_needs_one_valid_target_per_test_row(tmp_path, capsys, method, 
 
 
 def _row_pairs():
-    """(command, conformal method, first flag, partner flag) of every CLI
-    pairing of files whose data rows must match."""
+    """(command, conformal method, first flag, partner flag, unit) of every
+    CLI pairing of files whose data rows, or classes, must match."""
     for method, (_, flags) in _CONFORMAL.items():
         for group in ("val_", "test_"):
             paired = [f for f in [*flags, "test_targets"] if f.startswith(group)]
             for flag in paired[1:]:
-                yield pytest.param("conformal", method, paired[0], flag, id=f"{method}-{flag}")
+                yield pytest.param(
+                    "conformal", method, paired[0], flag, "data rows", id=f"{method}-{flag}"
+                )
+        if "test_probs" in flags:
+            yield pytest.param(
+                "conformal", method, "val_probs", "test_probs", "classes", id=f"{method}-classes"
+            )
     for first, flag in (("probs", "targets"), ("calib_probs", "calib_targets")):
-        yield pytest.param("evaluate", None, first, flag, id=f"evaluate-{flag}")
-    yield pytest.param("calibrate", None, "logits", "targets", id="calibrate-targets")
+        yield pytest.param("evaluate", None, first, flag, "data rows", id=f"evaluate-{flag}")
+    yield pytest.param("evaluate", None, "probs", "calib_probs", "classes", id="evaluate-classes")
+    yield pytest.param("calibrate", None, "logits", "targets", "data rows", id="calibrate-targets")
+    yield pytest.param(
+        "calibrate", None, "logits", "test_logits", "classes", id="calibrate-classes"
+    )
 
 
-@pytest.mark.parametrize("command, method, first, short", _row_pairs())
+@pytest.mark.parametrize("command, method, first, short, unit", _row_pairs())
 def test_paired_files_with_different_row_counts_exit_3_naming_both(
-    tmp_path, capsys, command, method, first, short
+    tmp_path, capsys, command, method, first, short, unit
 ):
+    # a class-count mismatch between probability or logit files is named the same way
     if command == "conformal":
         argv = conformal_argv(tmp_path, method)
         flags = ["test_targets"]
     elif command == "evaluate":
-        argv = ["evaluate", "--alpha", "0.5"]
+        argv = ["evaluate", "--alpha", "0.5", "--out-dir", str(tmp_path / "new")]
         flags = ["probs", "targets", "calib_probs", "calib_targets"]
     else:
         argv = ["calibrate", "--out-dir", str(tmp_path / "new")]
-        flags = ["logits", "targets"]
+        flags = ["logits", "targets", "test_logits"]
     for flag in flags:
         argv += [f"--{flag.replace('_', '-')}", str(tmp_path / f"{flag}.csv")]
     for flag in [*flags, short]:
         kind = flag.rsplit("_", 1)[-1]
         header, rows = _INPUT_ROWS["probs" if kind == "logits" else kind]
-        rows = rows[:3] if flag == short else rows
+        if flag == short and unit == "data rows":
+            rows = rows[:3]
+        elif flag == short:  # a third class, with no mass
+            header, rows = [*header, "p2"], [[*row, 0.0] for row in rows]
         write_matrix_csv(tmp_path / f"{flag}.csv", np.array(rows, float), header)
     code, out, err = run(capsys, *argv)
     assert code == 3 and out == ""
+    counts = (4, 3) if unit == "data rows" else (2, 3)
     assert err == (
-        f"data error: {tmp_path / f'{first}.csv'} has 4 data rows "
-        f"but {tmp_path / f'{short}.csv'} has 3\n"
+        f"data error: {tmp_path / f'{first}.csv'} has {counts[0]} {unit} "
+        f"but {tmp_path / f'{short}.csv'} has {counts[1]}\n"
     )
     assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize("stream", [
+    pytest.param("fifo", marks=pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")),
+    pytest.param("pipe", marks=pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no fds")),
+])
+def test_an_input_read_from_a_pipe_gives_the_bytes_of_the_file(tmp_path, capsys, stream):
+    # a pipe cannot seek, so the Python reader reads it, once
+    argv = conformal_argv(tmp_path, "baseline") + ["--test-targets"]
+    want = run(capsys, *argv, str(tmp_path / "val_targets.csv"))
+    assert want[0] == 0
+    sets = (tmp_path / "new" / "out.csv").read_bytes()
+    data = (tmp_path / "val_targets.csv").read_bytes()
+    if stream == "fifo":
+        path = tmp_path / "targets.fifo"
+        os.mkfifo(path)
+        sink, close = str(path), lambda: None
+    else:  # as the shell's <(cat targets.csv) passes it
+        read_end, write_end = os.pipe()
+        path, sink, close = f"/dev/fd/{read_end}", write_end, lambda: os.close(read_end)
+
+    def feed():
+        with open(sink, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        got = run(capsys, *argv, str(path))
+    finally:
+        writer.join(timeout=10)
+        close()
+    assert not writer.is_alive()
+    assert got == want
+    assert (tmp_path / "new" / "out.csv").read_bytes() == sets
 
 
 def test_unbounded_intervals_report_a_null_mean_width(tmp_path, capsys):
@@ -1283,8 +1334,46 @@ class TestEvaluateCommand:
             "--out-dir", str(tmp_path / "eval"),
         )
         assert code == 3 and out == ""
-        assert err == "data error: data has labels up to 2 but the model has 2 classes\n"
+        assert err == f"data error: {data} has labels up to 2 but the model has 2 classes\n"
         assert not (tmp_path / "eval").exists()
+
+    # the label case with --data is the test above
+    @pytest.mark.parametrize("flag, text, fault", [
+        *[(flag, "x0,x1,x2,target\n0.1,0.2,0.5,0\n0.3,0.4,0.5,1\n",
+           "has 3 features but the model takes 2") for flag in ("--data", "--calib-data")],
+        *[(flag, "x0,target\n0.1,0\n0.3,1\n", "has 1 features but the model takes 2")
+          for flag in ("--data", "--calib-data")],
+        ("--calib-data", "x0,x1,target\n0.1,0.2,0\n0.3,0.4,2\n",
+         "has labels up to 2 but the model has 2 classes"),
+    ])
+    def test_data_the_model_cannot_take_exits_3_before_any_forward_pass(
+        self, tmp_path, capsys, monkeypatch, flag, text, fault
+    ):
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        good.write_text("x0,x1,target\n0.1,0.2,0\n0.3,0.4,1\n", encoding="utf-8")
+        bad.write_text(text, encoding="utf-8")
+        paths = {"--data": good, "--calib-data": good, flag: bad}
+        monkeypatch.setattr(cli_module, "predictive_mean_classification", None)
+        code, out, err = run(
+            capsys,
+            "evaluate", "--state", str(self.two_class_state(tmp_path)), "--alpha", "0.5",
+            *(str(a) for item in paths.items() for a in item),
+            "--out-dir", str(tmp_path / "eval"),
+        )
+        assert code == 3 and out == ""
+        assert err == f"data error: {bad} {fault}\n"
+        assert not (tmp_path / "eval").exists()
+
+    def test_regression_data_the_model_cannot_take_exits_3(self, tmp_path, capsys, monkeypatch):
+        cfg = MlpConfig(2, (4,), 2, "relu")
+        state = tmp_path / "state.json"
+        save_state(state, MapState(np.linspace(-1.0, 1.0, param_count(cfg))), cfg, "regression")
+        bad = tmp_path / "bad.csv"
+        bad.write_text("x0,x1,x2,target\n0.1,0.2,0.5,0.7\n", encoding="utf-8")
+        monkeypatch.setattr(cli_module, "predictive_moments_regression", None)
+        code, out, err = run(capsys, "evaluate", "--state", str(state), "--data", str(bad))
+        assert code == 3 and out == ""
+        assert err == f"data error: {bad} has 3 features but the model takes 2\n"
 
     def test_exactly_one_input_mode(self, capsys):
         code, _, err = run(capsys, "evaluate")
@@ -1484,7 +1573,7 @@ def test_broken_state_exits_3_with_one_line(tmp_path, capsys, doc, needle):
     state.write_text(json.dumps(doc), encoding="utf-8")
     code, _, err = run(capsys, "evaluate", "--state", str(state), "--data", str(data))
     assert code == 3
-    assert err.count("\n") == 1 and err.startswith("data error: ")
+    assert err.count("\n") == 1 and err.startswith(f"data error: {state}: ")
     assert needle in err
 
 

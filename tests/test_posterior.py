@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -941,3 +942,29 @@ def test_lanes_must_share_what_the_loop_shares():
         map_fit([cfg, cfg], [train, linear_regression_ds(n=21)], [opt, opt])
     with pytest.raises(ValueError, match="lockstep lanes"):
         map_fit([cfg, cfg], [train, train], [opt, replace(opt, learning_rate=0.5)])
+
+
+def _heads_that_cannot_take_the_data():
+    """(config, dataset, message) of each model-data mismatch the fits reject."""
+    blobs = synth_classification("gaussian_blobs", 12, 0.5, seed=0)  # 2 features, labels 0..2
+    return [
+        pytest.param(MlpConfig(3, (), 3, "tanh"), blobs,
+                     "dataset has 2 features but the model expects 3", id="features"),
+        pytest.param(MlpConfig(2, (), 2, "tanh"), blobs,
+                     "dataset has labels up to 2 but the model has only 2 outputs", id="labels"),
+        pytest.param(replace(linear_cfg(), output_dim=3), linear_regression_ds(),
+                     "output_dim must be 2, got 3", id="regression-head"),
+    ]
+
+
+@pytest.mark.parametrize("fit", ["map", "laplace", "advi"])
+@pytest.mark.parametrize("cfg, train, message", _heads_that_cannot_take_the_data())
+def test_a_model_that_cannot_take_the_data_is_rejected(fit, cfg, train, message):
+    opt = OptimConfig(epochs=1)
+    fits = {
+        "map": lambda: map_fit(cfg, train, opt),
+        "laplace": lambda: laplace_fit(MapState(np.zeros(param_count(cfg))), cfg, train),
+        "advi": lambda: advi_fit(cfg, train, opt),
+    }
+    with pytest.raises(ValueError, match=re.escape(message)):
+        fits[fit]()

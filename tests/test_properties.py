@@ -24,7 +24,15 @@ from uqkit.calibration import (
     fit_temperature,
     fit_variance_scale,
 )
-from uqkit.conformal import adaptive_sets, baseline_sets, conformal_quantile
+from uqkit.conformal import (
+    adaptive_sets,
+    baseline_sets,
+    conformal_quantile,
+    cqr_interval,
+    jackknife_minmax,
+    jackknife_plus,
+    scalar_score_interval,
+)
 from uqkit.config import RUN_SCHEMA, _schema_faults
 import uqkit.data
 from uqkit.data import (
@@ -176,6 +184,18 @@ def csv_files(draw):
     return "".join(lines)
 
 
+def plain_read(path):
+    """``_read_csv_plain`` on a fresh handle of ``path``."""
+    with open(path, "rb") as fh:
+        return _read_csv_plain(fh)
+
+
+def python_read(path):
+    """``_read_csv_python`` on a fresh handle of ``path``."""
+    with open(path, "rb") as fh:
+        return _read_csv_python(path, fh)
+
+
 def read_outcome(read, path):
     try:
         matrix, header = read(path)
@@ -190,7 +210,7 @@ def test_matrix_csv_reader_equals_python_reader(scratch, text):
     path = scratch / "differential.csv"
     path.write_bytes(text.encode("utf-8"))
     outcome = read_outcome(read_matrix_csv, path)
-    assert outcome == read_outcome(_read_csv_python, path)
+    assert outcome == read_outcome(python_read, path)
     assert outcome[0] == "error" or not outcome[3][0].startswith("\ufeff")
 
 
@@ -207,9 +227,9 @@ def _is_float(cell: str) -> bool:
 def test_plain_cells_take_the_c_path_with_python_results(scratch, newline, cell):
     path = scratch / "plain.csv"
     path.write_bytes(f"a,b{newline}{newline}{cell},1{newline}-0,{cell}{newline}".encode())
-    assert _read_csv_plain(path) is not None
-    assert read_outcome(_read_csv_plain, path) == read_outcome(_read_csv_python, path)
-    assert bits(_read_csv_plain(path)[0][0, 0]) == bits(float(cell))
+    assert plain_read(path) is not None
+    assert read_outcome(plain_read, path) == read_outcome(python_read, path)
+    assert bits(plain_read(path)[0][0, 0]) == bits(float(cell))
 
 
 def test_workload_shaped_file_takes_the_c_path(scratch, monkeypatch):
@@ -219,7 +239,9 @@ def test_workload_shaped_file_takes_the_c_path(scratch, monkeypatch):
     write_matrix_csv(path, matrix, [f"p{j}" for j in range(10)])
     calls = []
     real = uqkit.data._read_csv_python
-    monkeypatch.setattr(uqkit.data, "_read_csv_python", lambda p: calls.append(p) or real(p))
+    monkeypatch.setattr(
+        uqkit.data, "_read_csv_python", lambda p, fh: calls.append(p) or real(p, fh)
+    )
     back, header = read_matrix_csv(path)
     assert calls == []
     np.testing.assert_array_equal(bits(back), bits(matrix))
@@ -376,6 +398,96 @@ def test_quantile_and_sets_ignore_calibration_order(problem, alpha, method, data
     np.testing.assert_array_equal(
         method(vp[perm], y[perm], tp, alpha).member, method(vp, y, tp, alpha).member
     )
+
+
+# ---------------------------------------------------------------------------
+# coverage by exchangeability: hold n + 1 points fixed and let each in turn be
+# the test point, with the other n as calibration (or training) rows. The mean
+# coverage over these n + 1 choices is the marginal coverage, so the count of
+# covered points must reach the guarantee times n + 1, with no randomness.
+
+EXCHANGE_ALPHAS = st.one_of(
+    st.sampled_from([0.05, 0.1, 0.2, 0.33, 0.5]), st.floats(min_value=0.02, max_value=0.6)
+)
+# short dyadic values, so every score and every bound built from them is exact;
+# 33 of them, so ties are common
+GRID = st.integers(-16, 16).map(lambda v: v / 4)
+
+
+def covered_count(cover, n_points: int) -> int:
+    """How many points ``cover(others, i)`` covers, each the test point once."""
+    everyone = np.arange(n_points)
+    return sum(bool(cover(np.delete(everyone, i), [i])) for i in range(n_points))
+
+
+def _split_points(data, method: str, n: int):
+    """(feature columns, targets) of ``n`` points for a split method."""
+    if method in ("baseline", "adaptive"):
+        k = data.draw(st.integers(2, 5), label="classes")
+        logits = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(-6.0, 6.0))
+        z = data.draw(hnp.arrays(np.float64, (n, k), elements=logits), label="logits")
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        labels = data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, k - 1)), label="labels")
+        return [e / e.sum(axis=1, keepdims=True)], labels
+    y = data.draw(hnp.arrays(np.float64, n, elements=GRID), label="targets")
+    a = data.draw(hnp.arrays(np.float64, n, elements=GRID), label="lower or mean")
+    if method == "cqr":
+        b = data.draw(hnp.arrays(np.float64, n, elements=GRID), label="upper")
+        return [np.minimum(a, b), np.maximum(a, b)], y
+    stds = hnp.arrays(np.float64, n, elements=st.sampled_from([0.25, 0.5, 1.0, 2.0]))
+    return [a, data.draw(stds, label="stds")], y
+
+
+SPLIT_METHODS = {
+    "baseline": baseline_sets,
+    "adaptive": _deterministic_adaptive,
+    "cqr": cqr_interval,
+    "scalar": scalar_score_interval,
+}
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(data=st.data(), method=st.sampled_from(list(SPLIT_METHODS)), alpha=EXCHANGE_ALPHAS)
+def test_split_methods_cover_1_minus_alpha_by_exchangeability(data, method, alpha):
+    n_points = data.draw(st.integers(2, 40), label="n + 1")
+    features, y = _split_points(data, method, n_points)
+
+    def cover(others, test):
+        result = SPLIT_METHODS[method](
+            *(f[others] for f in features), y[others], *(f[test] for f in features), alpha
+        )
+        return result.contains(y[test])[0]
+
+    assert covered_count(cover, n_points) >= (1 - alpha) * n_points - 1e-9
+
+
+def _nearest_neighbour(inputs, targets, seed):
+    """A symmetric, deterministic and exact trainer: the target of the
+    nearest training input, the smaller target on a tie. It ignores the
+    seed, so a model depends only on the set of rows it trains on."""
+    def predict(x):
+        return np.array([min(zip(np.abs(inputs[:, 0] - v), targets))[1] for v in x[:, 0]])
+
+    return predict
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    data=st.data(),
+    method=st.sampled_from([(jackknife_plus, 2), (jackknife_minmax, 1)]),
+    alpha=EXCHANGE_ALPHAS,
+)
+def test_jackknife_methods_cover_by_exchangeability(data, method, alpha):
+    # jackknife+ guarantees 1 - 2 alpha, jackknife-minmax 1 - alpha
+    (fit, alphas), n_points = method, data.draw(st.integers(3, 13), label="n + 1")
+    x = data.draw(hnp.arrays(np.float64, (n_points, 1), elements=st.integers(0, 6).map(float)))
+    y = data.draw(hnp.arrays(np.float64, n_points, elements=GRID), label="targets")
+
+    def cover(others, test):
+        train = Dataset(x[others], y[others], task="regression", feature_names=("x",))
+        return fit(_nearest_neighbour, train, x[test], alpha).contains(y[test])[0]
+
+    assert covered_count(cover, n_points) >= (1 - alphas * alpha) * n_points - 1e-9
 
 
 # ---------------------------------------------------------------------------
