@@ -44,13 +44,15 @@ from .data import (
     load_csv,
     read_matrix_csv,
     save_csv,
+    write_blocks_csv,
     write_json,
     write_matrix_csv,
+    write_text_csv,
 )
 from .errors import ConfigError, DataError, DivergenceError, UqError
 from .metrics import DEFAULT_BINS, MAX_BINS, classification_report, interval_metrics
 from .mlp import mlp_forward, param_count
-from .numerics import entropy, softmax
+from .numerics import check_prob_rows, entropy, softmax
 from .posterior import (
     FitResult,
     advi_fit,
@@ -65,6 +67,7 @@ from .predictive import (
     credible_interval_regression,
     predictive_mean_classification,
     predictive_moments_regression,
+    row_blocks,
     sample_weights,
 )
 from .rng import Rng, child_seed
@@ -83,13 +86,13 @@ _COLUMN_OF = {
 }
 
 
-def _read_input(path, flag: str, labels: bool) -> np.ndarray:
+def _read_input(path, flag: str) -> np.ndarray:
     """A CSV input, read by the last word of its flag: a ``probs`` or
     ``logits`` matrix of the p0..pK-1 columns (of every column, as read,
     when there are none), else a vector of the flag's canonical column or
-    the only one, as class labels for ``targets`` when ``labels`` is set.
-    A non-finite cell among those read is a ``DataError`` naming the file,
-    the data row (1 = first after the header) and the column."""
+    the only one. A non-finite cell among those read, or a probability row
+    that is negative or does not sum to 1, is a ``DataError`` naming the
+    file and the data row (1 = first after the header)."""
     kind = flag.rsplit("_", 1)[-1]
     want = _COLUMN_OF.get(kind)  # None for a probs or logits matrix
     matrix, header = read_matrix_csv(path)
@@ -111,9 +114,12 @@ def _read_input(path, flag: str, labels: bool) -> np.ndarray:
     if columns:
         matrix, header = matrix[:, columns], [header[i] for i in columns]
     check_finite_cells(path, matrix, header)
-    if want is None:
-        return matrix
-    return class_labels(matrix[:, 0], path) if labels and kind == "targets" else matrix[:, 0]
+    if kind == "probs":
+        try:
+            check_prob_rows(matrix, "data")
+        except ValueError as exc:
+            raise DataError(f"{path}: {exc}") from None
+    return matrix if want is None else matrix[:, 0]
 
 
 def _read_inputs(args, flags, labels: bool) -> dict[str, np.ndarray]:
@@ -121,12 +127,19 @@ def _read_inputs(args, flags, labels: bool) -> dict[str, np.ndarray]:
     Files whose flags share a first word (``val``, ``test``, ``calib`` or
     none) pair row by row, and all matrices hold the same classes: a count
     that differs from the first such file's is a ``DataError`` naming both
-    files and both counts."""
+    files and both counts. With ``labels`` set, ``targets`` files hold
+    class labels below the first matrix's class count, checked first: a
+    breach is a ``DataError`` naming the file and the data row."""
     inputs = {
-        flag: _read_input(getattr(args, flag), flag, labels)
+        flag: _read_input(getattr(args, flag), flag)
         for flag in flags
         if getattr(args, flag) is not None
     }
+    if labels:
+        classes = next(values.shape[1] for values in inputs.values() if values.ndim == 2)
+        for flag in inputs:
+            if flag.endswith("targets"):
+                inputs[flag] = class_labels(inputs[flag], getattr(args, flag), classes)
     firsts = {}
     for flag, values in inputs.items():
         counts = [("data rows", flag.rpartition("_")[0], len(values))]
@@ -142,9 +155,15 @@ def _read_inputs(args, flags, labels: bool) -> dict[str, np.ndarray]:
 
 
 def write_sets_csv(path: Path, sets: PredictionSets) -> None:
+    """One row per set, its classes joined by ``;``, formatted one block
+    of rows at a time as the file is written."""
     names = [str(c) for c in range(sets.member.shape[1])]
-    cells = [";".join(compress(names, row)) for row in sets.member.tolist()]
-    write_matrix_csv(path, np.array(cells, dtype=str).reshape(-1, 1), ["set"])
+    rows = (
+        [";".join(compress(names, row))]
+        for block in row_blocks(len(sets))
+        for row in sets.member[block].tolist()
+    )
+    write_text_csv(path, rows, ["set"])
 
 
 def write_intervals_csv(path: Path, intervals: Intervals) -> None:
@@ -154,17 +173,15 @@ def write_intervals_csv(path: Path, intervals: Intervals) -> None:
 
 
 def write_probs_csv(path: Path, probs: np.ndarray) -> None:
+    """The probabilities and their entropy, one block of rows at a time."""
     header = [f"p{k}" for k in range(probs.shape[1])] + ["entropy"]
-    write_matrix_csv(path, np.column_stack([probs, entropy(probs, axis=-1)]), header)
+    blocks = (probs[rows] for rows in row_blocks(len(probs)))
+    write_blocks_csv(path, (np.column_stack([b, entropy(b, axis=-1)]) for b in blocks), header)
 
 
 def write_trace_csv(path: Path, rows: list[tuple[str, int, float]]) -> None:
-    cells = [
-        [phase, str(epoch), format(float(loss), ".17g")] for phase, epoch, loss in rows
-    ]
-    write_matrix_csv(
-        path, np.array(cells, dtype=str).reshape(-1, 3), ["phase", "epoch", "loss"]
-    )
+    cells = ([phase, str(epoch), format(float(loss), ".17g")] for phase, epoch, loss in rows)
+    write_text_csv(path, cells, ["phase", "epoch", "loss"])
 
 
 def _alpha_flag(value: str) -> float:
@@ -355,24 +372,44 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 # evaluate
 
+def _predict_regression(thetas, rng, model, inputs, alpha):
+    """The ``(5, n)`` mean, variance, aleatoric, epistemic and std rows of
+    ``inputs``, and their credible intervals (None without ``alpha``),
+    computed one block of rows (``row_blocks``) at a time. Draw j's
+    interval noise comes from a cursor j * n normals past where the weight
+    draws left ``rng``, so each row gets the noise one pass over all n rows
+    would give it."""
+    n = len(inputs)
+    table, intervals = np.empty((5, n)), None
+    if alpha is not None:
+        noise = rng.cursors(len(thetas), n)
+        intervals = Intervals(np.empty(n), np.empty(n), np.empty(n, dtype=bool))
+    for rows in row_blocks(n):
+        moments = predictive_moments_regression(thetas, model, inputs[rows])
+        table[:, rows] = (
+            moments.mean, moments.variance, moments.aleatoric,
+            moments.epistemic, np.sqrt(moments.variance),
+        )
+        if alpha is not None:
+            block = credible_interval_regression(moments, alpha, noise)
+            intervals.lower[rows], intervals.upper[rows] = block.lower, block.upper
+            intervals.collapsed[rows] = block.collapsed
+    return table, intervals
+
+
 def _evaluate_regression(thetas, rng, model, test_ds, alpha, out_dir) -> dict:
-    moments = predictive_moments_regression(thetas, model, test_ds.inputs)
+    table, intervals = _predict_regression(thetas, rng, model, test_ds.inputs, alpha)
     doc = {
         "task": "regression",
         "n": test_ds.n,
-        "mean_aleatoric": float(np.mean(moments.aleatoric)),
-        "mean_epistemic": float(np.mean(moments.epistemic)),
+        "mean_aleatoric": float(np.mean(table[2])),
+        "mean_epistemic": float(np.mean(table[3])),
     }
     if alpha is not None:
-        intervals = credible_interval_regression(moments, alpha, rng)
         doc["coverage"], doc["mean_width"] = interval_metrics(intervals, test_ds.targets)
     if out_dir:
         write_matrix_csv(
-            out_dir / "predictive.csv",
-            np.column_stack([
-                moments.mean, moments.variance, moments.aleatoric,
-                moments.epistemic, np.sqrt(moments.variance),
-            ]),
+            out_dir / "predictive.csv", table.T,
             ["mean", "variance", "aleatoric", "epistemic", "std"],
         )
         if alpha is not None:
@@ -414,15 +451,17 @@ def _evaluate(args, out_dir: Path | None) -> dict:
     if getattr(args, needed) is None:
         raise ConfigError([f"--{needed} is required with --{source}"])
     if source == "probs":
-        if args.alpha is not None and not (args.calib_probs and args.calib_targets):
+        calib_flags = ("calib_probs", "calib_targets")
+        given = [f for f in calib_flags if getattr(args, f) is not None]
+        if args.alpha is None and given:
+            raise ConfigError([f"--{f.replace('_', '-')} is read only with --alpha" for f in given])
+        if args.alpha is not None and len(given) < 2:
             raise ConfigError(
                 ["--alpha with --probs needs --calib-probs and --calib-targets"]
             )
-        # without --alpha, no calibration file is read
-        calib_flags = ("calib_probs", "calib_targets") if args.alpha is not None else ()
         inputs = _read_inputs(args, ("probs", "targets", *calib_flags), labels=True)
         probs, targets = inputs["probs"], inputs["targets"]
-        calib = tuple(inputs[flag] for flag in calib_flags)
+        calib = tuple(inputs.get(flag) for flag in calib_flags)
     else:
         state, model, task = load_state(args.state)
         if task != CLASSIFICATION and args.calib_data is not None:

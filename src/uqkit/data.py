@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -86,11 +87,11 @@ def _parse_float(cell: str, path, line: int, column: str) -> float:
         ) from None
 
 
-def class_labels(values: np.ndarray, path) -> np.ndarray:
+def class_labels(values: np.ndarray, path, n_classes: int | None = None) -> np.ndarray:
     """``check_labels`` on a file's label column; a breach is a ``DataError``
     naming the file and the data row (1 = first after the header)."""
     try:
-        return check_labels(values, name="data")
+        return check_labels(values, n_classes, name="data")
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None
 
@@ -318,31 +319,47 @@ def check_finite_cells(path, matrix: np.ndarray, header) -> None:
         )
 
 
-def write_matrix_csv(path, matrix, header: list[str]) -> None:
-    """Write a matrix with header, making the file's missing parent
-    directories first. Numeric cells get 17 significant digits, so a read
-    round-trips bit-exactly; a string matrix is written as is.
-
-    A numeric body is formatted one block of rows per ``%`` operation, the
-    bytes ``csv.writer`` writes for the same cells."""
-    matrix = np.asarray(matrix)
-    strings = matrix.dtype.kind == "U"
-    if not strings:
-        matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
-    if matrix.shape[1] != len(header):
-        raise ValueError("header length must match the number of columns")
+@contextmanager
+def _open_csv(path, header: list[str]):
+    """``path`` open for a CSV with its header row written, after making
+    the file's missing parent directories."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        if strings:
-            writer.writerows(matrix.tolist())
-            return
-        row = ",".join(["%.17g"] * matrix.shape[1]) + "\r\n"
-        for start in range(0, matrix.shape[0], _WRITE_BLOCK_ROWS):
-            block = matrix[start : start + _WRITE_BLOCK_ROWS]
+        csv.writer(fh).writerow(header)
+        yield fh
+
+
+def write_matrix_csv(path, matrix, header: list[str]) -> None:
+    """Write a numeric matrix with header through ``write_blocks_csv``, a
+    block of rows at a time."""
+    matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
+    if matrix.shape[1] != len(header):
+        raise ValueError("header length must match the number of columns")
+    rows = range(0, matrix.shape[0], _WRITE_BLOCK_ROWS)
+    write_blocks_csv(path, (matrix[r : r + _WRITE_BLOCK_ROWS] for r in rows), header)
+
+
+def write_blocks_csv(path, blocks, header: list[str]) -> None:
+    """Write numeric blocks of rows with header, making the file's missing
+    parent directories first. Cells get 17 significant digits, so a read
+    round-trips bit-exactly; each block is formatted by one ``%`` operation
+    as it comes, the bytes ``csv.writer`` writes for the same cells, so a
+    caller can compute a large body a block at a time."""
+    row = ",".join(["%.17g"] * len(header)) + "\r\n"
+    with _open_csv(path, header) as fh:
+        for block in blocks:
+            if block.shape[1] != len(header):
+                raise ValueError("header length must match the number of columns")
             fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
+
+
+def write_text_csv(path, rows, header: list[str]) -> None:
+    """Write rows of text cells with header, as ``csv.writer`` writes them,
+    making the file's missing parent directories first. ``rows`` may be any
+    iterable, a generator say, each row written as it comes."""
+    with _open_csv(path, header) as fh:
+        csv.writer(fh).writerows(rows)
 
 
 def read_json(path, what: str) -> dict:

@@ -71,7 +71,9 @@ def _ece(p: np.ndarray, y: np.ndarray, n_bins: int) -> float:
     # the occupied bins in ascending order, each bin's rows in row order (a
     # stable sort): the every-bin sum's terms in its order, empty bins adding nothing
     order = np.argsort(idx, kind="stable")
-    _, starts, counts = np.unique(idx[order], return_index=True, return_counts=True)
+    idx = idx[order]
+    starts = np.flatnonzero(np.r_[True, idx[1:] != idx[:-1]])
+    counts = np.diff(starts, append=n)
     total = 0.0
     for start, count in zip(starts.tolist(), counts.tolist()):
         rows = order[start : start + count]
@@ -86,9 +88,11 @@ def ece(probs, targets, n_bins: int = DEFAULT_BINS) -> float:
 
 
 def _brier(p: np.ndarray, y: np.ndarray) -> float:
-    onehot = np.zeros_like(p)
-    onehot[np.arange(p.shape[0]), y] = 1.0
-    return float(np.mean(np.sum((p - onehot) ** 2, axis=1)))
+    # (p - onehot) ** 2 in one buffer: squaring is x * x either way
+    sq = np.zeros_like(p)
+    sq[np.arange(p.shape[0]), y] = 1.0
+    np.subtract(p, sq, out=sq)
+    return float(np.mean(np.sum(np.multiply(sq, sq, out=sq), axis=1)))
 
 
 def brier(probs, targets) -> float:

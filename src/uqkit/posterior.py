@@ -503,7 +503,10 @@ def swag_fit(
     return results[0] if solo else results
 
 
-_LAPLACE_ROWS = 64  # training rows per batched Jacobian pass in laplace_fit
+# training rows per batched Jacobian pass in laplace_fit: at most 64, and
+# no more than keep the pass's (rows, k, P) Jacobian within 2^19 floats (4 MiB)
+_LAPLACE_ROWS = 64
+_LAPLACE_JACOBIAN_FLOATS = 1 << 19
 
 
 def laplace_fit(
@@ -530,8 +533,9 @@ def laplace_fit(
     # mean's row alone). The sum runs row by row, in row order.
     seed = np.eye(cfg.output_dim)[:k].reshape(1, k, 1, cfg.output_dim)
     layers = unpack_params(cfg, theta)
-    for lo in range(0, train.n, _LAPLACE_ROWS):
-        x = train.inputs[lo : lo + _LAPLACE_ROWS]
+    chunk = max(1, min(_LAPLACE_ROWS, _LAPLACE_JACOBIAN_FLOATS // (k * theta.size)))
+    for lo in range(0, train.n, chunk):
+        x = train.inputs[lo : lo + chunk]
         hs = list(mlp_activations(cfg, layers, x[:, None, None, :]))
         grad_out = np.broadcast_to(seed, (len(x), *seed.shape[1:]))
         jacs = mlp_backward(cfg, layers, hs, grad_out)  # (rows, k, P)

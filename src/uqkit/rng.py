@@ -13,10 +13,15 @@ linear over GF(2), so M^(2^j), the step applied 2^j times, is a 64x64 bit
 matrix; applying it to the k states made so far gives the next k
 (Haramoto et al. 2008, "Efficient jump ahead for F2-linear random number
 generators"). Each M^(2^j) is kept as 8 byte-indexed 256-entry tables,
-built at first use by squaring and shared by every stream. From 256
-states on, only every B-th state is made by jumps (of M^(B 2^j)), and
-the B - 1 after each by plain xorshift steps across all of them at once:
-B = 4 from 256 states, 8 from 2,048 and 16 from 16,384. The output
+built at first use by squaring and shared by every stream. One pass
+makes the next n states of any number of streams at once, a stream being
+the one-stream case. From 256 states in all on, only every B-th state of
+a stream is made by jumps (of M^(B 2^j)), and the B - 1 after each by
+plain xorshift steps across all of them at once: B = 4 from 256 states,
+8 from 2,048 and 16 from 16,384. ``Rng.cursors`` places streams k normals
+ahead of one by composing the M^(2^j) of the set bits of the uniforms
+skipped, all cursors at once, so each can draw its own share of one
+stretch of normals. The output
 multiply, the uniform scaling and ``np.sqrt`` are exact or correctly
 rounded in numpy. The Box-Muller log stays ``math.log`` per value, since
 ``np.log`` can differ from it in the last bit; ``np.cos``/``np.sin`` are
@@ -50,8 +55,9 @@ _BYTE_OFFSETS = np.arange(0, 8 * 256, 256)
 _JUMPS: list[np.ndarray] = []
 _JUMPS_LOCK = threading.Lock()
 
-# blocked stepping: _states makes n states in blocks of B = 2**b, with b
-# _BLOCK_BITS[i] for the number i of _BLOCK_FROM's counts that n reaches
+# blocked stepping: _pass makes each stream's states in blocks of B = 2**b,
+# with b _BLOCK_BITS[i] for the number i of _BLOCK_FROM's counts that the
+# states of all streams together reach
 _BLOCK_FROM = (256, 2048, 16384)
 _BLOCK_BITS = (0, 2, 3, 4)
 _SHIFTS = np.uint64(12), np.uint64(25), np.uint64(27)
@@ -87,17 +93,20 @@ def _byte_tables(images: np.ndarray) -> np.ndarray:
 
 
 def _apply(tables: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """The linear map held in ``tables`` applied to each state."""
+    """The linear map held in ``tables`` applied to each state of a
+    C-contiguous array, in an array of the same shape."""
     by_byte = states.view(np.uint8).reshape(-1, 8)
-    if len(states) < 512:
+    if states.size < 512:
         # few states: one gather over all 8 tables costs the fewest calls
-        return np.bitwise_xor.reduce(tables.take(by_byte + _BYTE_OFFSETS), axis=1)
+        return np.bitwise_xor.reduce(tables.take(by_byte + _BYTE_OFFSETS), axis=1).reshape(
+            states.shape
+        )
     # many states: a gather per byte is several times faster than one
     # (n, 8) gather and reduce
     out = tables[0].take(by_byte[:, 0])
     for b in range(1, 8):
         out ^= tables[b].take(by_byte[:, b])
-    return out
+    return out.reshape(states.shape)
 
 
 def _jump(j: int) -> np.ndarray:
@@ -114,6 +123,103 @@ def _jump(j: int) -> np.ndarray:
                 images = _apply(last, last[:, [1, 2, 4, 8, 16, 32, 64, 128]].ravel())
             _JUMPS.append(_byte_tables(images))
     return _JUMPS[j]
+
+
+def _step_into(prev: np.ndarray, out: np.ndarray) -> None:
+    """One xorshift step of each state of ``prev``, written to ``out``."""
+    right, left, last = _SHIFTS
+    np.right_shift(prev, right, out=out)
+    out ^= prev
+    out ^= out << left
+    out ^= out >> last
+
+
+def _pass(starts: np.ndarray, n: int) -> np.ndarray:
+    """The next n states of each stream whose state is in ``starts``, one
+    row per stream, made in one pass over all of them.
+
+    Every B-th state of a stream (every state when B is 1) comes from
+    doubling jumps of M^B, taken across all streams at once; row t of a
+    stream's ``(B, n / B)`` block is then row t - 1 stepped once, and the
+    block read column by column is the stream."""
+    s = len(starts)
+    b = _BLOCK_BITS[bisect.bisect(_BLOCK_FROM, s * n)]
+    h = -(-n >> b)
+    block = np.empty((1 << b, h, s), dtype=_U64)
+    heads = block[0]
+    if h:
+        _step_into(starts, heads[0])
+    k, j = 1, 0
+    while k < h:
+        m = min(k, h - k)
+        heads[k : k + m] = _apply(_jump(j + b), heads[:m])
+        k, j = k + m, j + 1
+    for prev, x in zip(block, block[1:]):
+        _step_into(prev, x)
+    return block.transpose(2, 1, 0).reshape(s, h << b)[:, :n]
+
+
+def _uniforms(states: np.ndarray) -> np.ndarray:
+    """The uniform in [0, 1) of each state: the top 53 bits of its output."""
+    draws = states * np.uint64(_MULTIPLIER)
+    return (draws >> np.uint64(11)).astype(np.float64) * _TO_UNIT
+
+
+def _normals(
+    states: np.ndarray, cached: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """n N(0, 1) draws from each stream, one row per stream, by Box-Muller:
+    each pair of uniforms gives its cos value, then its sin value. A
+    stream's cached sin half (NaN for none; Box-Muller never gives NaN)
+    comes first, and an odd remainder leaves one cached. Returns the draws
+    and each stream's new state and cached half."""
+    s = len(states)
+    if n == 0:
+        return np.empty((s, 0)), states, cached
+    held = ~np.isnan(cached)
+    pairs = (n + 1 - held) // 2
+    # every stream makes the pairs of one without a cached half, so the
+    # rows line up; the pair a stream with one does not use is dropped
+    raw = _pass(states, 2 * ((n + 1) // 2))
+    u = _uniforms(raw).reshape(-1, 2)
+    # 1 - u lies in (0, 1], so the log is finite; it stays math.log,
+    # value by value, since np.log can differ in the last bit
+    logs = np.fromiter(map(math.log, (1.0 - u[:, 0]).tolist()), dtype=np.float64, count=len(u))
+    radius = np.sqrt(-2.0 * logs)
+    cos, sin = _cos_sin(_TWO_PI * u[:, 1])
+    # row i: the cached half, then each pair's cos and sin
+    z = np.empty((s, raw.shape[1] + 1))
+    z[:, 0] = cached
+    z[:, 1::2] = (radius * cos).reshape(s, -1)
+    z[:, 2::2] = (radius * sin).reshape(s, -1)
+    out = np.where(held[:, None], z[:, :n], z[:, 1 : n + 1])
+    # column of each stream's last sin half in z, and of its last state in raw
+    rows, last = np.arange(s), 2 * pairs
+    states = np.where(pairs > 0, raw[rows, last - 1], states)
+    # an odd count past the cached half leaves its last pair's sin
+    cached = np.where((n - held) % 2 == 1, z[rows, last], np.nan)
+    return out, states, cached
+
+
+def _place(state: int, cached: float | None, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The state and cached half (NaN for none) of the stream that stands
+    at (``state``, ``cached``) once each of ``offsets`` normals is drawn.
+    The whole pairs of uniforms skipped are one jump of M^u, composed from
+    the M^(2^j) of the set bits of u across all offsets at once; an odd
+    remainder then draws its pair's cos and keeps the sin cached."""
+    k = offsets - (cached is not None)  # normals past the stream's next pair
+    states = np.full(len(k), state, dtype=_U64)
+    skip = np.maximum(k, 0) // 2 * 2
+    for j in range(int(skip.max()).bit_length()):
+        on = (skip >> j) & 1 == 1
+        if on.any():
+            states[on] = _apply(_jump(j), states[on])
+    halves = np.full(len(k), np.nan)
+    halves[k < 0] = cached  # an offset of 0 stays on the cached half
+    odd = (k > 0) & (k % 2 == 1)
+    if odd.any():
+        _, states[odd], halves[odd] = _normals(states[odd], halves[odd], 1)
+    return states, halves
 
 
 def _rejected(draws: np.ndarray, bounds: np.ndarray) -> np.ndarray:
@@ -178,65 +284,43 @@ class Rng:
         self._cached_normal: float | None = None
 
     def _states(self, n: int) -> np.ndarray:
-        """The stream's next n states; the stream moves past them.
-
-        Every B-th state (every state when B is 1) comes from doubling
-        jumps of M^B; row t of the ``(B, n / B)`` block is then row t - 1
-        stepped once, and the block read column by column is the stream."""
-        if n == 0:
-            return np.empty(0, dtype=_U64)
-        b = _BLOCK_BITS[bisect.bisect(_BLOCK_FROM, n)]
-        h = -(-n >> b)
-        heads = np.empty(h, dtype=_U64)
-        heads[0] = _step(self._state)
-        k, j = 1, 0
-        while k < h:
-            m = min(k, h - k)
-            heads[k : k + m] = _apply(_jump(j + b), heads[:m])
-            k, j = k + m, j + 1
-        states = heads
-        if b:
-            right, left, last = _SHIFTS
-            block = np.empty((1 << b, h), dtype=_U64)
-            block[0] = heads
-            for prev, x in zip(block, block[1:]):
-                np.right_shift(prev, right, out=x)
-                x ^= prev
-                x ^= x << left
-                x ^= x >> last
-            states = block.T.ravel()[:n]
-        self._state = int(states[-1])
+        """The stream's next n states; the stream moves past them."""
+        states = _pass(np.array([self._state], dtype=_U64), n)[0]
+        if n:
+            self._state = int(states[-1])
         return states
 
     def uniforms(self, n: int) -> np.ndarray:
         """n uniform draws in [0, 1), each the top 53 bits of an output."""
-        draws = self._states(n) * np.uint64(_MULTIPLIER)
-        return (draws >> np.uint64(11)).astype(np.float64) * _TO_UNIT
+        return _uniforms(self._states(n))
 
     def normals(self, n: int) -> np.ndarray:
         """n N(0, 1) draws by Box-Muller: each pair of uniforms gives its
         cos value, then its sin value. A cached sin half comes first, and an
         odd count leaves one for the next call."""
-        out = np.empty(n, dtype=np.float64)
-        start = 0
-        if n and self._cached_normal is not None:
-            out[0] = self._cached_normal
-            self._cached_normal = None
-            start = 1
-        pairs = (n - start + 1) // 2
-        u = self.uniforms(2 * pairs)
-        # 1 - u lies in (0, 1], so the log is finite; it stays math.log,
-        # value by value, since np.log can differ in the last bit
-        logs = np.fromiter(map(math.log, (1.0 - u[0::2]).tolist()), dtype=np.float64, count=pairs)
-        radius = np.sqrt(-2.0 * logs)
-        cos, sin = _cos_sin(_TWO_PI * u[1::2])
-        z = np.empty(2 * pairs, dtype=np.float64)
-        z[0::2] = radius * cos
-        z[1::2] = radius * sin
-        out[start:] = z[: n - start]
-        if (n - start) % 2:
-            self._cached_normal = float(z[-1])
-        return out
+        out, states, cached = _normals(
+            np.array([self._state], dtype=_U64), np.array([self._half()]), n
+        )
+        self._move(states[0], cached[0])
+        return out[0]
+
+    def cursors(self, count: int, spacing: int) -> Cursors:
+        """``count`` cursors ``spacing`` normals apart, the first where this
+        stream stands: cursor j draws the normals j * spacing to
+        (j + 1) * spacing - 1 of ``normals(count * spacing)``, and this
+        stream moves past all of them, where that call leaves it."""
+        states, halves = _place(
+            self._state, self._cached_normal, spacing * np.arange(count + 1, dtype=np.int64)
+        )
+        self._move(states[-1], halves[-1])
+        return Cursors(states[:-1], halves[:-1], spacing)
+
+    def _half(self) -> float:
+        return math.nan if self._cached_normal is None else self._cached_normal
+
+    def _move(self, state, half) -> None:
+        self._state = int(state)
+        self._cached_normal = None if math.isnan(half) else float(half)
 
     def _bounded_draws(self, bounds: np.ndarray) -> list[int]:
         """A uniform integer in [0, b) for each b in ``bounds`` in turn,
@@ -262,3 +346,31 @@ class Rng:
         for i, j in zip(range(n - 1, 0, -1), js):
             perm[i], perm[j] = perm[j], perm[i]
         return np.array(perm, dtype=np.int64)
+
+
+class Cursors:
+    """Streams placed on one stream by ``Rng.cursors``, each drawing its
+    own stretch of that stream's normals."""
+
+    __slots__ = ("_states", "_halves", "spacing", "drawn")
+
+    def __init__(self, states: np.ndarray, halves: np.ndarray, spacing: int):
+        self._states, self._halves = states, halves
+        self.spacing = spacing  # normals each cursor may draw
+        self.drawn = 0  # normals each cursor has drawn
+
+    def __len__(self) -> int:
+        return len(self._states)
+
+    def normals(self, n: int) -> np.ndarray:
+        """The next n normals of every cursor, one row per cursor, made in
+        one pass over all of them. Past ``spacing`` a cursor would draw the
+        next one's normals, so that is a ``ValueError``."""
+        if self.drawn + n > self.spacing:
+            raise ValueError(
+                f"cursors {self.spacing} normals apart have {self.spacing - self.drawn} "
+                f"left each, not {n}"
+            )
+        out, self._states, self._halves = _normals(self._states, self._halves, n)
+        self.drawn += n
+        return out

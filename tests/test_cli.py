@@ -187,7 +187,7 @@ class TestConformalCommand:
             "--out", str(tmp_path / "o.csv"),
         )
         assert code == 3
-        assert err == "error: val_probs row 2 has a negative entry -0.4\n"
+        assert err == f"data error: {probs}: data row 2 has a negative entry -0.4\n"
 
 
 # a valid file per conformal input, by the last word of its flag: four rows,
@@ -308,7 +308,7 @@ def test_conformal_parser_takes_the_table_flags():
     ("baseline", [0, 1, 0, 1, 0],
      "data error: {dir}/test_probs.csv has 4 data rows but {dir}/y.csv has 5"),
     ("baseline", [7, 0, 1, 0],
-     "error: targets row 1: class label 7 is not a nonnegative integer below 2"),
+     "data error: {dir}/y.csv: data row 1: class label 7 is not a nonnegative integer below 2"),
     ("cqr", [0.5], "data error: {dir}/test_lower.csv has 4 data rows but {dir}/y.csv has 1"),
     ("cqr", [0.5] * 5, "data error: {dir}/test_lower.csv has 4 data rows but {dir}/y.csv has 5"),
 ])
@@ -1256,6 +1256,8 @@ class TestEvaluateCommand:
         ("probs", ["--calib-data", "no.csv"], "--calib-data is read only with --state"),
         ("probs", ["--predictive-samples", "7"], "--predictive-samples is read only with --state"),
         ("probs", ["--data", "no.csv"], "--data is read only with --state"),
+        ("probs", ["--calib-probs", "no.csv"], "--calib-probs is read only with --alpha"),
+        ("probs", ["--calib-targets", "no.csv"], "--calib-targets is read only with --alpha"),
         ("classification", ["--targets", "no.csv"], "--targets is read only with --probs"),
         ("classification", ["--calib-probs", "no.csv"], "--calib-probs is read only with --probs"),
         ("classification", ["--calib-targets", "no.csv"],
@@ -1436,6 +1438,46 @@ class TestEvaluateCommand:
         )
         assert code == 0
         assert json.loads(out)["n"] == len(predictive) - 1
+
+
+_ROW_FAULTS = {
+    "label": "data row 3: class label 7 is not a nonnegative integer below 2",
+    "sum": "data row 2 sums to 1.1, expected 1 within 1e-06",
+}
+
+
+# calibrate's logits need not sum to 1, so it has no sum fault
+@pytest.mark.parametrize("command, fault", [
+    ("evaluate", "label"), ("calibrate", "label"), ("conformal", "label"),
+    ("evaluate", "sum"), ("conformal", "sum"),
+])
+def test_a_label_or_probability_row_fault_exits_3_naming_the_file(
+    tmp_path, capsys, command, fault
+):
+    # both used to surface from the computation as `error: targets row 3: ...`
+    # or `error: probs row 2 ...`, naming no file
+    good_p, good_t = tmp_path / "p.csv", tmp_path / "t.csv"
+    write_probs(good_p, [[0.9, 0.1], [0.2, 0.8], [0.6, 0.4]])
+    write_targets(good_t, [0, 1, 0])
+    bad = tmp_path / "bad.csv"
+    if fault == "label":
+        write_targets(bad, [0, 1, 7])
+        p, t = good_p, bad
+    else:
+        bad.write_text("p0,p1\n0.9,0.1\n0.2,0.9\n0.6,0.4\n", encoding="utf-8")
+        p, t = bad, good_t
+    out_dir = tmp_path / "out"
+    argv = {
+        "evaluate": ["evaluate", "--probs", p, "--targets", t, "--out-dir", out_dir],
+        "calibrate": ["calibrate", "--logits", p, "--targets", t, "--out-dir", out_dir],
+        "conformal": ["conformal", "--method", "baseline", "--alpha", "0.2",
+                      "--val-probs", good_p, "--val-targets", good_t, "--test-probs", p,
+                      "--test-targets", t, "--out", out_dir / "sets.csv"],
+    }[command]
+    code, out, err = run(capsys, *map(str, argv))
+    assert code == 3 and out == ""
+    assert err == f"data error: {bad}: {_ROW_FAULTS[fault]}\n"
+    assert not out_dir.exists()
 
 
 def _label_slot_argv(tmp_path, slot, labels, dataset):

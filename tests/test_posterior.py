@@ -19,6 +19,7 @@ from uqkit.posterior import (
     OptimConfig,
     SwagMoments,
     SwagState,
+    _LAPLACE_JACOBIAN_FLOATS,
     _LAPLACE_ROWS,
     _penalized_objective,
     advi_fit,
@@ -33,6 +34,7 @@ from uqkit.posterior import (
     swag_fit,
 )
 import uqkit.autodiff
+import uqkit.posterior
 from tape_oracle import advi_objective, laplace_ggn, penalized_loss
 from sample_oracle import sample_list
 from uqkit.autodiff import value_and_grad
@@ -712,16 +714,27 @@ def test_advi_gradient_equals_tape_bit_for_bit(task):
 
 
 @pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
-def test_laplace_equals_tape_bit_for_bit(task):
-    # row counts on both sides of the Jacobian chunk boundary
-    counts = (1, 2, _LAPLACE_ROWS - 1, _LAPLACE_ROWS, _LAPLACE_ROWS + 1, 2 * _LAPLACE_ROWS + 3)
+def test_laplace_equals_tape_bit_for_bit(task, monkeypatch):
+    # row counts on both sides of a Jacobian chunk boundary: the 64-row cap
+    # in even cases, and in odd ones 5 rows, set by a float budget of
+    # 5 k P + k P - 1 (so the rule's floor division is at stake)
+    passes = []
+    backward = uqkit.posterior.mlp_backward
+    monkeypatch.setattr(uqkit.posterior, "mlp_backward", lambda *a: passes.append(1) or backward(*a))
     rng = np.random.default_rng(5 if task == CLASSIFICATION else 6)
     seen = set()
     for case in range(36):
-        cfg, x, y, theta = _random_problem(rng, task, n=counts[case % len(counts)])
+        chunk = (_LAPLACE_ROWS, 5)[case % 2]
+        counts = (1, 2, chunk - 1, chunk, chunk + 1, 2 * chunk + 3)
+        cfg, x, y, theta = _random_problem(rng, task, n=counts[case // 2 % len(counts)])
+        jacobian = (cfg.output_dim if task == CLASSIFICATION else 1) * theta.size
+        budget = _LAPLACE_JACOBIAN_FLOATS if chunk == _LAPLACE_ROWS else 6 * jacobian - 1
+        monkeypatch.setattr(uqkit.posterior, "_LAPLACE_JACOBIAN_FLOATS", budget)
         ds = Dataset(inputs=x, targets=y, task=task, feature_names=("f",) * x.shape[1])
         prior = float(rng.choice([0.5, 1.0]))
+        passes.clear()
         state = laplace_fit(MapState(theta), cfg, ds, prior_precision=prior)
+        assert len(passes) == -(-len(x) // chunk), (case, cfg, x.shape)
         ref = prior + laplace_ggn(cfg, theta, x, task)
         assert state.diag_precision.tobytes() == ref.tobytes(), (case, cfg, x.shape)
         seen |= {cfg.activation, f"k={cfg.output_dim}", f"layers={len(cfg.hidden_widths)}"}

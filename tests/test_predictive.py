@@ -1,18 +1,23 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from uqkit import cli
 from uqkit.mlp import MlpConfig, init_params, mlp_forward, param_count
 from uqkit.numerics import entropy, softmax
 from uqkit.posterior import AdviState, EnsembleState, LaplaceState, MapState, SwagState
 from uqkit.predictive import (
+    BLOCK_ROWS,
     credible_interval_regression,
     predictive_mean_classification,
     predictive_moments_regression,
     sample_weights,
 )
-from uqkit.rng import Rng
+from uqkit.rng import Cursors, Rng
 
 
 def clf_cfg(k=3, seed=0):
@@ -163,7 +168,7 @@ class TestCredibleIntervals:
         x = np.zeros((1, 1))
         thetas, rng = sample_weights(state, n_samples=100_000, seed=2)
         moments = predictive_moments_regression(thetas, cfg, x)
-        out = credible_interval_regression(moments, 0.3173, rng)
+        out = credible_interval_regression(moments, 0.3173, rng.cursors(100_000, 1))
         np.testing.assert_allclose(out.lower, [-1.0], atol=0.02)
         np.testing.assert_allclose(out.upper, [1.0], atol=0.02)
 
@@ -177,7 +182,7 @@ class TestCredibleIntervals:
         theta[-1] = -800.0  # exp underflows to exactly 0
         thetas, rng = sample_weights(MapState(theta), n_samples=50)
         out = credible_interval_regression(
-            predictive_moments_regression(thetas, cfg, x), 0.2, rng
+            predictive_moments_regression(thetas, cfg, x), 0.2, rng.cursors(50, 3)
         )
         np.testing.assert_array_equal(out.lower, out.upper)
 
@@ -189,18 +194,43 @@ class TestCredibleIntervals:
             # a fresh stream per call: both alphas see the same observations
             thetas, rng = sample_weights(state, n_samples=400, seed=7)
             moments = predictive_moments_regression(thetas, cfg, x)
-            return credible_interval_regression(moments, alpha, rng)
+            return credible_interval_regression(moments, alpha, rng.cursors(400, 2))
 
         wide, narrow = interval(0.05), interval(0.2)
         assert np.all(wide.lower <= narrow.lower)
         assert np.all(wide.upper >= narrow.upper)
 
-    def test_low_sample_warning(self):
+    def test_low_sample_warning_fires_once_over_the_blocks(self):
         state, cfg = self.make_unit_noise_map()
         thetas, rng = sample_weights(state, n_samples=10)
+        noise = rng.cursors(10, 3)
         moments = predictive_moments_regression(thetas, cfg, np.zeros((1, 1)))
-        with pytest.warns(UserWarning, match="draws"):
-            credible_interval_regression(moments, 0.01, rng)
+        with pytest.warns(UserWarning, match="draws") as record:
+            for _ in range(3):  # three one-row blocks
+                credible_interval_regression(moments, 0.01, noise)
+        assert len(record) == 1
+
+    def test_noise_must_hold_a_cursor_per_draw_and_stay_in_its_stretch(self):
+        state, cfg = self.make_unit_noise_map()
+        thetas, rng = sample_weights(state, n_samples=4)
+        moments = predictive_moments_regression(thetas, cfg, np.zeros((2, 1)))
+        with pytest.raises(ValueError, match="3 noise cursors for 4"):
+            credible_interval_regression(moments, 0.5, rng.cursors(3, 2))
+        noise = rng.cursors(4, 3)
+        credible_interval_regression(moments, 0.5, noise)
+        # a second two-row block would draw the next cursor's normals
+        with pytest.raises(ValueError, match="1 left each, not 2"):
+            credible_interval_regression(moments, 0.5, noise)
+
+
+def _record_counts(monkeypatch, cls, asked):
+    normals = cls.normals
+
+    def recording(self, n):
+        asked.append(n)
+        return normals(self, n)
+
+    monkeypatch.setattr(cls, "normals", recording)
 
 
 def test_draws_ask_the_stream_for_one_row_at_a_time(monkeypatch):
@@ -208,13 +238,8 @@ def test_draws_ask_the_stream_for_one_row_at_a_time(monkeypatch):
     # state's normals, or an interval's noise, in one call raised the c9-swag
     # benchmark's peak RSS by 18% (44.7 to 52.6 MB)
     asked = []
-    normals = Rng.normals
-
-    def recording(self, n):
-        asked.append(n)
-        return normals(self, n)
-
-    monkeypatch.setattr(Rng, "normals", recording)
+    _record_counts(monkeypatch, Rng, asked)
+    _record_counts(monkeypatch, Cursors, asked)
     cfg = reg_cfg()
     p, rank = param_count(cfg), 4
     gen = np.random.default_rng(0)
@@ -229,6 +254,68 @@ def test_draws_ask_the_stream_for_one_row_at_a_time(monkeypatch):
         thetas, rng = sample_weights(state, n_samples=30, seed=1)
         assert asked and max(asked) <= p + rank
     moments = predictive_moments_regression(thetas, cfg, gen.normal(size=(9, 2)))
+    noise = rng.cursors(30, 9)
     asked.clear()
-    credible_interval_regression(moments, 0.1, rng)
-    assert asked and max(asked) <= 9
+    # the interval's noise: one block's rows from every cursor at once
+    credible_interval_regression(moments, 0.1, noise)
+    assert asked == [9]
+
+
+def _one_pass_regression(thetas, cfg, x, alpha, rng):
+    """Predictive moments and credible intervals over all rows in one pass,
+    each draw's noise one ``Rng.normals`` call: the oracle for the blocked
+    ``evaluate``."""
+    outs = [mlp_forward(cfg, theta, x) for theta in thetas]
+    mus = np.stack([out[:, 0] for out in outs])
+    noise = np.stack([np.exp(out[:, 1]) for out in outs])
+    s, n = mus.shape
+    mean = mus.mean(axis=0)
+    aleatoric, epistemic = noise.mean(axis=0), np.mean((mus - mean) ** 2, axis=0)
+    variance = aleatoric + epistemic
+    draws = np.stack([mus[j] + np.sqrt(noise[j]) * rng.normals(n) for j in range(s)])
+    k_lo = max(math.ceil(0.5 * alpha * s), 1)
+    k_hi = max(math.ceil((1.0 - 0.5 * alpha) * s), 1)
+    bounds = [np.partition(draws, k - 1, axis=0)[k - 1] for k in (k_lo, k_hi)]
+    return np.stack([mean, variance, aleatoric, epistemic, np.sqrt(variance)]), bounds
+
+
+# odd counts, counts below one block and exact multiples of a block
+_ROWS = st.one_of(
+    st.sampled_from([1, 2, 3, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, BLOCK_ROWS + 2,
+                     2 * BLOCK_ROWS, 2 * BLOCK_ROWS + 1, 3 * BLOCK_ROWS]),
+    st.integers(1, 3 * BLOCK_ROWS + 7),
+)
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(n=_ROWS, draws=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+       cached=st.booleans(), alpha=st.sampled_from([0.05, 0.2, 0.9]))
+def test_blocked_regression_equals_one_pass(n, draws, seed, cached, alpha):
+    cfg = MlpConfig(2, (8, 8), 2, "tanh", init_seed=seed % 101)
+    p = param_count(cfg)
+    state = AdviState(mean=init_params(cfg), log_std=np.full(p, -1.5))
+    thetas, rng = sample_weights(state, n_samples=draws, seed=seed)
+    _, ref = sample_weights(state, n_samples=draws, seed=seed)
+    if cached != (rng._cached_normal is not None):  # one normal flips it
+        rng.normals(1), ref.normals(1)
+    x = np.random.default_rng(seed).normal(size=(n, 2)) * 2.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # few draws for alpha
+        table, intervals = cli._predict_regression(thetas, rng, cfg, x, alpha)
+    want, (lower, upper) = _one_pass_regression(thetas, cfg, x, alpha, ref)
+    assert table.tobytes() == want.tobytes()
+    assert intervals.lower.tobytes() == lower.tobytes()
+    assert intervals.upper.tobytes() == upper.tobytes()
+    assert not intervals.collapsed.any()
+    assert (rng._state, rng._cached_normal) == (ref._state, ref._cached_normal)
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(n=_ROWS, draws=st.integers(1, 12), k=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+def test_blocked_class_mean_equals_one_pass(n, draws, k, seed):
+    cfg = MlpConfig(2, (8,), k, "relu", init_seed=seed % 101)
+    state = AdviState(mean=init_params(cfg), log_std=np.full(param_count(cfg), -1.0))
+    thetas, _ = sample_weights(state, n_samples=draws, seed=seed)
+    x = np.random.default_rng(seed).normal(size=(n, 2)) * 2.0
+    want = np.mean([softmax(mlp_forward(cfg, theta, x), axis=1) for theta in thetas], axis=0)
+    assert predictive_mean_classification(thetas, cfg, x).tobytes() == want.tobytes()
