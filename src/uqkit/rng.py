@@ -93,20 +93,17 @@ def _byte_tables(images: np.ndarray) -> np.ndarray:
 
 
 def _apply(tables: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """The linear map held in ``tables`` applied to each state of a
-    C-contiguous array, in an array of the same shape."""
+    """The linear map held in ``tables`` applied to each state."""
     by_byte = states.view(np.uint8).reshape(-1, 8)
-    if states.size < 512:
+    if len(states) < 512:
         # few states: one gather over all 8 tables costs the fewest calls
-        return np.bitwise_xor.reduce(tables.take(by_byte + _BYTE_OFFSETS), axis=1).reshape(
-            states.shape
-        )
+        return np.bitwise_xor.reduce(tables.take(by_byte + _BYTE_OFFSETS), axis=1)
     # many states: a gather per byte is several times faster than one
     # (n, 8) gather and reduce
     out = tables[0].take(by_byte[:, 0])
     for b in range(1, 8):
         out ^= tables[b].take(by_byte[:, b])
-    return out.reshape(states.shape)
+    return out
 
 
 def _jump(j: int) -> np.ndarray:
@@ -146,13 +143,13 @@ def _pass(starts: np.ndarray, n: int) -> np.ndarray:
     b = _BLOCK_BITS[bisect.bisect(_BLOCK_FROM, s * n)]
     h = -(-n >> b)
     block = np.empty((1 << b, h, s), dtype=_U64)
-    heads = block[0]
+    heads = block[0].reshape(-1)  # head t of stream i at t * s + i
     if h:
-        _step_into(starts, heads[0])
+        heads[:s] = [_step(x) for x in starts.tolist()]
     k, j = 1, 0
     while k < h:
         m = min(k, h - k)
-        heads[k : k + m] = _apply(_jump(j + b), heads[:m])
+        heads[k * s : (k + m) * s] = _apply(_jump(j + b), heads[: m * s])
         k, j = k + m, j + 1
     for prev, x in zip(block, block[1:]):
         _step_into(prev, x)
@@ -176,8 +173,6 @@ def _normals(
     s = len(states)
     if n == 0:
         return np.empty((s, 0)), states, cached
-    held = ~np.isnan(cached)
-    pairs = (n + 1 - held) // 2
     # every stream makes the pairs of one without a cached half, so the
     # rows line up; the pair a stream with one does not use is dropped
     raw = _pass(states, 2 * ((n + 1) // 2))
@@ -192,13 +187,16 @@ def _normals(
     z[:, 0] = cached
     z[:, 1::2] = (radius * cos).reshape(s, -1)
     z[:, 2::2] = (radius * sin).reshape(s, -1)
-    out = np.where(held[:, None], z[:, :n], z[:, 1 : n + 1])
-    # column of each stream's last sin half in z, and of its last state in raw
-    rows, last = np.arange(s), 2 * pairs
-    states = np.where(pairs > 0, raw[rows, last - 1], states)
-    # an odd count past the cached half leaves its last pair's sin
-    cached = np.where((n - held) % 2 == 1, z[rows, last], np.nan)
-    return out, states, cached
+    out, states, halves = np.empty((s, n)), states.copy(), np.full(s, np.nan)
+    for i, half in enumerate(cached.tolist()):
+        held = not math.isnan(half)  # the cached half is the stream's first normal
+        out[i] = z[i, 1 - held : n + 1 - held]
+        used = 2 * ((n + 1 - held) // 2)  # the uniforms the stream takes
+        if used:
+            states[i] = raw[i, used - 1]
+        if (n - held) % 2:  # an odd count past the cached half leaves a sin
+            halves[i] = z[i, used]
+    return out, states, halves
 
 
 def _place(state: int, cached: float | None, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -309,6 +307,8 @@ class Rng:
         stream stands: cursor j draws the normals j * spacing to
         (j + 1) * spacing - 1 of ``normals(count * spacing)``, and this
         stream moves past all of them, where that call leaves it."""
+        if count < 0 or spacing < 0:
+            raise ValueError(f"cursor count and spacing must be nonnegative, got {count}, {spacing}")
         states, halves = _place(
             self._state, self._cached_normal, spacing * np.arange(count + 1, dtype=np.int64)
         )

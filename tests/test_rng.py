@@ -233,6 +233,12 @@ def test_cursors_draw_the_stream_in_stretches(seed, cached, count, spacing, cuts
         cursors.normals(1)
 
 
+@pytest.mark.parametrize("count, spacing", [(-1, 3), (2, -1)])
+def test_cursors_take_no_negative_count_or_spacing(count, spacing):
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        Rng(0).cursors(count, spacing)
+
+
 def test_normals_do_not_depend_on_how_the_calls_split():
     whole = Rng(11).normals(1001)
     r = Rng(11)
