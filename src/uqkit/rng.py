@@ -308,7 +308,9 @@ class Rng:
         (j + 1) * spacing - 1 of ``normals(count * spacing)``, and this
         stream moves past all of them, where that call leaves it."""
         if count < 0 or spacing < 0:
-            raise ValueError(f"cursor count and spacing must be nonnegative, got {count}, {spacing}")
+            raise ValueError(
+                f"cursor count and spacing must be nonnegative, got {count}, {spacing}"
+            )
         states, halves = _place(
             self._state, self._cached_normal, spacing * np.arange(count + 1, dtype=np.int64)
         )

@@ -30,7 +30,8 @@ def test_evaluate_state_peak_grows_with_the_rows_not_the_draws(tmp_path, capsys,
         n = blocks * BLOCK_ROWS
         y = gen.integers(0, classes, n) if task == "classification" else gen.normal(size=n)
         data = tmp_path / f"{n}.csv"
-        write_matrix_csv(data, np.column_stack([gen.normal(size=(n, 2)), y]), ["x0", "x1", "target"])
+        rows = np.column_stack([gen.normal(size=(n, 2)), y])
+        write_matrix_csv(data, rows, ["x0", "x1", "target"])
         argv = [
             "evaluate", "--state", str(tmp_path / "state.json"), "--data", str(data),
             "--alpha", "0.1", "--predictive-samples", "20", "--out-dir", str(tmp_path / str(n)),

@@ -720,7 +720,9 @@ def test_laplace_equals_tape_bit_for_bit(task, monkeypatch):
     # 5 k P + k P - 1 (so the rule's floor division is at stake)
     passes = []
     backward = uqkit.posterior.mlp_backward
-    monkeypatch.setattr(uqkit.posterior, "mlp_backward", lambda *a: passes.append(1) or backward(*a))
+    monkeypatch.setattr(
+        uqkit.posterior, "mlp_backward", lambda *a: passes.append(1) or backward(*a)
+    )
     rng = np.random.default_rng(5 if task == CLASSIFICATION else 6)
     seen = set()
     for case in range(36):
