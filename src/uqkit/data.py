@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DataError, InvalidSplitError
 from .numerics import check_labels
-from .rng import Rng, child_seed
+from .rng import Rng, child_seed, permutations
 
 CLASSIFICATION = "classification"
 REGRESSION = "regression"
@@ -108,16 +108,30 @@ def load_csv(path, task: str, target_column: str) -> Dataset:
             f"(have: {', '.join(header)})"
         )
     t = header.index(target_column)
-    values = matrix[:, t]
-    inputs = np.delete(matrix, t, axis=1)
     feature_names = tuple(h for i, h in enumerate(header) if i != t)
+    if task == REGRESSION:
+        check_finite_cells(path, matrix, header)
+    targets = matrix[:, t].copy()
+    inputs = _drop_column(matrix, t)
     if task == CLASSIFICATION:
         check_finite_cells(path, inputs, feature_names)
-        targets = class_labels(values, path)
-    else:
-        check_finite_cells(path, matrix, header)
-        targets = values.copy()
+        targets = class_labels(targets, path)
     return Dataset(inputs=inputs, targets=targets, task=task, feature_names=feature_names)
+
+
+def _drop_column(matrix: np.ndarray, t: int) -> np.ndarray:
+    """``np.delete(matrix, t, axis=1)`` made in ``matrix``'s own buffer,
+    which it takes over: the kept cells move forward a block of rows at a
+    time and the buffer then shrinks to them, so no second matrix is
+    alive. ``matrix`` must own its C-ordered data, as a parsed one does."""
+    n, c = matrix.shape
+    flat = matrix.reshape(-1)
+    for lo in range(0, n, _BLOCK_ROWS):
+        block = np.delete(matrix[lo : lo + _BLOCK_ROWS], t, axis=1)
+        flat[lo * (c - 1) : lo * (c - 1) + block.size] = block.ravel()
+    del flat  # no view of the buffer is left, so it may move as it shrinks
+    matrix.resize((n, c - 1), refcheck=False)
+    return matrix
 
 
 def save_csv(ds: Dataset, path) -> None:
@@ -161,19 +175,31 @@ def split(ds: Dataset, fractions, seed: int) -> tuple[Dataset, Dataset, Dataset]
     return ds.take(perm[:a]), ds.take(perm[a:b]), ds.take(perm[b:])
 
 
-def batches(ds: Dataset, batch_size: int, shuffle_seed: int, epoch: int):
-    """A generator of (inputs, targets) mini-batches for one epoch;
-    ``batch_size`` is checked when called.
+def batches(datasets: list[Dataset], batch_size: int, seeds: list[int], epochs: int):
+    """A generator of lockstep mini-batches for lanes s = 0..S-1 over
+    ``epochs`` epochs: one ``(inputs, targets)`` pair per step, shaped
+    ``(S, b, d)`` and ``(S, b)``, row s from ``datasets[s]``.
+    ``batch_size`` is checked at the first step.
 
-    The row permutation is keyed by (shuffle_seed, epoch), so any epoch
-    replays exactly and concatenating the batches reproduces the permuted
-    dataset.
-    """
+    Lane s's rows in epoch e are permuted by the stream
+    ``Rng(child_seed(seeds[s], e))``, so any epoch replays exactly and a
+    lane's batches of an epoch, concatenated, are its permuted dataset.
+    Each epoch draws every lane's permutation in one stream pass
+    (``rng.permutations``) and takes the permuted rows, lane by lane, into
+    one input and one target buffer that every epoch reuses. A batch is a
+    view of them, valid until the next epoch's first step."""
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
-    perm = Rng(child_seed(shuffle_seed, epoch)).permutation(ds.n)
-    chunks = (perm[start : start + batch_size] for start in range(0, ds.n, batch_size))
-    return ((ds.inputs[idx], ds.targets[idx]) for idx in chunks)
+    n = datasets[0].n
+    inputs = np.empty((len(datasets), n, datasets[0].d))
+    targets = np.empty((len(datasets), n), dtype=datasets[0].targets.dtype)
+    for epoch in range(epochs):
+        perms = permutations([Rng(child_seed(seed, epoch)) for seed in seeds], n)
+        for ds, perm, x, y in zip(datasets, perms, inputs, targets):
+            x[:] = ds.inputs[perm]
+            y[:] = ds.targets[perm]
+        for start in range(0, n, batch_size):
+            yield inputs[:, start : start + batch_size], targets[:, start : start + batch_size]
 
 
 # fixed blob centers: equally spaced on a circle of radius 3
@@ -224,8 +250,9 @@ def synth_classification(
 # numpy's C parser then reads it exactly as ``float`` reads each cell.
 _PLAIN_BYTES = b"0123456789.eE+-,\r\n"
 _SCAN_BYTES = 1 << 16
-# rows per ``%`` operation when formatting a numeric body
-_WRITE_BLOCK_ROWS = 1024
+# rows per block when formatting a numeric body (one ``%`` operation) or
+# moving a parsed file's input columns
+_BLOCK_ROWS = 1024
 
 
 def read_matrix_csv(path) -> tuple[np.ndarray, list[str]]:
@@ -336,8 +363,8 @@ def write_matrix_csv(path, matrix, header: list[str]) -> None:
     matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
     if matrix.shape[1] != len(header):
         raise ValueError("header length must match the number of columns")
-    rows = range(0, matrix.shape[0], _WRITE_BLOCK_ROWS)
-    write_blocks_csv(path, (matrix[r : r + _WRITE_BLOCK_ROWS] for r in rows), header)
+    rows = range(0, matrix.shape[0], _BLOCK_ROWS)
+    write_blocks_csv(path, (matrix[r : r + _BLOCK_ROWS] for r in rows), header)
 
 
 def write_blocks_csv(path, blocks, header: list[str]) -> None:

@@ -29,6 +29,7 @@ import base64
 import math
 import warnings
 from dataclasses import dataclass, fields, replace
+from itertools import islice
 
 import numpy as np
 
@@ -248,10 +249,10 @@ def _train(objective, x0, trains, seeds, opt, epoch_values, on_step=None):
 
     Lane s is row s of the ``(S, P)`` stack ``x`` for the whole fit, from
     row s of ``x0``, with batches from ``trains[s]`` in an order keyed by
-    (``seeds[s]``, epoch). Each step stacks one equal-shape batch per lane
-    into ``(S, b, d)`` inputs, and ``objective(x, inputs, targets)`` gives
-    the ``(S,)`` batch losses and ``(S, P)`` gradients for one optimizer
-    step over the stack. Then ``on_step(step, x, live)`` gets the 1-based
+    (``seeds[s]``, epoch). Each step takes every lane's batch at once
+    from ``batches`` as ``(S, b, d)`` inputs, and ``objective(x, inputs,
+    targets)`` gives the ``(S,)`` batch losses and ``(S, P)`` gradients
+    for one optimizer step over the stack. Then ``on_step(step, x, live)`` gets the 1-based
     step, the live stack (the next step replaces it, never writes into
     it) and the live rows' indices; after each epoch the live lanes'
     traces take theirs of the S values ``epoch_values(x, batch_losses)``.
@@ -271,15 +272,14 @@ def _train(objective, x0, trains, seeds, opt, epoch_values, on_step=None):
     traces: list[list[float]] = [[] for _ in trains]
     stepper = _Optimizer(opt, x.shape)
     per_epoch = _n_batches(trains[0].n, opt.batch_size)
+    stream = batches(trains, opt.batch_size, seeds, opt.epochs)
     step = 0
     # the checks below catch every non-finite value; numpy's warnings would repeat them
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for epoch in range(opt.epochs):
-            streams = [batches(t, opt.batch_size, seed, epoch) for t, seed in zip(trains, seeds)]
+        for _ in range(opt.epochs):
             losses: list[np.ndarray] = []
-            for _ in range(per_epoch):
-                inputs, targets = zip(*[next(stream) for stream in streams])
-                loss, grad = objective(x, np.array(inputs), np.array(targets))
+            for inputs, targets in islice(stream, per_epoch):
+                loss, grad = objective(x, inputs, targets)
                 new_x = stepper.step(x, grad)
                 # a non-finite gradient always makes a non-finite step
                 ok = np.isfinite(loss) & np.isfinite(new_x).all(axis=1)
@@ -695,15 +695,18 @@ def posterior_sample(state: PosteriorState, rng: Rng, n_samples: int | None = No
         loc, std = state.mean, np.exp(np.maximum(state.log_std, _LOG_STD_FLOOR))
     else:
         raise TypeError(f"unknown posterior state {type(state).__name__}")
-    draws = np.empty((n_samples, loc.size))
+    p = loc.size
+    # a SWAG row's z2 follows its z1 in the same normals call
+    low_rank = swag and state.rank >= 2
+    draws = np.empty((n_samples, p))
     for row in draws:  # one normals call per row keeps the temporaries P long
+        z = rng.normals(p + state.rank if low_rank else p)
         if swag:
-            np.add(loc, std * rng.normals(loc.size) / np.sqrt(2.0), out=row)
-            if state.rank >= 2:
-                low_rank = state.deviations @ rng.normals(state.rank)
-                row += low_rank / np.sqrt(2.0 * (state.rank - 1))
+            np.add(loc, std * z[:p] / np.sqrt(2.0), out=row)
+            if low_rank:
+                row += state.deviations @ z[p:] / np.sqrt(2.0 * (state.rank - 1))
         else:
-            np.add(loc, std * rng.normals(loc.size), out=row)
+            np.add(loc, std * z, out=row)
     return draws
 
 

@@ -6,27 +6,30 @@ integers, so a given seed replays the identical stream on any platform.
 Normal variates use the Box-Muller transform with the (cos, sin) pair
 consumed in order, which pins posterior-sampling golden values.
 
-The array methods (``uniforms``, ``normals``, ``permutation``) define
-the stream; ``tests/rng_oracle.py`` keeps the same stream one draw at a
-time as their oracle. The states are made in numpy. The xorshift step is
-linear over GF(2), so M^(2^j), the step applied 2^j times, is a 64x64 bit
-matrix; applying it to the k states made so far gives the next k
-(Haramoto et al. 2008, "Efficient jump ahead for F2-linear random number
-generators"). Each M^(2^j) is kept as 8 byte-indexed 256-entry tables,
-built at first use by squaring and shared by every stream. One pass
-makes the next n states of any number of streams at once, a stream being
-the one-stream case. From 256 states in all on, only every B-th state of
-a stream is made by jumps (of M^(B 2^j)), and the B - 1 after each by
-plain xorshift steps across all of them at once: B = 4 from 256 states,
-8 from 2,048 and 16 from 16,384. ``Rng.cursors`` places streams k normals
-ahead of one by composing the M^(2^j) of the set bits of the uniforms
-skipped, all cursors at once, so each can draw its own share of one
-stretch of normals. The output
-multiply, the uniform scaling and ``np.sqrt`` are exact or correctly
-rounded in numpy. The Box-Muller log stays ``math.log`` per value, since
-``np.log`` can differ from it in the last bit; ``np.cos``/``np.sin`` are
-used only after a first-use probe finds them equal to ``math`` on a fixed
-set of angles, and ``math`` is used otherwise.
+The array methods (``uniforms``, ``normals``, ``permutation``) and
+``permutations`` define the stream; ``tests/rng_oracle.py`` keeps the
+same stream one draw at a time as their oracle. The states are made in
+numpy. The xorshift step is linear over GF(2), so M^(2^j), the step
+applied 2^j times, is a 64x64 bit matrix; applying it to the k states
+made so far gives the next k (Haramoto et al. 2008, "Efficient jump ahead
+for F2-linear random number generators"). Each M^(2^j) is kept as 8
+byte-indexed 256-entry tables, built at first use by squaring and shared
+by every stream. One pass makes the next n states of any number of
+streams at once, a stream being the one-stream case. ``permutations``
+draws the Fisher-Yates permutations of many streams (a training epoch's
+lanes, say) from one such pass; ``Rng.permutation`` is its one-stream
+case. From 256 states in all on, only every B-th state of a stream is
+made by jumps (of M^(B 2^j)), and the B - 1 after each by plain xorshift
+steps across all of them at once: B = 4 from 256 states, 8 from 2,048 and
+16 from 16,384. ``Rng.cursors`` places streams k normals ahead of one by
+composing the M^(2^j) of the set bits of the uniforms skipped, all
+cursors at once, so each can draw its own share of one stretch of
+normals. The output multiply, the uniform scaling and ``np.sqrt`` are
+exact or correctly rounded in numpy. The Box-Muller log stays
+``math.log`` per value, since ``np.log`` can differ from it in the last
+bit; ``np.cos``/``np.sin`` are used only after a first-use probe finds
+them equal to ``math`` on a fixed set of angles, and ``math`` is used
+otherwise.
 """
 
 from __future__ import annotations
@@ -342,12 +345,33 @@ class Rng:
         return out
 
     def permutation(self, n: int) -> np.ndarray:
-        """Fisher-Yates permutation of range(n)."""
-        js = self._bounded_draws(np.arange(n, 1, -1, dtype=_U64))
+        """Fisher-Yates permutation of range(n): the one-stream case of
+        :func:`permutations`."""
+        return permutations([self], n)[0]
+
+
+def permutations(streams: list[Rng], n: int) -> np.ndarray:
+    """Fisher-Yates permutations of range(n), row s drawn from
+    ``streams[s]``, which moves past its draws: row s is
+    ``streams[s].permutation(n)``. Draw k of a stream is a uniform
+    integer below n - k. Every stream's draws come from one pass and one
+    rejection check; only a stream with a rejected draw (about one in
+    2**64 / n) draws again, alone, through ``Rng._bounded_draws``."""
+    bounds = np.arange(n, 1, -1, dtype=_U64)
+    states = _pass(np.array([r._state for r in streams], dtype=_U64), len(bounds))
+    draws = states * np.uint64(_MULTIPLIER)
+    rejected = _rejected(draws, bounds).any(axis=1).tolist()
+    perms = np.empty((len(streams), n), dtype=np.int64)
+    for s, (stream, js) in enumerate(zip(streams, (draws % bounds).tolist())):
+        if rejected[s]:
+            js = stream._bounded_draws(bounds)
+        elif len(bounds):
+            stream._state = int(states[s, -1])
         perm = list(range(n))
         for i, j in zip(range(n - 1, 0, -1), js):
             perm[i], perm[j] = perm[j], perm[i]
-        return np.array(perm, dtype=np.int64)
+        perms[s] = perm
+    return perms
 
 
 class Cursors:

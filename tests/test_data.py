@@ -1,4 +1,5 @@
 import ast
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from uqkit.data import (
     synth_classification,
 )
 from uqkit.errors import DataError, InvalidSplitError
+from uqkit.rng import Rng, child_seed
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -128,35 +130,59 @@ class TestSplit:
 
 
 class TestBatches:
-    def ds(self, n):
+    def ds(self, n, offset=0.0):
         return Dataset(
-            inputs=np.arange(float(n)).reshape(n, 1),
-            targets=np.arange(float(n)),
+            inputs=np.column_stack([np.arange(float(n)), -np.arange(float(n))]) + offset,
+            targets=np.arange(float(n)) + offset,
             task="regression",
-            feature_names=("a",),
+            feature_names=("a", "b"),
         )
 
+    @staticmethod
+    def epochs(datasets, batch_size, seeds, epochs):
+        """Each epoch's (inputs, targets) per lane, its batches concatenated;
+        a batch is a view that the next epoch overwrites, so each is copied."""
+        stream = batches(datasets, batch_size, seeds, epochs)
+        steps = -(-datasets[0].n // batch_size)
+        out = []
+        for _ in range(epochs):
+            xs, ys = zip(*[(x.copy(), y.copy()) for x, y in islice(stream, steps)])
+            out.append((np.concatenate(xs, axis=1), np.concatenate(ys, axis=1)))
+        assert next(stream, None) is None
+        return out
+
     def test_batch_sizes(self):
-        sizes = [x.shape[0] for x, _ in batches(self.ds(5), 2, 0, epoch=0)]
-        assert sizes == [2, 2, 1]
+        sizes = [x.shape for x, _ in batches([self.ds(5)] * 2, 2, [0, 1], epochs=1)]
+        assert sizes == [(2, 2, 2), (2, 2, 2), (2, 1, 2)]
         with pytest.raises(ValueError, match="batch_size"):
-            batches(self.ds(5), 0, 0, epoch=0)
+            next(batches([self.ds(5)], 0, [0], epochs=1))
 
     def test_epoch_permutations_differ_but_replay(self):
         ds = self.ds(12)
-
-        def epoch_order(epoch):
-            return np.concatenate([y for _, y in batches(ds, 4, 3, epoch)])
-
-        e0, e1 = epoch_order(0), epoch_order(1)
+        (_, e0), (_, e1) = self.epochs([ds], 4, [3], epochs=2)
         assert not np.array_equal(e0, e1)
-        np.testing.assert_array_equal(e0, epoch_order(0))
-        np.testing.assert_array_equal(e1, epoch_order(1))
+        for e, want in enumerate([e0, e1]):
+            np.testing.assert_array_equal(self.epochs([ds], 4, [3], epochs=e + 1)[e][1], want)
 
     def test_every_row_seen_once_per_epoch(self):
         ds = self.ds(17)
-        seen = np.concatenate([y for _, y in batches(ds, 5, 1, epoch=2)])
-        assert sorted(seen.tolist()) == list(range(17))
+        for _, y in self.epochs([ds, ds], 5, [1, 2], epochs=3):
+            for lane in y:
+                assert sorted(lane.tolist()) == list(range(17))
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_each_lane_takes_its_stream_permutation(self, shared):
+        # lanes that pass one Dataset object (an ensemble's members) each
+        # take their own rows
+        n, seeds = 23, [4, 9, 4, 2**64 - 1]
+        datasets = [self.ds(n, 0.0 if shared else 100.0 * s) for s in range(len(seeds))]
+        if shared:
+            datasets = [datasets[0]] * len(seeds)
+        for epoch, (x, y) in enumerate(self.epochs(datasets, 7, seeds, epochs=3)):
+            for s, (ds, seed) in enumerate(zip(datasets, seeds)):
+                want = ds.take(Rng(child_seed(seed, epoch)).permutation(n))
+                assert x[s].tobytes() == want.inputs.tobytes()
+                assert y[s].tobytes() == want.targets.tobytes()
 
 
 class TestSynth:

@@ -255,7 +255,7 @@ WRITER_CELLS = st.one_of(
     st.sampled_from(EDGES + [1.7976931348623157e308, math.nan, math.inf, -math.inf]),
     st.floats(),
 )
-BLOCK = uqkit.data._WRITE_BLOCK_ROWS
+BLOCK = uqkit.data._BLOCK_ROWS
 
 
 @BOUNDED

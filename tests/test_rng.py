@@ -307,6 +307,70 @@ def test_bounded_draws_redraw_after_rejections_in_a_batch():
     assert got == want and state == want_state
 
 
+_PERMUTATION_SIZES = st.sampled_from([0, 1, 2, 255, 300, 2049])
+_STREAM_SEEDS = st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds=_STREAM_SEEDS, n=_PERMUTATION_SIZES)
+def test_many_stream_permutations_equal_each_streams_own(seeds, n):
+    streams = [Rng(seed) for seed in seeds]
+    got = rng_module.permutations(streams, n)
+    assert got.shape == (len(seeds), n) and got.dtype == np.int64
+    for row, stream, seed in zip(got, streams, seeds):
+        alone = Rng(seed)
+        assert row.tobytes() == alone.permutation(n).tobytes()
+        assert stream._state == alone._state
+
+
+def _permutation_rejecting(seed, n, forced):
+    """``ScalarRng(seed).permutation(n)`` whose bounded draws also reject
+    the output ``forced``, and the stream's state after it."""
+    slow, perm = ScalarRng(seed), list(range(n))
+    for i in range(n - 1, 0, -1):
+        draw = slow.next_uint64()
+        while draw == forced or draw >= 2**64 - 2**64 % (i + 1):
+            draw = slow.next_uint64()
+        j = draw % (i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm, slow._state
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6, unique=True),
+    n=_PERMUTATION_SIZES.filter(lambda n: n >= 2),
+    data=st.data(),
+)
+def test_only_a_stream_with_a_rejected_draw_draws_again(seeds, n, data):
+    # rejections are about n / 2**64 per draw, so one is forced: the k-th
+    # output of stream i counts as rejected wherever it is checked (the
+    # seeds differ, so no other stream draws that output)
+    i = data.draw(st.integers(0, len(seeds) - 1), label="stream")
+    k = data.draw(st.integers(0, n - 2), label="draw")
+    slow = ScalarRng(seeds[i])
+    forced = [slow.next_uint64() for _ in range(k + 1)][-1]
+    rejected, redrawn = rng_module._rejected, []
+    bounded_draws = Rng._bounded_draws
+
+    def record(stream, bounds):
+        redrawn.append(stream)
+        return bounded_draws(stream, bounds)
+
+    streams = [Rng(seed) for seed in seeds]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rng_module, "_rejected", lambda d, b: rejected(d, b) | (d == np.uint64(forced)))
+        mp.setattr(Rng, "_bounded_draws", record)
+        got = rng_module.permutations(streams, n)
+    assert redrawn == [streams[i]]
+    for s, (row, stream, seed) in enumerate(zip(got, streams, seeds)):
+        alone = Rng(seed)
+        want = alone.permutation(n).tolist(), alone._state
+        if s == i:
+            want = _permutation_rejecting(seed, n, forced)
+        assert (row.tolist(), stream._state) == want
+
+
 def test_scalar_trig_fallback_gives_the_same_normals(monkeypatch):
     monkeypatch.setattr(rng_module, "_NUMPY_TRIG_EXACT", False)
     assert Rng(4).normals(999).tobytes() == ScalarRng(4).normals(999).tobytes()
