@@ -252,9 +252,9 @@ def _train(objective, x0, trains, seeds, opt, epoch_values, on_step=None):
     (``seeds[s]``, epoch). Each step takes every lane's batch at once
     from ``batches`` as ``(S, b, d)`` inputs, and ``objective(x, inputs,
     targets)`` gives the ``(S,)`` batch losses and ``(S, P)`` gradients
-    for one optimizer step over the stack. Then ``on_step(step, x, live)`` gets the 1-based
-    step, the live stack (the next step replaces it, never writes into
-    it) and the live rows' indices; after each epoch the live lanes'
+    for one optimizer step over the stack. Then ``on_step(step, x,
+    live)`` gets the 1-based step, the live stack (the next step replaces
+    it, never writes into it) and the live rows' indices; after each epoch the live lanes'
     traces take theirs of the S values ``epoch_values(x, batch_losses)``.
     With ``epoch_values=None`` nothing is computed per epoch and every
     trace stays empty; the iterates are the same bit for bit.
