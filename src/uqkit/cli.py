@@ -88,11 +88,12 @@ _COLUMN_OF = {
 
 def _read_input(path, flag: str) -> np.ndarray:
     """A CSV input, read by the last word of its flag: a ``probs`` or
-    ``logits`` matrix of the p0..pK-1 columns (of every column, as read,
-    when there are none), else a vector of the flag's canonical column or
-    the only one. A non-finite cell among those read, or a probability row
-    that is negative or does not sum to 1, is a ``DataError`` naming the
-    file and the data row (1 = first after the header)."""
+    ``logits`` matrix of the p0..pK-1 columns (the matrix as read, not
+    copied, when there are none or they are every column in order), else a
+    vector of the flag's canonical column or the only one. A non-finite
+    cell among those read, or a probability row that is negative or does
+    not sum to 1, is a ``DataError`` naming the file and the data row
+    (1 = first after the header)."""
     kind = flag.rsplit("_", 1)[-1]
     want = _COLUMN_OF.get(kind)  # None for a probs or logits matrix
     matrix, header = read_matrix_csv(path)
@@ -111,7 +112,7 @@ def _read_input(path, flag: str) -> np.ndarray:
         raise DataError(
             f"{path} has columns {header}; expected a single column or one named {want!r}"
         )
-    if columns:
+    if columns not in ([], list(range(len(header)))):
         matrix, header = matrix[:, columns], [header[i] for i in columns]
     check_finite_cells(path, matrix, header)
     if kind == "probs":

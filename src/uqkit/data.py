@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -247,22 +248,29 @@ def synth_classification(
 # --- the one CSV reader and writer, and the one JSON reader and writer --------
 
 # A "plain" body (everything after the header line) holds only these bytes;
-# numpy's C parser then reads it exactly as ``float`` reads each cell.
+# ``_parse_rows`` then reads each cell bit for bit as ``float`` does.
 _PLAIN_BYTES = b"0123456789.eE+-,\r\n"
-_SCAN_BYTES = 1 << 16
+# bytes per chunk of the plain-byte scan and per block of the parse
+_SCAN_BYTES = 1 << 17
 # rows per block when formatting a numeric body (one ``%`` operation) or
 # moving a parsed file's input columns
 _BLOCK_ROWS = 1024
+# a plain block as ``np.fromstring`` reads it: dots and CRs deleted, exponent
+# markers and line feeds made commas, so a cell gives its digits as one
+# integer and its exponent, if any, as the next
+_INTEGERS = bytes.maketrans(b"eE\n", b",,,")
+# the type of the one rounded multiply or divide per cell
+_WIDE = np.longdouble
 
 
 def read_matrix_csv(path) -> tuple[np.ndarray, list[str]]:
     """Read an all-float CSV with header into (matrix, column names).
 
-    The file is opened once. A plain body is parsed by ``np.loadtxt``; any
-    other file, any file ``loadtxt`` rejects, and any stream that cannot
-    seek (a pipe or FIFO) goes through the Python reader on the same
-    handle, which gives the same matrix and is the source of every error
-    message."""
+    The file is opened once. A plain body is parsed a block at a time by
+    ``_parse_rows``; any other file, any plain body it rejects, and any
+    stream that cannot seek (a pipe or FIFO) goes through the Python reader
+    on the same handle, which gives the same matrix and is the source of
+    every error message."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
@@ -271,35 +279,135 @@ def read_matrix_csv(path) -> tuple[np.ndarray, list[str]]:
 
 
 def _read_csv_plain(fh) -> tuple[np.ndarray, list[str]] | None:
-    """The C-speed read of a binary handle at its start, or None when the
-    handle cannot seek (before any byte is read), the file is not plain or
-    ``loadtxt`` fails on it. The header line must end in a newline and hold
-    no quote and no bare carriage return; the body is checked in chunks, so
-    memory stays at the matrix's size."""
+    """The fast read of a binary handle at its start, or None when the handle
+    cannot seek (before any byte is read), the file is not plain,
+    ``_parse_rows`` rejects it or it holds no row. The header line must end
+    in a newline and hold no quote and no bare carriage return. The scan
+    counts the lines, so the matrix is allocated once; blank lines shrink it
+    in place."""
     if not fh.seekable():
         return None
     head = fh.readline()
     if not head.endswith(b"\n") or b'"' in head or b"\r" in head[:-2]:
         return None
-    non_blank = False
+    lines, last = 0, b"\n"
     while chunk := fh.read(_SCAN_BYTES):
         if chunk.translate(None, _PLAIN_BYTES):
             return None
-        non_blank = non_blank or bool(chunk.translate(None, b"\r\n"))
-    if not non_blank:
-        return None
+        lines, last = lines + chunk.count(b"\n"), chunk[-1:]
     try:
         header = [h.strip() for h in next(csv.reader([head.decode("utf-8-sig")]))]
     except UnicodeDecodeError:
         return None
+    if not header:
+        return None
     fh.seek(len(head))
-    try:
-        matrix = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
+    matrix, rows = np.empty((lines + (last != b"\n"), len(header))), 0
+    bits = np.finfo(_WIDE).nmant + 1  # significand bits: 64 on x87, 53 in float64
+    # 10**0..10**L, each exact in ``_WIDE`` (L = 27 on x87, 22 in float64)
+    powers = np.cumprod([_WIDE(1)] + [_WIDE(10)] * max(e for e in range(64) if 5**e < 2**bits))
+    for block in _line_blocks(fh):
+        values = _parse_rows(block, len(header), min(10**18, 2**bits), powers)
+        if values is None:
+            return None
+        matrix[rows : rows + len(values)] = values
+        rows += len(values)
+    if not rows:
         return None
-    if matrix.shape[1] != len(header):
-        return None
+    matrix.resize((rows, len(header)), refcheck=False)
     return matrix, header
+
+
+def _line_blocks(fh):
+    """The rest of ``fh`` in blocks of whole lines of about ``_SCAN_BYTES``,
+    each ending in a line feed (added to a last line that has none)."""
+    while block := fh.read(_SCAN_BYTES):
+        cut = block.rfind(b"\n") + 1
+        if not cut:  # a line longer than a block
+            block += fh.readline()
+        elif cut < len(block):  # the last line starts the next block
+            fh.seek(cut - len(block), io.SEEK_CUR)
+            block = block[:cut]
+        yield block if block.endswith(b"\n") else block + b"\n"
+
+
+def _among(a: np.ndarray, chars: bytes) -> np.ndarray:
+    """Which of the bytes ``a`` are among ``chars``."""
+    hit = a == chars[0]
+    for c in chars[1:]:
+        hit |= a == c
+    return hit
+
+
+def _parse_rows(block: bytes, k: int, bound: int, powers: np.ndarray) -> np.ndarray | None:
+    """The ``(rows, k)`` matrix of a block of whole plain lines, or None when
+    ``_cells`` rejects it with its blank lines dropped. A cell of digits m
+    below ``bound`` and exponent E within ``powers`` is m * 10**E in one
+    ``_WIDE`` operation, then rounded to float64: ``float(cell)`` (Clinger,
+    PLDI 1990) unless the ``_WIDE`` value sits on a float64 midpoint, where
+    rounding twice can differ. ``float`` reads the other cells."""
+    cells = _cells(block, k)
+    if cells is None:
+        # blank lines, which the csv module skips, are the one fault mended
+        lines = re.sub(rb"(\r?\n)+", b"\n", block).lstrip(b"\n")
+        return None if lines == block else _parse_rows(lines, k, bound, powers)
+    starts, stops, marked, e = cells
+    ints = np.fromstring(block.translate(_INTEGERS, b".\r"), dtype=np.int64, sep=",")
+    exponents = marked + np.arange(marked.size) + 1  # their places in ``ints``
+    e[marked] += ints[exponents]  # an int64 wrap lands far outside ``powers``
+    m = np.delete(ints, exponents)  # 2**63 - 1 where saturated, as an exponent may be
+    del ints
+    fast = (m < bound) & (m > -bound) & (np.abs(e) < powers.size)
+    wide = powers[np.where(fast, np.abs(e), 0)]
+    np.multiply(m, wide, out=wide, where=e >= 0)
+    np.divide(m, wide, out=wide, where=e < 0)
+    values = wide.astype(np.float64)
+    # on a midpoint the rounding error is half the step to the next float64,
+    # so twice the error, added, reaches it exactly
+    error = np.subtract(wide, values, out=wide).astype(np.float64)
+    del wide
+    slow = np.flatnonzero(~fast | (error != 0) & ((values + 2 * error) - values == 2 * error))
+    values[slow] = [float(block[s:t]) for s, t in zip(starts[slow].tolist(), stops[slow].tolist())]
+    values[(m == 0) & (np.frombuffer(block, np.uint8)[starts] == ord("-"))] = -0.0
+    return values.reshape(-1, k)
+
+
+def _cells(block: bytes, k: int):
+    """Each cell's start, stop and exponent from its dot (minus the digits
+    after it), and the cells with an exponent; or None unless each line ends
+    in LF or CRLF and holds k cells, each ``[+-]?`` digits with at most one
+    dot and at least one digit, then optionally ``[eE][+-]?`` and digits."""
+    a = np.frombuffer(block, np.uint8)
+    at = np.flatnonzero(a - ord("0") > 9)  # every byte but the digits
+    kind = a[at]
+    is_end = _among(kind, b",\n")
+    cell = np.cumsum(is_end)  # at a byte that ends no cell, the cell it is in
+    mark_at, dot_at = np.flatnonzero(_among(kind, b"eE")), np.flatnonzero(kind == ord("."))
+    ends, marks, dots = at[np.flatnonzero(is_end)], at[mark_at], at[dot_at]
+    marked, dotted, line_end = cell[mark_at], cell[dot_at], a[ends] == ord("\n")
+    before_sign = a[at[np.flatnonzero(_among(kind, b"+-"))] - 1]  # a[-1]: the last line feed
+    after_cr = a[at[np.flatnonzero(kind == ord("\r"))] + 1]
+    del at, kind, is_end, cell, mark_at, dot_at
+    starts = ends + 1 - np.diff(ends, prepend=-1)
+    stops = ends - (a[ends - 1] == ord("\r"))
+    mantissa_end = stops.copy()
+    mantissa_end[marked] = marks
+    digits = mantissa_end - starts - _among(a[starts], b"+-")
+    digits[dotted] -= 1
+    if (
+        line_end.sum() * k != ends.size
+        or not line_end[k - 1 :: k].all()
+        or (after_cr != ord("\n")).any()
+        or not (np.diff(marked).all() and np.diff(dotted).all())
+        or (dots > mantissa_end[dotted]).any()
+        or not _among(before_sign, b",\neE").all()  # a sign opens its cell or exponent
+        or (digits < 1).any()
+        or (stops[marked] - marks - _among(a[marks + 1], b"+-") < 2).any()
+    ):
+        return None
+    shift = np.zeros(ends.size, np.int64)
+    shift[dotted] = dots + 1 - mantissa_end[dotted]
+    return starts, stops, marked, shift
 
 
 def _read_csv_python(path, fh) -> tuple[np.ndarray, list[str]]:

@@ -1688,6 +1688,22 @@ def test_broken_csv_exits_3_naming_the_file(tmp_path, capsys, command, broken_fl
     assert str(tmp_path / f"{broken_flag.strip('-')}.csv") in err
 
 
+@pytest.mark.parametrize("header, gathered", [
+    ("p0,p1,p2", False), ("x,y,z", False), ("p1,p0,p2", True), ("p0,p1,id", True),
+])
+def test_probs_are_gathered_only_out_of_column_order(tmp_path, monkeypatch, header, gathered):
+    path = tmp_path / "p.csv"
+    path.write_text(f"{header}\n0.25,0.75,0\n0.5,0.5,0\n", encoding="utf-8")
+    read = []
+    real = cli_module.read_matrix_csv
+    monkeypatch.setattr(cli_module, "read_matrix_csv", lambda p: read.append(real(p)) or read[-1])
+    probs = cli_module._read_input(path, "probs")
+    names = header.split(",")
+    ranked = [names.index(f"p{j}") for j in range(sum(n.startswith("p") for n in names))]
+    assert probs.tolist() == read[0][0][:, ranked or [0, 1, 2]].tolist()
+    assert np.shares_memory(probs, read[0][0]) != gathered
+
+
 def _non_finite_vector_cases():
     for command in ("conformal_cqr", "conformal_scalar"):
         for flag in [*_CSV_SLOTS[command][1], "--test-targets"]:

@@ -213,8 +213,12 @@ class TestSynth:
             synth_classification("spirals", 10, 0.1, seed=0)
 
 
-# the CSV parsers and the CSV writer, as (module alias, name)
-_CSV_CODECS = {("csv", "reader"), ("csv", "writer"), ("np", "loadtxt"), ("numpy", "loadtxt")}
+# the CSV parsers and the CSV writer, as (module alias, name); ``loadtxt``
+# stays listed so that no module brings it back
+_CSV_CODECS = {
+    ("csv", "reader"), ("csv", "writer"), ("np", "loadtxt"), ("numpy", "loadtxt"),
+    ("np", "fromstring"), ("numpy", "fromstring"),
+}
 
 
 def _csv_codecs_used(source: str) -> set[str]:
@@ -232,13 +236,14 @@ def _csv_codecs_used(source: str) -> set[str]:
 
 def test_only_the_data_module_reads_and_writes_csv():
     for spelling in ("csv.reader(fh)", "w = csv.writer", "np.loadtxt(fh)",
-                     "from csv import writer", "from numpy import loadtxt"):
+                     "from csv import writer", "from numpy import loadtxt",
+                     "np.fromstring(text, sep=',')", "from numpy import fromstring"):
         assert _csv_codecs_used(spelling), spelling
     assert not _csv_codecs_used("np.savetxt(fh, x)\ncsv.QUOTE_ALL\nreader(fh)")
     sources = sorted(Path(uqkit.__file__).parent.glob("*.py"))
     assert len(sources) > 5
     used = {p.name: _csv_codecs_used(p.read_text(encoding="utf-8")) for p in sources}
-    assert used.pop("data.py") == {"csv.reader", "csv.writer", "np.loadtxt"}
+    assert used.pop("data.py") == {"csv.reader", "csv.writer", "np.fromstring"}
     assert {name: u for name, u in used.items() if u} == {}
 
 

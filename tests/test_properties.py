@@ -250,6 +250,88 @@ def test_workload_shaped_file_takes_the_c_path(scratch, monkeypatch):
     assert calls == [path]
 
 
+def _plain_parse(cells, k: int = 4) -> np.ndarray:
+    """``_read_csv_plain`` on a file of ``cells``, k to a row, LF endings."""
+    padded = list(cells) + ["0"] * (-len(cells) % k)
+    body = "".join(",".join(padded[i : i + k]) + "\n" for i in range(0, len(padded), k))
+    header = ",".join(f"c{j}" for j in range(k))
+    read = _read_csv_plain(io.BytesIO(f"{header}\n{body}".encode()))
+    assert read is not None
+    return read[0].ravel()[: len(cells)]
+
+
+def _bulk_cells(seed: int) -> list[str]:
+    """About 10**5 cells: random finite float64 bit patterns as ``%.17g``,
+    ``repr`` and ``%.{1..20}g``, and random decimals of 1-25 digits with
+    leading zeros, signs and exponents from -40 to 40."""
+    gen = np.random.default_rng(seed)
+    pattern = gen.integers(0, 2**64, 30_000, dtype=np.uint64).view(np.float64)
+    values = pattern[np.isfinite(pattern)].tolist()
+    values += (gen.normal(size=20_000) * 10.0 ** gen.integers(-30, 30, 20_000)).tolist()
+    cells = [format(v, ".17g") for v in values] + [repr(v) for v in values[:10_000]]
+    cells += ["%.*g" % (int(p), v) for p, v in zip(gen.integers(1, 21, len(values)), values)]
+    for _ in range(20_000):
+        digits = "".join(map(str, gen.integers(0, 10, int(gen.integers(1, 26)))))
+        digits = "0" * int(gen.integers(0, 4)) + digits
+        dot = int(gen.integers(0, len(digits) + 1))
+        cell = str(gen.choice(["", "+", "-"])) + digits[:dot]
+        cell += "." * int(gen.integers(2)) + digits[dot:]
+        if gen.random() < 0.6:
+            cell += str(gen.choice(["e", "E"])) + str(gen.choice(["", "+", "-"]))
+            cell += str(int(gen.integers(0, 41)))
+        cells.append(cell)
+    return cells
+
+
+# cells whose one ``_WIDE`` rounding may land on, or whose value is, a float64
+# midpoint, and mantissas and exponents that saturate an int64
+TARGETED_CELLS = [
+    "9007199254740993", "-9007199254740993", "9007199254740995", "4503599627370496.5",
+    "90071992547409930e-1", "0.9007199254740993e16",
+    # x87-rounded onto a midpoint, though the decimal is not one
+    "0.860434121326249135", "7.23000047180347000e-8", "5.51221483975413553e-6",
+    "946862.274078634975", "4074.70608976752942", "5415733.93913634168",
+    "999999999999999999", "1000000000000000000", "9223372036854775807",
+    "9223372036854775808", "-9223372036854775808", "-9223372036854775809",
+    "99999999999999999999", "-99999999999999999999", "18446744073709551616e-20",
+    "1e27", "1e28", "1e-27", "1e-28", "123456789012345678e27", "123456789012345678e-27",
+    "1e9223372036854775807", "1e9223372036854775808", "1e-9223372036854775809",
+    "-1e99999999999999999999", "0e99999999999999999999", "-0e-99999999999999999999",
+    "0." + "0" * 30 + "1", "1" + "0" * 30 + "e-30", "-0", "+0.0e0", "-.0", "00000.000e-5",
+]
+
+
+@pytest.mark.parametrize("wide", [np.longdouble, np.float64], ids=["longdouble", "float64"])
+def test_plain_parse_equals_float_bit_for_bit(monkeypatch, wide):
+    # float64 stands in for a host without x87 extended precision
+    monkeypatch.setattr(uqkit.data, "_WIDE", wide)
+    cells = TARGETED_CELLS + _bulk_cells(seed=0)
+    got = bits(_plain_parse(cells))
+    want = bits(np.array([float(c) for c in cells]))
+    assert [cells[i] for i in np.flatnonzero(got != want)] == []
+
+
+@pytest.mark.parametrize("body", [
+    "1\r2,3\n", "12e5.5,1\n", "1.2.3,1\n", "1e2e3,1\n", "1\n2,3,4\n", "1,2\r3,4\n", "1,2-\n",
+    "1,e5\n", "1,5e\n", "1,5e+\n", "+-1,2\n", "1,2\n,\n", "1,2\n3\n",
+])
+def test_plain_bodies_off_the_grammar_go_to_the_python_reader(scratch, body):
+    path = scratch / "off_grammar.csv"
+    path.write_bytes(f"a,b\n{body}".encode())
+    assert plain_read(path) is None
+    assert read_outcome(read_matrix_csv, path) == read_outcome(python_read, path)
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_plain_blocks_split_only_between_lines(monkeypatch, scratch, block):
+    # blocks shorter than a line, blank lines and CRLFs across block ends,
+    # and a last line without a newline
+    path = scratch / "blocks.csv"
+    path.write_bytes(b"a,b\r\n1.5,-2e-3\r\n\r\n\n" + b"123456789.25,7\n" * 9 + b"\n-0,1e5")
+    monkeypatch.setattr(uqkit.data, "_SCAN_BYTES", block)
+    assert read_outcome(plain_read, path) == read_outcome(python_read, path)
+
+
 # every float64 the writer may meet, non-finite included
 WRITER_CELLS = st.one_of(
     st.sampled_from(EDGES + [1.7976931348623157e308, math.nan, math.inf, -math.inf]),
