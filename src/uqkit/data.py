@@ -357,7 +357,7 @@ def _parse_rows(block: bytes, k: int, bound: int, powers: np.ndarray) -> np.ndar
     e[marked] += ints[exponents]  # an int64 wrap lands far outside ``powers``
     m = np.delete(ints, exponents)  # 2**63 - 1 where saturated, as an exponent may be
     del ints
-    fast = (m < bound) & (m > -bound) & (np.abs(e) < powers.size)
+    fast = (m < bound) & (m > -bound) & (e < powers.size) & (e > -powers.size)
     wide = powers[np.where(fast, np.abs(e), 0)]
     np.multiply(m, wide, out=wide, where=e >= 0)
     np.divide(m, wide, out=wide, where=e < 0)

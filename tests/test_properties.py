@@ -296,6 +296,7 @@ TARGETED_CELLS = [
     "99999999999999999999", "-99999999999999999999", "18446744073709551616e-20",
     "1e27", "1e28", "1e-27", "1e-28", "123456789012345678e27", "123456789012345678e-27",
     "1e9223372036854775807", "1e9223372036854775808", "1e-9223372036854775809",
+    "1e-9223372036854775808", "1.5e-9223372036854775807", "-9223372036854775808e0",
     "-1e99999999999999999999", "0e99999999999999999999", "-0e-99999999999999999999",
     "0." + "0" * 30 + "1", "1" + "0" * 30 + "e-30", "-0", "+0.0e0", "-.0", "00000.000e-5",
 ]
