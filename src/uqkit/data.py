@@ -259,7 +259,7 @@ _BLOCK_ROWS = 1024
 # markers and line feeds made commas, so a cell gives its digits as one
 # integer and its exponent, if any, as the next
 _INTEGERS = bytes.maketrans(b"eE\n", b",,,")
-# the type of the one rounded multiply or divide per cell
+# the type of the one rounded multiply or divide per cell, an IEEE-rounded one
 _WIDE = np.longdouble
 
 

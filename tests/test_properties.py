@@ -330,6 +330,7 @@ def test_plain_blocks_split_only_between_lines(monkeypatch, scratch, block):
     path = scratch / "blocks.csv"
     path.write_bytes(b"a,b\r\n1.5,-2e-3\r\n\r\n\n" + b"123456789.25,7\n" * 9 + b"\n-0,1e5")
     monkeypatch.setattr(uqkit.data, "_SCAN_BYTES", block)
+    assert plain_read(path) is not None
     assert read_outcome(plain_read, path) == read_outcome(python_read, path)
 
 
