@@ -373,10 +373,11 @@ def _parse_rows(block: bytes, k: int, bound: int, powers: np.ndarray) -> np.ndar
 
 
 def _cells(block: bytes, k: int):
-    """Each cell's start, stop and exponent from its dot (minus the digits
-    after it), and the cells with an exponent; or None unless each line ends
-    in LF or CRLF and holds k cells, each ``[+-]?`` digits with at most one
-    dot and at least one digit, then optionally ``[eE][+-]?`` and digits."""
+    """(starts, stops, the cells with an exponent, the exponent each cell's
+    dot makes: minus the digits after it) of ``block``; or None unless each
+    line ends in LF or CRLF and holds k cells, each ``[+-]?`` digits with at
+    most one dot and at least one digit, then optionally ``[eE][+-]?`` and
+    digits."""
     a = np.frombuffer(block, np.uint8)
     at = np.flatnonzero(a - ord("0") > 9)  # every byte but the digits
     kind = a[at]
@@ -395,8 +396,7 @@ def _cells(block: bytes, k: int):
     digits = mantissa_end - starts - _among(a[starts], b"+-")
     digits[dotted] -= 1
     if (
-        line_end.sum() * k != ends.size
-        or not line_end[k - 1 :: k].all()
+        not np.array_equal(line_end, np.arange(ends.size) % k == k - 1)  # k cells a line
         or (after_cr != ord("\n")).any()
         or not (np.diff(marked).all() and np.diff(dotted).all())
         or (dots > mantissa_end[dotted]).any()
