@@ -88,8 +88,8 @@ _COLUMN_OF = {
 
 def _read_input(path, flag: str) -> np.ndarray:
     """A CSV input, read by the last word of its flag: a ``probs`` or
-    ``logits`` matrix of the p0..pK-1 columns (the matrix as read, not
-    copied, when there are none or they are every column in order), else a
+    ``logits`` matrix of the p0..pK-1 columns (the matrix as read when there
+    are none, a view of it when they lead in order, else a copy), else a
     vector of the flag's canonical column or the only one. A non-finite
     cell among those read, or a probability row that is negative or does
     not sum to 1, is a ``DataError`` naming the file and the data row
@@ -113,7 +113,8 @@ def _read_input(path, flag: str) -> np.ndarray:
             f"{path} has columns {header}; expected a single column or one named {want!r}"
         )
     if columns not in ([], list(range(len(header)))):
-        matrix, header = matrix[:, columns], [header[i] for i in columns]
+        pick = slice(len(columns)) if columns == list(range(len(columns))) else columns
+        matrix, header = matrix[:, pick], [header[i] for i in columns]
     check_finite_cells(path, matrix, header)
     if kind == "probs":
         try:

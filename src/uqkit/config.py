@@ -1,15 +1,15 @@
 """Run configuration: a strict JSON document shared by train and benchmark.
 
-Validation is strict: one pass over ``RUN_SCHEMA`` (JSON Schema, checked
-here) and the rules no schema states reports every fault, each with its
-JSON path. One top-level ``seed`` drives everything; purpose-specific
+Validation is strict: one pass of ``data.schema_faults`` over
+``RUN_SCHEMA`` (JSON Schema; ``state.json`` goes through the same walker)
+and the rules no schema states reports every fault, each with its JSON
+path. One top-level ``seed`` drives everything; purpose-specific
 streams (data generation, weight init, batch order, splits, predictive
 draws) are derived child seeds, so a config replays bit-identically.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -18,14 +18,16 @@ from .data import (
     REGRESSION,
     Dataset,
     check_split_fractions,
+    fault_lines,
     load_csv,
     read_json,
+    schema_faults,
     split,
     synth_classification,
 )
 from .errors import ConfigError, DataError
 from .metrics import DEFAULT_BINS, MAX_BINS
-from .mlp import MlpConfig
+from .mlp import MODEL_SCHEMA, MlpConfig
 from .posterior import OptimConfig
 from .rng import child_seed
 
@@ -37,12 +39,22 @@ SEED_SPLIT = 3
 SEED_PREDICTIVE = 4
 SEED_SWAG = SEED_OPTIM + 100  # the SWAG phase's batch stream
 
+# The method_params keys each method reads. Their defaults live in the fit
+# functions' signatures; swag_epochs falls back to the optimizer's epochs.
+_METHOD_PARAMS = {
+    "map": set(),
+    "ensemble": {"members"},
+    "swag": {"rank", "snapshot_every", "swag_epochs"},
+    "laplace": {"prior_precision"},
+    "advi": {"mc_samples", "prior_precision"},
+}
+
 RUN_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
     "required": ["task", "data", "model", "method", "optimizer", "out_dir", "seed"],
     "properties": {
-        "task": {"enum": ["classification", "regression"]},
+        "task": {"enum": [CLASSIFICATION, REGRESSION]},
         "data": {
             "type": "object",
             "additionalProperties": False,
@@ -83,15 +95,12 @@ RUN_SCHEMA = {
             "additionalProperties": False,
             "required": ["hidden_widths"],
             "properties": {
-                "hidden_widths": {
-                    "type": "array",
-                    "items": {"type": "integer", "minimum": 1},
-                    "minItems": 1,
-                },
-                "activation": {"enum": ["tanh", "relu"]},
+                # a run's model has a hidden layer; a state's may have none
+                "hidden_widths": {**MODEL_SCHEMA["properties"]["hidden_widths"], "minItems": 1},
+                "activation": MODEL_SCHEMA["properties"]["activation"],
             },
         },
-        "method": {"enum": ["map", "ensemble", "swag", "laplace", "advi"]},
+        "method": {"enum": list(_METHOD_PARAMS)},
         "optimizer": {
             "type": "object",
             "additionalProperties": False,
@@ -133,17 +142,6 @@ RUN_SCHEMA = {
 # is the desk-scale default (300 reproduces the documented fidelity
 # preset), and configs train with a small ridge penalty.
 _OPTIM_DEFAULTS = {"epochs": 50, "weight_decay": 1e-4}
-
-# The method_params keys each method reads. Their defaults live in the fit
-# functions' signatures; swag_epochs falls back to the optimizer's epochs.
-_METHOD_PARAMS = {
-    "map": set(),
-    "ensemble": {"members"},
-    "swag": {"rank", "snapshot_every", "swag_epochs"},
-    "laplace": {"prior_precision"},
-    "advi": {"mc_samples", "prior_precision"},
-}
-
 
 @dataclass
 class RunConfig:
@@ -203,57 +201,9 @@ def _given(spec: dict, **keys) -> dict:
     return {param: spec[key] for param, key in keys.items() if key in spec}
 
 
-# each JSON Schema type as the exact Python types json.loads gives it, so an
-# integer is neither 2.0 nor a bool
-_TYPES = {
-    "object": (dict,), "array": (list,), "string": (str,), "boolean": (bool,),
-    "integer": (int,), "number": (int, float),
-}
-
-
-def _schema_faults(schema: dict, value, path: tuple = ()):
-    """(path, message) per way ``value`` breaks ``schema``, for the keywords
-    RUN_SCHEMA uses; a schema with an object, array or number keyword names its type."""
-    kind = schema.get("type")
-    if kind is not None and type(value) not in _TYPES[kind]:
-        yield path, f"expected {kind}, got {value!r}"
-        return
-    if kind == "number" and not math.isfinite(value):
-        yield path, f"expected a finite number, got {value!r}"
-        return
-    if "enum" in schema and value not in schema["enum"]:
-        yield path, f"{value!r} is not one of {schema['enum']!r}"
-    if "minimum" in schema and value < schema["minimum"]:
-        yield path, f"{value!r} is below the minimum {schema['minimum']}"
-    if "maximum" in schema and value > schema["maximum"]:
-        yield path, f"{value!r} is above the maximum {schema['maximum']}"
-    if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
-        yield path, f"{value!r} must be above {schema['exclusiveMinimum']}"
-    if kind in ("object", "array"):
-        low = schema.get("minProperties", schema.get("minItems", 0))
-        high = schema.get("maxProperties", schema.get("maxItems", len(value)))
-        if len(value) < low:
-            yield path, f"needs at least {low} entries, got {len(value)}"
-        if len(value) > high:
-            yield path, f"allows at most {high} entries, got {len(value)}"
-    if kind == "object":
-        for key in value:
-            if key not in schema["properties"] and schema.get("additionalProperties") is False:
-                yield path, f"unknown key {key!r}"
-        for key in schema.get("required", ()):
-            if key not in value:
-                yield path, f"missing required key {key!r}"
-        for key, sub in schema["properties"].items():
-            if key in value:
-                yield from _schema_faults(sub, value[key], path + (key,))
-    if kind == "array":
-        for i, item in enumerate(value):
-            yield from _schema_faults(schema["items"], item, path + (i,))
-
-
 def validate_config(doc: dict, require_seeds: bool = False) -> list[str]:
     """Every fault at once, as "at <path>: <message>" strings in path order."""
-    faults = list(_schema_faults(RUN_SCHEMA, doc))
+    faults = list(schema_faults(RUN_SCHEMA, doc))
     if isinstance(doc, dict):
         data = doc.get("data")
         if isinstance(data, dict) and "synth" in data and doc.get("task") == REGRESSION:
@@ -277,8 +227,7 @@ def validate_config(doc: dict, require_seeds: bool = False) -> list[str]:
             faults.append((("data",), "benchmark configs need a synthetic dataset spec"))
         if require_seeds and doc.get("task", CLASSIFICATION) != CLASSIFICATION:
             faults.append((("task",), "benchmark compares classification calibration only"))
-    faults.sort(key=lambda fault: fault[0])
-    return [f"at {'/'.join(map(str, path)) or '<root>'}: {message}" for path, message in faults]
+    return fault_lines(faults)
 
 
 def load_config(path, require_seeds: bool = False) -> RunConfig:

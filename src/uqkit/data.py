@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -510,6 +511,62 @@ def read_json(path, what: str) -> dict:
     if not isinstance(doc, dict):
         raise DataError(f"{what} must be a JSON object: {path} holds a {type(doc).__name__}")
     return doc
+
+
+# each JSON Schema type as the exact Python types json.loads gives it, so an
+# integer is neither 2.0 nor a bool
+_TYPES = {
+    "object": (dict,), "array": (list,), "string": (str,), "boolean": (bool,),
+    "integer": (int,), "number": (int, float),
+}
+
+
+def schema_faults(schema: dict, value, path: tuple = ()):
+    """(path, message) per way ``value`` breaks ``schema``, for the keywords
+    the config and state schemas use; a schema with an object, array or number
+    keyword names its type. ``additionalProperties`` may be a schema or a bool."""
+    kind = schema.get("type")
+    if kind is not None and type(value) not in _TYPES[kind]:
+        yield path, f"expected {kind}, got {value!r}"
+        return
+    if kind == "number" and not math.isfinite(value):
+        yield path, f"expected a finite number, got {value!r}"
+        return
+    if "enum" in schema and value not in schema["enum"]:
+        yield path, f"{value!r} is not one of {schema['enum']!r}"
+    if "minimum" in schema and value < schema["minimum"]:
+        yield path, f"{value!r} is below the minimum {schema['minimum']}"
+    if "maximum" in schema and value > schema["maximum"]:
+        yield path, f"{value!r} is above the maximum {schema['maximum']}"
+    if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+        yield path, f"{value!r} must be above {schema['exclusiveMinimum']}"
+    if kind in ("object", "array"):
+        low = schema.get("minProperties", schema.get("minItems", 0))
+        high = schema.get("maxProperties", schema.get("maxItems", len(value)))
+        if len(value) < low:
+            yield path, f"needs at least {low} entries, got {len(value)}"
+        if len(value) > high:
+            yield path, f"allows at most {high} entries, got {len(value)}"
+    if kind == "object":
+        known, other = schema.get("properties", {}), schema.get("additionalProperties", True)
+        for key in value:
+            if key not in known and other is False:
+                yield path, f"unknown key {key!r}"
+        for key in schema.get("required", ()):
+            if key not in value:
+                yield path, f"missing required key {key!r}"
+        for key, item in value.items():
+            if isinstance(sub := known.get(key, other), dict):
+                yield from schema_faults(sub, item, path + (key,))
+    if kind == "array":
+        for i, item in enumerate(value):
+            yield from schema_faults(schema["items"], item, path + (i,))
+
+
+def fault_lines(faults) -> list[str]:
+    """One line "at <path>: <message>" per (path, message) fault, in path order."""
+    faults = sorted(faults, key=lambda fault: fault[0])
+    return [f"at {'/'.join(map(str, path)) or '<root>'}: {message}" for path, message in faults]
 
 
 def json_text(doc) -> str:

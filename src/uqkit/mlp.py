@@ -23,6 +23,19 @@ from .rng import Rng, child_seed
 
 ACTIVATIONS = ("tanh", "relu")
 
+# JSON Schema of ``MlpConfig.to_dict()``, the ``model`` of a state document
+MODEL_SCHEMA = {
+    "type": "object", "additionalProperties": False,
+    "required": ["input_dim", "hidden_widths", "output_dim", "activation", "init_seed"],
+    "properties": {
+        "input_dim": {"type": "integer", "minimum": 1},
+        "hidden_widths": {"type": "array", "items": {"type": "integer", "minimum": 1}},
+        "output_dim": {"type": "integer", "minimum": 1},
+        "activation": {"enum": list(ACTIVATIONS)},
+        "init_seed": {"type": "integer"},
+    },
+}
+
 
 @dataclass(frozen=True)
 class MlpConfig:

@@ -25,8 +25,8 @@ def softmax(logits, axis: int = -1) -> np.ndarray:
     z = check_finite(logits, "logits")
     if z.size == 0:
         raise ValueError("softmax of an empty array")
-    shifted = z - np.max(z, axis=axis, keepdims=True)
-    e = np.exp(shifted)
+    with np.errstate(over="ignore"):  # a gap past the float range is -inf: a 0 share
+        e = np.exp(z - np.max(z, axis=axis, keepdims=True))
     return e / np.sum(e, axis=axis, keepdims=True)
 
 

@@ -33,9 +33,10 @@ from itertools import islice
 
 import numpy as np
 
-from .data import CLASSIFICATION, REGRESSION, Dataset, batches, read_json, write_json
+from .data import CLASSIFICATION, REGRESSION, Dataset, batches, fault_lines, read_json
+from .data import schema_faults, write_json
 from .errors import DataError
-from .mlp import MlpConfig, init_params, mlp_activations, mlp_backward, mlp_forward
+from .mlp import MODEL_SCHEMA, MlpConfig, init_params, mlp_activations, mlp_backward, mlp_forward
 from .mlp import param_count, unpack_params
 from .numerics import softmax
 from .rng import Rng, child_seed
@@ -713,11 +714,11 @@ def posterior_sample(state: PosteriorState, rng: Rng, n_samples: int | None = No
 # ---------------------------------------------------------------------------
 # serialization (versioned JSON with base64 little-endian float payloads)
 #
-# One loop over each state dataclass's fields does both directions: an
-# ``np.ndarray`` field goes to ``arrays``, an ``int`` field to a top-level
-# key, and the ensemble's member tuple to ``member_<i>`` arrays plus a
-# top-level count. Every vector holds ``param_count(model)`` entries;
-# SWAG's ``deviations`` is (P, rank).
+# One loop over each state dataclass's fields gives both the document and
+# its schema: an ``np.ndarray`` field goes to ``arrays``, an ``int`` field
+# to a top-level key, and the ensemble's member tuple to ``member_<i>``
+# arrays plus a top-level count. Every vector holds ``param_count(model)``
+# entries; SWAG's ``deviations`` is (P, rank).
 
 _STATE_KINDS = {
     "map": MapState,
@@ -727,13 +728,41 @@ _STATE_KINDS = {
     "advi": AdviState,
 }
 
+_ARRAY_SCHEMA = {
+    "type": "object", "additionalProperties": False, "required": ["shape", "data"],
+    "properties": {"shape": {"type": "array", "items": {"type": "integer"}},
+                   "data": {"type": "string"}},
+}
+
+
+def _state_schema(cls) -> dict:
+    """The JSON Schema of a ``cls`` state document; with ``cls`` None (no
+    known kind), of the keys every kind shares, letting any other through."""
+    top = {
+        "format": {"type": "integer", "enum": [1]},  # the type keeps out 1.0 and true
+        "kind": {"enum": list(_STATE_KINDS)},
+        "task": {"enum": [CLASSIFICATION, REGRESSION]},
+        "model": MODEL_SCHEMA,
+    }
+    named = {}
+    for f in fields(cls) if cls else ():
+        if f.type == "np.ndarray":
+            named[f.name] = _ARRAY_SCHEMA
+        else:  # SWAG's rank and snapshots, or the ensemble's member count
+            top[f.name] = {"type": "integer", "minimum": 1 if f.type == "int" else 2}
+    # the ensemble's arrays take their names from its count, which code checks
+    top["arrays"] = {"type": "object", "required": list(named), "properties": named,
+                     "additionalProperties": False if named else _ARRAY_SCHEMA}
+    return {"type": "object", "required": list(top), "properties": top,
+            "additionalProperties": cls is None}
+
+
+_STATE_SCHEMAS = {cls: _state_schema(cls) for cls in (None, *_STATE_KINDS.values())}
+
 
 def _encode(arr: np.ndarray) -> dict:
-    arr = np.asarray(arr, dtype=np.float64)
-    return {
-        "shape": list(arr.shape),
-        "data": base64.b64encode(arr.astype("<f8").tobytes()).decode("ascii"),
-    }
+    arr = np.asarray(arr, dtype="<f8")
+    return {"shape": list(arr.shape), "data": base64.b64encode(arr.tobytes()).decode("ascii")}
 
 
 def state_to_dict(state: PosteriorState, model: MlpConfig, task: str) -> dict:
@@ -756,99 +785,50 @@ def state_to_dict(state: PosteriorState, model: MlpConfig, task: str) -> dict:
 
 
 def state_from_dict(doc: dict) -> tuple[PosteriorState, MlpConfig, str]:
-    """Inverse of ``state_to_dict``. Anything that does not decode to a
-    valid state (wrong JSON types, a missing key, bad base64, a wrong
-    shape, an unknown kind or task) is a one-line ``DataError``."""
-    _check_object(doc, "state")
-    if doc.get("format") != 1:
-        raise DataError(f"unsupported state format {doc.get('format')!r}")
-    try:
-        return _state_from_dict(doc)
-    except KeyError as exc:
-        raise DataError(f"state lacks required key {exc.args[0]!r}") from None
-
-
-def _check_object(value, what: str) -> None:
-    if not isinstance(value, dict):
-        raise DataError(f"{what} must be a JSON object, got {type(value).__name__}")
-
-
-_JSON_TYPE = {int: "an integer", str: "a string", list: "a list"}
-
-
-def _field(value, name: str, kind: type = int):
-    """``value`` if it is exactly of ``kind`` (a bool is no integer), else
-    a ``DataError`` naming the state field."""
-    if type(value) is not kind:
-        raise DataError(f"state field {name!r} must be {_JSON_TYPE[kind]}, got {value!r}")
-    return value
-
-
-def _model(doc) -> MlpConfig:
-    """The state's model, each field checked for its JSON type."""
-    _check_object(doc, "state field 'model'")
-    widths = _field(doc["hidden_widths"], "model.hidden_widths", list)
-    try:
-        return MlpConfig(
-            input_dim=_field(doc["input_dim"], "model.input_dim"),
-            hidden_widths=tuple(
-                _field(w, f"model.hidden_widths[{i}]") for i, w in enumerate(widths)
-            ),
-            output_dim=_field(doc["output_dim"], "model.output_dim"),
-            activation=_field(doc["activation"], "model.activation", str),
-            init_seed=_field(doc["init_seed"], "model.init_seed"),
-        )
-    except ValueError as exc:
-        raise DataError(f"state model is invalid: {exc}") from None
-
-
-def _decode(arrays: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:
-    entry = arrays[name]
-    _check_object(entry, f"state array {name!r}")
-    dims = entry["shape"]
-    if dims != list(shape):
-        raise DataError(
-            f"state array {name!r} has shape {dims!r}, expected {list(shape)}"
-        )
-    try:
-        raw = base64.b64decode(entry["data"], validate=True)
-    except (TypeError, ValueError):
-        raise DataError(f"state array {name!r} data is not valid base64") from None
-    if len(raw) != 8 * math.prod(shape):
-        raise DataError(
-            f"state array {name!r} holds {len(raw)} bytes, "
-            f"expected {8 * math.prod(shape)} for shape {dims}"
-        )
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
-
-
-def _state_from_dict(doc: dict) -> tuple[PosteriorState, MlpConfig, str]:
-    kind = doc["kind"]
+    """Inverse of ``state_to_dict``. The faults of the kind's schema, or else
+    of the arrays (shape, base64, byte count, an ensemble's names), are one
+    ``DataError``: its ``fault_lines`` joined by "; "."""
+    kind = doc.get("kind") if isinstance(doc, dict) else None
     cls = _STATE_KINDS.get(kind) if isinstance(kind, str) else None
-    if cls is None:
-        raise DataError(f"unknown posterior kind {kind!r}")
-    task = doc["task"]
-    if task not in (CLASSIFICATION, REGRESSION):
-        raise DataError(f"unknown task {task!r} in state")
-    model = _model(doc["model"])
-    arrays = doc["arrays"]
-    _check_object(arrays, "state field 'arrays'")
-    p = param_count(model)
-    values: dict = {}
-    for f in fields(cls):
-        if f.type == "int":
-            values[f.name] = _field(doc[f.name], f.name)
-        elif f.type == "np.ndarray":
-            shape = (p, _field(doc["rank"], "rank")) if f.name == "deviations" else (p,)
-            values[f.name] = _decode(arrays, f.name, shape)
-        else:
-            values[f.name] = tuple(
-                _decode(arrays, f"member_{i}", (p,)) for i in range(_field(doc[f.name], f.name))
-            )
+    faults = list(schema_faults(_STATE_SCHEMAS[cls], doc))
+    if not faults:
+        model, arrays, values = MlpConfig(**doc["model"]), doc["arrays"], {}
+        p, n = param_count(model), len(arrays)
+        for f in fields(cls):
+            if f.type == "int":
+                values[f.name] = doc[f.name]
+            elif f.type == "np.ndarray":
+                shape = (p, doc["rank"]) if f.name == "deviations" else (p,)
+                values[f.name] = _decode(arrays, f.name, shape, faults)
+            elif doc[f.name] == n and set(arrays) == {f"member_{i}" for i in range(n)}:
+                members = (_decode(arrays, f"member_{i}", (p,), faults) for i in range(n))
+                values[f.name] = tuple(members)
+            else:
+                message = f"expected member_0 to member_{doc[f.name] - 1}, got {sorted(arrays)}"
+                faults.append((("arrays",), message))
+    if faults:
+        raise DataError("; ".join(fault_lines(faults)))
     try:
-        return cls(**values), model, task
+        return cls(**values), model, doc["task"]
     except ValueError as exc:
         raise DataError(f"invalid {kind} state: {exc}") from None
+
+
+def _decode(arrays: dict, name: str, shape: tuple[int, ...], faults: list):
+    """The array ``arrays[name]``, or None with its one fault appended."""
+    entry, at, size = arrays[name], ("arrays", name), 8 * math.prod(shape)
+    try:
+        raw = base64.b64decode(entry["data"], validate=True)
+    except ValueError:
+        raw = None
+    if entry["shape"] != list(shape):
+        faults.append((at + ("shape",), f"expected {list(shape)}, got {entry['shape']}"))
+    elif raw is None:
+        faults.append((at + ("data",), "not valid base64"))
+    elif len(raw) != size:
+        faults.append((at + ("data",), f"holds {len(raw)} bytes, expected {size}"))
+    else:
+        return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
 
 
 def save_state(path, state: PosteriorState, model: MlpConfig, task: str) -> None:

@@ -1532,15 +1532,18 @@ def test_label_past_the_int64_cast_exits_3_naming_the_file(tmp_path, capsys, slo
 
 def _fault_cases():
     """(name, state document, stderr needle): each document breaks one rule
-    of the ``state.json`` format."""
+    of the ``state.json`` format, in the wording of a config fault, but the
+    last, which breaks two and whose needle is both faults on the one line."""
     cfg = MlpConfig(2, (4,), 2, "relu")
     p = param_count(cfg)
     theta = np.linspace(-1.0, 1.0, p)
     good = state_to_dict(MapState(theta), cfg, "classification")
-    swag = SwagState(
+    swag = state_to_dict(SwagState(
         mean=theta, diag_second_moment=theta**2 + 1.0,
         deviations=np.ones((p, 3)), rank=3, snapshots=3,
-    )
+    ), cfg, "classification")
+    ensemble = state_to_dict(EnsembleState((theta, -theta)), cfg, "classification")
+    laplace = state_to_dict(LaplaceState(theta, np.ones(p)), cfg, "classification")
 
     def broken(name, needle, change, base=good):
         doc = json.loads(json.dumps(base))
@@ -1549,43 +1552,77 @@ def _fault_cases():
 
     short = state_to_dict(MapState(theta[:-1]), cfg, "classification")["arrays"]
     zeros = state_to_dict(MapState(np.zeros(p)), cfg, "classification")["arrays"]["theta"]
+    kinds = "['map', 'ensemble', 'swag', 'laplace', 'advi']"
+    activations = "['tanh', 'relu']"
     return [
-        broken("arrays_list", "arrays", lambda d: d.update(arrays=[])),
-        broken("model_list", "model", lambda d: d.update(model=[])),
-        broken("string_entry", "theta", lambda d: d["arrays"].update(theta="AAAA")),
-        broken("bad_base64", "base64",
+        broken("arrays_list", "at arrays: expected object, got []",
+               lambda d: d.update(arrays=[])),
+        broken("model_list", "at model: expected object, got []", lambda d: d.update(model=[])),
+        broken("string_entry", "at arrays/theta: expected object, got 'AAAA'",
+               lambda d: d["arrays"].update(theta="AAAA")),
+        broken("bad_base64", "at arrays/theta/data: not valid base64",
                lambda d: d["arrays"]["theta"].update(data="@@ not base64 @@")),
-        broken("wrong_vector_length", "shape", lambda d: d.update(arrays=short)),
-        broken("data_shorter_than_shape", "bytes",
+        broken("wrong_vector_length", f"at arrays/theta/shape: expected [{p}], got [{p - 1}]",
+               lambda d: d.update(arrays=short)),
+        broken("data_shorter_than_shape",
+               f"at arrays/theta/data: holds {8 * (p - 1)} bytes, expected {8 * p}",
                lambda d: d["arrays"]["theta"].update(data=short["theta"]["data"])),
-        broken("deviations_wrong_rank", "deviations", lambda d: d.update(rank=2),
-               base=state_to_dict(swag, cfg, "classification")),
-        broken("unknown_kind", "kind", lambda d: d.update(kind="mcmc")),
-        broken("missing_key", "kind", lambda d: d.pop("kind")),
-        broken("unknown_task", "task", lambda d: d.update(task="ranking")),
-        broken("float_count", "state field 'members' must be an integer, got 2.0",
-               lambda d: d.update(members=2.0),
-               base=state_to_dict(EnsembleState((theta, -theta)), cfg, "classification")),
-        broken("unknown_activation", "state model is invalid: unknown activation 'sigmoid'",
+        broken("deviations_wrong_rank",
+               f"at arrays/deviations/shape: expected [{p}, 2], got [{p}, 3]",
+               lambda d: d.update(rank=2), base=swag),
+        broken("unknown_kind", f"at kind: 'mcmc' is not one of {kinds}",
+               lambda d: d.update(kind="mcmc")),
+        broken("missing_key", "at <root>: missing required key 'kind'", lambda d: d.pop("kind")),
+        broken("unknown_task", "at task: 'ranking' is not one of ['classification', 'regression']",
+               lambda d: d.update(task="ranking")),
+        broken("float_count", "at members: expected integer, got 2.0",
+               lambda d: d.update(members=2.0), base=ensemble),
+        broken("one_member", "at members: 1 is below the minimum 2",
+               lambda d: d.update(members=1), base=ensemble),
+        broken("count_past_arrays",
+               "at arrays: expected member_0 to member_999999999999, got ['member_0', 'member_1']",
+               lambda d: d.update(members=10**12), base=ensemble),
+        broken("unknown_member_array",
+               "at arrays: expected member_0 to member_1, got ['member_0', 'theta']",
+               lambda d: d["arrays"].update(theta=d["arrays"].pop("member_1")), base=ensemble),
+        broken("swag_rank_0", "at rank: 0 is below the minimum 1",
+               lambda d: d.update(rank=0), base=swag),
+        broken("swag_snapshots_0", "at snapshots: 0 is below the minimum 1",
+               lambda d: d.update(snapshots=0), base=swag),
+        broken("format_true", "at format: expected integer, got True",
+               lambda d: d.update(format=True)),
+        broken("format_float", "at format: expected integer, got 1.0",
+               lambda d: d.update(format=1.0)),
+        broken("format_2", "at format: 2 is not one of [1]", lambda d: d.update(format=2)),
+        broken("float_shape", f"at arrays/theta/shape/0: expected integer, got {float(p)}",
+               lambda d: d["arrays"]["theta"].update(shape=[float(p)])),
+        broken("unknown_top_key", "at <root>: unknown key 'extra'", lambda d: d.update(extra=1)),
+        broken("unknown_model_key", "at model: unknown key 'dropout'",
+               lambda d: d["model"].update(dropout=0.1)),
+        broken("unknown_array", "at arrays: unknown key 'theta'",
+               lambda d: d["arrays"].update(theta=good["arrays"]["theta"]), base=laplace),
+        broken("unknown_activation", f"at model/activation: 'sigmoid' is not one of {activations}",
                lambda d: d["model"].update(activation="sigmoid")),
-        broken("float_input_dim", "state field 'model.input_dim' must be an integer, got 2.9",
+        broken("float_input_dim", "at model/input_dim: expected integer, got 2.9",
                lambda d: d["model"].update(input_dim=2.9)),
-        broken("string_init_seed", "state field 'model.init_seed' must be an integer, got '7'",
+        broken("string_init_seed", "at model/init_seed: expected integer, got '7'",
                lambda d: d["model"].update(init_seed="7")),
-        broken("bool_output_dim", "state field 'model.output_dim' must be an integer, got True",
+        broken("bool_output_dim", "at model/output_dim: expected integer, got True",
                lambda d: d["model"].update(output_dim=True)),
-        broken("float_width", "state field 'model.hidden_widths[0]' must be an integer, got 4.0",
+        broken("float_width", "at model/hidden_widths/0: expected integer, got 4.0",
                lambda d: d["model"].update(hidden_widths=[4.0])),
-        broken("string_widths", "state field 'model.hidden_widths' must be a list, got '4'",
+        broken("string_widths", "at model/hidden_widths: expected array, got '4'",
                lambda d: d["model"].update(hidden_widths="4")),
-        broken("number_activation", "state field 'model.activation' must be a string, got 1",
+        broken("number_activation", f"at model/activation: 1 is not one of {activations}",
                lambda d: d["model"].update(activation=1)),
-        broken("missing_model_key", "state lacks required key 'init_seed'",
+        broken("missing_model_key", "at model: missing required key 'init_seed'",
                lambda d: d["model"].pop("init_seed")),
         broken("zero_precision",
                "invalid laplace state: diag_precision must be strictly positive",
-               lambda d: d["arrays"].update(diag_precision=zeros),
-               base=state_to_dict(LaplaceState(theta, np.ones(p)), cfg, "classification")),
+               lambda d: d["arrays"].update(diag_precision=zeros), base=laplace),
+        broken("two_faults",
+               "at format: 2 is not one of [1]; at model/input_dim: expected integer, got 2.5",
+               lambda d: (d.update(format=2), d["model"].update(input_dim=2.5))),
     ]
 
 
@@ -1689,7 +1726,7 @@ def test_broken_csv_exits_3_naming_the_file(tmp_path, capsys, command, broken_fl
 
 
 @pytest.mark.parametrize("header, gathered", [
-    ("p0,p1,p2", False), ("x,y,z", False), ("p1,p0,p2", True), ("p0,p1,id", True),
+    ("p0,p1,p2", False), ("x,y,z", False), ("p1,p0,p2", True), ("p0,p1,id", False),
 ])
 def test_probs_are_gathered_only_out_of_column_order(tmp_path, monkeypatch, header, gathered):
     path = tmp_path / "p.csv"
