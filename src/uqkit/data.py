@@ -177,6 +177,9 @@ def split(ds: Dataset, fractions, seed: int) -> tuple[Dataset, Dataset, Dataset]
     return ds.take(perm[:a]), ds.take(perm[a:b]), ds.take(perm[b:])
 
 
+_PERM_DRAWS = 1 << 14  # permutation indices per rng.permutations call in batches
+
+
 def batches(datasets: list[Dataset], batch_size: int, seeds: list[int], epochs: int):
     """A generator of lockstep mini-batches for lanes s = 0..S-1 over
     ``epochs`` epochs: one ``(inputs, targets)`` pair per step, shaped
@@ -186,22 +189,27 @@ def batches(datasets: list[Dataset], batch_size: int, seeds: list[int], epochs: 
     Lane s's rows in epoch e are permuted by the stream
     ``Rng(child_seed(seeds[s], e))``, so any epoch replays exactly and a
     lane's batches of an epoch, concatenated, are its permuted dataset.
-    Each epoch draws every lane's permutation in one stream pass
-    (``rng.permutations``) and takes the permuted rows, lane by lane, into
-    one input and one target buffer that every epoch reuses. A batch is a
-    view of them, valid until the next epoch's first step."""
+    The permutations of every lane for a block of ``max(1, _PERM_DRAWS //
+    (n S))`` epochs come from one stream pass (``rng.permutations``, over
+    the streams in (epoch, lane) order). Each epoch takes its permuted
+    rows, lane by lane, into one input and one target buffer that every
+    epoch reuses. A batch is a view of them, valid until the next epoch's
+    first step."""
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
     n = datasets[0].n
     inputs = np.empty((len(datasets), n, datasets[0].d))
     targets = np.empty((len(datasets), n), dtype=datasets[0].targets.dtype)
-    for epoch in range(epochs):
-        perms = permutations([Rng(child_seed(seed, epoch)) for seed in seeds], n)
-        for ds, perm, x, y in zip(datasets, perms, inputs, targets):
-            x[:] = ds.inputs[perm]
-            y[:] = ds.targets[perm]
-        for start in range(0, n, batch_size):
-            yield inputs[:, start : start + batch_size], targets[:, start : start + batch_size]
+    block = max(1, _PERM_DRAWS // (n * len(seeds)))
+    for first in range(0, epochs, block):
+        span = range(first, min(first + block, epochs))
+        perms = permutations([Rng(child_seed(seed, e)) for e in span for seed in seeds], n)
+        for lanes in perms.reshape(len(span), len(seeds), n):
+            for ds, perm, x, y in zip(datasets, lanes, inputs, targets):
+                x[:] = ds.inputs[perm]
+                y[:] = ds.targets[perm]
+            for start in range(0, n, batch_size):
+                yield inputs[:, start : start + batch_size], targets[:, start : start + batch_size]
 
 
 # fixed blob centers: equally spaced on a circle of radius 3

@@ -121,12 +121,13 @@ def mlp_forward(cfg: MlpConfig, theta, inputs: np.ndarray):
     return h
 
 
-def mlp_activations(cfg: MlpConfig, layers: list, inputs: np.ndarray):
+def mlp_activations(cfg: MlpConfig, layers: list, inputs: np.ndarray, out=None):
     """Yield every layer's output, inputs first: x, h_1, ..., h_L, raw output.
 
     ``layers`` is ``unpack_params(cfg, theta)``. ``inputs`` is ``(..., n,
     input_dim)``; leading axes are batch axes, and with an ``(S, P)``
-    stack of parameter vectors the first is the lane axis.
+    stack of parameter vectors the first is the lane axis. ``out``, a
+    buffer per layer, takes the outputs instead of new arrays.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim < 2 or inputs.shape[-1] != cfg.input_dim:
@@ -136,8 +137,8 @@ def mlp_activations(cfg: MlpConfig, layers: list, inputs: np.ndarray):
     h = inputs
     yield h
     for i, (w, b) in enumerate(layers):
-        # the product is a new array, so the bias and the activation go in place
-        h = h @ w
+        # the product is a new array or a buffer, so the bias and the activation go in place
+        h = h @ w if out is None else np.matmul(h, w, out=out[i])
         h += b
         if i < len(layers) - 1:
             if cfg.activation == "tanh":
@@ -147,7 +148,7 @@ def mlp_activations(cfg: MlpConfig, layers: list, inputs: np.ndarray):
         yield h
 
 
-def mlp_backward(cfg: MlpConfig, layers: list, hs: list, grad_out: np.ndarray):
+def mlp_backward(cfg: MlpConfig, layers: list, hs: list, grad_out: np.ndarray, out=None):
     """Flat parameter gradient from the unpacked ``layers``, the list of
     ``mlp_activations`` and the output's gradient: the tape's
     vector-Jacobian products on the same operands, so it equals the taped
@@ -156,11 +157,11 @@ def mlp_backward(cfg: MlpConfig, layers: list, hs: list, grad_out: np.ndarray):
 
     ``grad_out`` is ``(..., n, output_dim)``; its leading axes are batch
     axes, to which those of the activations must broadcast. The result
-    is ``(..., P)``, one gradient per batch index.
+    is ``(..., P)``, one gradient per batch index (into ``out`` if given).
     """
     g = grad_out
     lead = g.shape[:-2]
-    grad = np.empty((*lead, param_count(cfg)))
+    grad = np.empty((*lead, param_count(cfg))) if out is None else out
     stop = grad.shape[-1]
     for i in range(len(layers) - 1, -1, -1):
         # layer i's bias and weight gradients, written into their slices

@@ -210,7 +210,7 @@ def nll_value_and_grad(
 
 class _Optimizer:
     """Adam or plain SGD over an ``(S, P)`` stack of flat vectors, one lane
-    per row; the moments live on the instance and update in place."""
+    per row; the moments and the update live on the instance, in place."""
 
     def __init__(self, opt: OptimConfig, shape: tuple[int, int]):
         self.opt = opt
@@ -218,14 +218,15 @@ class _Optimizer:
         self.m = np.zeros(shape)
         self.v = np.zeros(shape)
         self.buf = np.empty(shape)
+        self.update = np.empty(shape)
 
-    def step(self, theta: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        """The next iterates, in a new array."""
+    def step(self, theta: np.ndarray, grad: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The next iterates, written into ``out`` and returned."""
         o = self.opt
+        m, v, buf, update = self.m, self.v, self.buf, self.update
         if o.algorithm == "sgd":
-            return theta - o.learning_rate * grad
+            return np.subtract(theta, np.multiply(grad, o.learning_rate, out=update), out=out)
         self.t += 1
-        m, v, buf = self.m, self.v, self.buf
         # m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g;  the step is
         # (lr m_hat) / (sqrt(v_hat) + eps): the textbook order, in place
         m *= _ADAM_BETA1
@@ -235,10 +236,10 @@ class _Optimizer:
         v += np.multiply(buf, grad, out=buf)
         denom = np.sqrt(np.divide(v, 1.0 - _ADAM_BETA2**self.t, out=buf), out=buf)
         denom += _ADAM_EPS
-        update = m / (1.0 - _ADAM_BETA1**self.t)
+        np.divide(m, 1.0 - _ADAM_BETA1**self.t, out=update)
         update *= o.learning_rate
         update /= denom
-        return np.subtract(theta, update, out=update)
+        return np.subtract(theta, update, out=out)
 
 
 def _n_batches(n: int, batch_size: int) -> int:
@@ -254,20 +255,23 @@ def _train(objective, x0, trains, seeds, opt, epoch_values, on_step=None):
     from ``batches`` as ``(S, b, d)`` inputs, and ``objective(x, inputs,
     targets)`` gives the ``(S,)`` batch losses and ``(S, P)`` gradients
     for one optimizer step over the stack. Then ``on_step(step, x,
-    live)`` gets the 1-based step, the live stack (the next step replaces
-    it, never writes into it) and the live rows' indices; after each epoch the live lanes'
-    traces take theirs of the S values ``epoch_values(x, batch_losses)``.
+    live)`` gets the 1-based step, the live stack and the live rows'
+    indices; after each epoch the live lanes' traces take theirs of the S
+    values ``epoch_values(x, batch_losses)``. Two ``(S, P)`` buffers hold
+    the stack in turn, so the step after next overwrites it: copy what you
+    keep (``SwagMoments.update`` does). The gradient may be a reused buffer.
     With ``epoch_values=None`` nothing is computed per epoch and every
     trace stays empty; the iterates are the same bit for bit.
     A lane whose loss, gradient or iterate is non-finite freezes: its row
     keeps its last finite iterate and its trace stops; the loop ends when
     every lane has frozen. No operation mixes rows, so each lane equals
     its solo fit (S = 1) bit for bit. Returns one (last finite iterate,
-    trace, diverged) per lane.
+    trace, diverged) per lane, each iterate a copy that the lane owns.
     """
-    x = np.asarray(x0, dtype=np.float64)
+    x = np.array(x0, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise ValueError("parameter vector contains non-finite entries")
+    spare = np.empty_like(x)
     live = np.arange(len(x))
     frozen = np.zeros(len(x), dtype=bool)
     traces: list[list[float]] = [[] for _ in trains]
@@ -281,17 +285,17 @@ def _train(objective, x0, trains, seeds, opt, epoch_values, on_step=None):
             losses: list[np.ndarray] = []
             for inputs, targets in islice(stream, per_epoch):
                 loss, grad = objective(x, inputs, targets)
-                new_x = stepper.step(x, grad)
+                new_x = stepper.step(x, grad, spare)
                 # a non-finite gradient always makes a non-finite step
                 ok = np.isfinite(loss) & np.isfinite(new_x).all(axis=1)
                 if not ok[live].all():
                     frozen |= ~ok
                     live = np.flatnonzero(~frozen)
                     if not live.size:
-                        return [(row, tuple(trace), True) for row, trace in zip(x, traces)]
+                        return [(row.copy(), tuple(t), True) for row, t in zip(x, traces)]
                 if live.size < len(x):
                     new_x[frozen] = x[frozen]
-                x = new_x
+                x, spare = new_x, x
                 losses.append(loss)
                 step += 1
                 if on_step is not None:
@@ -300,22 +304,40 @@ def _train(objective, x0, trains, seeds, opt, epoch_values, on_step=None):
                 values = epoch_values(x, losses)
                 for s in live:
                     traces[s].append(values[s])
-    return [(row, tuple(trace), bool(f)) for row, trace, f in zip(x, traces, frozen)]
+    return [(row.copy(), tuple(trace), bool(f)) for row, trace, f in zip(x, traces, frozen)]
 
 
 def _penalized_objective(cfg: MlpConfig, trains: list[Dataset], opt: OptimConfig):
     """(batch loss and gradient, full-data epoch values) of the penalized
     loss, for lanes with the datasets ``trains``; the ridge term's
-    gradient enters as the tape adds it."""
+    gradient enters as the tape adds it. The objective serves one ``_train``
+    call: it unpacks each iterate buffer once and writes into buffers of
+    its own, so each call overwrites the gradient the last one returned."""
     wd = opt.weight_decay
     task = trains[0].task
+    views: dict = {}  # id of an iterate buffer -> (buffer, its unpacked views)
+    acts: dict = {}  # batch shape -> one output buffer per layer
+    grads: dict = {}  # iterate shape -> (gradient, ridge term) buffers
 
     def objective(theta, inputs, targets):
-        loss, grad = nll_value_and_grad(cfg, theta, inputs, targets, task)
+        if id(theta) not in views:
+            views[id(theta)] = theta, unpack_params(cfg, theta)
+        layers = views[id(theta)][1]
+        if inputs.shape not in acts:
+            acts[inputs.shape] = [np.empty((*inputs.shape[:-1], w.shape[-1])) for w, _ in layers]
+        if theta.shape not in grads:
+            grads[theta.shape] = np.empty(theta.shape), np.empty(theta.shape)
+        grad, ridge = grads[theta.shape]
+        hs = list(mlp_activations(cfg, layers, inputs, acts[inputs.shape]))
+        loss, grad_out = _nll_head(hs[-1], targets, task, 1.0)
+        mlp_backward(cfg, layers, hs, grad_out, out=grad)
         if wd > 0:
+            # (g theta + g theta) + grad, the tape's order, through one buffer
             g = wd / 2.0
-            loss = loss + g * np.sum(theta * theta, axis=-1)
-            grad = (g * theta + g * theta) + grad
+            loss = loss + g * np.multiply(theta, theta, out=ridge).sum(axis=-1)
+            np.multiply(theta, g, out=ridge)
+            ridge += ridge
+            grad += ridge
         return loss, grad
 
     def epoch_values(x, _losses):
@@ -660,6 +682,7 @@ def advi_fit(
 # sampling
 
 DEFAULT_MC_SAMPLES = 30  # draws from a Gaussian state when no count is given
+_SAMPLE_NORMALS = 1 << 14  # bounds a posterior_sample normals call and its temporaries
 
 
 def posterior_sample(state: PosteriorState, rng: Rng, n_samples: int | None = None) -> np.ndarray:
@@ -672,7 +695,9 @@ def posterior_sample(state: PosteriorState, rng: Rng, n_samples: int | None = No
     by row from ``rng``: ``loc + std * z`` for Laplace and mean-field, and
     for SWAG mean + sigma/sqrt(2) * z1 + D z2 / sqrt(2 (rank - 1)), with z2
     of length rank drawn after z1 and dropped at rank 1. Zero variances add
-    nothing, so a zero-spread state draws its mean bit-exactly.
+    nothing, so a zero-spread state draws its mean bit-exactly. A normals
+    call draws a block of rows, at most ``_SAMPLE_NORMALS`` normals (at
+    least one row), with the draws and end state of one call per row.
     """
     if n_samples is None:
         n_samples = (
@@ -697,17 +722,20 @@ def posterior_sample(state: PosteriorState, rng: Rng, n_samples: int | None = No
     else:
         raise TypeError(f"unknown posterior state {type(state).__name__}")
     p = loc.size
-    # a SWAG row's z2 follows its z1 in the same normals call
+    # a SWAG row's z2 follows its z1 in the stream
     low_rank = swag and state.rank >= 2
+    width = p + state.rank if low_rank else p
+    block = max(1, _SAMPLE_NORMALS // width)
     draws = np.empty((n_samples, p))
-    for row in draws:  # one normals call per row keeps the temporaries P long
-        z = rng.normals(p + state.rank if low_rank else p)
-        if swag:
-            np.add(loc, std * z[:p] / np.sqrt(2.0), out=row)
-            if low_rank:
-                row += state.deviations @ z[p:] / np.sqrt(2.0 * (state.rank - 1))
-        else:
-            np.add(loc, std * z, out=row)
+    for lo in range(0, n_samples, block):
+        rows = draws[lo : lo + block]
+        for row, z in zip(rows, rng.normals(len(rows) * width).reshape(-1, width)):
+            if swag:
+                np.add(loc, std * z[:p] / np.sqrt(2.0), out=row)
+                if low_rank:
+                    row += state.deviations @ z[p:] / np.sqrt(2.0 * (state.rank - 1))
+            else:
+                np.add(loc, std * z, out=row)
     return draws
 
 

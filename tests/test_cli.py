@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import hashlib
 import inspect
 import json
 import math
@@ -1857,6 +1858,40 @@ class TestBenchmarkCommand:
         a = (tmp_path / "bench" / "benchmark.json").read_text()
         b = (tmp_path / "bench2" / "benchmark.json").read_text()
         assert a == b
+
+    def test_lockstep_run_replays_its_golden_digest(self, tmp_path, capsys):
+        # the c9-swag workload's shape at 4 epochs: three seeds train as
+        # lanes of one loop through MAP and rank-2 SWAG, then 30 draws each;
+        # a weight decay makes the ridge term part of every step. stdout and
+        # benchmark.json hold the same bytes, whose digest was recorded
+        # before the training loop reused its buffers.
+        doc = {
+            "task": "classification",
+            "data": {"synth": {"name": "two_moons", "n": 380, "noise": 0.45}},
+            "split": [3 / 19, 8 / 19, 8 / 19],
+            "model": {"hidden_widths": [64, 64], "activation": "relu"},
+            "method": "swag",
+            "optimizer": {
+                "algorithm": "adam", "learning_rate": 1e-3, "epochs": 4,
+                "batch_size": 32, "weight_decay": 1e-3,
+            },
+            "method_params": {"rank": 2},
+            "predictive_samples": 30,
+            "calibration": True,
+            "temperature_method": "golden",
+            "bins": 15,
+            "out_dir": str(tmp_path / "bench"),
+            "seed": 0,
+            "seeds": [0, 1, 2],
+        }
+        config = tmp_path / "bench.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "benchmark", "--config", str(config))
+        assert code == 0, err
+        digest = "b6917ea12a8ed7d0df6e5f2869d5a7d9084d51d12253dc571bbae587d83c7c82"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        written = (tmp_path / "bench" / "benchmark.json").read_bytes()
+        assert hashlib.sha256(written).hexdigest() == digest
 
     def test_requires_at_least_three_seeds(self, tmp_path, capsys):
         doc = {

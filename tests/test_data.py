@@ -16,6 +16,8 @@ from uqkit.data import (
     synth_classification,
 )
 from uqkit.errors import DataError, InvalidSplitError
+import uqkit.rng as rng_module
+from rng_oracle import ScalarRng
 from uqkit.rng import Rng, child_seed
 
 
@@ -183,6 +185,38 @@ class TestBatches:
                 want = ds.take(Rng(child_seed(seed, epoch)).permutation(n))
                 assert x[s].tobytes() == want.inputs.tobytes()
                 assert y[s].tobytes() == want.targets.tobytes()
+
+    @pytest.mark.parametrize("lanes", ["one", "several", "shared"])
+    def test_epochs_across_permutation_blocks_take_their_stream_permutation(
+        self, monkeypatch, lanes
+    ):
+        # blocks of 2 epochs over 7 epochs: [0, 1], [2, 3], [4, 5] and a
+        # partial [6]; the k-th draw of one stream in the middle block is
+        # forced to reject, so that stream draws again alone
+        n, epochs, k = 11, 7, 4
+        seeds = [5] if lanes == "one" else [5, 2**64 - 1, 5, 8]
+        datasets = [self.ds(n, 0.0 if lanes == "shared" else 100.0 * s) for s in range(len(seeds))]
+        if lanes == "shared":
+            datasets = [datasets[0]] * len(seeds)
+        monkeypatch.setattr(uqkit.data, "_PERM_DRAWS", 3 * n * len(seeds) - 1)
+        lane, epoch = len(seeds) - 1, 3
+        slow = ScalarRng(child_seed(seeds[lane], epoch))
+        forced = [slow.next_uint64() for _ in range(k + 1)][-1]
+        rejected, bounded_draws, redrawn = rng_module._rejected, Rng._bounded_draws, []
+
+        def record(stream, bounds):
+            redrawn.append(stream._state)
+            return bounded_draws(stream, bounds)
+
+        monkeypatch.setattr(rng_module, "_rejected", lambda d, b: rejected(d, b) | (d == np.uint64(forced)))
+        monkeypatch.setattr(Rng, "_bounded_draws", record)
+        got = self.epochs(datasets, 4, seeds, epochs)
+        assert redrawn == [Rng(child_seed(seeds[lane], epoch))._state]
+        for e, (x, y) in enumerate(got):
+            for s, (ds, seed) in enumerate(zip(datasets, seeds)):
+                want = ds.take(Rng(child_seed(seed, e)).permutation(n))
+                assert x[s].tobytes() == want.inputs.tobytes(), (e, s)
+                assert y[s].tobytes() == want.targets.tobytes(), (e, s)
 
 
 class TestSynth:

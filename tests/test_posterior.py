@@ -479,6 +479,30 @@ def test_posterior_sample_equals_the_per_draw_oracle(
     assert ours._cached_normal == oracle._cached_normal
 
 
+@pytest.mark.parametrize("kind, rank", [("swag", 1), ("swag", 3), ("laplace", 1), ("advi", 1)])
+@pytest.mark.parametrize("block", [1, 3])
+@pytest.mark.parametrize("cached", [False, True])
+def test_posterior_sample_block_edges_equal_the_per_draw_oracle(
+    monkeypatch, kind, rank, block, cached
+):
+    # an odd row width, so normal pairs straddle rows and blocks; the bound
+    # sits just below block + 1 rows, or for one row below a single row
+    p = 7
+    width = p + rank if kind == "swag" and rank >= 2 else p
+    bound = (block + 1) * width - 1 if block > 1 else width - 1
+    monkeypatch.setattr(uqkit.posterior, "_SAMPLE_NORMALS", bound)
+    state = _sampling_state(kind, p, rank, 2, np.random.default_rng(block))
+    for n_samples in (1, block, block + 1, 3 * block + 2):
+        ours, oracle = Rng(n_samples), Rng(n_samples)
+        if cached:
+            ours.normals(1)
+            oracle.normals(1)
+        draws = posterior_sample(state, ours, n_samples)
+        expected = sample_list(state, oracle, n_samples)
+        assert [row.tobytes() for row in draws] == [e.tobytes() for e in expected]
+        assert (ours._state, ours._cached_normal) == (oracle._state, oracle._cached_normal)
+
+
 class TestSerialization:
     def test_round_trip_all_kinds(self, tmp_path):
         cfg = MlpConfig(2, (3,), 2, "relu", init_seed=1)
@@ -894,6 +918,55 @@ def test_untraced_fits_equal_the_traced_fits_with_empty_traces():
         (swags[0], swag_fit(starts[0], cfgs[0], trains[0], opts[0], rank=2, trace=False)),
     ]:
         assert_same_fit(untraced, replace(traced, trace=()))
+
+
+def _fit_arrays(results) -> list[np.ndarray]:
+    """Every array of the fits' states, ensemble members one by one."""
+    arrays = []
+    for result in results:
+        for f in fields(result.state):
+            value = getattr(result.state, f.name)
+            if isinstance(value, tuple):
+                arrays.extend(value)
+            elif isinstance(value, np.ndarray):
+                arrays.append(value)
+    return arrays
+
+
+def _memory_fits(shift):
+    """(name, results) of one call of each gradient fit; ``shift`` moves
+    every seed, so a second call trains other iterates. The lockstep MAP
+    fit's middle lane diverges in epoch 16 of 30."""
+    cfgs, trains, opts = _scaled_lanes([(1.0, 2 + shift), (6.0, 1 + shift), (1.0, 3 + shift)])
+    maps = map_fit(cfgs, trains, opts)
+    starts = [m.state for m in maps]
+    swags = swag_fit(starts, cfgs, trains, opts, rank=2)
+    short = replace(opts[0], epochs=3)
+    return [
+        ("map_fit", maps),
+        ("swag_fit", swags),
+        ("ensemble_fit", [ensemble_fit(cfgs[0], trains[0], short, members=3)]),
+        ("advi_fit", [advi_fit(cfgs[0], trains[0], short, mc_samples=2)]),
+    ]
+
+
+def test_fit_results_own_their_memory():
+    # the training loop reuses its buffers from step to step, so every
+    # returned array must be a copy that no other array and no later fit
+    # writes into
+    first = _memory_fits(0)
+    assert first[0][1][1].diverged and not first[0][1][0].diverged
+    kept = {}
+    for name, results in first:
+        arrays = _fit_arrays(results)
+        assert all(a.flags.owndata for a in arrays), name
+        for a, b in itertools.combinations(arrays, 2):
+            assert not np.shares_memory(a, b), name
+        kept[name] = [a.tobytes() for a in arrays]
+    second = _memory_fits(1)
+    for (name, results), (_, again) in zip(first, second):
+        assert [a.tobytes() for a in _fit_arrays(results)] == kept[name], name
+        assert [a.tobytes() for a in _fit_arrays(again)] != kept[name], name
 
 
 # the lockstep forms of ``_DIVERGING_FITS``

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from uqkit import cli
 from uqkit.mlp import MlpConfig, init_params, mlp_forward, param_count
 from uqkit.numerics import entropy, softmax
-from uqkit.posterior import AdviState, EnsembleState, LaplaceState, MapState, SwagState
+from uqkit.posterior import _SAMPLE_NORMALS, AdviState, EnsembleState, LaplaceState, MapState
+from uqkit.posterior import SwagState
 from uqkit.predictive import (
     BLOCK_ROWS,
     credible_interval_regression,
@@ -233,10 +234,11 @@ def _record_counts(monkeypatch, cls, asked):
     monkeypatch.setattr(cls, "normals", recording)
 
 
-def test_draws_ask_the_stream_for_one_row_at_a_time(monkeypatch):
+def test_draws_ask_the_stream_for_a_bounded_block_at_a_time(monkeypatch):
     # Rng.normals holds several temporaries as long as its count: drawing a
     # state's normals, or an interval's noise, in one call raised the c9-swag
-    # benchmark's peak RSS by 18% (44.7 to 52.6 MB)
+    # benchmark's peak RSS by 18% (44.7 to 52.6 MB). So a call draws whole
+    # rows, at most _SAMPLE_NORMALS normals of them.
     asked = []
     _record_counts(monkeypatch, Rng, asked)
     _record_counts(monkeypatch, Cursors, asked)
@@ -244,15 +246,18 @@ def test_draws_ask_the_stream_for_one_row_at_a_time(monkeypatch):
     p, rank = param_count(cfg), 4
     gen = np.random.default_rng(0)
     mean = gen.normal(size=p)
-    for state in [
-        SwagState(mean=mean, diag_second_moment=mean**2 + 0.1,
-                  deviations=gen.normal(size=(p, rank)), rank=rank, snapshots=rank),
-        LaplaceState(mode=mean, diag_precision=np.full(p, 4.0)),
-        AdviState(mean=mean, log_std=np.full(p, -2.0)),
+    for state, width in [
+        (SwagState(mean=mean, diag_second_moment=mean**2 + 0.1,
+                   deviations=gen.normal(size=(p, rank)), rank=rank, snapshots=rank), p + rank),
+        (LaplaceState(mode=mean, diag_precision=np.full(p, 4.0)), p),
+        (AdviState(mean=mean, log_std=np.full(p, -2.0)), p),
     ]:
         asked.clear()
-        thetas, rng = sample_weights(state, n_samples=30, seed=1)
-        assert asked and max(asked) <= p + rank
+        n_samples = 2 * _SAMPLE_NORMALS // width + 5  # two full blocks and a part
+        sample_weights(state, n_samples=n_samples, seed=1)
+        assert len(asked) == 3 and sum(asked) == n_samples * width
+        assert all(k <= _SAMPLE_NORMALS and k % width == 0 for k in asked)
+    thetas, rng = sample_weights(state, n_samples=30, seed=1)
     moments = predictive_moments_regression(thetas, cfg, gen.normal(size=(9, 2)))
     noise = rng.cursors(30, 9)
     asked.clear()
