@@ -192,17 +192,31 @@ def _nll_head(out: np.ndarray, targets, task: str, scale: float | None = None):
     return loss, grad_out
 
 
-def nll_value_and_grad(
-    cfg: MlpConfig, theta: np.ndarray, inputs, targets, task: str, scale: float = 1.0
-):
-    """Mean data NLL over a batch and ``scale`` times its gradient, by one
-    explicit forward and backward pass (the training path). With an
-    ``(S, P)`` stack of parameter vectors and ``(S, n, d)`` inputs, both
-    come per lane: ``(S,)`` losses and ``(S, P)`` gradients."""
-    layers = unpack_params(cfg, theta)
-    hs = list(mlp_activations(cfg, layers, inputs))
-    loss, grad_out = _nll_head(hs[-1], targets, task, scale)
-    return loss, mlp_backward(cfg, layers, hs, grad_out)
+def _nll_pass(cfg: MlpConfig, task: str):
+    """``value_and_grad(theta, inputs, targets, scale=1.0)``: the mean data
+    NLL over a batch and ``scale`` times its gradient, by the library's one
+    forward/backward composition. An ``(S, P)`` stack of parameter vectors
+    with ``(S, n, d)`` inputs gives ``(S,)`` losses and ``(S, P)``
+    gradients, one per lane. Each parameter buffer is unpacked once and the
+    outputs go to buffers the pass owns, so a call overwrites the gradient
+    the last call of its shape returned."""
+    views: dict = {}  # id of a parameter buffer -> (buffer, its unpacked views)
+    acts: dict = {}  # batch shape -> one output buffer per layer
+    grads: dict = {}  # parameter shape -> gradient buffer
+
+    def value_and_grad(theta, inputs, targets, scale=1.0):
+        if id(theta) not in views:
+            views[id(theta)] = theta, unpack_params(cfg, theta)
+        layers = views[id(theta)][1]
+        if inputs.shape not in acts:
+            acts[inputs.shape] = [np.empty((*inputs.shape[:-1], w.shape[-1])) for w, _ in layers]
+        if theta.shape not in grads:
+            grads[theta.shape] = np.empty(theta.shape)
+        hs = list(mlp_activations(cfg, layers, inputs, acts[inputs.shape]))
+        loss, grad_out = _nll_head(hs[-1], targets, task, scale)
+        return loss, mlp_backward(cfg, layers, hs, grad_out, out=grads[theta.shape])
+
+    return value_and_grad
 
 
 # ---------------------------------------------------------------------------
@@ -309,31 +323,21 @@ def _train(objective, x0, trains, seeds, opt, epoch_values, on_step=None):
 
 def _penalized_objective(cfg: MlpConfig, trains: list[Dataset], opt: OptimConfig):
     """(batch loss and gradient, full-data epoch values) of the penalized
-    loss, for lanes with the datasets ``trains``; the ridge term's
-    gradient enters as the tape adds it. The objective serves one ``_train``
-    call: it unpacks each iterate buffer once and writes into buffers of
-    its own, so each call overwrites the gradient the last one returned."""
-    wd = opt.weight_decay
-    task = trains[0].task
-    views: dict = {}  # id of an iterate buffer -> (buffer, its unpacked views)
-    acts: dict = {}  # batch shape -> one output buffer per layer
-    grads: dict = {}  # iterate shape -> (gradient, ridge term) buffers
+    loss, for lanes with the datasets ``trains``: ``_nll_pass`` plus the
+    ridge term, whose gradient enters as the tape adds it. The objective
+    serves one ``_train`` call, and each call overwrites the gradient the
+    last one returned."""
+    wd, task = opt.weight_decay, trains[0].task
+    nll = _nll_pass(cfg, task)
+    ridges: dict = {}  # iterate shape -> ridge-term buffer
 
     def objective(theta, inputs, targets):
-        if id(theta) not in views:
-            views[id(theta)] = theta, unpack_params(cfg, theta)
-        layers = views[id(theta)][1]
-        if inputs.shape not in acts:
-            acts[inputs.shape] = [np.empty((*inputs.shape[:-1], w.shape[-1])) for w, _ in layers]
-        if theta.shape not in grads:
-            grads[theta.shape] = np.empty(theta.shape), np.empty(theta.shape)
-        grad, ridge = grads[theta.shape]
-        hs = list(mlp_activations(cfg, layers, inputs, acts[inputs.shape]))
-        loss, grad_out = _nll_head(hs[-1], targets, task, 1.0)
-        mlp_backward(cfg, layers, hs, grad_out, out=grad)
+        loss, grad = nll(theta, inputs, targets)
         if wd > 0:
             # (g theta + g theta) + grad, the tape's order, through one buffer
-            g = wd / 2.0
+            if theta.shape not in ridges:
+                ridges[theta.shape] = np.empty(theta.shape)
+            ridge, g = ridges[theta.shape], wd / 2.0
             loss = loss + g * np.multiply(theta, theta, out=ridge).sum(axis=-1)
             np.multiply(theta, g, out=ridge)
             ridge += ridge
@@ -562,13 +566,14 @@ def laplace_fit(
         hs = list(mlp_activations(cfg, layers, x[:, None, None, :]))
         grad_out = np.broadcast_to(seed, (len(x), *seed.shape[1:]))
         jacs = mlp_backward(cfg, layers, hs, grad_out)  # (rows, k, P)
-        for out, jac in zip(hs[-1][:, 0, 0], jacs):
+        # a row is the row's probabilities, or its (mean, log-variance) output
+        rows = softmax(hs[-1][:, 0, 0]) if classification else hs[-1][:, 0, 0]
+        for row, jac in zip(rows, jacs):
             if classification:
-                probs = softmax(out)
-                weighted = probs @ jac
-                ggn += probs @ (jac * jac) - weighted**2
+                weighted = row @ jac
+                ggn += row @ (jac * jac) - weighted**2
             else:
-                ggn += jac[0] * jac[0] / math.exp(float(out[1]))
+                ggn += jac[0] * jac[0] / math.exp(float(row[1]))
     precision = prior_precision + ggn
     bad = precision <= 0
     if np.any(bad):
@@ -580,50 +585,50 @@ def laplace_fit(
     return LaplaceState(mode=theta.copy(), diag_precision=precision)
 
 
-def _gaussian_kl(mu, std, log_std, prior_precision: float):
-    """KL(N(mu, std^2) || N(0, I / prior_precision))."""
-    return 0.5 * np.sum(
-        prior_precision * (mu * mu + std * std)
-        - 1.0
-        - math.log(prior_precision)
-        - 2.0 * log_std
-    )
+def _advi_objective(cfg: MlpConfig, task: str, draws, mc_samples: int,
+                    prior_precision: float, n_total: int):
+    """The negative ELBO estimate of one lane's ``(1, 2P)`` stack of
+    (mean, log_std) and its gradient, at the ``(mc_samples, P)`` noise
+    stack that ``draws`` yields for each step.
 
-
-def advi_value_and_grad(
-    cfg: MlpConfig, phi: np.ndarray, inputs, targets, task: str,
-    zs: list[np.ndarray], prior_precision: float, n_total: int,
-) -> tuple[float, np.ndarray]:
-    """Negative ELBO estimate for one step at fixed noise draws ``zs``,
-    and its gradient in ``phi``.
-
-    ``phi`` stacks (mean, log_std); each draw reparameterizes theta =
-    mean + exp(log_std) * z, and the KL against N(0, I/prior_precision)
-    is closed form. The gradient is the chain rule through
-    ``nll_value_and_grad``: each draw's theta gradient g adds to the
-    mean's and g * z to the std's, the std's total is multiplied by std
-    for the log-std, and the closed-form KL terms come first with the
-    draws after them from last to first, as the tape sums them; the
-    result equals the taped gradient bit for bit.
+    Draw j reparameterizes theta_j = mean + exp(log_std) * z_j, and the
+    draws run as the lanes of one ``_nll_pass`` over the batch broadcast to
+    them (stride 0, no copy). The KL against N(0, I / prior_precision) is
+    closed form. Each draw's theta gradient g adds to the mean's and g * z
+    to the std's, and the std's total times std gives the log-std's. The
+    sums run in the tape's order (the data terms first to last; the KL
+    terms first, then the draws last to first), so the result equals the
+    taped gradient bit for bit. Each call overwrites the last gradient.
     """
-    p = len(zs[0])
-    mu, log_std = phi[:p], phi[p:]
-    std = np.exp(log_std)
-    scale = n_total / len(zs)
-    draws = [
-        nll_value_and_grad(cfg, mu + std * z, inputs, targets, task, scale) for z in zs
-    ]
-    data_term = draws[0][0]
-    for nll, _ in draws[1:]:
-        data_term = data_term + nll
-    gk = 0.5 * prior_precision
-    g_mu = gk * mu + gk * mu
-    g_std = gk * std + gk * std
-    for z, (_, g) in zip(reversed(zs), reversed(draws)):
-        g_mu = g_mu + g
-        g_std = g_std + g * z
-    loss = scale * data_term + _gaussian_kl(mu, std, log_std, prior_precision)
-    return float(loss), np.concatenate([g_mu, -1.0 + g_std * std]) + 0.0
+    p = param_count(cfg)
+    nll = _nll_pass(cfg, task)
+    buffers = np.empty((mc_samples, p)), np.empty((1, 2 * p)), np.empty(p)
+    gk, scale = 0.5 * prior_precision, n_total / mc_samples
+
+    def objective(phi, inputs, targets):
+        zs, (thetas, grad, gz) = next(draws), buffers
+        mu, log_std, g_mu, g_std = phi[0, :p], phi[0, p:], grad[0, :p], grad[0, p:]
+        std = np.exp(log_std)
+        np.multiply(zs, std, out=thetas)
+        thetas += mu
+        lanes = (mc_samples, *inputs.shape[1:])
+        losses, g = nll(thetas, np.broadcast_to(inputs, lanes),
+                        np.broadcast_to(targets, lanes[:-1]), scale)
+        np.multiply(mu, gk, out=g_mu)
+        np.multiply(std, gk, out=g_std)
+        grad += grad
+        for j in range(mc_samples - 1, -1, -1):
+            g_mu += g[j]
+            g_std += np.multiply(g[j], zs[j], out=gz)
+        g_std *= std
+        g_std += -1.0
+        grad += 0.0
+        kl = 0.5 * np.sum(prior_precision * (mu * mu + std * std) - 1.0
+                          - math.log(prior_precision) - 2.0 * log_std)
+        loss = scale * np.add.accumulate(losses)[-1] + kl
+        return np.array([float(loss)]), grad
+
+    return objective
 
 
 def advi_fit(
@@ -658,14 +663,9 @@ def advi_fit(
         while True:
             yield from noise.normals(steps_per_epoch * mc_samples * p).reshape(-1, mc_samples, p)
 
-    draws = step_noise()
-
-    def objective(phi, inputs, targets):  # one lane
-        zs = list(next(draws))
-        loss, grad = advi_value_and_grad(
-            cfg, phi[0], inputs[0], targets[0], train.task, zs, prior_precision, train.n
-        )
-        return np.array([loss]), grad[None]
+    objective = _advi_objective(
+        cfg, train.task, step_noise(), mc_samples, prior_precision, train.n
+    )
 
     def mean_elbo(_phi, losses):
         return [float(np.mean([-loss[0] for loss in losses]))]

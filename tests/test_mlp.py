@@ -4,7 +4,7 @@ import pytest
 from tape_oracle import mean_nll, taped_forward
 from uqkit.autodiff import Tape, value_and_grad
 from uqkit.mlp import MlpConfig, init_params, mlp_forward, param_count
-from uqkit.posterior import nll_value_and_grad
+from uqkit.posterior import _nll_pass
 
 
 def test_param_count_layout():
@@ -86,5 +86,5 @@ def test_regression_head_nll_matches_gaussian_formula():
     expected = 0.5 * np.mean(
         np.log(2 * np.pi) + log_var + (y - mu) ** 2 / np.exp(log_var)
     )
-    value, _ = nll_value_and_grad(cfg, theta, x, y, "regression")
+    value, _ = _nll_pass(cfg, "regression")(theta, x, y)
     assert value == pytest.approx(expected, abs=1e-12)

@@ -21,14 +21,14 @@ from uqkit.posterior import (
     SwagState,
     _LAPLACE_JACOBIAN_FLOATS,
     _LAPLACE_ROWS,
+    _advi_objective,
+    _nll_pass,
     _penalized_objective,
     advi_fit,
-    advi_value_and_grad,
     ensemble_fit,
     laplace_fit,
     load_state,
     map_fit,
-    nll_value_and_grad,
     posterior_sample,
     save_state,
     swag_fit,
@@ -686,6 +686,34 @@ class TestFitsBuildNoTape:
         assert len(tapes) == 0
 
 
+@pytest.mark.parametrize("fit", ["map", "swag", "ensemble", "advi-1", "advi-3"])
+def test_one_backward_pass_per_step(fit, monkeypatch):
+    # every gradient fit, ADVI at any draw count, takes one backward pass per
+    # optimizer step: its lanes (MAP's S = 3, the members, the draws) are one pass
+    ds = golden_ds(CLASSIFICATION)
+    cfg = MlpConfig(2, (4,), 3, "tanh", init_seed=0)
+    opt = OptimConfig(epochs=2, batch_size=8, weight_decay=1e-3, seed=1)
+    start = map_fit(cfg, ds, opt).state
+    passes, steps = [], []
+    backward, step = uqkit.posterior.mlp_backward, uqkit.posterior._Optimizer.step
+    monkeypatch.setattr(
+        uqkit.posterior, "mlp_backward", lambda *a, **k: passes.append(1) or backward(*a, **k)
+    )
+    monkeypatch.setattr(
+        uqkit.posterior._Optimizer, "step", lambda self, *a: steps.append(1) or step(self, *a)
+    )
+    if fit == "map":
+        map_fit([cfg] * 3, [ds] * 3, [replace(opt, seed=s) for s in range(3)])
+    elif fit == "swag":
+        swag_fit(start, cfg, ds, opt, rank=2, snapshot_every=1)
+    elif fit == "ensemble":
+        ensemble_fit(cfg, ds, opt, members=3)
+    else:
+        advi_fit(cfg, ds, opt, mc_samples=int(fit[-1]))
+    assert len(steps) == opt.epochs * -(-ds.n // opt.batch_size)
+    assert len(passes) == len(steps)
+
+
 def _random_problem(rng, task, n=None):
     d = int(rng.integers(1, 4))
     widths = tuple(int(w) for w in rng.integers(1, 7, size=int(rng.integers(0, 3))))
@@ -729,12 +757,39 @@ def test_advi_gradient_equals_tape_bit_for_bit(task):
         zs = [rng.normal(size=p) for _ in range((1, 3)[case % 2])]
         phi = np.concatenate([theta, rng.normal(size=p) - 2.0])
         prior, n_total = float(rng.choice([0.5, 1.0, 7.0])), int(rng.integers(x.shape[0], 50))
-        loss, grad = advi_value_and_grad(cfg, phi, x, y, task, zs, prior, n_total)
+        objective = _advi_objective(cfg, task, itertools.repeat(np.array(zs)), len(zs),
+                                    prior, n_total)
         ref_loss, ref_grad = value_and_grad(
             lambda v: advi_objective(cfg, v, x, y, task, zs, prior, n_total), phi
         )
-        assert _same_bits(loss, ref_loss), (case, cfg)
-        assert grad.tobytes() == ref_grad.tobytes(), (case, cfg)
+        for _ in range(2):  # the second call reuses the objective's buffers
+            loss, grad = objective(phi[None], x[None], y[None])
+            assert _same_bits(loss[0], ref_loss), (case, cfg)
+            assert grad[0].tobytes() == ref_grad.tobytes(), (case, cfg)
+
+
+@pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
+def test_broadcast_lanes_equal_solo_passes(task):
+    # ADVI's draws are lanes of one pass over a batch broadcast to them
+    # (stride 0); n = 1 takes numpy's one-row product routines
+    rng = np.random.default_rng(7 if task == CLASSIFICATION else 8)
+    seen = set()
+    for case in range(120):
+        cfg, x, y, _ = _random_problem(rng, task, n=1 if case % 4 == 0 else None)
+        m, p = int(rng.integers(1, 4)), param_count(cfg)
+        scale = (1.0, 17.0 / m)[case % 2]
+        stacked, thetas = _nll_pass(cfg, task), np.empty((m, p))
+        for _ in range(2):  # the second call reuses the pass's buffers
+            thetas[:] = init_params(cfg) + rng.normal(size=(m, p)) * rng.choice([0.0, 1.0])
+            losses, grads = stacked(
+                thetas, np.broadcast_to(x, (m, *x.shape)), np.broadcast_to(y, (m, len(y))), scale
+            )
+            for j in range(m):
+                loss, grad = _nll_pass(cfg, task)(thetas[j].copy(), x, y, scale)
+                assert _same_bits(losses[j], loss), (case, cfg, x.shape)
+                assert grads[j].tobytes() == grad.tobytes(), (case, cfg, x.shape)
+        seen |= {cfg.activation, f"layers={len(cfg.hidden_widths)}", f"n={len(x)}"}
+    assert {"tanh", "relu", "layers=0", "layers=2", "n=1"} <= seen
 
 
 @pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
@@ -785,8 +840,8 @@ def test_training_gradient_matches_central_differences(task):
     y = rng.integers(0, 3, size=9) if task == CLASSIFICATION else rng.normal(size=9)
     cfg = MlpConfig(2, (5, 3), 3 if task == CLASSIFICATION else 2, "tanh", init_seed=6)
     theta = init_params(cfg)
-    _, grad = nll_value_and_grad(cfg, theta, x, y, task, scale=3.0)
-    fd = _central_differences(lambda v: 3.0 * nll_value_and_grad(cfg, v, x, y, task)[0], theta)
+    _, grad = _nll_pass(cfg, task)(theta, x, y, 3.0)
+    fd = _central_differences(lambda v: 3.0 * _nll_pass(cfg, task)(v, x, y)[0], theta)
     assert np.all(np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-8) < 1e-5)
 
     p = theta.size
@@ -794,7 +849,10 @@ def test_training_gradient_matches_central_differences(task):
     phi = np.concatenate([theta, np.full(p, -1.5)])
 
     def elbo(v):
-        return advi_value_and_grad(cfg, v, x, y, task, zs, 2.0, 30)
+        loss, grad = _advi_objective(cfg, task, iter([np.array(zs)]), 2, 2.0, 30)(
+            v[None], x[None], y[None]
+        )
+        return loss[0], grad[0]
 
     fd = _central_differences(lambda v: elbo(v)[0], phi)
     assert np.all(np.abs(elbo(phi)[1] - fd) / np.maximum(np.abs(fd), 1e-8) < 1e-5)
