@@ -377,14 +377,12 @@ def cmd_train(args) -> int:
 def _predict_regression(thetas, rng, model, inputs, alpha):
     """The ``(5, n)`` mean, variance, aleatoric, epistemic and std rows of
     ``inputs``, and their credible intervals (None without ``alpha``),
-    computed one block of rows (``row_blocks``) at a time. Draw j's
-    interval noise comes from a cursor j * n normals past where the weight
-    draws left ``rng``, so each row gets the noise one pass over all n rows
-    would give it."""
+    computed one block of rows (``row_blocks``) at a time. The blocks draw
+    their interval noise from ``rng`` in row order, so each row gets the
+    noise one pass over all n rows would give it."""
     n = len(inputs)
     table, intervals = np.empty((5, n)), None
     if alpha is not None:
-        noise = rng.cursors(len(thetas), n)
         intervals = Intervals(np.empty(n), np.empty(n), np.empty(n, dtype=bool))
     for rows in row_blocks(n):
         moments = predictive_moments_regression(thetas, model, inputs[rows])
@@ -393,7 +391,7 @@ def _predict_regression(thetas, rng, model, inputs, alpha):
             moments.epistemic, np.sqrt(moments.variance),
         )
         if alpha is not None:
-            block = credible_interval_regression(moments, alpha, noise)
+            block = credible_interval_regression(moments, alpha, rng)
             intervals.lower[rows], intervals.upper[rows] = block.lower, block.upper
             intervals.collapsed[rows] = block.collapsed
     return table, intervals

@@ -43,6 +43,8 @@ from .rng import Rng, child_seed
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _LOG_STD_FLOOR = -100.0  # sampling floor for mean-field log stds
+# bounds a normals call of posterior_sample or an ADVI fit, and its temporaries
+_SAMPLE_NORMALS = 1 << 14
 # Adam's moment decays and denominator floor
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
@@ -129,22 +131,28 @@ class FitResult:
 # losses: one explicit forward/backward pass (a taped copy in the tests is
 # the oracle these equal bit for bit)
 
+def _head_fault(cfg: MlpConfig, task: str) -> str | None:
+    """What keeps ``cfg`` from serving ``task``, or None: a regression model
+    outputs one (mean, log-variance) pair. Fits and the state loader both
+    check it."""
+    if task == REGRESSION and cfg.output_dim != 2:
+        return ("regression models output a (mean, log-variance) pair, "
+                f"so output_dim must be 2, got {cfg.output_dim}")
+    return None
+
+
 def _check_head(cfg: MlpConfig, ds: Dataset) -> None:
     if ds.d != cfg.input_dim:
         raise ValueError(
             f"dataset has {ds.d} features but the model expects {cfg.input_dim}"
         )
-    if ds.task == CLASSIFICATION:
-        if ds.n_classes > cfg.output_dim:
-            raise ValueError(
-                f"dataset has labels up to {ds.n_classes - 1} but the model "
-                f"has only {cfg.output_dim} outputs"
-            )
-    elif cfg.output_dim != 2:
+    if ds.task == CLASSIFICATION and ds.n_classes > cfg.output_dim:
         raise ValueError(
-            "regression models output a (mean, log-variance) pair; "
-            f"output_dim must be 2, got {cfg.output_dim}"
+            f"dataset has labels up to {ds.n_classes - 1} but the model "
+            f"has only {cfg.output_dim} outputs"
         )
+    if fault := _head_fault(cfg, ds.task):
+        raise ValueError(fault)
 
 
 def _nll_head(out: np.ndarray, targets, task: str, scale: float | None = None):
@@ -658,10 +666,16 @@ def advi_fit(
 
     def step_noise():
         # The stream has no other reader and its normals do not depend on
-        # how they are split into calls, so one call per epoch gives each
-        # step the values it would draw itself.
+        # how they are split into calls, so a call per block of an epoch's
+        # steps gives each step the values it would draw itself. A block
+        # holds at most _SAMPLE_NORMALS normals (at least one step), so its
+        # memory does not grow with the training rows.
+        width = mc_samples * p
+        block = max(1, _SAMPLE_NORMALS // width)
         while True:
-            yield from noise.normals(steps_per_epoch * mc_samples * p).reshape(-1, mc_samples, p)
+            for lo in range(0, steps_per_epoch, block):
+                steps = min(block, steps_per_epoch - lo)
+                yield from noise.normals(steps * width).reshape(steps, mc_samples, p)
 
     objective = _advi_objective(
         cfg, train.task, step_noise(), mc_samples, prior_precision, train.n
@@ -682,7 +696,6 @@ def advi_fit(
 # sampling
 
 DEFAULT_MC_SAMPLES = 30  # draws from a Gaussian state when no count is given
-_SAMPLE_NORMALS = 1 << 14  # bounds a posterior_sample normals call and its temporaries
 
 
 def posterior_sample(state: PosteriorState, rng: Rng, n_samples: int | None = None) -> np.ndarray:
@@ -814,14 +827,17 @@ def state_to_dict(state: PosteriorState, model: MlpConfig, task: str) -> dict:
 
 def state_from_dict(doc: dict) -> tuple[PosteriorState, MlpConfig, str]:
     """Inverse of ``state_to_dict``. The faults of the kind's schema, or else
-    of the arrays (shape, base64, byte count, an ensemble's names), are one
-    ``DataError``: its ``fault_lines`` joined by "; "."""
+    of the regression head (``_head_fault``) and the arrays (shape, base64,
+    byte count, an ensemble's names), are one ``DataError``: its
+    ``fault_lines`` joined by "; "."""
     kind = doc.get("kind") if isinstance(doc, dict) else None
     cls = _STATE_KINDS.get(kind) if isinstance(kind, str) else None
     faults = list(schema_faults(_STATE_SCHEMAS[cls], doc))
     if not faults:
         model, arrays, values = MlpConfig(**doc["model"]), doc["arrays"], {}
         p, n = param_count(model), len(arrays)
+        if head := _head_fault(model, doc["task"]):
+            faults.append((("model", "output_dim"), head))
         for f in fields(cls):
             if f.type == "int":
                 values[f.name] = doc[f.name]

@@ -27,7 +27,7 @@ from .conformal import Intervals, _check_alpha, _make_intervals
 from .mlp import MlpConfig, mlp_forward
 from .numerics import kth_smallest_columns, softmax
 from .posterior import PosteriorState, posterior_sample
-from .rng import Cursors, Rng
+from .rng import Rng
 
 # rows per block of a predictive pass: its memory is O(BLOCK_ROWS x draws)
 BLOCK_ROWS = 1024
@@ -51,8 +51,7 @@ def sample_weights(
 ) -> tuple[np.ndarray, Rng]:
     """``posterior_sample``'s ``(n, P)`` draws from ``state`` and the stream
     that drew them. The stream continues where the draws ended;
-    ``credible_interval_regression`` takes its observation noise from it,
-    through ``Rng.cursors``.
+    ``credible_interval_regression`` takes its observation noise from it.
     """
     rng = Rng(seed)
     return posterior_sample(state, rng, n_samples), rng
@@ -107,30 +106,31 @@ def predictive_moments_regression(thetas, cfg: MlpConfig, inputs) -> RegressionM
 
 
 def credible_interval_regression(
-    moments: RegressionMoments, alpha: float, noise: Cursors
+    moments: RegressionMoments, alpha: float, rng: Rng
 ) -> Intervals:
     """Equal-tailed credible intervals from sampled observations.
 
     For each weight draw of ``moments`` one observation per row is
     sampled from that draw's predicted Gaussian, and the interval is the
     empirical alpha/2 and 1 - alpha/2 quantile pair (k = ceil(q * S)
-    order statistics) of the pooled draws. Draw j's noise is cursor j's
-    next normals, so over the blocks of n rows, ``rng.cursors(S, n)`` on
-    the stream ``sample_weights`` returned gives each row the noise of one
-    unblocked pass and leaves the stream where that pass would. Too few
-    draws for alpha warn once per ``noise``, at its first block.
+    order statistics) of the pooled draws. The noise comes from ``rng``,
+    normally the stream ``sample_weights`` returned, row by row: the n rows
+    take its next n * S normals, row i the S from i * S on, one per draw.
+    So blocks of rows, each given the one stream in row order, get the
+    noise of one unblocked pass and leave the stream where that pass
+    would. Too few draws for alpha warn at every call; Python's default
+    filter shows the warning once per call site.
     """
     alpha = _check_alpha(alpha)
     s, n = moments.draw_means.shape
-    if len(noise) != s:
-        raise ValueError(f"{len(noise)} noise cursors for {s} posterior draws")
-    if s < 2.0 / alpha and noise.drawn == 0:
+    if s < 2.0 / alpha:
         warnings.warn(
             f"only {s} posterior draws for alpha={alpha}; tail quantiles "
             "are unreliable (need at least 2/alpha)",
             stacklevel=2,
         )
-    draws = moments.draw_means + np.sqrt(moments.draw_variances) * noise.normals(n)
+    noise = rng.normals(n * s).reshape(n, s).T
+    draws = moments.draw_means + np.sqrt(moments.draw_variances) * noise
     k_lo = max(math.ceil(0.5 * alpha * s), 1)
     k_hi = max(math.ceil((1.0 - 0.5 * alpha) * s), 1)
     return _make_intervals(

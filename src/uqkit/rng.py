@@ -18,18 +18,16 @@ by every stream. One pass makes the next n states of any number of
 streams at once, a stream being the one-stream case. ``permutations``
 draws the Fisher-Yates permutations of many streams (a training epoch's
 lanes, say) from one such pass; ``Rng.permutation`` is its one-stream
-case. From 256 states in all on, only every B-th state of a stream is
+case, and ``Rng.uniforms`` and ``Rng.normals`` draw from one-stream
+passes. From 256 states in all on, only every B-th state of a stream is
 made by jumps (of M^(B 2^j)), and the B - 1 after each by plain xorshift
 steps across all of them at once: B = 4 from 256 states, 8 from 2,048 and
-16 from 16,384. ``Rng.cursors`` places streams k normals ahead of one by
-composing the M^(2^j) of the set bits of the uniforms skipped, all
-cursors at once, so each can draw its own share of one stretch of
-normals. The output multiply, the uniform scaling and ``np.sqrt`` are
-exact or correctly rounded in numpy. The Box-Muller log stays
-``math.log`` per value, since ``np.log`` can differ from it in the last
-bit; ``np.cos``/``np.sin`` are used only after a first-use probe finds
-them equal to ``math`` on a fixed set of angles, and ``math`` is used
-otherwise.
+16 from 16,384. The output multiply, the uniform scaling and
+``np.sqrt`` are exact or correctly rounded in numpy. The Box-Muller log
+stays ``math.log`` per value, since ``np.log`` can differ from it in the
+last bit; ``np.cos``/``np.sin`` are used only after a first-use probe
+finds them equal to ``math`` on a fixed set of angles, and ``math`` is
+used otherwise.
 """
 
 from __future__ import annotations
@@ -165,64 +163,6 @@ def _uniforms(states: np.ndarray) -> np.ndarray:
     return (draws >> np.uint64(11)).astype(np.float64) * _TO_UNIT
 
 
-def _normals(
-    states: np.ndarray, cached: np.ndarray, n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """n N(0, 1) draws from each stream, one row per stream, by Box-Muller:
-    each pair of uniforms gives its cos value, then its sin value. A
-    stream's cached sin half (NaN for none; Box-Muller never gives NaN)
-    comes first, and an odd remainder leaves one cached. Returns the draws
-    and each stream's new state and cached half."""
-    s = len(states)
-    if n == 0:
-        return np.empty((s, 0)), states, cached
-    # every stream makes the pairs of one without a cached half, so the
-    # rows line up; the pair a stream with one does not use is dropped
-    raw = _pass(states, 2 * ((n + 1) // 2))
-    u = _uniforms(raw).reshape(-1, 2)
-    # 1 - u lies in (0, 1], so the log is finite; it stays math.log,
-    # value by value, since np.log can differ in the last bit
-    logs = np.fromiter(map(math.log, (1.0 - u[:, 0]).tolist()), dtype=np.float64, count=len(u))
-    radius = np.sqrt(-2.0 * logs)
-    cos, sin = _cos_sin(_TWO_PI * u[:, 1])
-    # row i: the cached half, then each pair's cos and sin
-    z = np.empty((s, raw.shape[1] + 1))
-    z[:, 0] = cached
-    z[:, 1::2] = (radius * cos).reshape(s, -1)
-    z[:, 2::2] = (radius * sin).reshape(s, -1)
-    out, states, halves = np.empty((s, n)), states.copy(), np.full(s, np.nan)
-    for i, half in enumerate(cached.tolist()):
-        held = not math.isnan(half)  # the cached half is the stream's first normal
-        out[i] = z[i, 1 - held : n + 1 - held]
-        used = 2 * ((n + 1 - held) // 2)  # the uniforms the stream takes
-        if used:
-            states[i] = raw[i, used - 1]
-        if (n - held) % 2:  # an odd count past the cached half leaves a sin
-            halves[i] = z[i, used]
-    return out, states, halves
-
-
-def _place(state: int, cached: float | None, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The state and cached half (NaN for none) of the stream that stands
-    at (``state``, ``cached``) once each of ``offsets`` normals is drawn.
-    The whole pairs of uniforms skipped are one jump of M^u, composed from
-    the M^(2^j) of the set bits of u across all offsets at once; an odd
-    remainder then draws its pair's cos and keeps the sin cached."""
-    k = offsets - (cached is not None)  # normals past the stream's next pair
-    states = np.full(len(k), state, dtype=_U64)
-    skip = np.maximum(k, 0) // 2 * 2
-    for j in range(int(skip.max()).bit_length()):
-        on = (skip >> j) & 1 == 1
-        if on.any():
-            states[on] = _apply(_jump(j), states[on])
-    halves = np.full(len(k), np.nan)
-    halves[k < 0] = cached  # an offset of 0 stays on the cached half
-    odd = (k > 0) & (k % 2 == 1)
-    if odd.any():
-        _, states[odd], halves[odd] = _normals(states[odd], halves[odd], 1)
-    return states, halves
-
-
 def _rejected(draws: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     """Which draws a bounded draw rejects for their bound: those at
     or above 2**64 - (2**64 % bound). When 2**64 % bound is 0 the threshold
@@ -299,33 +239,21 @@ class Rng:
         """n N(0, 1) draws by Box-Muller: each pair of uniforms gives its
         cos value, then its sin value. A cached sin half comes first, and an
         odd count leaves one for the next call."""
-        out, states, cached = _normals(
-            np.array([self._state], dtype=_U64), np.array([self._half()]), n
-        )
-        self._move(states[0], cached[0])
-        return out[0]
-
-    def cursors(self, count: int, spacing: int) -> Cursors:
-        """``count`` cursors ``spacing`` normals apart, the first where this
-        stream stands: cursor j draws the normals j * spacing to
-        (j + 1) * spacing - 1 of ``normals(count * spacing)``, and this
-        stream moves past all of them, where that call leaves it."""
-        if count < 0 or spacing < 0:
-            raise ValueError(
-                f"cursor count and spacing must be nonnegative, got {count}, {spacing}"
-            )
-        states, halves = _place(
-            self._state, self._cached_normal, spacing * np.arange(count + 1, dtype=np.int64)
-        )
-        self._move(states[-1], halves[-1])
-        return Cursors(states[:-1], halves[:-1], spacing)
-
-    def _half(self) -> float:
-        return math.nan if self._cached_normal is None else self._cached_normal
-
-    def _move(self, state, half) -> None:
-        self._state = int(state)
-        self._cached_normal = None if math.isnan(half) else float(half)
+        out = np.empty(n)
+        held = n > 0 and self._cached_normal is not None
+        if held:
+            out[0], self._cached_normal = self._cached_normal, None
+        u = _uniforms(self._states(2 * ((n - held + 1) // 2))).reshape(-1, 2)
+        # 1 - u lies in (0, 1], so the log is finite; it stays math.log,
+        # value by value, since np.log can differ in the last bit
+        logs = np.fromiter(map(math.log, (1.0 - u[:, 0]).tolist()), dtype=np.float64, count=len(u))
+        radius = np.sqrt(-2.0 * logs)
+        cos, sin = _cos_sin(_TWO_PI * u[:, 1])
+        z = np.stack((radius * cos, radius * sin), axis=1).reshape(-1)  # cos, sin, cos, ...
+        out[held:] = z[: n - held]
+        if (n - held) % 2:
+            self._cached_normal = float(z[-1])
+        return out
 
     def _bounded_draws(self, bounds: np.ndarray) -> list[int]:
         """A uniform integer in [0, b) for each b in ``bounds`` in turn,
@@ -372,31 +300,3 @@ def permutations(streams: list[Rng], n: int) -> np.ndarray:
             perm[i], perm[j] = perm[j], perm[i]
         perms[s] = perm
     return perms
-
-
-class Cursors:
-    """Streams placed on one stream by ``Rng.cursors``, each drawing its
-    own stretch of that stream's normals."""
-
-    __slots__ = ("_states", "_halves", "spacing", "drawn")
-
-    def __init__(self, states: np.ndarray, halves: np.ndarray, spacing: int):
-        self._states, self._halves = states, halves
-        self.spacing = spacing  # normals each cursor may draw
-        self.drawn = 0  # normals each cursor has drawn
-
-    def __len__(self) -> int:
-        return len(self._states)
-
-    def normals(self, n: int) -> np.ndarray:
-        """The next n normals of every cursor, one row per cursor, made in
-        one pass over all of them. Past ``spacing`` a cursor would draw the
-        next one's normals, so that is a ``ValueError``."""
-        if self.drawn + n > self.spacing:
-            raise ValueError(
-                f"cursors {self.spacing} normals apart have {self.spacing - self.drawn} "
-                f"left each, not {n}"
-            )
-        out, self._states, self._halves = _normals(self._states, self._halves, n)
-        self.drawn += n
-        return out

@@ -24,15 +24,27 @@ from uqkit.metrics import classification_report
 from uqkit.mlp import MlpConfig, param_count
 from uqkit.numerics import softmax
 from uqkit.posterior import (
-    EnsembleState, FitResult, LaplaceState, MapState, SwagState, load_state, save_state,
-    state_to_dict,
+    AdviState, EnsembleState, FitResult, LaplaceState, MapState, SwagState, load_state,
+    save_state, state_to_dict,
 )
+from uqkit.predictive import BLOCK_ROWS
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def write_regression_state(tmp_path, rows):
+    """A small ADVI regression ``state.json`` and a ``rows``-row data CSV."""
+    cfg = MlpConfig(2, (8,), 2, "tanh")
+    p = param_count(cfg)
+    gen = np.random.default_rng(0)
+    state = AdviState(mean=0.3 * gen.normal(size=p), log_std=np.full(p, -2.0))
+    save_state(tmp_path / "state.json", state, cfg, "regression")
+    write_matrix_csv(tmp_path / "data.csv", gen.normal(size=(rows, 3)), ["x0", "x1", "target"])
+    return tmp_path / "state.json", tmp_path / "data.csv"
 
 
 def write_probs(path, probs):
@@ -1551,6 +1563,10 @@ def _fault_cases():
         change(doc)
         return pytest.param(doc, needle, id=name)
 
+    def regression(output_dim):
+        head = MlpConfig(2, (4,), output_dim, "relu")
+        return state_to_dict(MapState(np.zeros(param_count(head))), head, "regression")
+
     short = state_to_dict(MapState(theta[:-1]), cfg, "classification")["arrays"]
     zeros = state_to_dict(MapState(np.zeros(p)), cfg, "classification")["arrays"]["theta"]
     kinds = "['map', 'ensemble', 'swag', 'laplace', 'advi']"
@@ -1618,6 +1634,12 @@ def _fault_cases():
                lambda d: d["model"].update(activation=1)),
         broken("missing_model_key", "at model: missing required key 'init_seed'",
                lambda d: d["model"].pop("init_seed")),
+        broken("regression_one_output", "at model/output_dim: regression models output a "
+               "(mean, log-variance) pair, so output_dim must be 2, got 1",
+               lambda d: None, base=regression(1)),
+        broken("regression_three_outputs", "at model/output_dim: regression models output a "
+               "(mean, log-variance) pair, so output_dim must be 2, got 3",
+               lambda d: None, base=regression(3)),
         broken("zero_precision",
                "invalid laplace state: diag_precision must be strictly positive",
                lambda d: d["arrays"].update(diag_precision=zeros), base=laplace),
@@ -1983,6 +2005,22 @@ class TestPosteriorSampledOnce:
         )
         assert code == 0 and "coverage" in json.loads(out)
         assert calls == ["LaplaceState"]
+
+    @pytest.mark.parametrize("options, shown", [([], 1), (["-W", "always"], 3)])
+    def test_few_draws_warn_once_per_command(self, tmp_path, options, shown):
+        # each of three row blocks warns from the same call site, and Python's
+        # default filter shows a warning once per site
+        state, data = write_regression_state(tmp_path, 3 * BLOCK_ROWS)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = str(Path(config_module.__file__).resolve().parents[1])
+        code = "import sys; from uqkit.cli import main; sys.exit(main(sys.argv[1:]))"
+        done = subprocess.run(
+            [sys.executable, *options, "-c", code, "evaluate", "--state", str(state),
+             "--data", str(data), "--alpha", "0.2", "--predictive-samples", "5"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stderr.count("UserWarning: only 5 posterior draws for alpha=0.2") == shown
 
     def test_benchmark_once_per_seed(self, tmp_path, capsys, calls):
         config = train_config(

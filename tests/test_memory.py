@@ -1,9 +1,10 @@
 """Memory guards: the peak of ``evaluate --state`` grows with the rows'
-inputs and outputs, not with draws x rows, ``read_matrix_csv`` holds the
-matrix and one parse block, and ``load_csv`` splits a file's matrix in
-place. Peaks are taken in-process under ``tracemalloc``;
-a child's ``ru_maxrss`` would not do, since a child started from pytest
-inherits the parent's RSS high-water mark on exec."""
+inputs and outputs, not with draws x rows, an ADVI epoch's noise does not
+grow with the training rows, ``read_matrix_csv`` holds the matrix and one
+parse block, and ``load_csv`` splits a file's matrix in place. Peaks are
+taken in-process under ``tracemalloc``; a child's ``ru_maxrss`` would not
+do, since a child started from pytest inherits the parent's RSS
+high-water mark on exec."""
 
 import tracemalloc
 
@@ -11,9 +12,9 @@ import numpy as np
 import pytest
 
 from test_cli import run
-from uqkit.data import load_csv, read_matrix_csv, write_matrix_csv
+from uqkit.data import CLASSIFICATION, Dataset, load_csv, read_matrix_csv, write_matrix_csv
 from uqkit.mlp import MlpConfig, init_params, param_count
-from uqkit.posterior import AdviState, save_state
+from uqkit.posterior import AdviState, OptimConfig, advi_fit, save_state
 from uqkit.predictive import BLOCK_ROWS
 
 # holding every draw's outputs for every row grew the peak by about 850
@@ -49,6 +50,20 @@ def test_evaluate_state_peak_grows_with_the_rows_not_the_draws(tmp_path, capsys,
         assert code == 0, err
     per_row = (peaks[16] - peaks[2]) / (14 * BLOCK_ROWS)
     assert per_row < MAX_BYTES_PER_ROW, per_row
+
+
+def test_advi_epoch_peak_does_not_grow_with_the_rows():
+    # drawing an epoch's noise in one call grew the peak by about 1.9 KB per
+    # training row at P = 1,251 (4.2 MB at 2,048 rows, 15.9 MB at 8,192);
+    # in blocks of at most _SAMPLE_NORMALS normals it grows by ~40 bytes
+    cfg = MlpConfig(2, (32, 32), 3, "tanh")
+    peaks = {}
+    for n in (64, 2048, 8192):  # the first builds the stream's jump tables
+        gen = np.random.default_rng(0)
+        ds = Dataset(gen.normal(size=(n, 2)), gen.integers(0, 3, n), CLASSIFICATION, ("a", "b"))
+        peaks[n] = _peak(lambda d: advi_fit(cfg, d, OptimConfig(epochs=1)), ds)[1]
+    per_row = (peaks[8192] - peaks[2048]) / (8192 - 2048)
+    assert per_row < 400, per_row
 
 
 def _peak(read, path):

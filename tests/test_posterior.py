@@ -658,6 +658,20 @@ def test_fit_replays_golden_digest(key, case):
     assert fit_digest(run_golden_case(*case)) == GOLDEN_FITS[key]
 
 
+@pytest.mark.parametrize("steps", [1, 3])
+@pytest.mark.parametrize("key", ["advi-cla-tanh-adam-2", "advi-reg-relu-sgd-1"])
+def test_advi_noise_drawn_in_step_blocks_replays_golden_digest(monkeypatch, key, steps):
+    # 4 steps an epoch: blocks of 3 steps and 1, or one step a call, where
+    # the bound sits below a single step's normals
+    fit, task, act, algo, mc_samples = next(
+        param.values[1] for param in _golden_cases() if param.values[0] == key
+    )
+    width = mc_samples * param_count(MlpConfig(2, (5, 4), 3 if task == CLASSIFICATION else 2))
+    bound = steps * width if steps > 1 else width - 1
+    monkeypatch.setattr(uqkit.posterior, "_SAMPLE_NORMALS", bound)
+    assert fit_digest(run_golden_case(fit, task, act, algo, mc_samples)) == GOLDEN_FITS[key]
+
+
 class TestFitsBuildNoTape:
     """Every fit runs the explicit backward pass; none builds a tape."""
 

@@ -18,7 +18,7 @@ from uqkit.predictive import (
     predictive_moments_regression,
     sample_weights,
 )
-from uqkit.rng import Cursors, Rng
+from uqkit.rng import Rng
 
 
 def clf_cfg(k=3, seed=0):
@@ -169,7 +169,7 @@ class TestCredibleIntervals:
         x = np.zeros((1, 1))
         thetas, rng = sample_weights(state, n_samples=100_000, seed=2)
         moments = predictive_moments_regression(thetas, cfg, x)
-        out = credible_interval_regression(moments, 0.3173, rng.cursors(100_000, 1))
+        out = credible_interval_regression(moments, 0.3173, rng)
         np.testing.assert_allclose(out.lower, [-1.0], atol=0.02)
         np.testing.assert_allclose(out.upper, [1.0], atol=0.02)
 
@@ -183,7 +183,7 @@ class TestCredibleIntervals:
         theta[-1] = -800.0  # exp underflows to exactly 0
         thetas, rng = sample_weights(MapState(theta), n_samples=50)
         out = credible_interval_regression(
-            predictive_moments_regression(thetas, cfg, x), 0.2, rng.cursors(50, 3)
+            predictive_moments_regression(thetas, cfg, x), 0.2, rng
         )
         np.testing.assert_array_equal(out.lower, out.upper)
 
@@ -195,7 +195,7 @@ class TestCredibleIntervals:
             # a fresh stream per call: both alphas see the same observations
             thetas, rng = sample_weights(state, n_samples=400, seed=7)
             moments = predictive_moments_regression(thetas, cfg, x)
-            return credible_interval_regression(moments, alpha, rng.cursors(400, 2))
+            return credible_interval_regression(moments, alpha, rng)
 
         wide, narrow = interval(0.05), interval(0.2)
         assert np.all(wide.lower <= narrow.lower)
@@ -204,24 +204,14 @@ class TestCredibleIntervals:
     def test_low_sample_warning(self):
         state, cfg = self.make_unit_noise_map()
         thetas, rng = sample_weights(state, n_samples=10)
-        noise = rng.cursors(10, 3)
         moments = predictive_moments_regression(thetas, cfg, np.zeros((1, 1)))
         with pytest.warns(UserWarning, match="draws") as record:
             for _ in range(3):  # three one-row blocks
-                credible_interval_regression(moments, 0.01, noise)
-        assert len(record) == 1
-
-    def test_noise_must_hold_a_cursor_per_draw_and_stay_in_its_stretch(self):
-        state, cfg = self.make_unit_noise_map()
-        thetas, rng = sample_weights(state, n_samples=4)
-        moments = predictive_moments_regression(thetas, cfg, np.zeros((2, 1)))
-        with pytest.raises(ValueError, match="3 noise cursors for 4"):
-            credible_interval_regression(moments, 0.5, rng.cursors(3, 2))
-        noise = rng.cursors(4, 3)
-        credible_interval_regression(moments, 0.5, noise)
-        # a second two-row block would draw the next cursor's normals
-        with pytest.raises(ValueError, match="1 left each, not 2"):
-            credible_interval_regression(moments, 0.5, noise)
+                credible_interval_regression(moments, 0.01, rng)
+        assert len(record) == 3  # pytest.warns records every warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            credible_interval_regression(moments, 0.2, rng)  # 10 draws suffice
 
 
 def _record_counts(monkeypatch, cls, asked):
@@ -236,12 +226,11 @@ def _record_counts(monkeypatch, cls, asked):
 
 def test_draws_ask_the_stream_for_a_bounded_block_at_a_time(monkeypatch):
     # Rng.normals holds several temporaries as long as its count: drawing a
-    # state's normals, or an interval's noise, in one call raised the c9-swag
-    # benchmark's peak RSS by 18% (44.7 to 52.6 MB). So a call draws whole
-    # rows, at most _SAMPLE_NORMALS normals of them.
+    # state's normals in one call raised the c9-swag benchmark's peak RSS by
+    # 18% (44.7 to 52.6 MB). So a call draws whole rows, at most
+    # _SAMPLE_NORMALS normals of them, and an interval one block's noise.
     asked = []
     _record_counts(monkeypatch, Rng, asked)
-    _record_counts(monkeypatch, Cursors, asked)
     cfg = reg_cfg()
     p, rank = param_count(cfg), 4
     gen = np.random.default_rng(0)
@@ -259,17 +248,16 @@ def test_draws_ask_the_stream_for_a_bounded_block_at_a_time(monkeypatch):
         assert all(k <= _SAMPLE_NORMALS and k % width == 0 for k in asked)
     thetas, rng = sample_weights(state, n_samples=30, seed=1)
     moments = predictive_moments_regression(thetas, cfg, gen.normal(size=(9, 2)))
-    noise = rng.cursors(30, 9)
     asked.clear()
-    # the interval's noise: one block's rows from every cursor at once
-    credible_interval_regression(moments, 0.1, noise)
-    assert asked == [9]
+    # the interval's noise: one block's rows, every draw's normal of a row
+    credible_interval_regression(moments, 0.1, rng)
+    assert asked == [9 * 30]
 
 
 def _one_pass_regression(thetas, cfg, x, alpha, rng):
     """Predictive moments and credible intervals over all rows in one pass,
-    each draw's noise one ``Rng.normals`` call: the oracle for the blocked
-    ``evaluate``."""
+    row i's noise the normals i * S to i * S + S - 1 of one ``Rng.normals``
+    call: the oracle for the blocked ``evaluate``."""
     outs = [mlp_forward(cfg, theta, x) for theta in thetas]
     mus = np.stack([out[:, 0] for out in outs])
     noise = np.stack([np.exp(out[:, 1]) for out in outs])
@@ -277,7 +265,8 @@ def _one_pass_regression(thetas, cfg, x, alpha, rng):
     mean = mus.mean(axis=0)
     aleatoric, epistemic = noise.mean(axis=0), np.mean((mus - mean) ** 2, axis=0)
     variance = aleatoric + epistemic
-    draws = np.stack([mus[j] + np.sqrt(noise[j]) * rng.normals(n) for j in range(s)])
+    eps = rng.normals(n * s).reshape(n, s)
+    draws = np.stack([mus[j] + np.sqrt(noise[j]) * eps[:, j] for j in range(s)])
     k_lo = max(math.ceil(0.5 * alpha * s), 1)
     k_hi = max(math.ceil((1.0 - 0.5 * alpha) * s), 1)
     bounds = [np.partition(draws, k - 1, axis=0)[k - 1] for k in (k_lo, k_hi)]

@@ -400,7 +400,8 @@ def test_state_round_trip_all_kinds(scratch, data, kind, task):
     model = MlpConfig(
         input_dim=data.draw(st.integers(1, 3), label="input_dim"),
         hidden_widths=tuple(data.draw(st.lists(st.integers(1, 3), max_size=2))),
-        output_dim=data.draw(st.integers(1, 3), label="output_dim"),
+        # a regression model outputs one (mean, log-variance) pair
+        output_dim=2 if task == "regression" else data.draw(st.integers(1, 3), label="output_dim"),
         activation=data.draw(st.sampled_from(["tanh", "relu"])),
         init_seed=data.draw(st.integers(0, 2**31)),
     )

@@ -7,7 +7,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import uqkit.rng as rng_module
@@ -174,69 +174,6 @@ def test_blocked_stepping_equals_the_scalar_stream(seed, method, n, cached):
     assert got == want
     assert fast._state == slow._state
     assert fast._cached_normal == slow._cached_normal
-
-
-def _scalar_after(seed, cached, k):
-    """A scalar stream, with a cached normal when ``cached``, after k
-    normals are drawn and discarded."""
-    slow = ScalarRng(seed)
-    if cached:
-        slow.normals(1)
-    for _ in range(k):
-        slow.standard_normal()
-    return slow
-
-
-# offsets 0, odd and even; each far one costs the scalar oracle about 1.4 s
-@settings(max_examples=60, deadline=None)
-@given(
-    seed=st.integers(0, 2**64 - 1),
-    cached=st.booleans(),
-    offsets=st.lists(st.one_of(st.sampled_from([0, 1, 2, 3]), st.integers(0, 3000)),
-                     min_size=1, max_size=5),
-)
-@example(seed=5, cached=True, offsets=[2**20 + 1, 0, 2])
-@example(seed=6, cached=False, offsets=[2**20 + 2, 1])
-def test_jump_ahead_equals_the_scalar_stream_drawn_and_discarded(seed, cached, offsets):
-    fast = Rng(seed)
-    if cached:
-        fast.normals(1)
-    states, halves = rng_module._place(fast._state, fast._cached_normal, np.array(offsets))
-    for k, state, half in zip(offsets, states.tolist(), halves.tolist()):
-        slow = _scalar_after(seed, cached, k)
-        assert state == slow._state, k
-        assert (None if math.isnan(half) else half) == slow._cached_normal, k
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    seed=st.integers(0, 2**64 - 1),
-    cached=st.booleans(),
-    count=st.integers(1, 8),
-    spacing=st.integers(0, 300),
-    cuts=st.lists(st.integers(0, 300), max_size=4),
-)
-def test_cursors_draw_the_stream_in_stretches(seed, cached, count, spacing, cuts):
-    # cursor j's normals, drawn in blocks, are normals j * spacing onward of
-    # one call for all count * spacing, and the stream moves past them
-    fast, slow = Rng(seed), ScalarRng(seed)
-    if cached:
-        assert fast.normals(1).tobytes() == slow.normals(1).tobytes()
-    want = slow.normals(count * spacing).reshape(count, spacing)
-    cursors = fast.cursors(count, spacing)
-    edges = sorted({0, spacing, *(c for c in cuts if c < spacing)})
-    got = np.concatenate([cursors.normals(b - a) for a, b in zip(edges, edges[1:])]
-                         + [np.empty((count, 0))], axis=1)
-    assert got.tobytes() == want.tobytes()
-    assert (fast._state, fast._cached_normal) == (slow._state, slow._cached_normal)
-    with pytest.raises(ValueError, match="0 left each"):
-        cursors.normals(1)
-
-
-@pytest.mark.parametrize("count, spacing", [(-1, 3), (2, -1)])
-def test_cursors_take_no_negative_count_or_spacing(count, spacing):
-    with pytest.raises(ValueError, match="must be nonnegative"):
-        Rng(0).cursors(count, spacing)
 
 
 def test_normals_do_not_depend_on_how_the_calls_split():

@@ -8,8 +8,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-from test_cli import run, train_config
+from test_cli import run, train_config, write_regression_state
 from uqkit import cli
+from uqkit.mlp import param_count
+from uqkit.posterior import load_state
 
 ROOT = Path(__file__).resolve().parents[1]
 # names bench/tracer.py still wraps though the program no longer has them
@@ -26,6 +28,25 @@ def test_tracer_finds_every_hook_but_the_known_stale_ones():
     )
     missing = set(json.loads(done.stdout))
     assert missing <= KNOWN_STALE
+
+
+def test_traced_evaluate_counts_the_interval_normals(tmp_path):
+    # S draws of P weights, then one observation per draw and row: every
+    # normal of a regression evaluate goes through the wrapped Rng.normals
+    state, data = write_regression_state(tmp_path, 40)
+    code = (
+        "import sys, tracer; rec = tracer.Recorder(); tracer.install(rec); "
+        "from uqkit.cli import main; code = main(sys.argv[1:]); "
+        "print(code, rec.counts['rng.normals.n'])"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "bench"), str(ROOT / "src")])}
+    done = subprocess.run(
+        [sys.executable, "-c", code, "evaluate", "--state", str(state), "--data", str(data),
+         "--alpha", "0.2", "--predictive-samples", "10"],
+        cwd=ROOT, env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    p = param_count(load_state(state)[1])
+    assert done.stdout.splitlines()[-1].split() == ["0", str(10 * p + 10 * 40)]
 
 
 def test_every_fit_is_called_through_the_cli_module(tmp_path, capsys, monkeypatch):
