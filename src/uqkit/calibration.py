@@ -13,10 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import check_value
 from .numerics import check_finite, check_labels, softmax
 
 T_MIN = 0.01
 T_MAX = 100.0
+
+# fit_temperature's methods, and the schema fragment of a config's temperature_method
+TEMPERATURE_METHODS = ("golden", "adam")
+METHOD_SCHEMA = {"enum": list(TEMPERATURE_METHODS)}
 
 _GOLDEN_TOL = 1e-6
 _GOLDEN_MAX_ITER = 200
@@ -153,8 +158,7 @@ def fit_temperature(logits, targets, method: str = "golden") -> TemperatureFit:
     y = check_labels(targets, z.shape[1], "targets")
     if y.shape[0] != z.shape[0]:
         raise ValueError("logits and targets disagree on length")
-    if method not in ("golden", "adam"):
-        raise ValueError(f"unknown method {method!r}")
+    check_value(METHOD_SCHEMA, method, ("method",))
 
     # Near the float limit an NLL or a search step can overflow: the NLLs
     # come out infinite (callers check them) and Adam stops at the step

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibration import apply_temperature, fit_temperature
+from .calibration import TEMPERATURE_METHODS, apply_temperature, fit_temperature
 from .conformal import (
     Intervals,
     PredictionSets,
@@ -225,6 +225,11 @@ _CONFORMAL = {
         ("val_means", "val_stds", "val_targets", "test_means", "test_stds"),
     ),
 }
+# each input flag of any method, and the methods that read it
+_READERS = {
+    flag: [method for method, (_, reads) in _CONFORMAL.items() if flag in reads]
+    for _, flags in _CONFORMAL.values() for flag in flags
+}
 
 
 def cmd_conformal(args) -> int:
@@ -232,6 +237,10 @@ def cmd_conformal(args) -> int:
     for flag in flags:
         if getattr(args, flag) is None:
             raise ConfigError([f"--{flag.replace('_', '-')} is required for {args.method}"])
+    unread = [f for f in _READERS if f not in flags and getattr(args, f) is not None]
+    if unread:
+        raise ConfigError([f"--{f.replace('_', '-')} is read only with --method "
+                           f"{' or '.join(_READERS[f])}" for f in unread])
     randomized = args.mode == "randomized"
     if randomized and args.method != "adaptive":
         raise ConfigError([f"--mode randomized applies to adaptive only, not {args.method}"])
@@ -352,9 +361,10 @@ def cmd_train(args) -> int:
         for m, trace in enumerate(fit.member_traces):
             rows += [(f"member_{m}", e, v) for e, v in enumerate(trace)]
     phase, last = fits[-1]
+    # the state first: a state its reader would refuse leaves no file behind
+    save_state(cfg.out_dir / "state.json", last.state, model, cfg.task)
     for name, ds in (("train", train_ds), ("calib", calib_ds), ("test", test_ds)):
         save_csv(ds, cfg.out_dir / f"{name}.csv")
-    save_state(cfg.out_dir / "state.json", last.state, model, cfg.task)
     write_trace_csv(cfg.out_dir / "trace.csv", rows)
     report = {
         "status": "diverged" if last.diverged else "ok",
@@ -420,15 +430,16 @@ def _evaluate_regression(thetas, rng, model, test_ds, alpha, out_dir) -> dict:
 # the flags only one input source reads (the first is required); with the other, each is an error
 _SOURCE_FLAGS = {
     "probs": ("targets", "calib_probs", "calib_targets"),
-    "state": ("data", "calib_data", "predictive_samples", "seed"),
+    "state": ("data", "calib_data", "predictive_samples", "seed", "target_column"),
 }
 
 
-def _load_data(path, model, task: str, target_column: str):
+def _load_data(path, model, task: str, target_column: str | None):
     """A dataset ``model`` takes: one feature per model input and, for
     classification, no label past its classes. Either fault is a
-    ``DataError`` naming the file."""
-    ds = load_csv(path, task, target_column)
+    ``DataError`` naming the file. Without ``target_column`` the targets
+    are the ``target`` column ``save_csv`` writes."""
+    ds = load_csv(path, task, "target" if target_column is None else target_column)
     if ds.d != model.input_dim:
         raise DataError(f"{path} has {ds.d} features but the model takes {model.input_dim}")
     if task == CLASSIFICATION and ds.n_classes > model.output_dim:
@@ -602,7 +613,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("conformal", help="prediction sets/intervals from estimates")
     p.add_argument("--method", required=True, choices=list(_CONFORMAL))
     p.add_argument("--alpha", required=True, type=_alpha_flag)
-    for flag in dict.fromkeys(f for _, flags in _CONFORMAL.values() for f in flags):
+    for flag in _READERS:
         p.add_argument(f"--{flag.replace('_', '-')}")
     p.add_argument("--test-targets")
     p.add_argument("--mode", choices=["deterministic", "randomized"], default="deterministic")
@@ -614,7 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--logits", required=True)
     p.add_argument("--targets", required=True)
     p.add_argument("--test-logits")
-    p.add_argument("--method", choices=["golden", "adam"])
+    p.add_argument("--method", choices=TEMPERATURE_METHODS)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_calibrate)
 
@@ -629,7 +640,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--targets")
     p.add_argument("--state")
     p.add_argument("--data")
-    p.add_argument("--target-column", default="target")
+    p.add_argument("--target-column")
     p.add_argument("--calib-probs")
     p.add_argument("--calib-targets")
     p.add_argument("--calib-data")

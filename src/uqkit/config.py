@@ -13,9 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .calibration import METHOD_SCHEMA
 from .data import (
     CLASSIFICATION,
     REGRESSION,
+    SPLIT_SCHEMA,
+    SYNTH_SCHEMA,
+    TASK_SCHEMA,
     Dataset,
     check_split_fractions,
     fault_lines,
@@ -26,9 +30,9 @@ from .data import (
     synth_classification,
 )
 from .errors import ConfigError, DataError
-from .metrics import DEFAULT_BINS, MAX_BINS
+from .metrics import BINS_SCHEMA, DEFAULT_BINS
 from .mlp import MODEL_SCHEMA, MlpConfig
-from .posterior import OptimConfig
+from .posterior import DRAWS_SCHEMA, FIT_PARAMS, OPTIM_SCHEMA, OptimConfig
 from .rng import child_seed
 
 # child-stream indices hung off the config seed
@@ -49,29 +53,20 @@ _METHOD_PARAMS = {
     "advi": {"mc_samples", "prior_precision"},
 }
 
+# a setting the library also takes is the fragment its module checks it with
 RUN_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
     "required": ["task", "data", "model", "method", "optimizer", "out_dir", "seed"],
     "properties": {
-        "task": {"enum": [CLASSIFICATION, REGRESSION]},
+        "task": TASK_SCHEMA,
         "data": {
             "type": "object",
             "additionalProperties": False,
             "minProperties": 1,
             "maxProperties": 1,
             "properties": {
-                "synth": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["name", "n"],
-                    "properties": {
-                        "name": {"enum": ["two_moons", "gaussian_blobs"]},
-                        "n": {"type": "integer", "minimum": 2},
-                        "noise": {"type": "number", "minimum": 0},
-                        "classes": {"type": "integer", "minimum": 2},
-                    },
-                },
+                "synth": SYNTH_SCHEMA,
                 "csv": {
                     "type": "object",
                     "additionalProperties": False,
@@ -84,12 +79,7 @@ RUN_SCHEMA = {
                 },
             },
         },
-        "split": {
-            "type": "array",
-            "items": {"type": "number", "exclusiveMinimum": 0},
-            "minItems": 3,
-            "maxItems": 3,
-        },
+        "split": SPLIT_SCHEMA,
         "model": {
             "type": "object",
             "additionalProperties": False,
@@ -101,33 +91,12 @@ RUN_SCHEMA = {
             },
         },
         "method": {"enum": list(_METHOD_PARAMS)},
-        "optimizer": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "algorithm": {"enum": ["adam", "sgd"]},
-                "learning_rate": {"type": "number", "exclusiveMinimum": 0},
-                "epochs": {"type": "integer", "minimum": 1},
-                "batch_size": {"type": "integer", "minimum": 1},
-                "weight_decay": {"type": "number", "minimum": 0},
-            },
-        },
-        "method_params": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "members": {"type": "integer", "minimum": 2},
-                "rank": {"type": "integer", "minimum": 1},
-                "snapshot_every": {"type": "integer", "minimum": 1},
-                "swag_epochs": {"type": "integer", "minimum": 1},
-                "mc_samples": {"type": "integer", "minimum": 1},
-                "prior_precision": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
+        "optimizer": OPTIM_SCHEMA,
+        "method_params": FIT_PARAMS,
         "calibration": {"type": "boolean"},
-        "temperature_method": {"enum": ["golden", "adam"]},
-        "bins": {"type": "integer", "minimum": 1, "maximum": MAX_BINS},
-        "predictive_samples": {"type": "integer", "minimum": 1},
+        "temperature_method": METHOD_SCHEMA,
+        "bins": BINS_SCHEMA,
+        "predictive_samples": DRAWS_SCHEMA,
         "out_dir": {"type": "string"},
         "seed": {"type": "integer", "minimum": 0},
         "seeds": {
@@ -218,7 +187,7 @@ def validate_config(doc: dict, require_seeds: bool = False) -> list[str]:
         params = doc.get("method_params")
         if isinstance(method, str) and method in _METHOD_PARAMS and isinstance(params, dict):
             reader = "the benchmark's SWAG phase" if require_seeds else f"method {method!r}"
-            for key in RUN_SCHEMA["properties"]["method_params"]["properties"]:
+            for key in FIT_PARAMS["properties"]:
                 if key in params and key not in _METHOD_PARAMS[method]:
                     faults.append((("method_params", key), f"{reader} does not read {key!r}"))
         if require_seeds and "seeds" not in doc:

@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import math
+import numbers
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -25,6 +26,22 @@ from .rng import Rng, child_seed, permutations
 
 CLASSIFICATION = "classification"
 REGRESSION = "regression"
+
+# the schema fragment of each setting read here: the config schema holds
+# them, and the library checks its arguments with them (``check_value``)
+TASK_SCHEMA = {"enum": [CLASSIFICATION, REGRESSION]}
+SPLIT_SCHEMA = {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0},
+                "minItems": 3, "maxItems": 3}
+BATCH_SIZE_SCHEMA = {"type": "integer", "minimum": 1}
+SYNTH_SCHEMA = {
+    "type": "object", "additionalProperties": False, "required": ["name", "n"],
+    "properties": {
+        "name": {"enum": ["two_moons", "gaussian_blobs"]},
+        "n": {"type": "integer", "minimum": 2},
+        "noise": {"type": "number", "minimum": 0},
+        "classes": {"type": "integer", "minimum": 2},
+    },
+}
 
 
 @dataclass(frozen=True)
@@ -41,8 +58,7 @@ class Dataset:
     feature_names: tuple[str, ...]
 
     def __post_init__(self):
-        if self.task not in (CLASSIFICATION, REGRESSION):
-            raise ValueError(f"unknown task {self.task!r}")
+        check_value(TASK_SCHEMA, self.task, ("task",))
         if self.inputs.ndim != 2 or self.inputs.shape[0] < 1:
             raise ValueError("inputs must be a non-empty 2-D matrix")
         if self.targets.shape != (self.inputs.shape[0],):
@@ -147,12 +163,10 @@ def save_csv(ds: Dataset, path) -> None:
 
 
 def check_split_fractions(fractions) -> list[float]:
-    """[train, calib, test] fractions as floats: three, positive, summing to 1."""
+    """[train, calib, test] fractions as floats: ``SPLIT_SCHEMA``'s, summing to 1."""
+    fractions = list(fractions)
+    check_value(SPLIT_SCHEMA, fractions, ("fractions",))
     fractions = [float(f) for f in fractions]
-    if len(fractions) != 3:
-        raise ValueError("fractions must be [train, calib, test]")
-    if any(f <= 0 for f in fractions):
-        raise ValueError("fractions must all be positive")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError(f"fractions must sum to 1, got {sum(fractions)!r}")
     return fractions
@@ -195,8 +209,7 @@ def batches(datasets: list[Dataset], batch_size: int, seeds: list[int], epochs: 
     rows, lane by lane, into one input and one target buffer that every
     epoch reuses. A batch is a view of them, valid until the next epoch's
     first step."""
-    if batch_size < 1:
-        raise ValueError("batch_size must be at least 1")
+    check_value(BATCH_SIZE_SCHEMA, batch_size, ("batch_size",))
     n = datasets[0].n
     inputs = np.empty((len(datasets), n, datasets[0].d))
     targets = np.empty((len(datasets), n), dtype=datasets[0].targets.dtype)
@@ -225,10 +238,7 @@ def synth_classification(
     binary labels; ``gaussian_blobs`` gives ``n_classes`` isotropic
     clusters with labels balanced within one count.
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    if noise < 0:
-        raise ValueError("noise must be nonnegative")
+    check_value(SYNTH_SCHEMA, {"name": name, "n": n, "noise": noise, "classes": n_classes})
     rng = Rng(seed)
     if name == "two_moons":
         n0 = n // 2
@@ -240,15 +250,11 @@ def synth_classification(
         if noise > 0:
             inputs += noise * rng.normals(2 * n).reshape(n, 2)
         targets = (np.arange(n) >= n0).astype(np.int64)
-    elif name == "gaussian_blobs":
-        if n_classes < 2:
-            raise ValueError("gaussian_blobs needs at least 2 classes")
+    else:  # gaussian_blobs
         angles = 2.0 * np.pi * np.arange(n_classes) / n_classes
         centers = _BLOB_RADIUS * np.stack([np.cos(angles), np.sin(angles)], axis=1)
         targets = np.arange(n, dtype=np.int64) % n_classes
         inputs = centers[targets] + noise * rng.normals(2 * n).reshape(n, 2)
-    else:
-        raise ValueError(f"unknown synthetic generator {name!r}")
     return Dataset(
         inputs=inputs, targets=targets, task=CLASSIFICATION, feature_names=("x0", "x1")
     )
@@ -521,11 +527,11 @@ def read_json(path, what: str) -> dict:
     return doc
 
 
-# each JSON Schema type as the exact Python types json.loads gives it, so an
-# integer is neither 2.0 nor a bool
+# each JSON Schema type as the Python type holding it, numpy scalars included
+# for library arguments; a bool is no number, so an integer is neither 2.0 nor True
 _TYPES = {
-    "object": (dict,), "array": (list,), "string": (str,), "boolean": (bool,),
-    "integer": (int,), "number": (int, float),
+    "object": dict, "array": list, "string": str, "boolean": bool,
+    "integer": numbers.Integral, "number": numbers.Real,
 }
 
 
@@ -534,7 +540,9 @@ def schema_faults(schema: dict, value, path: tuple = ()):
     the config and state schemas use; a schema with an object, array or number
     keyword names its type. ``additionalProperties`` may be a schema or a bool."""
     kind = schema.get("type")
-    if kind is not None and type(value) not in _TYPES[kind]:
+    if kind is not None and (
+        not isinstance(value, _TYPES[kind]) or kind != "boolean" and isinstance(value, bool)
+    ):
         yield path, f"expected {kind}, got {value!r}"
         return
     if kind == "number" and not math.isfinite(value):
@@ -575,6 +583,13 @@ def fault_lines(faults) -> list[str]:
     """One line "at <path>: <message>" per (path, message) fault, in path order."""
     faults = sorted(faults, key=lambda fault: fault[0])
     return [f"at {'/'.join(map(str, path)) or '<root>'}: {message}" for path, message in faults]
+
+
+def check_value(schema: dict, value, path: tuple = ()) -> None:
+    """A ``ValueError`` of the fault lines a config with ``value`` at ``path``
+    gets, joined by "; ", if ``value`` breaks its setting's ``schema``."""
+    if faults := fault_lines(schema_faults(schema, value, path)):
+        raise ValueError("; ".join(faults))
 
 
 def json_text(doc) -> str:

@@ -13,12 +13,15 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .conformal import Intervals
+from .data import check_value
 from .numerics import EXACT_INT_LIMIT, check_labels, check_prob_rows
 
 DEFAULT_BINS = 15
 # every count up to 2^53 is a float64, so confidence * bins is one rounding
 # and the bin index fits an int64
 MAX_BINS = EXACT_INT_LIMIT
+# the bin count's schema fragment: a config's ``bins`` and the ECE's ``n_bins``
+BINS_SCHEMA = {"type": "integer", "minimum": 1, "maximum": MAX_BINS}
 
 
 @dataclass(frozen=True)
@@ -62,8 +65,7 @@ def _bin_index(confidence: np.ndarray, n_bins: int) -> np.ndarray:
 
 
 def _ece(p: np.ndarray, y: np.ndarray, n_bins: int) -> float:
-    if not 1 <= n_bins <= MAX_BINS:
-        raise ValueError(f"n_bins must lie in [1, {MAX_BINS}], got {n_bins}")
+    check_value(BINS_SCHEMA, n_bins, ("n_bins",))
     n = p.shape[0]
     confidence = p.max(axis=1)
     correct = (p.argmax(axis=1) == y).astype(np.float64)

@@ -19,6 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .data import check_value
 from .rng import Rng, child_seed
 
 ACTIVATIONS = ("tanh", "relu")
@@ -47,10 +48,7 @@ class MlpConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_widths", tuple(self.hidden_widths))
-        if any(d < 1 for d in self.dims):
-            raise ValueError("all layer dimensions must be at least 1")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
+        check_value(MODEL_SCHEMA, self.to_dict())
 
     @property
     def dims(self) -> tuple[int, ...]:

@@ -33,8 +33,8 @@ from itertools import islice
 
 import numpy as np
 
-from .data import CLASSIFICATION, REGRESSION, Dataset, batches, fault_lines, read_json
-from .data import schema_faults, write_json
+from .data import BATCH_SIZE_SCHEMA, CLASSIFICATION, REGRESSION, TASK_SCHEMA, Dataset, batches
+from .data import check_value, fault_lines, read_json, schema_faults, write_json
 from .errors import DataError
 from .mlp import MODEL_SCHEMA, MlpConfig, init_params, mlp_activations, mlp_backward, mlp_forward
 from .mlp import param_count, unpack_params
@@ -50,6 +50,32 @@ _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
 
+# the schema fragments of a config's optimizer (OptimConfig but its seed),
+# method_params (the fits' keywords; swag_epochs is the SWAG phase's epochs)
+# and predictive_samples (posterior_sample's n_samples), the library's checks
+OPTIM_SCHEMA = {
+    "type": "object", "additionalProperties": False,
+    "properties": {
+        "algorithm": {"enum": ["adam", "sgd"]},
+        "learning_rate": {"type": "number", "exclusiveMinimum": 0},
+        "epochs": {"type": "integer", "minimum": 1},
+        "batch_size": BATCH_SIZE_SCHEMA,
+        "weight_decay": {"type": "number", "minimum": 0},
+    },
+}
+FIT_PARAMS = {
+    "type": "object", "additionalProperties": False,
+    "properties": {
+        "members": {"type": "integer", "minimum": 2},
+        "rank": {"type": "integer", "minimum": 1},
+        "snapshot_every": {"type": "integer", "minimum": 1},
+        "swag_epochs": OPTIM_SCHEMA["properties"]["epochs"],
+        "mc_samples": {"type": "integer", "minimum": 1},
+        "prior_precision": {"type": "number", "exclusiveMinimum": 0},
+    },
+}
+DRAWS_SCHEMA = {"type": "integer", "minimum": 1}
+
 
 @dataclass(frozen=True)
 class OptimConfig:
@@ -61,16 +87,7 @@ class OptimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.algorithm not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.algorithm!r}")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.epochs < 1:
-            raise ValueError("epochs must be at least 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be nonnegative")
+        check_value(OPTIM_SCHEMA, {key: getattr(self, key) for key in OPTIM_SCHEMA["properties"]})
 
 
 @dataclass(frozen=True)
@@ -83,8 +100,7 @@ class EnsembleState:
     members: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        if len(self.members) < 2:
-            raise ValueError("an ensemble needs at least 2 members")
+        check_value(FIT_PARAMS, {"members": len(self.members)})
 
 
 @dataclass(frozen=True)
@@ -106,7 +122,7 @@ class LaplaceState:
     diag_precision: np.ndarray
 
     def __post_init__(self):
-        if np.any(self.diag_precision <= 0):
+        if not np.all(self.diag_precision > 0):
             raise ValueError("diag_precision must be strictly positive")
 
 
@@ -421,8 +437,7 @@ def ensemble_fit(
     (seed, m), so each member equals the standalone ``map_fit`` with
     those seeds.
     """
-    if members < 2:
-        raise ValueError("an ensemble needs at least 2 members")
+    check_value(FIT_PARAMS, {"members": members})
     results = map_fit(
         [replace(cfg, init_seed=child_seed(cfg.init_seed, m)) for m in range(members)],
         [train] * members,
@@ -504,13 +519,10 @@ def swag_fit(
     starts = [start] if solo else list(start)
     if len(starts) != len(cfgs):
         raise ValueError("swag_fit needs one start per lane")
-    if rank < 1:
-        raise ValueError("rank must be at least 1")
     per_epoch = _n_batches(trains[0].n, opts[0].batch_size)
     if snapshot_every is None:
         snapshot_every = per_epoch
-    if snapshot_every < 1:
-        raise ValueError("snapshot_every must be at least 1")
+    check_value(FIT_PARAMS, {"rank": rank, "snapshot_every": snapshot_every})
     total_steps = opts[0].epochs * per_epoch
     if total_steps // snapshot_every < rank:
         raise ValueError(
@@ -556,8 +568,7 @@ def laplace_fit(
     predicted variance held fixed at the mode.
     """
     _check_head(cfg, train)
-    if prior_precision <= 0:
-        raise ValueError("prior_precision must be positive")
+    check_value(FIT_PARAMS, {"prior_precision": prior_precision})
     theta = start.theta
     ggn = np.zeros(theta.size)
     classification = train.task == CLASSIFICATION
@@ -656,10 +667,7 @@ def advi_fit(
     noise from child stream (seed, 1).
     """
     _check_head(cfg, train)
-    if mc_samples < 1:
-        raise ValueError("mc_samples must be at least 1")
-    if prior_precision <= 0:
-        raise ValueError("prior_precision must be positive")
+    check_value(FIT_PARAMS, {"mc_samples": mc_samples, "prior_precision": prior_precision})
     p = param_count(cfg)
     noise = Rng(child_seed(opt.seed, 1))
     steps_per_epoch = _n_batches(train.n, opt.batch_size)
@@ -718,8 +726,7 @@ def posterior_sample(state: PosteriorState, rng: Rng, n_samples: int | None = No
             else len(state.members) if isinstance(state, EnsembleState)
             else DEFAULT_MC_SAMPLES
         )
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
+    check_value(DRAWS_SCHEMA, n_samples, ("n_samples",))
     if isinstance(state, MapState):
         return np.repeat(state.theta[None], n_samples, axis=0)
     if isinstance(state, EnsembleState):
@@ -782,15 +789,15 @@ def _state_schema(cls) -> dict:
     top = {
         "format": {"type": "integer", "enum": [1]},  # the type keeps out 1.0 and true
         "kind": {"enum": list(_STATE_KINDS)},
-        "task": {"enum": [CLASSIFICATION, REGRESSION]},
+        "task": TASK_SCHEMA,
         "model": MODEL_SCHEMA,
     }
     named = {}
     for f in fields(cls) if cls else ():
         if f.type == "np.ndarray":
             named[f.name] = _ARRAY_SCHEMA
-        else:  # SWAG's rank and snapshots, or the ensemble's member count
-            top[f.name] = {"type": "integer", "minimum": 1 if f.type == "int" else 2}
+        else:  # SWAG's rank and snapshot count, or the ensemble's member count
+            top[f.name] = FIT_PARAMS["properties"].get(f.name, {"type": "integer", "minimum": 1})
     # the ensemble's arrays take their names from its count, which code checks
     top["arrays"] = {"type": "object", "required": list(named), "properties": named,
                      "additionalProperties": False if named else _ARRAY_SCHEMA}
@@ -872,11 +879,22 @@ def _decode(arrays: dict, name: str, shape: tuple[int, ...], faults: list):
     elif len(raw) != size:
         faults.append((at + ("data",), f"holds {len(raw)} bytes, expected {size}"))
     else:
-        return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+        values = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+        bad = np.flatnonzero(~np.isfinite(values))
+        if not bad.size:
+            return values.reshape(shape)
+        faults.append((at + ("data",), f"entry {bad[0]} is {values[bad[0]]}, not a finite number"))
 
 
 def save_state(path, state: PosteriorState, model: MlpConfig, task: str) -> None:
-    write_json(path, state_to_dict(state, model, task))
+    """Write ``state_to_dict``'s document; one ``state_from_dict`` refuses is a
+    ``ValueError`` with the reader's text, so the writer keeps no rule of its own."""
+    doc = state_to_dict(state, model, task)
+    try:
+        state_from_dict(doc)
+    except DataError as exc:
+        raise ValueError(str(exc)) from None
+    write_json(path, doc)
 
 
 def load_state(path) -> tuple[PosteriorState, MlpConfig, str]:

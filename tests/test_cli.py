@@ -14,19 +14,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from uqkit import calibration, data, metrics, mlp, posterior
 from uqkit import cli as cli_module
 from uqkit import config as config_module
-from uqkit import posterior
+from uqkit.calibration import fit_temperature
 from uqkit.cli import _CONFORMAL, build_parser, main
 from uqkit.config import load_config
-from uqkit.data import load_csv, save_csv, synth_classification, write_matrix_csv
-from uqkit.metrics import classification_report
+from uqkit.data import load_csv, save_csv, split, synth_classification, write_matrix_csv
+from uqkit.errors import ConfigError, DataError
+from uqkit.metrics import classification_report, ece
 from uqkit.mlp import MlpConfig, param_count
 from uqkit.numerics import softmax
 from uqkit.posterior import (
-    AdviState, EnsembleState, FitResult, LaplaceState, MapState, SwagState, load_state,
-    save_state, state_to_dict,
+    AdviState, EnsembleState, FitResult, LaplaceState, MapState, OptimConfig, SwagState,
+    advi_fit, ensemble_fit, laplace_fit, load_state, posterior_sample, save_state,
+    state_from_dict, state_to_dict, swag_fit,
 )
+from uqkit.rng import Rng
 from uqkit.predictive import BLOCK_ROWS
 
 
@@ -250,6 +254,14 @@ _SEED_UNREAD = "--seed is read only with --method adaptive --mode randomized"
       for method in _CONFORMAL],
     pytest.param("adaptive", ["--mode", "deterministic", "--seed", "0"], _SEED_UNREAD,
                  id="seed-adaptive-deterministic"),
+    # an input flag of another method
+    pytest.param("cqr", ["--val-probs", "p.csv"],
+                 "--val-probs is read only with --method baseline or adaptive", id="probs-cqr"),
+    pytest.param("baseline", ["--val-means", "m.csv"],
+                 "--val-means is read only with --method scalar", id="means-baseline"),
+    pytest.param("scalar", ["--test-lower", "l.csv", "--test-probs", "p.csv"],
+                 "--test-probs is read only with --method baseline or adaptive\n"
+                 "config error: --test-lower is read only with --method cqr", id="two-scalar"),
 ])
 def test_randomized_mode_on_a_method_other_than_adaptive_exits_2(
     tmp_path, capsys, method, flags, message
@@ -805,6 +817,100 @@ def test_each_setting_has_one_home(tmp_path, monkeypatch):
         "--targets", str(tmp_path / "targets.csv"), "--out-dir", str(tmp_path / "cal"),
     ]) == 0
     assert "method" not in passed["fit_temperature"]
+    # a setting the library also takes is, in the config and state schemas,
+    # the very fragment the library checks its argument with
+    run = config_module.RUN_SCHEMA["properties"]
+    assert run["task"] is data.TASK_SCHEMA
+    assert run["data"]["properties"]["synth"] is data.SYNTH_SCHEMA
+    assert run["split"] is data.SPLIT_SCHEMA
+    assert run["optimizer"] is posterior.OPTIM_SCHEMA
+    assert run["optimizer"]["properties"]["batch_size"] is data.BATCH_SIZE_SCHEMA
+    assert run["method_params"] is posterior.FIT_PARAMS
+    assert run["predictive_samples"] is posterior.DRAWS_SCHEMA
+    assert run["bins"] is metrics.BINS_SCHEMA
+    assert run["temperature_method"] is calibration.METHOD_SCHEMA
+    assert run["model"]["properties"]["activation"] is mlp.MODEL_SCHEMA["properties"]["activation"]
+    for schema in posterior._STATE_SCHEMAS.values():
+        top = schema["properties"]
+        assert top["task"] is data.TASK_SCHEMA and top["model"] is mlp.MODEL_SCHEMA
+        for key in {"members", "rank"} & set(top):
+            assert top[key] is posterior.FIT_PARAMS["properties"][key]
+    # calibrate --method offers fit_temperature's methods
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    method = next(a for a in sub.choices["calibrate"]._actions if a.dest == "method")
+    assert method.choices is calibration.TEMPERATURE_METHODS
+
+
+_NAN = float("nan")
+
+
+def _config_and_library_refusals():
+    """(config overrides, library call): a value of one setting that a run
+    config refuses, and a library call given the same value. ``input_dim``,
+    which no run config holds, is refused in a state's ``model``."""
+    ds = synth_classification("two_moons", 20, 0.1, seed=0)
+    cfg = MlpConfig(2, (4,), 2, "tanh")
+    start = MapState(np.zeros(param_count(cfg)))
+    opt = OptimConfig(epochs=1)
+    probs, labels = np.array([[0.8, 0.2], [0.3, 0.7]]), np.array([0, 1])
+    model = {"input_dim": 2.5}
+    cases = [
+        ({"optimizer": {"learning_rate": _NAN}}, lambda: OptimConfig(learning_rate=_NAN),
+         "learning_rate"),
+        ({"optimizer": {"weight_decay": _NAN}}, lambda: OptimConfig(weight_decay=_NAN),
+         "weight_decay"),
+        ({"optimizer": {"epochs": 2.5}}, lambda: OptimConfig(epochs=2.5), "epochs"),
+        ({"optimizer": {"batch_size": 0}}, lambda: OptimConfig(batch_size=0), "batch_size"),
+        ({"method": "laplace", "method_params": {"prior_precision": _NAN}},
+         lambda: laplace_fit(start, cfg, ds, prior_precision=_NAN), "laplace_prior"),
+        ({"method": "advi", "method_params": {"prior_precision": _NAN}},
+         lambda: advi_fit(cfg, ds, opt, prior_precision=_NAN), "advi_prior"),
+        ({"method": "advi", "method_params": {"mc_samples": 0}},
+         lambda: advi_fit(cfg, ds, opt, mc_samples=0), "mc_samples"),
+        ({"method": "swag", "method_params": {"rank": 0}},
+         lambda: swag_fit(start, cfg, ds, opt, rank=0), "rank"),
+        ({"method": "ensemble", "method_params": {"members": 1}},
+         lambda: ensemble_fit(cfg, ds, opt, members=1), "members"),
+        ({"method": "ensemble", "method_params": {"members": 1}},
+         lambda: EnsembleState((start.theta,)), "ensemble_state"),
+        ({"predictive_samples": 0}, lambda: posterior_sample(start, Rng(0), 0), "draws"),
+        ({"bins": 2.5}, lambda: ece(probs, labels, n_bins=2.5), "bins"),
+        ({"split": ["0.5", "0.25", "0.25"]}, lambda: split(ds, ["0.5", "0.25", "0.25"], 0),
+         "split"),
+        ({"data": {"synth": {"name": "two_moons", "n": 20, "noise": _NAN}}},
+         lambda: synth_classification("two_moons", 20, _NAN, 0), "noise"),
+        ({"data": {"synth": {"name": "spirals", "n": 20}}},
+         lambda: synth_classification("spirals", 20, 0.1, 0), "generator"),
+        ({"task": "ranking"}, lambda: data.Dataset(ds.inputs, ds.targets, "ranking", ("a", "b")),
+         "task"),
+        ({"temperature_method": "newton"}, lambda: fit_temperature(probs, labels, "newton"),
+         "method"),
+        (model, lambda: MlpConfig(2.5, (4,), 2), "input_dim"),
+    ]
+    return [pytest.param(overrides, call, id=name) for overrides, call, name in cases]
+
+
+@pytest.mark.parametrize("overrides, call", _config_and_library_refusals())
+def test_the_library_refuses_what_the_config_refuses_in_its_words(tmp_path, overrides, call):
+    if overrides.keys() == {"input_dim"}:  # a state document's model
+        cfg = MlpConfig(2, (4,), 2)
+        doc = state_to_dict(MapState(np.zeros(param_count(cfg))), cfg, "classification")
+        doc["model"].update(overrides)
+        with pytest.raises(DataError) as refused:
+            state_from_dict(doc)
+        config_lines = str(refused.value).split("; ")
+    else:
+        with pytest.raises(ConfigError) as refused:
+            load_config(train_config(tmp_path, **overrides))
+        config_lines = refused.value.messages
+    with pytest.raises(ValueError) as raised:
+        call()
+    library_lines = str(raised.value).split("; ")
+    # the same faults, each at the library's name of the setting
+    assert [line.split(": ", 1)[1] for line in library_lines] == [
+        line.split(": ", 1)[1] for line in config_lines
+    ]
+    assert all(line.startswith("at ") for line in library_lines)
 
 
 class TestTrainCommand:
@@ -1269,6 +1375,7 @@ class TestEvaluateCommand:
         ("probs", ["--calib-data", "no.csv"], "--calib-data is read only with --state"),
         ("probs", ["--predictive-samples", "7"], "--predictive-samples is read only with --state"),
         ("probs", ["--data", "no.csv"], "--data is read only with --state"),
+        ("probs", ["--target-column", "zzz"], "--target-column is read only with --state"),
         ("probs", ["--calib-probs", "no.csv"], "--calib-probs is read only with --alpha"),
         ("probs", ["--calib-targets", "no.csv"], "--calib-targets is read only with --alpha"),
         ("classification", ["--targets", "no.csv"], "--targets is read only with --probs"),
@@ -1569,6 +1676,9 @@ def _fault_cases():
 
     short = state_to_dict(MapState(theta[:-1]), cfg, "classification")["arrays"]
     zeros = state_to_dict(MapState(np.zeros(p)), cfg, "classification")["arrays"]["theta"]
+    nans = state_to_dict(MapState(np.full(p, np.nan)), cfg, "classification")["arrays"]["theta"]
+    nan_weight = state_to_dict(MapState(np.where(np.arange(p) == 3, np.nan, theta)), cfg,
+                               "regression")
     kinds = "['map', 'ensemble', 'swag', 'laplace', 'advi']"
     activations = "['tanh', 'relu']"
     return [
@@ -1646,7 +1756,27 @@ def _fault_cases():
         broken("two_faults",
                "at format: 2 is not one of [1]; at model/input_dim: expected integer, got 2.5",
                lambda d: (d.update(format=2), d["model"].update(input_dim=2.5))),
+        broken("regression_nan_weight", "at arrays/theta/data: entry 3 is nan, not a finite number",
+               lambda d: None, base=nan_weight),
+        broken("laplace_nan_precision",
+               "at arrays/diag_precision/data: entry 0 is nan, not a finite number",
+               lambda d: d["arrays"].update(diag_precision=nans), base=laplace),
     ]
+
+
+def test_non_finite_state_writes_nothing(tmp_path, capsys):
+    cfg = MlpConfig(2, (4,), 2, "relu")
+    theta = np.where(np.arange(param_count(cfg)) == 3, np.inf, 0.1)
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(state_to_dict(MapState(theta), cfg, "regression")))
+    write_matrix_csv(tmp_path / "data.csv", np.ones((4, 3)), ["x0", "x1", "target"])
+    code, out, err = run(capsys, "evaluate", "--state", str(state), "--data",
+                         str(tmp_path / "data.csv"), "--alpha", "0.2", "--out-dir",
+                         str(tmp_path / "e"))
+    assert (code, out) == (3, "")
+    assert err == (f"data error: {state}: at arrays/theta/data: entry 3 is inf, "
+                   "not a finite number\n")
+    assert not (tmp_path / "e").exists()
 
 
 @pytest.mark.parametrize("text, needle", [

@@ -243,7 +243,7 @@ class TestSynth:
         np.testing.assert_array_equal(a.targets, b.targets)
 
     def test_unknown_generator(self):
-        with pytest.raises(ValueError, match="unknown"):
+        with pytest.raises(ValueError, match="is not one of"):
             synth_classification("spirals", 10, 0.1, seed=0)
 
 

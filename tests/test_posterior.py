@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import math
 import re
 from dataclasses import fields, replace
@@ -546,6 +547,29 @@ class TestSerialization:
         path.write_text('{"format": 2, "kind": "map"}', encoding="utf-8")
         with pytest.raises(DataError, match="format"):
             load_state(path)
+
+    @pytest.mark.parametrize("state, cfg, task", [
+        pytest.param(MapState(np.zeros(5)), MlpConfig(2, (3,), 3), CLASSIFICATION,
+                     id="five_parameters_for_21"),
+        pytest.param(MapState(np.zeros(13)), MlpConfig(2, (3,), 1), REGRESSION,
+                     id="regression_one_output"),
+        pytest.param(MapState(np.full(17, np.nan)), MlpConfig(2, (3,), 2), REGRESSION,
+                     id="regression_nan_weights"),
+        pytest.param(LaplaceState(np.zeros(21), np.r_[np.ones(20), np.inf]),
+                     MlpConfig(2, (3,), 3), CLASSIFICATION, id="laplace_inf_precision"),
+    ])
+    def test_save_refuses_what_load_refuses_in_its_words(self, tmp_path, state, cfg, task):
+        from uqkit.errors import DataError
+        from uqkit.posterior import state_to_dict
+
+        written = tmp_path / "written.json"
+        written.write_text(json.dumps(state_to_dict(state, cfg, task)), encoding="utf-8")
+        with pytest.raises(DataError) as refused:
+            load_state(written)
+        with pytest.raises(ValueError) as raised:
+            save_state(tmp_path / "saved.json", state, cfg, task)
+        assert str(refused.value) == f"{written}: {raised.value}"
+        assert not (tmp_path / "saved.json").exists()
 
 
 # ---------------------------------------------------------------------------

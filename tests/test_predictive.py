@@ -76,7 +76,7 @@ class TestClassification:
         advi = AdviState(mean=init_params(cfg), log_std=np.zeros(param_count(cfg)))
         assert len(sample_weights(advi)[0]) == 30
         assert len(sample_weights(advi, n_samples=7)[0]) == 7
-        with pytest.raises(ValueError, match="at least 1"):
+        with pytest.raises(ValueError, match="below the minimum 1"):
             sample_weights(advi, n_samples=0)
 
     def test_same_seed_same_draws_and_stream(self):

@@ -400,13 +400,23 @@ def test_state_round_trip_all_kinds(scratch, data, kind, task):
     model = MlpConfig(
         input_dim=data.draw(st.integers(1, 3), label="input_dim"),
         hidden_widths=tuple(data.draw(st.lists(st.integers(1, 3), max_size=2))),
-        # a regression model outputs one (mean, log-variance) pair
-        output_dim=2 if task == "regression" else data.draw(st.integers(1, 3), label="output_dim"),
+        output_dim=data.draw(st.integers(1, 3), label="output_dim"),
         activation=data.draw(st.sampled_from(["tanh", "relu"])),
         init_seed=data.draw(st.integers(0, 2**31)),
     )
     state = _state(data, kind, param_count(model))
     path = scratch / "state.json"
+    # saving refuses, in the reader's words, exactly what loading refuses
+    # (a regression model whose output_dim is not 2)
+    path.write_text(json.dumps(state_to_dict(state, model, task)), encoding="utf-8")
+    try:
+        load_state(path)
+    except DataError as refused:
+        with pytest.raises(ValueError) as raised:
+            save_state(path, state, model, task)
+        assert str(refused) == f"{path}: {raised.value}"
+        assert task == "regression" and model.output_dim != 2
+        return
     save_state(path, state, model, task)
     loaded, back_model, back_task = load_state(path)
     assert type(loaded) is type(state)
