@@ -62,23 +62,67 @@ def apply_temperature(logits, t: float) -> np.ndarray:
     return softmax(scaled, axis=-1)
 
 
+def _row_sums(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The sum of each column of the (K, n) array ``a``, in ``out``.
+
+    Whole rows of n are added in the order numpy's add-reduce takes over a
+    contiguous row of K: left to right below 8 terms; from 8 to 128, eight
+    running sums, combined as ((0+1)+(2+3))+((4+5)+(6+7)), then the rest
+    left to right; past 128, the sums of the two halves split at K/2
+    rounded down to a multiple of 8. The reduce starts from 0.0, so a sum
+    of -0.0 alone is 0.0. So ``out`` equals ``np.sum(a.T.copy(), axis=1)``
+    byte for byte, NaN payloads aside.
+    """
+    k = len(a)
+    if k < 8:
+        np.copyto(out, a[0])
+        for row in a[1:]:
+            out += row
+    elif k <= 128:
+        top = k - k % 8
+        r = a[:8] if top == 8 else np.add(a[:8], a[8:16])
+        for i in range(16, top, 8):
+            r += a[i : i + 8]
+        np.add(r[0], r[1], out=out)
+        t = r[2] + r[3]
+        out += t
+        np.add(r[4], r[5], out=t)
+        t += r[6] + r[7]
+        out += t
+        for row in a[top:]:
+            out += row
+    else:
+        half = k // 2 - k // 2 % 8
+        _row_sums(a[:half], out)
+        out += _row_sums(a[half:], np.empty_like(out))
+    out += 0.0
+    return out
+
+
 class _ScaledNll:
     """The mean NLL of softmax(beta * logits) and its derivative in beta,
     for one fit's logits and targets.
 
-    The row max, the picked logits and max|logits| are taken once, and each
-    evaluation runs in one work buffer. For beta > 0 rounding is monotone,
-    so fl(beta * row max) is the row max of fl(beta * logits), and
-    fl(beta * max|logits|) overflows exactly when some fl(beta * logits)
-    does: every value equals the textbook form's bit for bit.
+    The logits are kept class-major, as one C-contiguous (K, n) copy, so
+    every elementwise pass runs over whole rows of n and the row-max shift
+    is a row broadcast. The row max, the picked logits and max|logits| are
+    taken once, and each evaluation runs in one (K, n) work buffer. The
+    two sums over a row's K classes go through ``_row_sums``, in numpy's
+    own pairwise order, so every value equals the textbook form's on
+    C-ordered (n, K) logits bit for bit, whatever the layout of the logits
+    passed. For beta > 0 rounding is monotone, so fl(beta * row max) is the
+    row max of fl(beta * logits), and fl(beta * max|logits|) overflows
+    exactly when some fl(beta * logits) does.
     """
 
     def __init__(self, logits: np.ndarray, targets: np.ndarray):
-        self.z = logits
-        self.zmax = logits.max(axis=1, keepdims=True)
-        self.picked = logits[np.arange(logits.shape[0]), targets]
-        self.zabs = float(np.max(np.abs(logits)))
-        self.buf = np.empty_like(logits)
+        self.z = np.ascontiguousarray(logits.T)
+        n = self.z.shape[1]
+        self.zmax = self.z.max(axis=0)
+        self.picked = self.z[targets, np.arange(n)]
+        self.zabs = float(np.max(np.abs(self.z)))
+        self.buf = np.empty_like(self.z)
+        self.sums = np.empty(n)
 
     def _exp_shifted(self, beta: float, m: np.ndarray) -> np.ndarray:
         """exp(beta * logits - m) in the work buffer."""
@@ -89,17 +133,17 @@ class _ScaledNll:
     def __call__(self, beta: float) -> float:
         m = beta * self.zmax
         m = np.where(np.isfinite(m), m, 0.0)  # log_sum_exp's guard on an infinite max
-        lse = np.log(np.sum(self._exp_shifted(beta, m), axis=1, keepdims=True)) + m
-        return float(np.mean(lse.ravel() - beta * self.picked))
+        lse = np.log(_row_sums(self._exp_shifted(beta, m), self.sums)) + m
+        return float(np.mean(lse - beta * self.picked))
 
     def grad(self, beta: float) -> float:
         """d NLL / d beta; NaN when beta * logits overflows."""
         if not np.isfinite(beta * self.zabs):
             return np.nan
         p = self._exp_shifted(beta, beta * self.zmax)
-        p /= np.sum(p, axis=1, keepdims=True)
+        p /= _row_sums(p, self.sums)
         p *= self.z
-        return float(np.mean(np.sum(p, axis=1) - self.picked))
+        return float(np.mean(_row_sums(p, self.sums) - self.picked))
 
 
 def _golden_section(f, lo: float, hi: float) -> tuple[float, int]:
@@ -166,7 +210,7 @@ def fit_temperature(logits, targets, method: str = "golden") -> TemperatureFit:
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         nll = _ScaledNll(z, y)
         nll_before = nll(1.0)
-        if np.all(nll.zmax == z.min(axis=1, keepdims=True)):  # every row is constant
+        if np.all(nll.zmax == nll.z.min(axis=0)):  # every row is constant
             return TemperatureFit(
                 temperature=1.0,
                 nll_before=nll_before,

@@ -39,6 +39,7 @@ from .config import SEED_PREDICTIVE, SEED_SWAG, RunConfig, load_config
 from .data import (
     CLASSIFICATION,
     check_finite_cells,
+    check_value,
     class_labels,
     json_text,
     load_csv,
@@ -70,7 +71,7 @@ from .predictive import (
     row_blocks,
     sample_weights,
 )
-from .rng import Rng, child_seed
+from .rng import SEED_SCHEMA, Rng, child_seed
 
 log = logging.getLogger("uqkit")
 
@@ -201,6 +202,19 @@ def _positive_int_flag(value: str) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return n
+
+
+def _seed_flag(value: str) -> int:
+    """A ``--seed`` value, refused as the config's ``seed`` would be."""
+    try:
+        seed = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {value!r}")
+    try:
+        check_value(SEED_SCHEMA, seed, ("seed",))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    return seed
 
 
 def _bins_flag(value: str) -> int:
@@ -474,6 +488,8 @@ def _evaluate(args, out_dir: Path | None) -> dict:
         probs, targets = inputs["probs"], inputs["targets"]
         calib = tuple(inputs.get(flag) for flag in calib_flags)
     else:
+        if args.alpha is None and args.calib_data is not None:
+            raise ConfigError(["--calib-data is read only with --alpha"])
         state, model, task = load_state(args.state)
         if task != CLASSIFICATION and args.calib_data is not None:
             raise ConfigError(["--calib-data is read only with a classification state"])
@@ -617,7 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(f"--{flag.replace('_', '-')}")
     p.add_argument("--test-targets")
     p.add_argument("--mode", choices=["deterministic", "randomized"], default="deterministic")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed_flag)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_conformal)
 
@@ -632,7 +648,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="fit a posterior approximation from a config")
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed_flag)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="metrics from outputs or a saved state")
@@ -647,7 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins", type=_bins_flag, default=DEFAULT_BINS)
     p.add_argument("--alpha", type=_alpha_flag)
     p.add_argument("--predictive-samples", type=_positive_int_flag)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed_flag)
     p.add_argument("--out-dir")
     p.set_defaults(func=cmd_evaluate)
 

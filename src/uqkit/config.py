@@ -33,7 +33,7 @@ from .errors import ConfigError, DataError
 from .metrics import BINS_SCHEMA, DEFAULT_BINS
 from .mlp import MODEL_SCHEMA, MlpConfig
 from .posterior import DRAWS_SCHEMA, FIT_PARAMS, OPTIM_SCHEMA, OptimConfig
-from .rng import child_seed
+from .rng import SEED_SCHEMA, child_seed
 
 # child-stream indices hung off the config seed
 SEED_DATA = 0
@@ -98,12 +98,8 @@ RUN_SCHEMA = {
         "bins": BINS_SCHEMA,
         "predictive_samples": DRAWS_SCHEMA,
         "out_dir": {"type": "string"},
-        "seed": {"type": "integer", "minimum": 0},
-        "seeds": {
-            "type": "array",
-            "items": {"type": "integer", "minimum": 0},
-            "minItems": 3,
-        },
+        "seed": SEED_SCHEMA,
+        "seeds": {"type": "array", "items": SEED_SCHEMA, "minItems": 3},
     },
 }
 

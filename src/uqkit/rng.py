@@ -209,6 +209,12 @@ def child_seed(seed: int, index: int) -> int:
     return _mix64((seed + (index + 1) * _GOLDEN) & _MASK64)
 
 
+# The seeds a stream tells apart: Rng takes a seed modulo 2**64, so 2**64
+# would replay seed 0. The schema fragment of a config's seed, of each of
+# its seeds and of every --seed flag.
+SEED_SCHEMA = {"type": "integer", "minimum": 0, "maximum": _MASK64}
+
+
 class Rng:
     """Seeded xorshift64* stream with splitmix64-derived state.
 

@@ -116,6 +116,19 @@ class TestFitTemperature:
         assert (fit.temperature, fit.iterations) == (1.0, 0)
         assert "degenerate" in fit.warning
 
+    @pytest.mark.parametrize("method", ["golden", "adam"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_the_fit_is_independent_of_the_logits_layout(self, method, seed):
+        # overconfident logits; a row-major pass summed Fortran-ordered rows
+        # in another order, and Adam's temperature moved in the last bits
+        rng = np.random.default_rng(seed)
+        z = sample_logits(rng, 2000, 10, scale=5.0)
+        y = np.where(rng.random(2000) < 0.6, z.argmax(axis=1), rng.integers(0, 10, 2000))
+        reversed_view = z[::-1, ::-1].copy()[::-1, ::-1]
+        assert reversed_view.strides[0] < 0 and np.array_equal(reversed_view, z)
+        fits = [fit_temperature(a, y, method) for a in (z, np.asfortranarray(z), reversed_view)]
+        assert fits[0] == fits[1] == fits[2]
+
     @pytest.mark.parametrize(
         "logits, labels, method, kept",
         [

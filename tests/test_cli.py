@@ -17,6 +17,7 @@ import pytest
 from uqkit import calibration, data, metrics, mlp, posterior
 from uqkit import cli as cli_module
 from uqkit import config as config_module
+from uqkit import rng as rng_module
 from uqkit.calibration import fit_temperature
 from uqkit.cli import _CONFORMAL, build_parser, main
 from uqkit.config import load_config
@@ -723,6 +724,35 @@ def test_config_bins_past_2_to_the_53_exits_2(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+_SEED_FAULTS = [
+    (-1, "-1 is below the minimum 0"),
+    (2**64, "18446744073709551616 is above the maximum 18446744073709551615"),
+]
+
+
+@pytest.mark.parametrize("seed, fault", _SEED_FAULTS)
+@pytest.mark.parametrize("command, key", [("train", "seed"), ("benchmark", "seeds")])
+def test_config_seed_outside_the_stream_exits_2(tmp_path, capsys, seed, fault, command, key):
+    # Rng takes a seed modulo 2**64, so 2**64 would replay seed 0
+    doc = {"seed": 0, "seeds": [0, 1, 2]}
+    doc[key] = seed if key == "seed" else [0, 1, seed]
+    config = train_config(tmp_path, **doc)
+    code, out, err = run(capsys, command, "--config", str(config))
+    assert code == 2 and out == ""
+    where = "seed" if key == "seed" else "seeds/2"
+    assert err == f"config error: at {where}: {fault}\n"
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("seed, fault", _SEED_FAULTS)
+@pytest.mark.parametrize("command", ["train", "evaluate", "conformal"])
+def test_seed_flag_outside_the_stream_exits_2(capsys, seed, fault, command):
+    code, out, err = run(capsys, command, "--seed", str(seed))
+    assert code == 2 and out == ""
+    assert err == f"config error: argument --seed: at seed: {fault}\n"
+    assert cli_module._seed_flag(str(2**64 - 1)) == 2**64 - 1
+
+
 def test_train_config_faults_are_listed_in_one_run(tmp_path, capsys):
     # a rule on two keys, a method_params key the method never reads and a
     # schema bound: three faults, one exit-2 run
@@ -839,6 +869,13 @@ def test_each_setting_has_one_home(tmp_path, monkeypatch):
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     method = next(a for a in sub.choices["calibrate"]._actions if a.dest == "method")
     assert method.choices is calibration.TEMPERATURE_METHODS
+    # a config's seed, each of its seeds and every --seed flag take the
+    # stream's seed range
+    assert run["seed"] is rng_module.SEED_SCHEMA
+    assert run["seeds"]["items"] is rng_module.SEED_SCHEMA
+    for command in ("conformal", "train", "evaluate"):
+        seed = next(a for a in sub.choices[command]._actions if a.dest == "seed")
+        assert seed.type is cli_module._seed_flag
 
 
 _NAN = float("nan")
@@ -1382,6 +1419,8 @@ class TestEvaluateCommand:
         ("classification", ["--calib-probs", "no.csv"], "--calib-probs is read only with --probs"),
         ("classification", ["--calib-targets", "no.csv"],
          "--calib-targets is read only with --probs"),
+        ("classification", ["--calib-data", "no.csv"], "--calib-data is read only with --alpha"),
+        ("regression", ["--calib-data", "no.csv"], "--calib-data is read only with --alpha"),
         ("regression", ["--alpha", "0.5", "--calib-data", "no.csv"],
          "--calib-data is read only with a classification state"),
     ])

@@ -20,6 +20,7 @@ import temperature_oracle
 from uqkit.calibration import (
     T_MAX,
     T_MIN,
+    _row_sums,
     _ScaledNll,
     apply_temperature,
     fit_temperature,
@@ -654,6 +655,42 @@ def test_temperature_fit_equals_the_textbook_oracle(problem, method, betas):
         got = [nll(beta) for beta in betas]
         want = [temperature_oracle.scaled_nll(logits, labels, beta) for beta in betas]
     np.testing.assert_array_equal(bits(got), bits(want))
+
+
+# signed zeros, infinities, NaN, subnormals and any other float64
+SUM_SPECIALS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324]), st.floats()
+)
+
+
+@BOUNDED
+@given(
+    k=st.one_of(st.sampled_from([7, 8, 9, 128, 129, 136, 257]), st.integers(1, 300)),
+    n=st.integers(1, 64),
+    seed=st.integers(0, 2**32 - 1),
+    center=st.integers(-300, 300),
+    spread=st.integers(0, 300),
+    specials=st.lists(SUM_SPECIALS, max_size=6),
+    share=st.floats(0.0, 1.0),
+)
+# numpy's reduce starts from 0.0, so a sum of -0.0 alone is 0.0
+@example(k=9, n=2, seed=0, center=0, spread=0, specials=[-0.0], share=1.0)
+def test_row_sums_take_numpys_reduce_order(k, n, seed, center, spread, specials, share):
+    # magnitudes 10**(center +- spread) within 1e-300..1e300, then a share
+    # of the cells replaced by the special values
+    gen = np.random.default_rng(seed)
+    low, high = max(center - spread, -300), min(center + spread, 300)
+    a = gen.standard_normal((k, n)) * 10.0 ** gen.uniform(low, high, (k, n))
+    if specials:
+        picked = gen.random((k, n)) < share
+        a[picked] = gen.choice(specials, picked.sum())
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = _row_sums(a, np.empty(n))
+        want = np.sum(np.ascontiguousarray(a.T), axis=1)
+    # which of two NaN operands an add passes on is the instruction's
+    # choice, and numpy's reduce and elementwise loops differ there
+    np.testing.assert_array_equal(bits(np.where(np.isnan(got), math.nan, got)),
+                                  bits(np.where(np.isnan(want), math.nan, want)))
 
 
 @BOUNDED
