@@ -20,6 +20,7 @@ import os
 import re
 import sys
 from dataclasses import replace
+from functools import partial
 from itertools import compress, takewhile
 from pathlib import Path
 
@@ -51,10 +52,11 @@ from .data import (
     write_text_csv,
 )
 from .errors import ConfigError, DataError, DivergenceError, UqError
-from .metrics import DEFAULT_BINS, MAX_BINS, classification_report, interval_metrics
+from .metrics import BINS_SCHEMA, DEFAULT_BINS, classification_report, interval_metrics
 from .mlp import mlp_forward, param_count
 from .numerics import check_prob_rows, entropy, softmax
 from .posterior import (
+    DRAWS_SCHEMA,
     FitResult,
     advi_fit,
     ensemble_fit,
@@ -158,15 +160,22 @@ def _read_inputs(args, flags, labels: bool) -> dict[str, np.ndarray]:
 
 
 def write_sets_csv(path: Path, sets: PredictionSets) -> None:
-    """One row per set, its classes joined by ``;``, formatted one block
-    of rows at a time as the file is written."""
+    """One row per set, its classes joined by ``;`` (an empty set is
+    ``""``), written one block of rows at a time: the block's rows are keyed
+    by their packed membership bits, each distinct set is rendered once, and
+    every row takes its set's rendering."""
     names = [str(c) for c in range(sets.member.shape[1])]
-    rows = (
-        [";".join(compress(names, row))]
-        for block in row_blocks(len(sets))
-        for row in sets.member[block].tolist()
-    )
-    write_text_csv(path, rows, ["set"])
+
+    def blocks():
+        for block in row_blocks(len(sets)):
+            member = sets.member[block]
+            keys = np.packbits(member, axis=1, bitorder="little")
+            _, first, index = np.unique(
+                keys.view(f"V{keys.shape[1]}").ravel(), return_index=True, return_inverse=True
+            )
+            yield [[";".join(compress(names, row))] for row in member[first].tolist()], index
+
+    write_text_csv(path, blocks(), ["set"])
 
 
 def write_intervals_csv(path: Path, intervals: Intervals) -> None:
@@ -183,8 +192,8 @@ def write_probs_csv(path: Path, probs: np.ndarray) -> None:
 
 
 def write_trace_csv(path: Path, rows: list[tuple[str, int, float]]) -> None:
-    cells = ([phase, str(epoch), format(float(loss), ".17g")] for phase, epoch, loss in rows)
-    write_text_csv(path, cells, ["phase", "epoch", "loss"])
+    cells = [[phase, str(epoch), format(float(loss), ".17g")] for phase, epoch, loss in rows]
+    write_text_csv(path, [(cells, np.arange(len(cells)))], ["phase", "epoch", "loss"])
 
 
 def _alpha_flag(value: str) -> float:
@@ -194,34 +203,22 @@ def _alpha_flag(value: str) -> float:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _positive_int_flag(value: str) -> int:
+def _int_flag(schema: dict, key: str, value: str) -> int:
+    """An integer flag's value, refused as a config's ``key`` would be by
+    its ``schema`` fragment: ``partial(_int_flag, schema, key)`` is the
+    flag's type."""
     try:
         n = int(value)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {value!r}")
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return n
-
-
-def _seed_flag(value: str) -> int:
-    """A ``--seed`` value, refused as the config's ``seed`` would be."""
     try:
-        seed = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {value!r}")
-    try:
-        check_value(SEED_SCHEMA, seed, ("seed",))
+        check_value(schema, n, (key,))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
-    return seed
-
-
-def _bins_flag(value: str) -> int:
-    n = _positive_int_flag(value)
-    if n > MAX_BINS:
-        raise argparse.ArgumentTypeError(f"must be at most {MAX_BINS}, got {value}")
     return n
+
+
+_SEED_FLAG = partial(_int_flag, SEED_SCHEMA, "seed")
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +630,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(f"--{flag.replace('_', '-')}")
     p.add_argument("--test-targets")
     p.add_argument("--mode", choices=["deterministic", "randomized"], default="deterministic")
-    p.add_argument("--seed", type=_seed_flag)
+    p.add_argument("--seed", type=_SEED_FLAG)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_conformal)
 
@@ -648,7 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="fit a posterior approximation from a config")
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir")
-    p.add_argument("--seed", type=_seed_flag)
+    p.add_argument("--seed", type=_SEED_FLAG)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="metrics from outputs or a saved state")
@@ -660,10 +657,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--calib-probs")
     p.add_argument("--calib-targets")
     p.add_argument("--calib-data")
-    p.add_argument("--bins", type=_bins_flag, default=DEFAULT_BINS)
+    p.add_argument("--bins", type=partial(_int_flag, BINS_SCHEMA, "bins"), default=DEFAULT_BINS)
     p.add_argument("--alpha", type=_alpha_flag)
-    p.add_argument("--predictive-samples", type=_positive_int_flag)
-    p.add_argument("--seed", type=_seed_flag)
+    p.add_argument(
+        "--predictive-samples", type=partial(_int_flag, DRAWS_SCHEMA, "predictive_samples")
+    )
+    p.add_argument("--seed", type=_SEED_FLAG)
     p.add_argument("--out-dir")
     p.set_defaults(func=cmd_evaluate)
 

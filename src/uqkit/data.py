@@ -267,7 +267,7 @@ def synth_classification(
 _PLAIN_BYTES = b"0123456789.eE+-,\r\n"
 # bytes per chunk of the plain-byte scan and per block of the parse
 _SCAN_BYTES = 1 << 17
-# rows per block when formatting a numeric body (one ``%`` operation) or
+# rows per block when formatting a numeric body (``_format_cells``) or
 # moving a parsed file's input columns
 _BLOCK_ROWS = 1024
 # a plain block as ``np.fromstring`` reads it: dots and CRs deleted, exponent
@@ -492,24 +492,176 @@ def write_matrix_csv(path, matrix, header: list[str]) -> None:
 
 def write_blocks_csv(path, blocks, header: list[str]) -> None:
     """Write numeric blocks of rows with header, making the file's missing
-    parent directories first. Cells get 17 significant digits, so a read
-    round-trips bit-exactly; each block is formatted by one ``%`` operation
-    as it comes, the bytes ``csv.writer`` writes for the same cells, so a
-    caller can compute a large body a block at a time."""
-    row = ",".join(["%.17g"] * len(header)) + "\r\n"
+    parent directories first. Each block is formatted by ``_format_cells``
+    as it comes: every cell is ``'%.17g' % x``, so a read round-trips
+    bit-exactly, and the bytes are those ``csv.writer`` writes for the same
+    cells. A caller can so compute a large body a block at a time, and the
+    formatter's temporaries stay near one block in size."""
     with _open_csv(path, header) as fh:
         for block in blocks:
             if block.shape[1] != len(header):
                 raise ValueError("header length must match the number of columns")
-            fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
+            fh.write(_format_cells(np.asarray(block, dtype=np.float64)))
 
 
-def write_text_csv(path, rows, header: list[str]) -> None:
-    """Write rows of text cells with header, as ``csv.writer`` writes them,
-    making the file's missing parent directories first. ``rows`` may be any
-    iterable, a generator say, each row written as it comes."""
+class _Echo:
+    """A file whose ``write`` returns the text it is given, so a
+    ``csv.writer`` on it returns each row's line."""
+
+    def write(self, text: str) -> str:
+        return text
+
+
+def write_text_csv(path, blocks, header: list[str]) -> None:
+    """Write blocks of text rows with header, each row as ``csv.writer``
+    writes it, making the file's missing parent directories first. A block
+    is a pair (rows, index): its distinct rows, each rendered once, and the
+    row each of its lines repeats, by position in ``rows``. ``blocks`` may
+    be any iterable, a generator say, each block written as it comes."""
+    line = csv.writer(_Echo()).writerow
     with _open_csv(path, header) as fh:
-        csv.writer(fh).writerows(rows)
+        for rows, index in blocks:
+            fh.write("".join(np.array([line(row) for row in rows], dtype=object)[index]))
+
+
+# --- '%.17g' cells by array ops -------------------------------------------------
+
+# each cell's text lies NUL-padded in a slot of this many bytes, its
+# separator ("," or CRLF) in the slot's last bytes; '%.17g' takes at most 24
+_SLOT = 26
+# 10**j for j from ``_POWERS_FROM`` to 330, each correctly rounded in
+# ``_WIDE`` by strtold (those past float64's range are inf where ``_WIDE``
+# is float64, and every cell then falls back)
+_POWERS_FROM = -300
+_POWERS = np.array([f"1e{j}" for j in range(_POWERS_FROM, 331)], dtype=_WIDE)
+# the relative error of y = |x| 10**j in ``_WIDE``: two roundings of half an
+# ulp at most (strtold's of the power and the product's), with slack for
+# their product and for the float64 rounding of the bound made from it
+_ROUNDING = 2.000001 * 2.0 ** -(np.finfo(_WIDE).nmant + 1)
+_BYTES = np.uint64(0x0101010101010101)  # a one in each byte of a word
+
+
+def _digits8(v: np.ndarray) -> np.ndarray:
+    """Words (uint64) whose bytes, lowest first, are the 8 decimal digits
+    (0-9) of each v < 10**8: halves, quarters, then digits, by exact
+    multiply-shift quotients (v * 10486 >> 20 is v // 100 below 10**4, and
+    v * 103 >> 10 is v // 10 below 100) in every lane at once."""
+    q = v // 10000
+    v = q | (v - q * 10000) << 32
+    q = (v * 10486 >> 20) & 0x0000007F0000007F
+    v = q | (v - q * 100) << 16
+    q = (v * 103 >> 10) & 0x000F000F000F000F
+    return q | (v - q * 10) << 8
+
+
+def _kept(words: np.ndarray) -> np.ndarray:
+    """0xFF in each byte of a word of digits (0-9) up to its last nonzero
+    byte, 0 in the trailing zeros after it."""
+    marks = ((words + 0x7F * _BYTES) | words) & (0x80 * _BYTES)  # bit 7 of each nonzero byte
+    for shift in (8, 16, 32):
+        marks |= marks >> shift
+    return (marks >> 7) * 0xFF
+
+
+def _rounded(x: np.ndarray):
+    """(D, k, fast) per cell x: k = floor(log10 |x|), and D = |x| 10**(16 - k)
+    rounded to an integer in [1e16, 1e17), k grown by one where it rounds
+    up to 1e17; ``fast`` where that D is exact. y = |x| 10**(16 - k) is made
+    in ``_WIDE`` from a correctly rounded power of ten, then moved into
+    [1e16, 1e17) where log10 was one off. D is exact unless x is zero,
+    non-finite or below 1e-300, or y's fraction lies within the rounding
+    bound of a half, as every tie does."""
+    a = np.abs(x)
+    fast = (a >= 1e-300) & (a < np.inf)
+    a[~fast] = 1.0
+    k = np.floor(np.log10(a)).astype(np.int64)
+    wide = a.astype(_WIDE)
+    with np.errstate(over="ignore", invalid="ignore"):  # where ``_WIDE`` has no range for y
+        y = wide * _POWERS[16 - k - _POWERS_FROM]
+        d = y.astype(np.uint64)
+        off = (d >= 10**17).astype(np.int64) - (d < 10**16)
+        if off.any():
+            at = np.flatnonzero(off)
+            k[at] += off[at]
+            y[at] = wide[at] * _POWERS[16 - k[at] - _POWERS_FROM]
+            d[at] = y[at].astype(np.uint64)
+        frac = (y - d).astype(np.float64)
+    fast &= (y >= 10**16) & (y < 10**17) & (np.abs(frac - 0.5) >= (d + 1.0) * _ROUNDING)
+    d += frac > 0.5
+    top = d == 10**17
+    d[top] = 10**16
+    return d, k + top, fast
+
+
+def _digit_bytes(d: np.ndarray) -> np.ndarray:
+    """The 17 digits of each D in [1e16, 1e17) as ASCII bytes, one row per D,
+    with its trailing zeros NUL: the first digit is byte 7 of a word and
+    the others fill two more, little-endian on any host."""
+    first = d // 10**16
+    rest = d - first * 10**16
+    high = rest // 10**8
+    low, high = _digits8(rest - high * 10**8), _digits8(high)
+    kept = _kept(low)
+    words = np.empty((d.size, 3), "<u8")
+    words[:, 0] = (first + ord("0")) << 56
+    words[:, 1] = (high + ord("0") * _BYTES) & np.where(kept != 0, ~np.uint64(0), _kept(high))
+    words[:, 2] = (low + ord("0") * _BYTES) & kept
+    return words.view(np.uint8)[:, 7:]
+
+
+def _format_cells(block: np.ndarray) -> str:
+    """The CSV lines of a float64 block: each cell ``'%.17g' % x``, the
+    cells of a row joined by commas and each row ended by CRLF.
+
+    A cell that ``_rounded`` makes exact is laid out from its D and k as
+    ``%g`` lays them out: fixed notation for -4 <= k < 17, else exponent
+    notation (e±dd or e±ddd), trailing zeros and a bare point dropped.
+    ``%`` formats the other cells. Each cell's text fills a NUL-padded slot;
+    the slots are filled one layout group (k = -4..16, or the exponent
+    form) at a time, in group order, then put back in cell order, and the
+    block's text is every byte of them but the NULs."""
+    rows, cols = block.shape
+    x = block.ravel()
+    d, k, fast = _rounded(x)
+    group = np.where((k >= -4) & (k < 17), k + 4, 21).astype(np.uint8)
+    order = np.argsort(group, kind="stable")
+    k, digits = k[order], _digit_bytes(d[order])
+    del d
+    slots = np.zeros((x.size, _SLOT), np.uint8)
+    slots[:, 0] = (x[order] < 0) * np.uint8(ord("-"))
+    start = 0
+    for g, count in enumerate(np.bincount(group, minlength=22).tolist()):
+        s, start = slice(start, start + count), start + count
+        if not count:
+            continue
+        if g < 4:  # 0.ddd, 0.0ddd, 0.00ddd or 0.000ddd
+            slots[s, 1 : 6 - g] = np.frombuffer(b"0.000"[: 5 - g], np.uint8)
+            slots[s, 6 - g : 23 - g] = digits[s]
+            continue
+        p = g - 4 if g < 21 else 0  # digits before the point, less one
+        slots[s, 1 : p + 2] = digits[s, : p + 1] | ord("0")  # whole digits keep their zeros
+        if p < 16:  # a point only before a kept digit
+            slots[s, p + 2] = (digits[s, p + 1] != 0) * np.uint8(ord("."))
+            slots[s, p + 3 : 19] = digits[s, p + 1 :]
+        if g == 21:
+            e = k[s]
+            slots[s, 19] = ord("e")
+            slots[s, 20] = np.where(e < 0, ord("-"), ord("+"))
+            e = np.abs(e)
+            slots[s, 21] = (e >= 100) * (e // 100 + ord("0"))
+            slots[s, 22] = e // 10 % 10 + ord("0")
+            slots[s, 23] = e % 10 + ord("0")
+    del k, digits
+    out = np.empty_like(slots)
+    out.view(f"V{_SLOT}")[order] = slots.view(f"V{_SLOT}")
+    del slots, order
+    slow = np.flatnonzero(~fast)
+    text = np.array([b"%.17g" % v for v in x[slow].tolist()], dtype="S24")
+    out[slow, :24] = text.view(np.uint8).reshape(-1, 24)
+    out = out.reshape(rows, cols, _SLOT)
+    out[:, :-1, -1] = ord(",")
+    out[:, -1, -2:] = np.frombuffer(b"\r\n", np.uint8)
+    return out[out != 0].tobytes().decode("ascii")
 
 
 def read_json(path, what: str) -> dict:

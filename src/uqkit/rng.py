@@ -209,9 +209,9 @@ def child_seed(seed: int, index: int) -> int:
     return _mix64((seed + (index + 1) * _GOLDEN) & _MASK64)
 
 
-# The seeds a stream tells apart: Rng takes a seed modulo 2**64, so 2**64
-# would replay seed 0. The schema fragment of a config's seed, of each of
-# its seeds and of every --seed flag.
+# The seeds a stream tells apart, 0 to 2**64 - 1: the seeds Rng takes. The
+# schema fragment of a config's seed, of each of its seeds and of every
+# --seed flag.
 SEED_SCHEMA = {"type": "integer", "minimum": 0, "maximum": _MASK64}
 
 
@@ -219,12 +219,17 @@ class Rng:
     """Seeded xorshift64* stream with splitmix64-derived state.
 
     Instances are single-owner mutable: callers that need parallelism
-    derive independent child streams up front via :func:`child_seed`.
+    derive independent child streams up front via :func:`child_seed`. A
+    seed outside ``SEED_SCHEMA`` is a ``ValueError`` worded as a config's.
     """
 
     __slots__ = ("_state", "_cached_normal")
 
     def __init__(self, seed: int):
+        if not SEED_SCHEMA["minimum"] <= seed <= SEED_SCHEMA["maximum"]:
+            from .data import check_value  # at call time: data imports rng
+
+            check_value(SEED_SCHEMA, seed, ("seed",))
         state = _mix64((int(seed) + _GOLDEN) & _MASK64)
         # xorshift state must never be zero
         self._state = state if state != 0 else _GOLDEN

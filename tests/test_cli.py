@@ -750,7 +750,7 @@ def test_seed_flag_outside_the_stream_exits_2(capsys, seed, fault, command):
     code, out, err = run(capsys, command, "--seed", str(seed))
     assert code == 2 and out == ""
     assert err == f"config error: argument --seed: at seed: {fault}\n"
-    assert cli_module._seed_flag(str(2**64 - 1)) == 2**64 - 1
+    assert cli_module._SEED_FLAG(str(2**64 - 1)) == 2**64 - 1
 
 
 def test_train_config_faults_are_listed_in_one_run(tmp_path, capsys):
@@ -870,12 +870,22 @@ def test_each_setting_has_one_home(tmp_path, monkeypatch):
     method = next(a for a in sub.choices["calibrate"]._actions if a.dest == "method")
     assert method.choices is calibration.TEMPERATURE_METHODS
     # a config's seed, each of its seeds and every --seed flag take the
-    # stream's seed range
+    # stream's seed range, and every integer flag takes its range from the
+    # fragment of the config key it sets
     assert run["seed"] is rng_module.SEED_SCHEMA
     assert run["seeds"]["items"] is rng_module.SEED_SCHEMA
-    for command in ("conformal", "train", "evaluate"):
-        seed = next(a for a in sub.choices[command]._actions if a.dest == "seed")
-        assert seed.type is cli_module._seed_flag
+    flags = [
+        ("conformal", "seed", rng_module.SEED_SCHEMA),
+        ("train", "seed", rng_module.SEED_SCHEMA),
+        ("evaluate", "seed", rng_module.SEED_SCHEMA),
+        ("evaluate", "bins", metrics.BINS_SCHEMA),
+        ("evaluate", "predictive_samples", posterior.DRAWS_SCHEMA),
+    ]
+    for command, dest, fragment in flags:
+        flag = next(a for a in sub.choices[command]._actions if a.dest == dest)
+        assert flag.type.func is cli_module._int_flag
+        assert flag.type.args == (fragment, dest) and flag.type.args[0] is fragment
+        assert run[dest] is fragment
 
 
 _NAN = float("nan")
@@ -1562,7 +1572,7 @@ class TestEvaluateCommand:
         assert got == code
         if code:
             assert err == (
-                f"config error: argument --bins: must be at most 9007199254740992, got {bins}\n"
+                f"config error: argument --bins: at bins: {bins} is above the maximum 9007199254740992\n"
             )
         else:
             assert json.loads(out)["ece"] == pytest.approx(0.2)

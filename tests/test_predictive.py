@@ -39,6 +39,11 @@ def ensemble_with_logit_gap(cfg, gap):
     return EnsembleState((a, b))
 
 
+def test_sample_weights_refuses_a_seed_outside_the_stream():
+    with pytest.raises(ValueError, match="^at seed: -1 is below the minimum 0$"):
+        sample_weights(MapState(init_params(clf_cfg())), seed=-1)
+
+
 class TestClassification:
     def test_map_state_collapses_to_softmax_exactly(self):
         cfg = clf_cfg()

@@ -9,6 +9,7 @@ import csv
 import io
 import json
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -26,7 +27,9 @@ from uqkit.calibration import (
     fit_temperature,
     fit_variance_scale,
 )
+from uqkit.cli import write_sets_csv
 from uqkit.conformal import (
+    PredictionSets,
     adaptive_sets,
     baseline_sets,
     conformal_quantile,
@@ -39,6 +42,7 @@ from uqkit.config import RUN_SCHEMA
 import uqkit.data
 from uqkit.data import (
     Dataset,
+    _format_cells,
     _read_csv_plain,
     _read_csv_python,
     load_csv,
@@ -363,6 +367,142 @@ def test_matrix_csv_writer_equals_csv_module(scratch, pool, rows, k, seed):
     writer = csv.writer(expected)
     writer.writerow(header)
     writer.writerows([format(v, ".17g") for v in row] for row in matrix.tolist())
+    assert path.read_bytes() == expected.getvalue().encode("utf-8")
+
+
+def percent_lines(matrix) -> str:
+    """The formatter's oracle: ``'%.17g' % x`` cells joined by commas, each
+    row ended by CRLF."""
+    return "".join(",".join(["%.17g" % v for v in row]) + "\r\n" for row in matrix.tolist())
+
+
+def exact_ties(draws) -> list[float]:
+    """Floats m 2**-e whose exact decimal has 18 significant digits ending
+    in 5, so that 17 digits sit on a tie: m odd and m 5**e in [1e17, 1e18),
+    one per (e, u) draw with u in [0, 1)."""
+    ties = []
+    for e, u in draws:
+        low = max(-(-10**17 // 5**e), 1)
+        high = min(10**18 // 5**e, 2**53)
+        m = (low + int(u * (high - low))) | 1
+        if m < high:
+            ties.append(m * 2.0**-e)
+    return ties
+
+
+def test_exact_ties_have_18_digits_ending_in_5():
+    ties = exact_ties([(e, u) for e in range(2, 26) for u in (0.0, 0.37, 0.999)])
+    assert len(ties) > 60
+    for x in ties:
+        digits = Decimal(x).as_tuple().digits
+        assert len(digits) == 18 and digits[-1] == 5, x
+
+
+def decade_edges() -> np.ndarray:
+    """Every 10**k of float64 and its two neighbours either side, both signs."""
+    edges = []
+    for k in range(-324, 309):
+        v = float(f"1e{k}")
+        below, above = np.nextafter(v, 0.0), np.nextafter(v, math.inf)
+        edges += [v, below, np.nextafter(below, 0.0), above, np.nextafter(above, math.inf)]
+    edges = np.array(edges)
+    return np.concatenate([edges, -edges])
+
+
+SPECIAL_CELLS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                 2.2250738585072014e-308, 2.225073858507201e-308, 1e-300, -1e-300,
+                 1.7976931348623157e308, 0.5, 1.0, 100.0, 1e16, 1e17, 123456789012345678.0]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(patterns=hnp.arrays(np.uint64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=40),
+                           elements=st.integers(0, 2**64 - 1)))
+def test_cell_formatter_equals_percent_on_bit_patterns(patterns):
+    cells = patterns.view(np.float64)
+    assert _format_cells(cells) == percent_lines(cells)
+
+
+def test_cell_formatter_equals_percent_on_many_bit_patterns():
+    patterns = np.random.default_rng(32).integers(0, 2**64, (20_000, 11), dtype=np.uint64)
+    cells = patterns.view(np.float64)
+    assert _format_cells(cells) == percent_lines(cells)
+
+
+def test_cell_formatter_equals_percent_on_decade_edges():
+    cells = decade_edges().reshape(-1, 5)
+    assert _format_cells(cells) == percent_lines(cells)
+
+
+@BOUNDED
+@given(subnormals=hnp.arrays(np.uint64, st.integers(1, 30), elements=st.integers(0, 2**52 - 1)),
+       negative=st.booleans())
+def test_cell_formatter_equals_percent_on_subnormals_and_specials(subnormals, negative):
+    cells = subnormals.view(np.float64) * (-1.0 if negative else 1.0)
+    cells = np.concatenate([cells, SPECIAL_CELLS]).reshape(-1, 1)
+    assert _format_cells(cells) == percent_lines(cells)
+
+
+@BOUNDED
+@given(draws=st.lists(st.tuples(st.integers(2, 25), st.floats(0, 1, exclude_max=True)),
+                      min_size=1, max_size=40),
+       negative=st.booleans())
+def test_cell_formatter_equals_percent_on_exact_ties(draws, negative):
+    # a tie rounds half to even in '%', so the formatter must never round it
+    ties = np.array(exact_ties(draws) + [2.0**-25, 1000000000000000.25], dtype=np.float64)
+    cells = (-ties if negative else ties).reshape(-1, 1)
+    assert _format_cells(cells) == percent_lines(cells)
+
+
+def test_cell_formatter_falls_back_on_every_cell_under_an_infinite_bound_or_float64(monkeypatch):
+    ties = exact_ties([(e, 0.5) for e in range(2, 26)])
+    cells = np.concatenate([decade_edges(), ties, SPECIAL_CELLS,
+                            np.random.default_rng(5).standard_normal(400)])
+    cells = cells[: cells.size // 4 * 4].reshape(-1, 4)
+    expected = percent_lines(cells)
+    assert _format_cells(cells) == expected
+    monkeypatch.setattr(uqkit.data, "_ROUNDING", math.inf)
+    assert not uqkit.data._rounded(cells.ravel())[2].any()
+    assert _format_cells(cells) == expected
+    # where the long double is float64, the bound made from its finfo
+    # exceeds 1/2, and the powers past 1e308 are inf
+    with np.errstate(over="ignore"):
+        monkeypatch.setattr(uqkit.data, "_POWERS", uqkit.data._POWERS.astype(np.float64))
+    monkeypatch.setattr(uqkit.data, "_WIDE", np.float64)
+    monkeypatch.setattr(uqkit.data, "_ROUNDING", 2.000001 * 2.0**-53)
+    assert not uqkit.data._rounded(cells.ravel())[2].any()
+    assert _format_cells(cells) == expected
+
+
+def test_powers_of_ten_are_correctly_rounded():
+    # the formatter's error bound counts one rounding of each power
+    from fractions import Fraction
+
+    for j, power in enumerate(uqkit.data._POWERS, start=uqkit.data._POWERS_FROM):
+        if not np.isfinite(power):  # past float64's range: every cell falls back
+            continue
+        error = abs(Fraction(*power.as_integer_ratio()) - Fraction(10) ** j)
+        assert 2 * error <= Fraction(*np.spacing(power).as_integer_ratio()), j
+
+
+@BOUNDED
+@given(
+    classes=st.sampled_from([1, 2, 3, 10, 64, 65, 130]),
+    rows=st.one_of(st.sampled_from([1, BLOCK, BLOCK + 1]), st.integers(1, 2 * BLOCK + 3)),
+    distinct=st.integers(1, 40),
+    density=st.floats(0, 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_set_writer_equals_csv_module(scratch, classes, rows, distinct, density, seed):
+    gen = np.random.default_rng(seed)
+    pool = gen.random((distinct, classes)) < density
+    pool = np.vstack([pool, np.zeros(classes, bool), np.ones(classes, bool)])  # empty and full sets
+    member = pool[gen.integers(0, len(pool), rows)]
+    path = scratch / "sets.csv"
+    write_sets_csv(path, PredictionSets(member))
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(["set"])
+    writer.writerows([";".join(str(c) for c in np.flatnonzero(row))] for row in member)
     assert path.read_bytes() == expected.getvalue().encode("utf-8")
 
 

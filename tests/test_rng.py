@@ -47,6 +47,18 @@ def test_child_seed_is_pure_function_of_seed_and_index():
     assert child_seed(5, 3) != child_seed(6, 3)
 
 
+@pytest.mark.parametrize("seed, fault", [
+    (-1, "-1 is below the minimum 0"),
+    (2**64, "18446744073709551616 is above the maximum 18446744073709551615"),
+])
+def test_seed_outside_the_stream_is_refused_as_a_config_seed(seed, fault):
+    # a seed was taken modulo 2**64: Rng(2**64) replayed Rng(0), and Rng(-1)
+    # replayed Rng(2**64 - 1)
+    with pytest.raises(ValueError, match=f"^at seed: {fault}$"):
+        Rng(seed)
+    assert Rng(2**64 - 1).uniforms(4).tolist() != Rng(0).uniforms(4).tolist()
+
+
 def test_uniform_range():
     r = Rng(11)
     draws = r.uniforms(10_000)
