@@ -568,10 +568,12 @@ def _rounded(x: np.ndarray):
     rounded to an integer in [1e16, 1e17), k grown by one where it rounds
     up to 1e17; ``fast`` where that D is exact. y = |x| 10**(16 - k) is made
     in ``_WIDE`` from a correctly rounded power of ten, then moved into
-    [1e16, 1e17) where log10 was one off. D is exact unless x is zero,
+    [1e16, 1e17) where log10 was one off. D is exact unless x is
     non-finite or below 1e-300, or y's fraction lies within the rounding
-    bound of a half, as every tie does."""
+    bound of a half, as every tie does. A zero (either sign) has D = 0 and
+    k = 0, its one digit the 0 of ``'%.17g'``."""
     a = np.abs(x)
+    zero = a == 0
     fast = (a >= 1e-300) & (a < np.inf)
     a[~fast] = 1.0
     k = np.floor(np.log10(a)).astype(np.int64)
@@ -590,13 +592,15 @@ def _rounded(x: np.ndarray):
     d += frac > 0.5
     top = d == 10**17
     d[top] = 10**16
-    return d, k + top, fast
+    d[zero] = 0
+    return d, k + top, fast | zero
 
 
 def _digit_bytes(d: np.ndarray) -> np.ndarray:
     """The 17 digits of each D in [1e16, 1e17) as ASCII bytes, one row per D,
-    with its trailing zeros NUL: the first digit is byte 7 of a word and
-    the others fill two more, little-endian on any host."""
+    with its trailing zeros NUL (D = 0 gives a lone 0): the first digit is
+    byte 7 of a word and the others fill two more, little-endian on any
+    host."""
     first = d // 10**16
     rest = d - first * 10**16
     high = rest // 10**8
@@ -628,7 +632,7 @@ def _format_cells(block: np.ndarray) -> str:
     k, digits = k[order], _digit_bytes(d[order])
     del d
     slots = np.zeros((x.size, _SLOT), np.uint8)
-    slots[:, 0] = (x[order] < 0) * np.uint8(ord("-"))
+    slots[:, 0] = np.signbit(x[order]) * np.uint8(ord("-"))
     start = 0
     for g, count in enumerate(np.bincount(group, minlength=22).tolist()):
         s, start = slice(start, start + count), start + count

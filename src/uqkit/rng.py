@@ -24,10 +24,13 @@ made by jumps (of M^(B 2^j)), and the B - 1 after each by plain xorshift
 steps across all of them at once: B = 4 from 256 states, 8 from 2,048 and
 16 from 16,384. The output multiply, the uniform scaling and
 ``np.sqrt`` are exact or correctly rounded in numpy. The Box-Muller log
-stays ``math.log`` per value, since ``np.log`` can differ from it in the
-last bit; ``np.cos``/``np.sin`` are used only after a first-use probe
-finds them equal to ``math`` on a fixed set of angles, and ``math`` is
-used otherwise.
+and cos/sin must equal ``math``'s, which call the C library (libm).
+numpy's SIMD log differs from it in the last bit on some values, but on a
+negative-stride input ``np.log`` runs numpy's scalar loop, which calls
+libm's ``log``: the function ``math.log`` calls. So the log is
+``np.log(x[::-1])[::-1]``, and cos/sin are ``np.cos``/``np.sin``, each
+only after a first-use probe finds it equal to ``math`` on a fixed set of
+values; ``math`` runs value by value otherwise.
 """
 
 from __future__ import annotations
@@ -63,8 +66,15 @@ _BLOCK_FROM = (256, 2048, 16384)
 _BLOCK_BITS = (0, 2, 3, 4)
 _SHIFTS = np.uint64(12), np.uint64(25), np.uint64(27)
 
-# whether np.cos/np.sin equal math.cos/math.sin; probed at first use
-_NUMPY_TRIG_EXACT: bool | None = None
+# whether numpy's path equals math's, per function: {"log": ..., "trig": ...}
+# (cos and sin); probed at first use by _probe_libm
+_NUMPY_LIBM: dict[str, bool] | None = None
+# values where numpy's AVX512F log differs from libm's in the last bit: on
+# the stream's 1 - u near 1, near 1/2 and near 0, and a subnormal
+_SIMD_LOG_MISSES = tuple(map(float.fromhex, (
+    "0x1.f5f0d7ba70400p-1", "0x1.ffffffffffffep-1", "0x1.0000002288000p-1",
+    "0x1.edf8000000000p-39", "0x0.0000000431210p-1022",
+)))
 
 
 def _mix64(x: int) -> int:
@@ -172,30 +182,57 @@ def _rejected(draws: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return (excess != 0) & (draws >= zero - excess)
 
 
-def _numpy_trig_exact() -> bool:
-    """Whether np.cos and np.sin equal math.cos and math.sin on a fixed set
-    of angles spread over [0, 2 pi)."""
-    angles = _TWO_PI * ((np.arange(4096) * 0.6180339887498949) % 1.0)
-    angles = np.concatenate([angles, [0.0, math.pi / 2, math.pi, 1.5 * math.pi,
-                                      math.nextafter(_TWO_PI, 0.0)]])
-    values = angles.tolist()
-    return (
-        np.cos(angles).tolist() == list(map(math.cos, values))
-        and np.sin(angles).tolist() == list(map(math.sin, values))
-    )
+def _reversed_log(x: np.ndarray) -> np.ndarray:
+    """np.log of each value, through a negative-stride view of ``x``: numpy
+    runs its SIMD loop only on positive strides, so this runs its scalar
+    loop, which calls libm's ``log``. (An ``out=`` of the same reversed view
+    would be turned forward again, onto the SIMD loop.)"""
+    return np.log(x[::-1])[::-1]
+
+
+def _by_value(f, x: np.ndarray) -> np.ndarray:
+    """f of each value of ``x`` in Python floats, as an array."""
+    return np.fromiter(map(f, x.tolist()), dtype=np.float64, count=len(x))
+
+
+def _agrees(f, g, values: np.ndarray) -> bool:
+    """Whether the array function f gives g's bytes on every value."""
+    return f(values).tobytes() == _by_value(g, values).tobytes()
+
+
+def _probe_libm(log=_reversed_log, cos=np.cos, sin=np.sin) -> dict[str, bool]:
+    """Whether each numpy path equals math on a fixed set: ``log`` on 8,192
+    golden-ratio fractions in (0, 1], 1, 1/2, 2**-53, 1 - 2**-53, the least
+    subnormal and ``_SIMD_LOG_MISSES``; ``cos`` and ``sin`` (as "trig") on
+    4,096 golden-ratio angles spread over [0, 2 pi) and the quarter turns."""
+    golden = (np.arange(8192) * 0.6180339887498949) % 1.0
+    logs = np.concatenate([1.0 - golden, [1.0, 0.5, _TO_UNIT, 1.0 - _TO_UNIT, 5e-324],
+                           _SIMD_LOG_MISSES])
+    angles = np.concatenate([_TWO_PI * golden[:4096], [0.0, math.pi / 2, math.pi, 1.5 * math.pi,
+                                                      math.nextafter(_TWO_PI, 0.0)]])
+    return {
+        "log": _agrees(log, math.log, logs),
+        "trig": _agrees(cos, math.cos, angles) and _agrees(sin, math.sin, angles),
+    }
+
+
+def _libm(name: str) -> bool:
+    """Whether numpy's path for ``name`` ("log" or "trig") equals math's,
+    probing them all at first use."""
+    global _NUMPY_LIBM
+    if _NUMPY_LIBM is None:
+        _NUMPY_LIBM = _probe_libm()
+    return _NUMPY_LIBM[name]
+
+
+def _log(x: np.ndarray) -> np.ndarray:
+    return _reversed_log(x) if _libm("log") else _by_value(math.log, x)
 
 
 def _cos_sin(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    global _NUMPY_TRIG_EXACT
-    if _NUMPY_TRIG_EXACT is None:
-        _NUMPY_TRIG_EXACT = _numpy_trig_exact()
-    if _NUMPY_TRIG_EXACT:
+    if _libm("trig"):
         return np.cos(angles), np.sin(angles)
-    values = angles.tolist()
-    return (
-        np.fromiter(map(math.cos, values), dtype=np.float64, count=len(values)),
-        np.fromiter(map(math.sin, values), dtype=np.float64, count=len(values)),
-    )
+    return _by_value(math.cos, angles), _by_value(math.sin, angles)
 
 
 def child_seed(seed: int, index: int) -> int:
@@ -255,10 +292,9 @@ class Rng:
         if held:
             out[0], self._cached_normal = self._cached_normal, None
         u = _uniforms(self._states(2 * ((n - held + 1) // 2))).reshape(-1, 2)
-        # 1 - u lies in (0, 1], so the log is finite; it stays math.log,
-        # value by value, since np.log can differ in the last bit
-        logs = np.fromiter(map(math.log, (1.0 - u[:, 0]).tolist()), dtype=np.float64, count=len(u))
-        radius = np.sqrt(-2.0 * logs)
+        # 1 - u lies in (0, 1], so the log is finite; libm's log, through
+        # numpy's scalar loop where the probe found it equal to math.log
+        radius = np.sqrt(-2.0 * _log(1.0 - u[:, 0]))
         cos, sin = _cos_sin(_TWO_PI * u[:, 1])
         z = np.stack((radius * cos, radius * sin), axis=1).reshape(-1)  # cos, sin, cos, ...
         out[held:] = z[: n - held]

@@ -443,6 +443,23 @@ def test_cell_formatter_equals_percent_on_subnormals_and_specials(subnormals, ne
 
 
 @BOUNDED
+@given(block=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=30),
+                        elements=st.one_of(st.sampled_from([0.0, -0.0]), st.floats())),
+       labels=st.lists(st.integers(0, 12), min_size=30, max_size=30),
+       layout=st.sampled_from(["as drawn", "all zero", "signed zeros", "label column"]))
+def test_cell_formatter_equals_percent_on_zeros_and_label_columns(block, labels, layout):
+    if layout == "all zero":
+        block = np.zeros_like(block)
+    elif layout == "signed zeros":
+        block = np.copysign(0.0, block)
+    elif layout == "label column":
+        block[:, 0] = labels[: len(block)]
+    assert _format_cells(block) == percent_lines(block)
+    # a zero is laid out by array ops, never by the fallback
+    assert uqkit.data._rounded(block.ravel())[2][block.ravel() == 0].all()
+
+
+@BOUNDED
 @given(draws=st.lists(st.tuples(st.integers(2, 25), st.floats(0, 1, exclude_max=True)),
                       min_size=1, max_size=40),
        negative=st.booleans())
@@ -460,8 +477,10 @@ def test_cell_formatter_falls_back_on_every_cell_under_an_infinite_bound_or_floa
     cells = cells[: cells.size // 4 * 4].reshape(-1, 4)
     expected = percent_lines(cells)
     assert _format_cells(cells) == expected
+    # zeros need no rounding, so they alone stay on the array path
+    nonzero = cells.ravel() != 0
     monkeypatch.setattr(uqkit.data, "_ROUNDING", math.inf)
-    assert not uqkit.data._rounded(cells.ravel())[2].any()
+    assert (uqkit.data._rounded(cells.ravel())[2] == ~nonzero).all()
     assert _format_cells(cells) == expected
     # where the long double is float64, the bound made from its finfo
     # exceeds 1/2, and the powers past 1e308 are inf
@@ -469,7 +488,7 @@ def test_cell_formatter_falls_back_on_every_cell_under_an_infinite_bound_or_floa
         monkeypatch.setattr(uqkit.data, "_POWERS", uqkit.data._POWERS.astype(np.float64))
     monkeypatch.setattr(uqkit.data, "_WIDE", np.float64)
     monkeypatch.setattr(uqkit.data, "_ROUNDING", 2.000001 * 2.0**-53)
-    assert not uqkit.data._rounded(cells.ravel())[2].any()
+    assert (uqkit.data._rounded(cells.ravel())[2] == ~nonzero).all()
     assert _format_cells(cells) == expected
 
 

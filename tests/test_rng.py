@@ -320,8 +320,20 @@ def test_only_a_stream_with_a_rejected_draw_draws_again(seeds, n, data):
         assert (row.tolist(), stream._state) == want
 
 
+def _force_libm(monkeypatch, **paths):
+    """The first-use probe's result, with the given paths forced."""
+    monkeypatch.setattr(rng_module, "_NUMPY_LIBM", {**rng_module._probe_libm(), **paths})
+
+
 def test_scalar_trig_fallback_gives_the_same_normals(monkeypatch):
-    monkeypatch.setattr(rng_module, "_NUMPY_TRIG_EXACT", False)
+    _force_libm(monkeypatch, trig=False)
+    assert Rng(4).normals(999).tobytes() == ScalarRng(4).normals(999).tobytes()
+
+
+def test_scalar_log_fallback_gives_the_same_normals(monkeypatch):
+    _force_libm(monkeypatch, log=False)
+    assert Rng(4).normals(999).tobytes() == ScalarRng(4).normals(999).tobytes()
+    _force_libm(monkeypatch, log=False, trig=False)
     assert Rng(4).normals(999).tobytes() == ScalarRng(4).normals(999).tobytes()
 
 
@@ -332,11 +344,67 @@ def test_trig_probe_agrees_with_stream_angles():
         np.cos(angles).tolist() == [math.cos(a) for a in values]
         and np.sin(angles).tolist() == [math.sin(a) for a in values]
     )
-    assert rng_module._numpy_trig_exact() == exact
+    assert rng_module._probe_libm()["trig"] == exact
+
+
+def test_log_probe_agrees_with_stream_values():
+    values = 1.0 - Rng(21).uniforms(400_000)
+    exact = rng_module._reversed_log(values).tolist() == list(map(math.log, values.tolist()))
+    assert rng_module._probe_libm()["log"] == exact
+
+
+_GRID_STEPS = st.one_of(st.integers(0, 2**20), st.integers(0, 2**53 - 1))
+# the probe's fixed points, values where numpy's SIMD log is off among them
+_PROBE_POINTS = [1.0, 0.5, 2.0**-53, 1.0 - 2.0**-53, 5e-324, *rng_module._SIMD_LOG_MISSES]
+# and their neighbours either side
+_PROBED = _PROBE_POINTS + [math.nextafter(v, 0.0) for v in _PROBE_POINTS if v > 5e-324] + [
+    math.nextafter(v, 1.0) for v in _PROBE_POINTS if v < 1.0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    steps=st.lists(_GRID_STEPS, min_size=1, max_size=300),
+    subnormals=st.lists(st.integers(1, 2**52 - 1), max_size=40),
+    powers=st.lists(st.integers(-1074, 0), max_size=40),
+    doubles=st.lists(st.floats(0.0, 1.0, exclude_min=True), max_size=300),
+    short=st.integers(1, 17),
+)
+def test_log_equals_math_log_byte_for_byte(steps, subnormals, powers, doubles, short):
+    # 1 - k 2**-53 is the stream's grid of 1 - u, near 1 and all the way to 2**-53
+    grid = [1.0 - k * 2.0**-53 for k in steps]
+    tiny = [float(np.uint64(m).view(np.float64)) for m in subnormals]
+    x = np.array(grid + tiny + [2.0**e for e in powers] + doubles + _PROBED)
+    for values in (x, x[-short:]):  # a short array too, down to one value
+        assert rng_module._log(values).tobytes() == rng_module._by_value(math.log, values).tobytes()
+
+
+def _math_log_off_at(value, off):
+    """math.log of each value, one ulp lower at ``value`` alone if ``off``."""
+    def log(x):
+        out = rng_module._by_value(math.log, x)
+        at = x == value
+        assert at.any()
+        if off:
+            out[at] = np.nextafter(out[at], -np.inf)
+        return out
+    return log
+
+
+@pytest.mark.parametrize("value", _PROBE_POINTS)
+def test_probe_rejects_a_log_one_ulp_off_on_one_value(value):
+    assert rng_module._probe_libm(log=_math_log_off_at(value, False))["log"] is True
+    assert rng_module._probe_libm(log=_math_log_off_at(value, True))["log"] is False
+
+
+def test_probe_rejects_numpys_contiguous_log_where_it_differs():
+    misses = np.array(rng_module._SIMD_LOG_MISSES)
+    if np.log(misses).tobytes() == np.array(list(map(math.log, misses.tolist()))).tobytes():
+        pytest.skip("numpy's contiguous log equals math.log on the probe's SIMD misses here")
+    assert rng_module._probe_libm(log=np.log)["log"] is False
 
 
 def test_importing_the_package_builds_no_jump_table():
-    code = "import uqkit, uqkit.cli, uqkit.rng as r; print(len(r._JUMPS), r._NUMPY_TRIG_EXACT)"
+    code = "import uqkit, uqkit.cli, uqkit.rng as r; print(len(r._JUMPS), r._NUMPY_LIBM)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert out.stdout.split() == ["0", "None"]
